@@ -2,7 +2,7 @@
 
 The expression language covers +, -, *, /, ^ (constant exponents), the
 functions sin/cos/exp/log/sqrt, and variables x1..xn.  Gradients come from
-dual-number forward sweeps, so they are exact up to rounding.
+one vector forward-mode sweep, so they are exact up to rounding.
 """
 
 import numpy as np

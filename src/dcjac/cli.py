@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -55,9 +56,12 @@ def _dump(obj) -> str:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",")])
+        vec = np.array([float(part) for part in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"bad vector {text!r}: {exc}") from None
+    if not np.isfinite(vec).all():
+        raise _UsageError(f"bad vector {text!r}: entries must be finite")
+    return vec
 
 
 def _parse_random_spec(text: str, default_seed: int) -> dict:
@@ -73,15 +77,19 @@ def _parse_random_spec(text: str, default_seed: int) -> dict:
     return spec
 
 
-def _load_function(args):
+def _read_ncp(m_path: str, q_path: str) -> tuple[np.ndarray, np.ndarray]:
+    M = np.atleast_2d(np.loadtxt(m_path, delimiter=",", dtype=float))
+    q = np.atleast_1d(np.loadtxt(q_path, delimiter=",", dtype=float))
+    return M, q
+
+
+def _load_function(args, ncp=None):
+    """The problem from --random, else the NCP data (M, q), else -p."""
     if getattr(args, "random", None):
         spec = _parse_random_spec(args.random, args.seed)
         return load_problem(random_affine_document(**spec))
-    if getattr(args, "ncp", None):
-        m_path, q_path = args.ncp
-        M = np.atleast_2d(np.loadtxt(m_path, delimiter=",", dtype=float))
-        q = np.atleast_1d(np.loadtxt(q_path, delimiter=",", dtype=float))
-        return build_ncp(M, q)
+    if ncp is not None:
+        return build_ncp(*ncp)
     if args.problem is None:
         raise _UsageError("no problem given: use -p/--problem, --random, or --ncp")
     return load_problem_file(args.problem)
@@ -227,7 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    F = _load_function(args)
+    ncp = _read_ncp(*args.ncp) if args.ncp else None
+    F = _load_function(args, ncp)
     x0 = _parse_vector(args.x0) if args.x0 else np.zeros(F.n)
     trace = solve(
         F,
@@ -244,11 +253,8 @@ def cmd_newton(args) -> int:
         "residual": trace.residual,
         "iterations": len(trace.steps) - 1,
     }
-    if getattr(args, "ncp", None):
-        m_path, q_path = args.ncp
-        M = np.atleast_2d(np.loadtxt(m_path, delimiter=",", dtype=float))
-        q = np.atleast_1d(np.loadtxt(q_path, delimiter=",", dtype=float))
-        summary["complementarity_residual"] = ncp_residual(M, q, trace.solution)
+    if ncp is not None:
+        summary["complementarity_residual"] = ncp_residual(*ncp, trace.solution)
     if args.json:
         for line in trace.iter_json_lines():
             print(line)
@@ -331,8 +337,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options taking a comma-separated vector.  argparse reads a value such as
+# "-1,2" as an option flag, so such a value is attached as "--x0=-1,2".
+_VECTOR_OPTIONS = ("-x", "--point", "-y", "--direction", "--x0")
+_NEGATIVE_VECTOR = re.compile(r"-[0-9.]")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VECTOR.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_vector_values(argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

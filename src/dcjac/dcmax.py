@@ -92,11 +92,13 @@ class ActiveSet:
 
     ``tolerance_used`` is the absolute band below ``max_value`` that was
     accepted; ``indices`` holds exactly the pieces within that band.
+    ``values`` holds every piece's value at the point, in piece order.
     """
 
     indices: tuple[int, ...]
     max_value: float
     tolerance_used: float
+    values: tuple[float, ...]
 
 
 def load_problem(document: dict) -> DCMaxFn:
@@ -155,11 +157,12 @@ def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
     """Pieces within tol_act*(1+|max|) of the maximum at x."""
     if tol_act < 0:
         raise ValueError("tol_act must be nonnegative")
-    vals = f.values(x)
+    values = tuple(p.eval(x) for p in f.pieces)
+    vals = np.array(values)
     vmax = float(vals.max())
     cutoff = tol_act * (1.0 + abs(vmax))
     indices = tuple(int(j) for j in np.flatnonzero(vals >= vmax - cutoff))
-    return ActiveSet(indices=indices, max_value=vmax, tolerance_used=cutoff)
+    return ActiveSet(indices=indices, max_value=vmax, tolerance_used=cutoff, values=values)
 
 
 def dd_max(f: MaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> float:

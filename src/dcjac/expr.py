@@ -2,9 +2,9 @@
 
 Expressions are C1 functions of the variables ``x1 .. xn`` built from
 ``+ - * / ^``, the functions ``sin cos exp log sqrt``, and decimal
-constants.  Gradients are computed by forward-mode automatic
-differentiation with dual numbers, one sweep per coordinate, so they are
-exact up to rounding (never finite differences).
+constants.  Gradients are computed by vector forward-mode automatic
+differentiation: one sweep over the tree carries the value and the whole
+gradient, so they are exact up to rounding (never finite differences).
 """
 
 from __future__ import annotations
@@ -75,54 +75,6 @@ class Binary:
 
 
 Expr = Union[Const, Var, Unary, Binary]
-
-
-class _Dual:
-    """Dual number (value, derivative) for forward-mode differentiation."""
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val: float, dot: float):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, o):
-        return _Dual(self.val + o.val, self.dot + o.dot)
-
-    def __sub__(self, o):
-        return _Dual(self.val - o.val, self.dot - o.dot)
-
-    def __mul__(self, o):
-        return _Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
-
-    def __truediv__(self, o):
-        inv = 1.0 / o.val
-        return _Dual(self.val * inv, (self.dot - self.val * o.dot * inv) * inv)
-
-    def __neg__(self):
-        return _Dual(-self.val, -self.dot)
-
-    def sin(self):
-        return _Dual(math.sin(self.val), math.cos(self.val) * self.dot)
-
-    def cos(self):
-        return _Dual(math.cos(self.val), -math.sin(self.val) * self.dot)
-
-    def exp(self):
-        e = math.exp(self.val)
-        return _Dual(e, e * self.dot)
-
-    def log(self):
-        return _Dual(math.log(self.val), self.dot / self.val)
-
-    def sqrt(self):
-        r = math.sqrt(self.val)
-        return _Dual(r, 0.5 * self.dot / r)
-
-    def powc(self, c: float):
-        if c == 0.0:
-            return _Dual(1.0, 0.0)
-        return _Dual(self.val**c, c * self.val ** (c - 1.0) * self.dot)
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +365,61 @@ def _pow_value(base: float, c: float, node: Expr) -> float:
     return base**c
 
 
-def _eval_dual(node: Expr, x, coord: int) -> _Dual:
+def _eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and full gradient of ``node`` at x in one forward sweep.
+
+    Vector forward mode: ``dot`` holds one lane per coordinate, and every
+    lane takes exactly the IEEE operations, in the same order, of a scalar
+    dual number seeded with that coordinate's unit vector.  ``zero`` is the
+    shared derivative of constants; no array is modified once returned.
+    """
     if isinstance(node, Const):
-        return _Dual(node.value, 0.0)
+        return node.value, zero
     if isinstance(node, Var):
-        return _Dual(float(x[node.index]), 1.0 if node.index == coord else 0.0)
+        dot = zero.copy()
+        dot[node.index] = 1.0
+        return float(x[node.index]), dot
     if isinstance(node, Unary):
-        d = _eval_dual(node.operand, x, coord)
-        if node.op == "neg":
-            return -d
-        if node.op == "log" and d.val <= 0.0:
-            raise DomainError(f"log of non-positive value {d.val!r}", node)
-        if node.op == "sqrt":
-            if d.val < 0.0:
-                raise DomainError(f"sqrt of negative value {d.val!r}", node)
-            if d.val == 0.0:
-                raise DomainError("sqrt not differentiable at 0", node)
-        return getattr(d, node.op)()
-    ld = _eval_dual(node.left, x, coord)
+        v, d = _eval_tangent(node.operand, x, zero)
+        op = node.op
+        if op == "neg":
+            return -v, -d
+        if op == "sin":
+            return math.sin(v), math.cos(v) * d
+        if op == "cos":
+            return math.cos(v), -math.sin(v) * d
+        if op == "exp":
+            e = math.exp(v)
+            return e, e * d
+        if op == "log":
+            if v <= 0.0:
+                raise DomainError(f"log of non-positive value {v!r}", node)
+            return math.log(v), d / v
+        # sqrt, the last of UNARY_FUNCS
+        if v < 0.0:
+            raise DomainError(f"sqrt of negative value {v!r}", node)
+        if v == 0.0:
+            raise DomainError("sqrt not differentiable at 0", node)
+        r = math.sqrt(v)
+        return r, 0.5 * d / r
+    lv, ld = _eval_tangent(node.left, x, zero)
     if node.op == "^":
         c = node.right.value
-        _pow_value(ld.val, c, node)  # domain check
-        return ld.powc(c)
-    rd = _eval_dual(node.right, x, coord)
+        _pow_value(lv, c, node)  # domain check
+        if c == 0.0:
+            return 1.0, zero
+        return lv**c, c * lv ** (c - 1.0) * ld
+    rv, rd = _eval_tangent(node.right, x, zero)
     if node.op == "+":
-        return ld + rd
+        return lv + rv, ld + rd
     if node.op == "-":
-        return ld - rd
+        return lv - rv, ld - rd
     if node.op == "*":
-        return ld * rd
-    if rd.val == 0.0:
+        return lv * rv, ld * rv + lv * rd
+    if rv == 0.0:
         raise DomainError("division by zero", node)
-    return ld / rd
+    inv = 1.0 / rv
+    return lv * inv, (ld - lv * rd * inv) * inv
 
 
 @dataclass(frozen=True)
@@ -465,13 +440,14 @@ class SmoothFn:
         return _eval_float(self.expr, x)
 
     def grad(self, x) -> np.ndarray:
-        """Exact gradient at x via one dual-number sweep per coordinate."""
+        """Exact gradient at x via one vector forward-mode sweep."""
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, expected {self.dim}")
-        out = np.empty(self.dim)
-        for l in range(self.dim):
-            out[l] = _eval_dual(self.expr, x, l).dot
-        return out
+        if self.dim == 0:
+            return np.empty(0)
+        # lanes overflow to inf/nan silently, as the scalar floats they mirror
+        with np.errstate(all="ignore"):
+            return _eval_tangent(self.expr, x, np.zeros(self.dim))[1]
 
     def __str__(self) -> str:
         return unparse(self.expr)

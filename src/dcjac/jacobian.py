@@ -65,6 +65,8 @@ class ComponentSelection:
     h_selected: tuple[int, ...]
     chosen_g: int  # smallest selected index; any survivor gives the same row
     chosen_h: int
+    g_max: float  # value of the max term at x, reduced as MaxFn.eval does
+    h_max: float
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,9 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
 
     Level 0 is all input indices; level l keeps the indices whose l-th
     component is within tol_tie*(1+|extremum|) of the minimum ("min") or
-    maximum ("max") over the previous level.  Returns n+1 levels.
+    maximum ("max") over the previous level.  Returns n+1 levels.  A lone
+    survivor with a finite row survives every later level, so the
+    filtration stops there.
     """
     _check_convention(convention)
     if tol_tie < 0:
@@ -135,6 +139,9 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
     keep = np.arange(mat.shape[0])
     chain = [tuple(int(i) for i in keep)]
     for l in range(n):
+        if keep.size == 1 and np.isfinite(mat[keep[0]]).all():
+            chain.extend([chain[-1]] * (n - l))
+            break
         col = mat[keep, l]
         if convention == "min":
             ext = col.min()
@@ -180,11 +187,13 @@ def clarke_jacobian_element(
     for i in range(F.m):
         act_g, grads_g = _active_gradients(F.g[i], x, tol_act)
         act_h, grads_h = _active_gradients(F.h[i], x, tol_act)
-        chain_g = _to_piece_indices(lexicographic_chain(grads_g, convention, tol_tie), act_g)
-        chain_h = _to_piece_indices(lexicographic_chain(grads_h, convention, tol_tie), act_h)
+        level_g = lexicographic_chain(grads_g, convention, tol_tie)
+        level_h = lexicographic_chain(grads_h, convention, tol_tie)
+        chain_g, chain_h = _to_piece_indices(level_g, act_g), _to_piece_indices(level_h, act_h)
         sel_g, sel_h = chain_g[-1], chain_h[-1]
         chosen_g, chosen_h = min(sel_g), min(sel_h)
-        rows.append(F.g[i].pieces[chosen_g].grad(x) - F.h[i].pieces[chosen_h].grad(x))
+        # active indices ascend, so the smallest survivor position is chosen_*'s row
+        rows.append(grads_g[min(level_g[-1])] - grads_h[min(level_h[-1])])
         comps.append(
             ComponentSelection(
                 g_active=act_g.indices,
@@ -195,6 +204,8 @@ def clarke_jacobian_element(
                 h_selected=sel_h,
                 chosen_g=chosen_g,
                 chosen_h=chosen_h,
+                g_max=max(act_g.values),
+                h_max=max(act_h.values),
             )
         )
     sel = SelectionResult(

@@ -7,14 +7,17 @@ is reported, not repaired.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, eval_F, load_problem
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
+from .expr import Binary, Const, Expr, SmoothFn, Unary, Var
 from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
 
 __all__ = [
@@ -110,9 +113,11 @@ def solve(
     grow_streak = 0
     status = "max_iters"
     for _ in range(max_iters + 1):
-        F_x = eval_F(F, x)
+        elem = clarke_jacobian_element(F, x, tol_act, tol_tie, convention)
+        # bitwise eval_F(F, x): the selection already reduced every max term
+        F_x = np.array([c.g_max - c.h_max for c in elem.provenance.components])
         residual = float(np.max(np.abs(F_x)))
-        xi = clarke_jacobian_element(F, x, tol_act, tol_tie, convention).xi
+        xi = elem.xi
         if res0 is None:
             res0 = residual
         if residual <= tol:
@@ -142,10 +147,19 @@ def solve(
     return NewtonTrace(steps=tuple(steps), status=status)
 
 
-def _affine_text(coeffs, constant) -> str:
-    terms = [f"{float(c)!r}*x{j + 1}" for j, c in enumerate(coeffs)]
-    terms.append(repr(float(constant)))
-    return " + ".join(terms)
+def _const(value: float) -> Expr:
+    """The tree ``parse`` gives for ``repr(value)``: a leading minus sign,
+    that of -0.0 included, becomes a negation of the magnitude."""
+    if math.copysign(1.0, value) < 0.0:
+        return Unary("neg", Const(-value))
+    return Const(value)
+
+
+def _affine(coeffs, constant: float) -> Expr:
+    """sum_j coeffs[j]*x_{j+1} + constant, left-associated as parsed."""
+    terms = [Binary("*", _const(c), Var(j)) for j, c in enumerate(coeffs)]
+    terms.append(_const(constant))
+    return functools.reduce(lambda left, right: Binary("+", left, right), terms)
 
 
 def build_ncp(M, q) -> DCMaxFn:
@@ -153,7 +167,7 @@ def build_ncp(M, q) -> DCMaxFn:
     difference of max terms.
 
     Component i is 0 - max(-x_i, -(Mx+q)_i), which equals
-    min(x_i, (Mx+q)_i).
+    min(x_i, (Mx+q)_i).  M and q must be finite.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -162,15 +176,19 @@ def build_ncp(M, q) -> DCMaxFn:
     n = M.shape[0]
     if q.shape != (n,):
         raise ValueError(f"q has shape {q.shape}, expected ({n},)")
-    components = []
-    for i in range(n):
-        components.append(
-            {
-                "g": ["0"],
-                "h": [f"-x{i + 1}", f"-({_affine_text(M[i], q[i])})"],
-            }
+    if not (np.isfinite(M).all() and np.isfinite(q).all()):
+        raise ValueError("M and q must be finite")
+    g = tuple(MaxFn((SmoothFn(Const(0.0), n),)) for _ in range(n))
+    h = tuple(
+        MaxFn(
+            (
+                SmoothFn(Unary("neg", Var(i)), n),
+                SmoothFn(Unary("neg", _affine(row, qi)), n),
+            )
         )
-    return load_problem({"n": n, "m": n, "components": components})
+        for i, (row, qi) in enumerate(zip(M.tolist(), q.tolist()))
+    )
+    return DCMaxFn(n=n, m=n, g=g, h=h)
 
 
 def ncp_residual(M, q, x) -> float:

@@ -123,6 +123,13 @@ class TestVerify:
         code = main(["verify", "-p", abs_problem, "-x", "0,0"])
         assert code != 0
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "1e999", "-inf"])
+    def test_non_finite_point_exits_2(self, capsys, abs_problem, point):
+        code, out, err = run(capsys, ["verify", "-p", abs_problem, f"--point={point}"])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestNewton:
     def test_converges_exit_0(self, capsys, abs_problem):
@@ -163,6 +170,29 @@ class TestNewton:
         assert summary["complementarity_residual"] <= 1e-8
         np.testing.assert_allclose(summary["solution"], [1.0, 1.0], atol=1e-10)
 
+    def test_negative_start_point_as_separate_argument(self, capsys, tmp_path):
+        m_csv = tmp_path / "M.csv"
+        q_csv = tmp_path / "q.csv"
+        m_csv.write_text("2,1\n1,2\n")
+        q_csv.write_text("-3,-3\n")
+        argv = ["newton", "--ncp", str(m_csv), str(q_csv), "--json"]
+        code1, out1, err1 = run(capsys, argv + ["--x0", "-1,2"])
+        code2, out2, _ = run(capsys, argv + ["--x0=-1,2"])
+        assert (code1, err1) == (0, "")
+        assert code2 == 0
+        assert out1 == out2
+        assert json.loads(out1.splitlines()[0])["x"] == [-1.0, 2.0]
+
+    def test_non_finite_ncp_data_exits_2(self, capsys, tmp_path):
+        m_csv = tmp_path / "M.csv"
+        q_csv = tmp_path / "q.csv"
+        m_csv.write_text("2,1\n1,inf\n")
+        q_csv.write_text("-3,-3\n")
+        code, out, err = run(capsys, ["newton", "--ncp", str(m_csv), str(q_csv)])
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestDD:
     def test_abs_direction_slopes(self, capsys, abs_problem):
@@ -176,6 +206,16 @@ class TestDD:
         code, out, _ = run(capsys, ["dd", "-p", abs_problem, "-x", "0", "-y", "-2"])
         assert code == 0
         assert "dd = [2.0]" in out
+
+    def test_negative_vectors_as_separate_arguments(self, capsys):
+        base = ["dd", "--random", "n=2,m=1,pieces=3,seed=5", "--json"]
+        code1, out1, _ = run(capsys, base + ["-x", "-0.5,1", "--direction", "-.25,-3e-1"])
+        code2, out2, _ = run(capsys, base + ["-x=-0.5,1", "--direction=-.25,-3e-1"])
+        assert code1 == code2 == 0
+        assert out1 == out2
+        payload = json.loads(out1)
+        assert payload["point"] == [-0.5, 1.0]
+        assert payload["direction"] == [-0.25, -0.3]
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from dcjac.expr import (
     parse,
     unparse,
 )
-from util import central_diff, random_expr, random_smooth_pair
+from util import assert_bits_equal, central_diff, dual_grad, random_expr, random_smooth_pair
 
 
 class TestParse:
@@ -180,6 +180,66 @@ class TestGrad:
             grad = fn.grad(x)
             fd = central_diff(fn, x)
             assert np.all(np.abs(grad - fd) <= 1e-6 * (1.0 + np.abs(grad)))
+
+    def test_bitwise_equal_to_scalar_dual_sweeps_on_random_expressions(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            fn, x = random_smooth_pair(rng, max_dim=5)
+            assert_bits_equal(fn.grad(x), dual_grad(fn, x))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x1 + x2)/(x1*x2 + 1)",
+            "sin(x1)/x2 - x2/exp(x1)",
+            "sqrt(x1^2 + x2)*log(x1*x2)/(x1 - 3)",
+            "(x1*x2)^2.5/x2^3",
+        ],
+    )
+    def test_bitwise_equal_to_scalar_dual_sweeps_with_variable_denominators(self, text):
+        # random_expr divides by constants only, where every lane's
+        # derivative of the denominator is 0 and association cannot show
+        fn = SmoothFn.from_text(text, 2)
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            x = rng.uniform(0.1, 2.0, size=2)
+            assert_bits_equal(fn.grad(x), dual_grad(fn, x))
+
+    @pytest.mark.parametrize(
+        "text, x",
+        [
+            ("cos(x1)", [0.0, 3.0]),  # -sin(0)*1 is -0.0
+            ("-(x1 - x1)*x2^0", [1.5, -2.0]),
+            ("x1*x2 - x2*x1", [0.0, -0.0]),
+            ("(1e308*x1)*(1e308*x2)", [1.0, 0.0]),  # inf*0 lanes are nan
+            ("x1/x2 + x2^3", [1.0, 5e-324]),  # 1/x2 overflows to inf
+            ("x1/3*x2 - log(x1/7)", [0.7, 2.9]),
+            ("sqrt(x1^2 + x2^2)/exp(x1)", [1e-160, -1e-160]),
+            ("x1^-2 + x2^0.5", [-3.0, 1e-300]),
+        ],
+    )
+    def test_bitwise_equal_to_scalar_dual_sweeps_on_edge_values(self, text, x):
+        fn = SmoothFn.from_text(text, 2)
+        assert_bits_equal(fn.grad(x), dual_grad(fn, x))
+
+    @pytest.mark.parametrize(
+        "text, x",
+        [
+            ("sqrt(x1)", [0.0, 1.0]),
+            ("x2 + sqrt(x1 - 2)", [1.0, 0.0]),
+            ("log(x1 - x2)", [1.0, 1.0]),
+            ("x2/(x1 - 1)", [1.0, 2.0]),
+            ("x1^0.5", [-1.0, 0.0]),
+            ("(x1 + x2)^-1", [0.0, 0.0]),
+        ],
+    )
+    def test_domain_errors_match_scalar_dual_sweeps(self, text, x):
+        fn = SmoothFn.from_text(text, 2)
+        with pytest.raises(DomainError) as expected:
+            dual_grad(fn, x)
+        with pytest.raises(DomainError) as got:
+            fn.grad(x)
+        assert str(got.value) == str(expected.value)
 
     def test_deterministic(self):
         fn = SmoothFn.from_text("sin(x1)*exp(x2) - x1^3", 2)

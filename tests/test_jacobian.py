@@ -16,7 +16,7 @@ from dcjac.jacobian import (
     witness_direction,
 )
 from dcjac.oracle import brute_force_subdifferential, hull_membership
-from util import ABS_DOC, NEG_ABS_DOC
+from util import ABS_DOC, NEG_ABS_DOC, full_lexicographic_chain
 
 
 class TestLexicographicSelect:
@@ -63,6 +63,26 @@ class TestLexicographicSelect:
         for _ in range(50):
             grads = rng.integers(-5, 6, size=(int(rng.integers(1, 7)), 3)).astype(float)
             assert lexicographic_select(grads, "min") == lexicographic_select(-grads, "max")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan/inf tolerance bands
+    def test_early_stop_equals_full_filtration(self):
+        rng = np.random.default_rng(41)
+        specials = (np.nan, np.inf, -np.inf, -0.0)
+        for _ in range(300):
+            grads = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 4)).astype(float)
+            if rng.random() < 0.5:
+                flat = grads.reshape(-1)
+                flat[rng.integers(0, flat.size)] = specials[int(rng.integers(0, 4))]
+            for conv in ("min", "max"):
+                for tol in (0.0, 1e-9):
+                    try:
+                        expected = full_lexicographic_chain(grads, conv, tol)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            lexicographic_chain(grads, conv, tol)
+                        assert str(got.value) == str(exc)
+                        continue
+                    assert lexicographic_chain(grads, conv, tol) == expected
 
 
 class TestClarkeElement:

@@ -5,7 +5,7 @@ import pytest
 
 from dcjac.dcmax import eval_F, load_problem
 from dcjac.newton import build_ncp, ncp_residual, solve
-from util import ABS_DOC
+from util import ABS_DOC, assert_bits_equal
 
 ROOT_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1 - 1", "2*x1 - 2"]}]}
 
@@ -60,6 +60,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="m = n"):
             solve(F, [0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "doc, x0",
+        [
+            (ROOT_DOC, [9.0]),
+            # max(-0.0, 0.0) is -0.0 in piece order, where numpy's max gives 0.0
+            ({"n": 1, "m": 1, "components": [{"g": ["-x1", "x1"]}]}, [0.0]),
+            ({"n": 1, "m": 1, "components": [{"g": ["x1^3"]}]}, [1.0]),
+        ],
+    )
+    def test_F_x_bitwise_equal_to_eval_F(self, doc, x0):
+        F = load_problem(doc)
+        trace = solve(F, x0, max_iters=5)
+        for s in trace.steps:
+            assert_bits_equal(s.F_x, eval_F(F, s.x))
+
     def test_json_lines_roundtrip(self):
         trace = solve(load_problem(ROOT_DOC), [5.0])
         lines = list(trace.iter_json_lines())
@@ -104,8 +119,65 @@ class TestBuildNCP:
         assert trace.status == "converged"
         assert ncp_residual(M, q, trace.solution) <= 1e-8
 
+    def test_F_x_bitwise_equal_to_eval_F(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 3, 8):
+            A = rng.standard_normal((n, n))
+            M = A @ A.T / n + np.eye(n)
+            q = rng.standard_normal(n)
+            q[0] = -0.0
+            F = build_ncp(M, q)
+            for x0 in (rng.uniform(-5, 5, n), np.zeros(n)):
+                trace = solve(F, x0)
+                assert trace.status == "converged"
+                for s in trace.steps:
+                    assert_bits_equal(s.F_x, eval_F(F, s.x))
+
+    def test_trees_equal_parse_of_text_encoding(self):
+        M = np.array(
+            [
+                [2.5, -1.0, -0.0, 5e-324],
+                [-5e-324, 1e300, -1e300, 0.0],
+                [2.2e-310, -2.2e-310, 1.0 / 3.0, -7.0],
+                [1e-7, 123456789.0, -1e-300, 4.0],
+            ]
+        )
+        q = np.array([-0.0, 5e-324, -1e300, 0.0])
+        F = build_ncp(M, q)
+        expected = load_problem(_ncp_text_document(M, q))
+        assert F == expected
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(F) == repr(expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        M = np.eye(2)
+        M[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_ncp(M, np.zeros(2))
+        q = np.zeros(2)
+        q[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_ncp(np.eye(2), q)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
             build_ncp(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             build_ncp(np.eye(2), np.zeros(3))
+
+
+def _ncp_text_document(M, q) -> dict:
+    """The NCP encoding written as problem text, with every coefficient
+    printed by repr: the form that build_ncp's trees must match."""
+
+    def affine(coeffs, constant):
+        terms = [f"{float(c)!r}*x{j + 1}" for j, c in enumerate(coeffs)]
+        terms.append(repr(float(constant)))
+        return " + ".join(terms)
+
+    n = len(q)
+    components = [
+        {"g": ["0"], "h": [f"-x{i + 1}", f"-({affine(M[i], q[i])})"]} for i in range(n)
+    ]
+    return {"n": n, "m": n, "components": components}
