@@ -36,7 +36,7 @@ print("active g pieces:", list(comp.g_active), "filtration:", [list(l) for l in 
 print("active h pieces:", list(comp.h_active), "filtration:", [list(l) for l in comp.h_chain])
 print("xi =", elem.xi.tolist())
 
-diffs = selection_differences(F2, x, elem.provenance)
+diffs = selection_differences(elem.provenance)
 print("difference vectors (rejected - selected):")
 print(diffs.vectors)
 
@@ -48,7 +48,7 @@ print("slopes along witness strictly negative:", report.passed,
 
 print()
 print("== certifying the element ==")
-cone = verify_cone_linearity(F2, x, elem, witness.y_bar, samples=500)
+cone = verify_cone_linearity(elem, witness.y_bar, samples=500)
 print(f"cone linearity: kept {cone.kept}/{cone.samples} directions, "
       f"max discrepancy {cone.max_discrepancy:.2e} -> passed {cone.passed}")
 limit = verify_limit_inclusion(F2, x, elem, witness.y_bar)

@@ -24,7 +24,6 @@ from .jacobian import (
     WitnessDirection,
     check_witness,
     clarke_jacobian_element,
-    lexicographic_select,
     selection_differences,
     verify_cone_linearity,
     verify_limit_inclusion,
@@ -70,7 +69,6 @@ __all__ = [
     "finite_diff_dd",
     "hull_membership",
     "is_affine",
-    "lexicographic_select",
     "load_problem",
     "load_problem_file",
     "ncp_residual",

@@ -114,12 +114,19 @@ def _selection_payload(sel) -> dict:
     }
 
 
-def cmd_jac(args) -> int:
+def _select(args):
+    """Load the problem and parse -x, then select the element at x with
+    its difference vectors and witness direction."""
     F = _load_function(args)
     x = _parse_vector(args.point)
     elem = clarke_jacobian_element(F, x, args.tol_act, args.tol_tie, args.convention)
-    diffs = selection_differences(F, x, elem.provenance)
+    diffs = selection_differences(elem.provenance)
     witness = witness_direction(diffs, F.n, args.convention)
+    return F, x, elem, diffs, witness
+
+
+def cmd_jac(args) -> int:
+    _, x, elem, diffs, witness = _select(args)
     payload = {
         "command": "jac",
         "point": x.tolist(),
@@ -144,11 +151,7 @@ def cmd_jac(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    F = _load_function(args)
-    x = _parse_vector(args.point)
-    elem = clarke_jacobian_element(F, x, args.tol_act, args.tol_tie, args.convention)
-    diffs = selection_differences(F, x, elem.provenance)
-    witness = witness_direction(diffs, F.n, args.convention)
+    F, x, elem, diffs, witness = _select(args)
     checks: dict[str, dict] = {}
 
     wrep = check_witness(diffs, witness, args.convention)
@@ -158,9 +161,7 @@ def cmd_verify(args) -> int:
         "min_margin": float(np.min(wrep.margins)) if wrep.count else None,
     }
 
-    cone = verify_cone_linearity(
-        F, x, elem, witness.y_bar, samples=args.samples, seed=args.seed, tol_act=args.tol_act
-    )
+    cone = verify_cone_linearity(elem, witness.y_bar, samples=args.samples, seed=args.seed)
     if cone.status == "inconclusive":
         checks["cone_linearity"] = {
             "status": "inconclusive",
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

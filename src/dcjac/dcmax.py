@@ -55,9 +55,6 @@ class MaxFn:
     def dim(self) -> int:
         return self.pieces[0].dim
 
-    def values(self, x) -> np.ndarray:
-        return np.array([p.eval(x) for p in self.pieces])
-
     def eval(self, x) -> float:
         return max(p.eval(x) for p in self.pieces)
 

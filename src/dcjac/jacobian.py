@@ -15,11 +15,12 @@ nearby classical Jacobians reproduce the selected element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, ActiveSet, DCMaxFn, MaxFn, active_set, dd_F
+from .dcmax import DEFAULT_TOL_ACT, ActiveSet, DCMaxFn, MaxFn, active_set
+from .oracle import _ball_samples
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -34,7 +35,6 @@ __all__ = [
     "LimitInclusionReport",
     "ConventionMismatchError",
     "lexicographic_chain",
-    "lexicographic_select",
     "clarke_jacobian_element",
     "selection_differences",
     "witness_direction",
@@ -67,6 +67,9 @@ class ComponentSelection:
     chosen_h: int
     g_max: float  # value of the max term at x, reduced as MaxFn.eval does
     h_max: float
+    # active-gradient rows at x, one per index of g_active / h_active
+    g_grads: np.ndarray = field(compare=False, repr=False)
+    h_grads: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,6 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
     return chain
 
 
-def lexicographic_select(grads, convention: str = "min", tol_tie: float = DEFAULT_TOL_TIE):
-    """Indices surviving the full coordinatewise filtration (always nonempty)."""
-    return list(lexicographic_chain(grads, convention, tol_tie)[-1])
-
-
 def _active_gradients(f: MaxFn, x, tol_act: float) -> tuple[ActiveSet, np.ndarray]:
     act = active_set(f, x, tol_act)
     return act, np.array([f.pieces[j].grad(x) for j in act.indices])
@@ -206,6 +204,8 @@ def clarke_jacobian_element(
                 chosen_h=chosen_h,
                 g_max=max(act_g.values),
                 h_max=max(act_h.values),
+                g_grads=grads_g,
+                h_grads=grads_h,
             )
         )
     sel = SelectionResult(
@@ -218,26 +218,27 @@ def _to_piece_indices(chain, act: ActiveSet):
     return tuple(tuple(act.indices[i] for i in level) for level in chain)
 
 
-def selection_differences(F: DCMaxFn, x, sel: SelectionResult) -> DifferenceVectors:
-    """All rejected-minus-selected gradient differences for a selection.
+def selection_differences(sel: SelectionResult) -> DifferenceVectors:
+    """All rejected-minus-selected gradient differences for a selection,
+    taken from the active-gradient rows it stores.
 
     Vectors equal within 1e-12 componentwise are deduplicated.  Empty when
     every active gradient survived (e.g. smooth F).
     """
-    x = np.asarray(x, dtype=float)
     vectors: list[np.ndarray] = []
-    for i, comp in enumerate(sel.components):
-        _collect_differences(F.g[i], x, comp.g_active, comp.g_selected, vectors)
-        _collect_differences(F.h[i], x, comp.h_active, comp.h_selected, vectors)
-    mat = np.array(vectors) if vectors else np.zeros((0, F.n))
+    for comp in sel.components:
+        _collect_differences(comp.g_grads, comp.g_active, comp.g_selected, vectors)
+        _collect_differences(comp.h_grads, comp.h_active, comp.h_selected, vectors)
+    n = sel.components[0].g_grads.shape[1]
+    mat = np.array(vectors) if vectors else np.zeros((0, n))
     return DifferenceVectors(vectors=mat)
 
 
-def _collect_differences(f: MaxFn, x, active, selected, out: list[np.ndarray]) -> None:
+def _collect_differences(rows: np.ndarray, active, selected, out: list[np.ndarray]) -> None:
     rejected = [j for j in active if j not in selected]
     if not rejected:
         return
-    grads = {j: f.pieces[j].grad(x) for j in set(rejected) | set(selected)}
+    grads = dict(zip(active, rows))
     for j in rejected:
         for t in selected:
             alpha = grads[j] - grads[t]
@@ -322,14 +323,11 @@ class ConeLinearityReport:
 
 
 def verify_cone_linearity(
-    F: DCMaxFn,
-    x,
     xi: JacobianElement,
     y_bar,
     samples: int = 200,
     seed: int = 42,
     radius: float | None = None,
-    tol_act: float = DEFAULT_TOL_ACT,
 ) -> ConeLinearityReport:
     """Sample directions near the witness and compare the directional
     derivative of F against the linear map given by the selected element.
@@ -337,16 +335,14 @@ def verify_cone_linearity(
     Directions are kept only when every difference vector has strictly
     negative slope along them (membership in the open descent cone); on
     kept directions the two sides must agree within 1e-8*(1+|y|) per
-    component.  The directional derivative is evaluated from the active
-    gradients at x, which do not depend on the direction.
+    component.  The directional derivative max_j grad_j'y - max_k grad_k'y
+    is evaluated from the active-gradient rows stored in ``xi.provenance``
+    (the selection's own active sets at x), which do not depend on the
+    direction.
     """
-    x = np.asarray(x, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
-    diffs = selection_differences(F, x, xi.provenance)
+    diffs = selection_differences(xi.provenance)
     A = diffs.vectors
-
-    g_grads = [_active_gradients(F.g[i], x, tol_act)[1] for i in range(F.m)]
-    h_grads = [_active_gradients(F.h[i], x, tol_act)[1] for i in range(F.m)]
 
     if radius is None:
         if diffs.count:
@@ -356,12 +352,7 @@ def verify_cone_linearity(
         else:
             radius = 0.5 * float(np.linalg.norm(y_bar))
 
-    rng = np.random.default_rng(seed)
-    n = F.n
-    direc = rng.standard_normal((samples, n))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    direc *= radius * rng.random((samples, 1)) ** (1.0 / n)
-    ys = y_bar + direc
+    ys = _ball_samples(np.random.default_rng(seed), y_bar, radius, samples)
 
     if diffs.count:
         inside = np.all(A @ ys.T < 0.0, axis=0)
@@ -379,9 +370,9 @@ def verify_cone_linearity(
             passed=False,
         )
 
-    dd = np.empty((kept, F.m))
-    for i in range(F.m):
-        dd[:, i] = np.max(g_grads[i] @ ys.T, axis=0) - np.max(h_grads[i] @ ys.T, axis=0)
+    dd = np.empty((kept, xi.xi.shape[0]))
+    for i, comp in enumerate(xi.provenance.components):
+        dd[:, i] = np.max(comp.g_grads @ ys.T, axis=0) - np.max(comp.h_grads @ ys.T, axis=0)
     lin = ys @ xi.xi.T
     disc = np.abs(dd - lin)
     allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]

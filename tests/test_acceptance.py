@@ -53,7 +53,7 @@ def selections(corpus):
         per_conv = {}
         for conv in CONVENTIONS:
             elem = clarke_jacobian_element(F, x, convention=conv)
-            diffs = selection_differences(F, x, elem.provenance)
+            diffs = selection_differences(elem.provenance)
             witness = witness_direction(diffs, F.n, conv)
             per_conv[conv] = (elem, diffs, witness)
         out.append((seed, F, x, per_conv))
@@ -97,7 +97,7 @@ def test_criterion_3_cone_linearity(selections):
     for seed, F, x, per_conv in selections:
         for conv in CONVENTIONS:
             elem, diffs, witness = per_conv[conv]
-            report = verify_cone_linearity(F, x, elem, witness.y_bar, samples=200, seed=seed)
+            report = verify_cone_linearity(elem, witness.y_bar, samples=200, seed=seed)
             assert report.status == "ok" and report.kept == 200, f"instance {seed} ({conv})"
             assert report.passed, (
                 f"instance {seed} ({conv}): discrepancy {report.max_discrepancy}"

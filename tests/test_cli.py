@@ -66,6 +66,23 @@ class TestJac:
         assert code == 3
         assert "log" in err
 
+    @pytest.mark.parametrize(
+        "piece, argv",
+        [
+            ("exp(x1)", ["jac", "-x", "1000"]),
+            ("exp(x1)", ["verify", "-x", "1000"]),
+            ("exp(x1)", ["dd", "-x", "1000", "-y", "1"]),
+            ("exp(x1)", ["newton", "--x0", "1000"]),
+            ("x1^1e308^2", ["jac", "-x", "1"]),  # overflows while parsing
+        ],
+    )
+    def test_overflow_exits_3(self, capsys, tmp_path, piece, argv):
+        prob = tmp_path / "overflow.json"
+        prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": [piece, "x1"]}]}))
+        code, _, err = run(capsys, [argv[0], "-p", str(prob), *argv[1:]])
+        assert code == 3
+        assert "overflow" in err
+
     def test_no_problem_source_exits_2(self, capsys):
         code, _, err = run(capsys, ["jac", "-x", "0"])
         assert code == 2

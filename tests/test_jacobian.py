@@ -9,43 +9,63 @@ from dcjac.jacobian import (
     check_witness,
     clarke_jacobian_element,
     lexicographic_chain,
-    lexicographic_select,
     selection_differences,
     verify_cone_linearity,
     verify_limit_inclusion,
     witness_direction,
 )
 from dcjac.oracle import brute_force_subdifferential, hull_membership
-from util import ABS_DOC, NEG_ABS_DOC, full_lexicographic_chain
+from util import (
+    ABS_DOC,
+    NEG_ABS_DOC,
+    assert_bits_equal,
+    full_lexicographic_chain,
+    reference_cone_linearity,
+    reference_selection_differences,
+)
+
+# smooth pieces tied at the origin in both components, with distinct
+# gradients among the tied pieces
+SMOOTH_TIED_DOC = {
+    "n": 2,
+    "m": 2,
+    "components": [
+        {
+            "g": ["sin(x1) + x2^2", "x1*cos(x2) - x2", "exp(x1) - 1"],
+            "h": ["log(1 + x1^2)", "0.5*x2"],
+        },
+        {"g": ["sqrt(1 + x2) - 1", "x1/(2 + x2)"], "h": ["cos(x1) - 1", "-x2"]},
+    ],
+}
 
 
 class TestLexicographicSelect:
     def test_single_coordinate(self):
         grads = [(1.0,), (-1.0,)]
-        assert lexicographic_select(grads, "min") == [1]
-        assert lexicographic_select(grads, "max") == [0]
+        assert list(lexicographic_chain(grads, "min")[-1]) == [1]
+        assert list(lexicographic_chain(grads, "max")[-1]) == [0]
 
     def test_two_step_filtration(self):
         grads = [(1.0, 2.0), (1.0, 3.0), (2.0, 0.0)]
         chain = lexicographic_chain(grads, "min")
         assert chain[1] == (0, 1)
         assert chain[2] == (0,)
-        assert lexicographic_select(grads, "min") == [0]
+        assert list(lexicographic_chain(grads, "min")[-1]) == [0]
 
     def test_tie_survives_with_coinciding_gradients(self):
         grads = np.array([(1.0, 0.0), (1.0, 0.0), (3.0, -9.0)])
-        kept = lexicographic_select(grads, "min")
+        kept = list(lexicographic_chain(grads, "min")[-1])
         assert kept == [0, 1]
         spread = np.max(np.abs(grads[kept] - grads[kept[0]]))
         assert spread <= 1e-9 * (1.0 + np.max(np.abs(grads[kept])))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
-            lexicographic_select(np.zeros((0, 2)), "min")
+            lexicographic_chain(np.zeros((0, 2)), "min")
 
     def test_bad_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
-            lexicographic_select([(1.0,)], "median")
+            lexicographic_chain([(1.0,)], "median")
 
     def test_chain_is_nested_and_nonempty(self):
         rng = np.random.default_rng(23)
@@ -62,7 +82,7 @@ class TestLexicographicSelect:
         rng = np.random.default_rng(29)
         for _ in range(50):
             grads = rng.integers(-5, 6, size=(int(rng.integers(1, 7)), 3)).astype(float)
-            assert lexicographic_select(grads, "min") == lexicographic_select(-grads, "max")
+            assert lexicographic_chain(grads, "min")[-1] == lexicographic_chain(-grads, "max")[-1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan/inf tolerance bands
     def test_early_stop_equals_full_filtration(self):
@@ -146,12 +166,12 @@ class TestSelectionDifferences:
     def test_smooth_instance_has_none(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2"]}]})
         elem = clarke_jacobian_element(F, [0.0, 0.0])
-        assert selection_differences(F, [0.0, 0.0], elem.provenance).count == 0
+        assert selection_differences(elem.provenance).count == 0
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        diffs = selection_differences(F, [0.0], elem.provenance)
+        diffs = selection_differences(elem.provenance)
         assert diffs.vectors.tolist() == [[2.0]]
 
     def test_deduplication(self):
@@ -159,7 +179,7 @@ class TestSelectionDifferences:
         doc = {"n": 1, "m": 2, "components": [{"g": ["x1", "-x1"]}, {"g": ["x1", "-x1"]}]}
         F = load_problem(doc)
         elem = clarke_jacobian_element(F, [0.0])
-        assert selection_differences(F, [0.0], elem.provenance).count == 1
+        assert selection_differences(elem.provenance).count == 1
 
     def test_sign_property_both_conventions(self):
         for seed in range(40):
@@ -167,10 +187,69 @@ class TestSelectionDifferences:
             x = np.zeros(F.n)
             for conv, sign in (("min", 1.0), ("max", -1.0)):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                diffs = selection_differences(F, x, elem.provenance)
+                diffs = selection_differences(elem.provenance)
                 for alpha in diffs.vectors:
                     lead = alpha[np.flatnonzero(np.abs(alpha) > 1e-12)[0]]
                     assert sign * lead > 0.0
+
+
+def _record_cases():
+    """(F, x) pairs: random affine instances at the origin, where pieces
+    tie, and a smooth instance at a tie and off it."""
+    for seed in range(30):
+        F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed + 700)
+        yield F, np.zeros(F.n)
+    F = load_problem(SMOOTH_TIED_DOC)
+    yield F, np.zeros(2)
+    yield F, np.array([0.3, -0.2])
+
+
+class TestSelectionRecord:
+    def test_stored_rows_are_the_active_gradients(self):
+        for F, x in _record_cases():
+            for conv in ("min", "max"):
+                sel = clarke_jacobian_element(F, x, convention=conv).provenance
+                for i, comp in enumerate(sel.components):
+                    for f, active, rows in (
+                        (F.g[i], comp.g_active, comp.g_grads),
+                        (F.h[i], comp.h_active, comp.h_grads),
+                    ):
+                        assert rows.shape == (len(active), F.n)
+                        for j, row in zip(active, rows):
+                            assert_bits_equal(row, f.pieces[j].grad(x))
+
+    def test_rows_stay_out_of_equality_and_repr(self):
+        F = load_problem(ABS_DOC)
+        a = clarke_jacobian_element(F, [0.0]).provenance.components[0]
+        b = clarke_jacobian_element(F, [0.0]).provenance.components[0]
+        assert a == b
+        assert "grads" not in repr(a)
+
+    def test_differences_equal_reevaluated_reference(self):
+        for F, x in _record_cases():
+            for conv in ("min", "max"):
+                sel = clarke_jacobian_element(F, x, convention=conv).provenance
+                got = selection_differences(sel).vectors
+                assert_bits_equal(got, reference_selection_differences(F, x, sel).vectors)
+
+    def test_cone_linearity_equals_reevaluated_reference(self):
+        for F, x in _record_cases():
+            for conv in ("min", "max"):
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                w = witness_direction(selection_differences(elem.provenance), F.n, conv)
+                for kwargs in ({}, {"samples": 50, "seed": 3, "radius": 2.0}):
+                    got = verify_cone_linearity(elem, w.y_bar, **kwargs)
+                    want = reference_cone_linearity(F, x, elem, w.y_bar, **kwargs)
+                    assert (got.status, got.samples, got.kept, got.passed) == (
+                        want.status,
+                        want.samples,
+                        want.kept,
+                        want.passed,
+                    )
+                    assert_bits_equal(
+                        [got.max_discrepancy, got.tolerance_at_max],
+                        [want.max_discrepancy, want.tolerance_at_max],
+                    )
 
 
 class TestWitnessDirection:
@@ -212,7 +291,7 @@ class TestWitnessDirection:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                diffs = selection_differences(F, x, elem.provenance)
+                diffs = selection_differences(elem.provenance)
                 w = witness_direction(diffs, F.n, conv)
                 report = check_witness(diffs, w, conv)
                 assert report.passed
@@ -225,16 +304,16 @@ class TestConeLinearity:
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["sin(x1) + x2"]}]})
         x = [0.3, 0.1]
         elem = clarke_jacobian_element(F, x)
-        w = witness_direction(selection_differences(F, x, elem.provenance), 2)
-        report = verify_cone_linearity(F, x, elem, w.y_bar, samples=100, seed=0)
+        w = witness_direction(selection_differences(elem.provenance), 2)
+        report = verify_cone_linearity(elem, w.y_bar, samples=100, seed=0)
         assert report.status == "ok" and report.kept == 100
         assert report.passed and report.max_discrepancy <= 1e-12
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(F, [0.0], elem.provenance), 1)
-        report = verify_cone_linearity(F, [0.0], elem, w.y_bar)
+        w = witness_direction(selection_differences(elem.provenance), 1)
+        report = verify_cone_linearity(elem, w.y_bar)
         assert report.passed and report.max_discrepancy == 0.0
 
     def test_random_piecewise_affine(self):
@@ -242,8 +321,8 @@ class TestConeLinearity:
             F = random_affine_problem(seed % 4 + 1, 2, 5, seed=seed)
             x = np.zeros(F.n)
             elem = clarke_jacobian_element(F, x)
-            w = witness_direction(selection_differences(F, x, elem.provenance), F.n)
-            report = verify_cone_linearity(F, x, elem, w.y_bar, samples=200)
+            w = witness_direction(selection_differences(elem.provenance), F.n)
+            report = verify_cone_linearity(elem, w.y_bar, samples=200)
             assert report.status == "ok" and report.passed
 
     def test_inconsistent_tie_tolerance_is_caught(self):
@@ -251,8 +330,8 @@ class TestConeLinearity:
         # linearity check must expose the broken selection
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0.5*x1"]}]})
         elem = clarke_jacobian_element(F, [0.0], tol_tie=1.0)
-        w = witness_direction(selection_differences(F, [0.0], elem.provenance), 1)
-        report = verify_cone_linearity(F, [0.0], elem, w.y_bar)
+        w = witness_direction(selection_differences(elem.provenance), 1)
+        report = verify_cone_linearity(elem, w.y_bar)
         assert report.status == "ok" and not report.passed
 
 
@@ -260,14 +339,14 @@ class TestLimitInclusion:
     def test_smooth_instance(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["3*x1 - 2"]}]})
         elem = clarke_jacobian_element(F, [0.5])
-        w = witness_direction(selection_differences(F, [0.5], elem.provenance), 1)
+        w = witness_direction(selection_differences(elem.provenance), 1)
         report = verify_limit_inclusion(F, [0.5], elem, w.y_bar)
         assert report.passed and report.final_distance == 0.0
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(F, [0.0], elem.provenance), 1)
+        w = witness_direction(selection_differences(elem.provenance), 1)
         report = verify_limit_inclusion(F, [0.0], elem, w.y_bar)
         assert report.passed
         assert all(p.distance == 0.0 for p in report.points if not p.degenerate)
@@ -279,7 +358,7 @@ class TestLimitInclusion:
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 w = witness_direction(
-                    selection_differences(F, x, elem.provenance), F.n, conv
+                    selection_differences(elem.provenance), F.n, conv
                 )
                 report = verify_limit_inclusion(F, x, elem, w.y_bar)
                 for p in report.points:

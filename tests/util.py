@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 
+from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
+from dcjac.jacobian import ConeLinearityReport, DifferenceVectors
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 NEG_ABS_DOC = {
@@ -163,3 +165,75 @@ def full_lexicographic_chain(grads, convention: str, tol_tie: float):
         keep = keep[mask]
         chain.append(tuple(int(i) for i in keep))
     return chain
+
+
+def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
+    return np.array([f.pieces[j].grad(x) for j in active_set(f, x, tol_act).indices])
+
+
+def reference_selection_differences(F, x, sel) -> DifferenceVectors:
+    """Rejected-minus-selected differences with every gradient evaluated
+    afresh from F at x: the reference for ``selection_differences``."""
+    x = np.asarray(x, dtype=float)
+    vectors: list[np.ndarray] = []
+    for i, comp in enumerate(sel.components):
+        for f, active, selected in (
+            (F.g[i], comp.g_active, comp.g_selected),
+            (F.h[i], comp.h_active, comp.h_selected),
+        ):
+            rejected = [j for j in active if j not in selected]
+            if not rejected:
+                continue
+            grads = {j: f.pieces[j].grad(x) for j in set(rejected) | set(selected)}
+            for j in rejected:
+                for t in selected:
+                    alpha = grads[j] - grads[t]
+                    if np.max(np.abs(alpha)) <= 1e-12:
+                        continue
+                    if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
+                        vectors.append(alpha)
+    mat = np.array(vectors) if vectors else np.zeros((0, F.n))
+    return DifferenceVectors(vectors=mat)
+
+
+def reference_cone_linearity(
+    F, x, xi, y_bar, samples=200, seed=42, radius=None, tol_act=DEFAULT_TOL_ACT
+) -> ConeLinearityReport:
+    """Cone linearity check that recomputes active sets and gradients from
+    F at x and samples the ball around y_bar inline: the reference for
+    ``verify_cone_linearity``."""
+    x = np.asarray(x, dtype=float)
+    y_bar = np.asarray(y_bar, dtype=float)
+    A = reference_selection_differences(F, x, xi.provenance).vectors
+    g_grads = [_reference_active_gradients(F.g[i], x, tol_act) for i in range(F.m)]
+    h_grads = [_reference_active_gradients(F.h[i], x, tol_act) for i in range(F.m)]
+    if radius is None:
+        if A.shape[0]:
+            radius = 0.5 * float(np.min(-(A @ y_bar) / np.linalg.norm(A, axis=1)))
+        else:
+            radius = 0.5 * float(np.linalg.norm(y_bar))
+    rng = np.random.default_rng(seed)
+    direc = rng.standard_normal((samples, F.n))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    direc *= radius * rng.random((samples, 1)) ** (1.0 / F.n)
+    ys = y_bar + direc
+    inside = np.all(A @ ys.T < 0.0, axis=0) if A.shape[0] else np.ones(samples, dtype=bool)
+    ys = ys[inside]
+    kept = int(ys.shape[0])
+    if kept == 0:
+        nan = float("nan")
+        return ConeLinearityReport("inconclusive", samples, 0, nan, nan, False)
+    dd = np.empty((kept, F.m))
+    for i in range(F.m):
+        dd[:, i] = np.max(g_grads[i] @ ys.T, axis=0) - np.max(h_grads[i] @ ys.T, axis=0)
+    disc = np.abs(dd - ys @ xi.xi.T)
+    allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
+    worst = int(np.argmax(disc - allowed))
+    return ConeLinearityReport(
+        status="ok",
+        samples=samples,
+        kept=kept,
+        max_discrepancy=float(disc.flat[worst]),
+        tolerance_at_max=float(np.broadcast_to(allowed, disc.shape).flat[worst]),
+        passed=bool(np.all(disc <= allowed)),
+    )
