@@ -15,7 +15,7 @@ from .dcmax import (
     load_problem_file,
 )
 from .expr import DomainError, ParseError, SmoothFn, parse, unparse
-from .instances import random_affine_document, random_affine_problem
+from .instances import random_affine_problem
 from .jacobian import (
     ConventionMismatchError,
     DifferenceVectors,
@@ -73,7 +73,6 @@ __all__ = [
     "load_problem_file",
     "ncp_residual",
     "parse",
-    "random_affine_document",
     "random_affine_problem",
     "sample_limiting_jacobians",
     "selection_differences",

@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, dd_F, eval_F, load_problem, load_problem_file
+from .dcmax import DEFAULT_TOL_ACT, dd_F, eval_F, load_problem_file
 from .expr import DomainError
-from .instances import random_affine_document
+from .instances import random_affine_problem
 from .jacobian import (
     DEFAULT_TOL_TIE,
     check_witness,
@@ -87,7 +87,7 @@ def _load_function(args, ncp=None):
     """The problem from --random, else the NCP data (M, q), else -p."""
     if getattr(args, "random", None):
         spec = _parse_random_spec(args.random, args.seed)
-        return load_problem(random_affine_document(**spec))
+        return random_affine_problem(**spec)
     if ncp is not None:
         return build_ncp(*ncp)
     if args.problem is None:
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
             "tolerance_at_max": cone.tolerance_at_max,
         }
 
-    limit = verify_limit_inclusion(F, x, elem, witness.y_bar, tol_act=args.tol_act)
+    limit = verify_limit_inclusion(F, x, elem, witness.y_bar)
     checks["limit_inclusion"] = {
         "status": (
             "inconclusive"
@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
         ],
     }
 
-    if is_affine(F, seed=args.seed):
+    if is_affine(F):
         matrices, report = brute_force_subdifferential(
             F,
             x,

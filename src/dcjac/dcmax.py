@@ -8,6 +8,7 @@ evaluation, active index sets, and directional derivatives.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,15 @@ def eval_F(F: DCMaxFn, x) -> np.ndarray:
 
 
 def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
-    """Pieces within tol_act*(1+|max|) of the maximum at x."""
+    """Pieces within tol_act*(1+|max|) of the maximum at x; OverflowError
+    when that maximum is infinite or NaN."""
     if tol_act < 0:
         raise ValueError("tol_act must be nonnegative")
     values = tuple(p.eval(x) for p in f.pieces)
     vals = np.array(values)
     vmax = float(vals.max())
+    if not math.isfinite(vmax):
+        raise OverflowError(f"largest piece value is {vmax!r}")
     cutoff = tol_act * (1.0 + abs(vmax))
     indices = tuple(int(j) for j in np.flatnonzero(vals >= vmax - cutoff))
     return ActiveSet(indices=indices, max_value=vmax, tolerance_used=cutoff, values=values)

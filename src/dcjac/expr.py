@@ -9,6 +9,7 @@ gradient, so they are exact up to rounding (never finite differences).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -26,6 +27,7 @@ __all__ = [
     "DomainError",
     "parse",
     "unparse",
+    "affine_expr",
 ]
 
 UNARY_FUNCS = ("neg", "sin", "cos", "exp", "log", "sqrt")
@@ -201,7 +203,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exponent = self.parse_factor()
-            if _has_variable(exponent):
+            if _structure(exponent)[0]:
                 raise ParseError("exponent of '^' must be a constant", tok.offset)
             return Binary("^", base, Const(_eval_float(exponent, ())))
         return base
@@ -234,14 +236,43 @@ class _Parser:
         raise ParseError(f"expected a value, found '{tok.text or 'end of input'}'", tok.offset)
 
 
-def _has_variable(node: Expr) -> bool:
-    if isinstance(node, Var):
-        return True
+def _structure(node: Expr) -> tuple[bool, bool]:
+    """(contains a variable, is affine by construction).  A variable-free
+    subtree is a constant; a function of a variable is never affine, even
+    where its gradient is constant (``0*sin(x1)``)."""
+    if not isinstance(node, (Unary, Binary)):
+        return isinstance(node, Var), True
     if isinstance(node, Unary):
-        return _has_variable(node.operand)
-    if isinstance(node, Binary):
-        return _has_variable(node.left) or _has_variable(node.right)
-    return False
+        var, aff = _structure(node.operand)
+        return var, not var or (aff and node.op == "neg")
+    lvar, laff = _structure(node.left)
+    rvar, raff = _structure(node.right)
+    if not (lvar or rvar):
+        return False, True
+    if node.op in "+-":
+        return True, laff and raff
+    if node.op == "*":
+        return True, (not lvar and raff) or (not rvar and laff)
+    if node.op == "/":
+        return True, not rvar and laff
+    c = node.right.value  # '^'
+    return True, c == 0.0 or (c == 1.0 and laff)
+
+
+def _const(value: float) -> Expr:
+    """The tree ``parse`` gives for ``repr(value)``: a leading minus sign,
+    that of -0.0 included, becomes a negation of the magnitude."""
+    if math.copysign(1.0, value) < 0.0:
+        return Unary("neg", Const(-value))
+    return Const(value)
+
+
+def affine_expr(coeffs, constant) -> Expr:
+    """sum_j coeffs[j]*x_{j+1} + constant, as ``parse`` reads that sum
+    written left to right with ``repr(float(...))`` numbers."""
+    terms = [Binary("*", _const(float(c)), Var(j)) for j, c in enumerate(coeffs)]
+    terms.append(_const(float(constant)))
+    return functools.reduce(lambda left, right: Binary("+", left, right), terms)
 
 
 def parse(text: str, dim: int) -> Expr:
@@ -438,6 +469,11 @@ class SmoothFn:
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, expected {self.dim}")
         return _eval_float(self.expr, x)
+
+    @functools.cached_property
+    def is_affine(self) -> bool:
+        """Affine by construction (see ``_structure``); computed once."""
+        return _structure(self.expr)[1]
 
     def grad(self, x) -> np.ndarray:
         """Exact gradient at x via one vector forward-mode sweep."""

@@ -1,62 +1,43 @@
-"""Seeded random problem documents for testing and the CLI --random flag."""
+"""Seeded random problems for testing and the CLI --random flag."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dcmax import DCMaxFn, load_problem
+from .dcmax import DCMaxFn, MaxFn
+from .expr import Const, SmoothFn, affine_expr
 
-__all__ = ["random_affine_document", "random_affine_problem"]
-
-
-def _affine_text(coeffs, constant) -> str:
-    terms = [f"{int(c)}*x{j + 1}" for j, c in enumerate(coeffs)]
-    terms.append(str(int(constant)))
-    return " + ".join(terms)
+__all__ = ["random_affine_problem"]
 
 
-def random_affine_document(
-    n: int,
-    m: int,
-    pieces: int,
-    seed: int,
-    coeff_lo: int = -5,
-    coeff_hi: int = 5,
-) -> dict:
-    """Problem document with integer-coefficient affine pieces.
+def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:
+    """Problem with integer-coefficient affine pieces.
 
-    Each max term draws 1..pieces affine pieces with coefficients uniform
-    in [coeff_lo, coeff_hi]; duplicates within a term are removed.  About a
-    quarter of the subtracted terms are the zero function, so plain
+    Each max term draws 1..pieces affine pieces with coefficients and
+    constants uniform in [-5, 5]; duplicates within a term are removed.
+    About a quarter of the subtracted terms are the zero function, so plain
     max-type instances stay represented.
     """
     if n < 1 or m < 1 or pieces < 1:
         raise ValueError("n, m, and pieces must be positive")
     rng = np.random.default_rng(seed)
 
-    def draw_term() -> list[str]:
+    def draw_term() -> MaxFn:
         count = int(rng.integers(1, pieces + 1))
         seen = set()
-        exprs = []
+        fns = []
         for _ in range(count):
-            coeffs = rng.integers(coeff_lo, coeff_hi + 1, size=n)
-            const = int(rng.integers(coeff_lo, coeff_hi + 1))
-            key = (*coeffs.tolist(), const)
+            coeffs = rng.integers(-5, 6, size=n).tolist()
+            const = int(rng.integers(-5, 6))
+            key = (*coeffs, const)
             if key in seen:
                 continue
             seen.add(key)
-            exprs.append(_affine_text(coeffs, const))
-        return exprs
+            fns.append(SmoothFn(affine_expr(coeffs, const), n))
+        return MaxFn(tuple(fns))
 
-    components = []
+    g, h = [], []
     for _ in range(m):
-        comp = {"g": draw_term()}
-        if rng.random() >= 0.25:
-            comp["h"] = draw_term()
-        components.append(comp)
-    return {"n": n, "m": m, "components": components}
-
-
-def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:
-    """Convenience wrapper: generate a document and load it."""
-    return load_problem(random_affine_document(n, m, pieces, seed))
+        g.append(draw_term())
+        h.append(draw_term() if rng.random() >= 0.25 else MaxFn((SmoothFn(Const(0.0), n),)))
+    return DCMaxFn(n=n, m=m, g=tuple(g), h=tuple(h))

@@ -415,16 +415,15 @@ def verify_limit_inclusion(
     xi: JacobianElement,
     y_bar,
     t_schedule=DEFAULT_T_SCHEDULE,
-    tol_act: float = DEFAULT_TOL_ACT,
 ) -> LimitInclusionReport:
     """Walk x + t*y_bar down the schedule and compare classical Jacobians
     against the selected element.
 
-    Points where some component's active sets are not all singletons are
-    skipped as degenerate.  Passes when the distance decreases (within
-    tolerance) along the schedule and the last usable point is within
-    1e-6*(1+scale) of the element, where scale is the largest classical
-    Jacobian norm seen.
+    Points where some component's active sets, at the selection's tol_act,
+    are not all singletons are skipped as degenerate.  Passes when the
+    distance decreases (within tolerance) along the schedule and the last
+    usable point is within 1e-6*(1+scale) of the element, where scale is
+    the largest classical Jacobian norm seen.
     """
     x = np.asarray(x, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
@@ -432,6 +431,7 @@ def verify_limit_inclusion(
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_schedule must be positive and strictly decreasing")
 
+    tol_act = xi.provenance.tol_act
     points: list[LimitPoint] = []
     distances: list[float] = []
     scale = 0.0

@@ -7,9 +7,7 @@ is reported, not repaired.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +15,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
-from .expr import Binary, Const, Expr, SmoothFn, Unary, Var
+from .expr import Const, SmoothFn, Unary, Var, affine_expr
 from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
 
 __all__ = [
@@ -147,21 +145,6 @@ def solve(
     return NewtonTrace(steps=tuple(steps), status=status)
 
 
-def _const(value: float) -> Expr:
-    """The tree ``parse`` gives for ``repr(value)``: a leading minus sign,
-    that of -0.0 included, becomes a negation of the magnitude."""
-    if math.copysign(1.0, value) < 0.0:
-        return Unary("neg", Const(-value))
-    return Const(value)
-
-
-def _affine(coeffs, constant: float) -> Expr:
-    """sum_j coeffs[j]*x_{j+1} + constant, left-associated as parsed."""
-    terms = [Binary("*", _const(c), Var(j)) for j, c in enumerate(coeffs)]
-    terms.append(_const(constant))
-    return functools.reduce(lambda left, right: Binary("+", left, right), terms)
-
-
 def build_ncp(M, q) -> DCMaxFn:
     """Encode the complementarity system min(x, Mx + q) = 0 as a
     difference of max terms.
@@ -183,7 +166,7 @@ def build_ncp(M, q) -> DCMaxFn:
         MaxFn(
             (
                 SmoothFn(Unary("neg", Var(i)), n),
-                SmoothFn(Unary("neg", _affine(row, qi)), n),
+                SmoothFn(Unary("neg", affine_expr(row, qi)), n),
             )
         )
         for i, (row, qi) in enumerate(zip(M.tolist(), q.tolist()))

@@ -88,33 +88,27 @@ def sample_limiting_jacobians(
 ) -> list[LimitingSample]:
     """Sample the ball around x and keep points where every max term has a
     unique active piece, recording one classical Jacobian per distinct
-    active profile."""
+    active profile, at the first point showing it."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be at least 1")
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    found: dict[tuple, LimitingSample] = {}
-    for z in _ball_samples(rng, x, radius, count):
-        profile = []
-        for i in range(F.m):
-            act_g = active_set(F.g[i], z, 0.0)
-            act_h = active_set(F.h[i], z, 0.0)
-            if len(act_g.indices) != 1 or len(act_h.indices) != 1:
-                profile = None
-                break
-            profile.append((act_g.indices[0], act_h.indices[0]))
-        if profile is None:
-            continue
-        key = tuple(profile)
-        if key in found:
-            continue
+    pts = _ball_samples(np.random.default_rng(seed), x, radius, count)
+    choices = [
+        _strict_argmax_rows(np.array([[p.eval(z) for p in fn.pieces] for z in pts]))
+        for i in range(F.m)
+        for fn in (F.g[i], F.h[i])
+    ]
+    samples = []
+    for combo, row in zip(*_distinct_profiles(np.stack(choices, axis=1))):
+        z = pts[row]
+        key = tuple(zip(combo[0::2], combo[1::2]))
         jac = np.array(
             [F.g[i].pieces[j].grad(z) - F.h[i].pieces[k].grad(z) for i, (j, k) in enumerate(key)]
         )
-        found[key] = LimitingSample(point=z, jacobian=jac, active_profile=key)
-    return list(found.values())
+        samples.append(LimitingSample(point=z, jacobian=jac, active_profile=key))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +226,9 @@ class BruteForceReport:
     enumerated: bool
 
 
-def is_affine(F: DCMaxFn, seed: int = DEFAULT_SEED, tol: float = 1e-10) -> bool:
-    """True when every piece has a constant gradient across 3 random points."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((3, F.n))
-    for fn in (*F.g, *F.h):
-        for piece in fn.pieces:
-            grads = np.array([piece.grad(p) for p in pts])
-            if np.max(np.abs(grads - grads[0])) > tol:
-                return False
-    return True
+def is_affine(F: DCMaxFn) -> bool:
+    """True when every piece is affine by construction (``SmoothFn.is_affine``)."""
+    return all(p.is_affine for fn in (*F.g, *F.h) for p in fn.pieces)
 
 
 def _affine_data(F: DCMaxFn, x):
@@ -256,11 +243,20 @@ def _affine_data(F: DCMaxFn, x):
 
 
 def _strict_argmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise argmax, or -1 where the maximum is attained more than once."""
+    """Row-wise argmax, or -1 where the maximum is tied or not finite."""
     best = np.argmax(values, axis=1)
     vmax = values[np.arange(values.shape[0]), best]
     ties = (values == vmax[:, None]).sum(axis=1)
-    return np.where(ties == 1, best, -1)
+    return np.where((ties == 1) & np.isfinite(vmax), best, -1)
+
+
+def _distinct_profiles(choice_mat: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Distinct tie-free rows of a strict-argmax matrix (one column per max
+    term) in order of first occurrence, with the index of that occurrence."""
+    kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
+    rows, first = np.unique(choice_mat[kept], axis=0, return_index=True)
+    order = np.argsort(first)
+    return [tuple(int(v) for v in row) for row in rows[order]], kept[first[order]]
 
 
 def _cone_full_dimensional(rows: np.ndarray) -> bool:
@@ -299,7 +295,7 @@ def brute_force_subdifferential(
     the returned matrices equals the Clarke generalized Jacobian at x for
     this function class.  Non-affine pieces are rejected.
     """
-    if not is_affine(F, seed=seed):
+    if not is_affine(F):
         raise ValueError("brute_force_subdifferential requires affine pieces")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
@@ -313,9 +309,8 @@ def brute_force_subdifferential(
         for grads, vals in (g_data[i], h_data[i]):
             choices.append(_strict_argmax_rows(offsets @ grads.T + vals))
     choice_mat = np.stack(choices, axis=1)  # (probe_count, 2m)
-    keep = np.all(choice_mat >= 0, axis=1)
-    samples_kept = int(keep.sum())
-    profiles = {tuple(int(v) for v in row) for row in choice_mat[keep]}
+    samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
+    profiles = set(_distinct_profiles(choice_mat)[0])
 
     # exhaustive enumeration over active patterns while tractable
     active_g = [active_set(F.g[i], x, tol_act).indices for i in range(F.m)]

@@ -74,6 +74,11 @@ class TestJac:
             ("exp(x1)", ["dd", "-x", "1000", "-y", "1"]),
             ("exp(x1)", ["newton", "--x0", "1000"]),
             ("x1^1e308^2", ["jac", "-x", "1"]),  # overflows while parsing
+            # float multiplication overflows to inf without raising
+            ("x1*x1*x1", ["jac", "-x", "1e200"]),
+            ("x1*x1*x1", ["verify", "-x", "1e200"]),
+            ("x1*x1*x1", ["dd", "-x", "1e200", "-y", "1"]),
+            ("x1*x1*x1", ["newton", "--x0", "1e200"]),
         ],
     )
     def test_overflow_exits_3(self, capsys, tmp_path, piece, argv):
@@ -122,6 +127,28 @@ class TestVerify:
             "reason": "non-affine",
         }
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("piece", ["0*sin(x1)", "x1*x1 - x1*x1 + 1"])
+    def test_constant_gradient_without_affine_structure_skips_hull(
+        self, capsys, tmp_path, piece
+    ):
+        prob = tmp_path / "flat.json"
+        prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["x1", piece]}]}))
+        code, out, _ = run(capsys, ["verify", "-p", str(prob), "-x", "0.5", "--json"])
+        assert code == 0
+        assert json.loads(out)["checks"]["hull_membership"]["status"] == "skipped"
+
+    def test_pieces_defined_only_near_the_point_run(self, capsys, tmp_path):
+        # affinity is read from the expressions, so nothing is evaluated
+        # outside x1 > 0
+        prob = tmp_path / "logsqrt.json"
+        doc = {"n": 2, "m": 1, "components": [{"g": ["log(x1) + x2", "x2"], "h": ["sqrt(x1)"]}]}
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", "-p", str(prob), "-x", "1,0", "--json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["checks"]["hull_membership"]["status"] == "skipped"
 
     def test_broken_tolerance_fails_with_exit_1(self, capsys, tmp_path):
         # an absurd tie tolerance merges non-coinciding gradients; the

@@ -125,6 +125,23 @@ class TestActiveSet:
         with pytest.raises(ValueError):
             active_set(max_fn("x1"), [0.0], tol_act=-1.0)
 
+    @pytest.mark.parametrize(
+        "texts, x",
+        [
+            (("x1*x1*x1", "x1"), 1e200),  # float multiplication overflows silently
+            (("-x1*x1*x1", "x1"), -1e200),
+            (("x1*x1*x1 - x1*x1*x1", "0"), 1e200),  # inf - inf is NaN
+        ],
+    )
+    def test_non_finite_maximum_raises_overflow(self, texts, x):
+        with pytest.raises(OverflowError, match="largest piece value"):
+            active_set(max_fn(*texts), [x])
+
+    def test_infinite_value_below_a_finite_maximum_is_inactive(self):
+        act = active_set(max_fn("x1*x1*x1", "0"), [-1e200])
+        assert act.indices == (1,)
+        assert act.values == (-np.inf, 0.0)
+
     def test_always_nonempty(self):
         rng = np.random.default_rng(5)
         f = max_fn("x1", "2*x1 - 1", "-3*x1 + 2")

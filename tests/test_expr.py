@@ -11,6 +11,7 @@ from dcjac.expr import (
     SmoothFn,
     Unary,
     Var,
+    affine_expr,
     parse,
     unparse,
 )
@@ -75,6 +76,73 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 )", 1)
+
+
+class TestStructure:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1",
+            "3",
+            "-x2",
+            "2*x1 - x2 + 4",
+            "x1*3",
+            "(x1 + x2)/4",
+            "x1/(2 - 1)",
+            "log(2)*x1 + sqrt(3)",
+            "x1^1",
+            "(2*x1 + 1)^1",
+            "sin(x1)^0",
+            "x1 - 2^3*x2",
+            "exp(1)/log(3)",
+            "-(x1 - -x2)",
+        ],
+    )
+    def test_affine_by_construction(self, text):
+        assert SmoothFn.from_text(text, 2).is_affine
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1*x2",
+            "x1*x1 - x1*x1",  # constant gradient, not affine by construction
+            "0*sin(x1)",
+            "sin(x1)",
+            "exp(x1 - x1)",
+            "sqrt(x1)",
+            "log(x1) + x2",
+            "1/x1",
+            "x1/(x2 + 1)",
+            "x1^2",
+            "(x1*x2)^1",
+            "x1^0.5",
+            "-cos(x2)",
+        ],
+    )
+    def test_not_affine(self, text):
+        assert not SmoothFn.from_text(text, 2).is_affine
+
+    def test_flag_is_kept_out_of_equality_and_repr(self):
+        fn, other = SmoothFn.from_text("2*x1", 1), SmoothFn.from_text("2*x1", 1)
+        assert fn.is_affine
+        assert fn == other and repr(fn) == repr(other)
+
+    def test_exponent_with_variable_under_a_function_rejected(self):
+        with pytest.raises(ParseError, match="must be a constant"):
+            parse("2^sin(x1)", 1)
+
+    def test_affine_expr_equals_parse_of_its_text(self):
+        rng = np.random.default_rng(3)
+        pool = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0, -7.25]
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            values = [pool[int(k)] for k in rng.integers(0, len(pool), size=n + 1)]
+            terms = [f"{c!r}*x{j + 1}" for j, c in enumerate(values[:n])] + [repr(values[n])]
+            text = " + ".join(terms)
+            tree = affine_expr(values[:n], values[n])
+            assert tree == parse(text, n)
+            assert repr(tree) == repr(parse(text, n))  # tells -0.0 from 0.0
+            assert SmoothFn(tree, n).is_affine
 
 
 class TestRoundTrip:

@@ -371,6 +371,15 @@ class TestLimitInclusion:
         with pytest.raises(ValueError, match="decreasing"):
             verify_limit_inclusion(F, [0.0], elem, [-1.0], t_schedule=(1e-3, 1e-2))
 
+    def test_active_sets_use_the_selection_tolerance(self):
+        # at x1 = -t the two pieces differ by 2t, inside the band 0.5*(1+t)
+        # for every scheduled t: under tol_act=0.5 each point is a tie
+        F = load_problem(ABS_DOC)
+        loose = clarke_jacobian_element(F, [0.0], tol_act=0.5)
+        assert verify_limit_inclusion(F, [0.0], loose, [-1.0]).status == "degenerate"
+        strict = clarke_jacobian_element(F, [0.0])
+        assert verify_limit_inclusion(F, [0.0], strict, [-1.0]).passed
+
     def test_all_points_degenerate_reported(self):
         # duplicate pieces are never uniquely active anywhere
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]})

@@ -4,7 +4,10 @@ import pytest
 from dcjac.dcmax import load_problem
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import clarke_jacobian_element
+from dcjac.expr import SmoothFn
 from dcjac.oracle import (
+    _distinct_profiles,
+    _strict_argmax_rows,
     brute_force_subdifferential,
     finite_diff_dd,
     hull_membership,
@@ -12,7 +15,7 @@ from dcjac.oracle import (
     sample_limiting_jacobians,
 )
 from dcjac.dcmax import dd_F
-from util import ABS_DOC
+from util import ABS_DOC, assert_bits_equal, reference_limiting_samples
 
 
 class TestSampleLimitingJacobians:
@@ -41,6 +44,48 @@ class TestSampleLimitingJacobians:
             mats = brute_force_subdifferential(F, x)
             for s in sample_limiting_jacobians(F, x, radius=1e-3, count=400, seed=seed):
                 assert any(np.max(np.abs(s.jacobian - m)) <= 1e-10 for m in mats)
+
+    @pytest.mark.parametrize(
+        "doc, x, radius",
+        [
+            (ABS_DOC, [0.0], 1.0),
+            # identical pieces tie everywhere: no sample is kept
+            ({"n": 1, "m": 1, "components": [{"g": ["x1", "x1", "0"]}]}, [0.0], 0.5),
+            # the largest value is inf for x1 > ~0.18: such points count as ties
+            ({"n": 1, "m": 1, "components": [{"g": ["x1*1e308*10", "0", "-x1"]}]}, [0.0], 0.5),
+            (
+                {
+                    "n": 2,
+                    "m": 2,
+                    "components": [
+                        {"g": ["sin(x1)", "cos(x2)", "x1*x2"], "h": ["exp(x1)", "x2"]},
+                        {"g": ["x1", "-x1"]},
+                    ],
+                },
+                [0.3, 0.7],
+                0.5,
+            ),
+        ],
+    )
+    def test_bitwise_equal_to_point_by_point_reference(self, doc, x, radius):
+        F = load_problem(doc)
+        got = sample_limiting_jacobians(F, x, radius=radius, count=400, seed=3)
+        expected = reference_limiting_samples(F, x, radius, 400, 3)
+        assert [s.active_profile for s in got] == [s.active_profile for s in expected]
+        for a, b in zip(got, expected):
+            assert_bits_equal(a.point, b.point)
+            assert_bits_equal(a.jacobian, b.jacobian)
+
+    def test_bitwise_equal_to_reference_on_random_instances(self):
+        for seed in range(40):
+            F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+            x = np.zeros(F.n)
+            got = sample_limiting_jacobians(F, x, radius=0.5, count=300, seed=seed)
+            expected = reference_limiting_samples(F, x, 0.5, 300, seed)
+            assert [s.active_profile for s in got] == [s.active_profile for s in expected]
+            for a, b in zip(got, expected):
+                assert_bits_equal(a.point, b.point)
+                assert_bits_equal(a.jacobian, b.jacobian)
 
     def test_bad_arguments(self):
         F = load_problem(ABS_DOC)
@@ -160,6 +205,55 @@ class TestBruteForce:
             [[1.0, 1.0]],
             [[2.0, 0.0]],
         ]
+
+
+class TestIsAffine:
+    def test_every_piece_of_both_terms_counts(self):
+        comps = [{"g": ["x1", "2*x2 - 1"]}, {"g": ["x2"], "h": ["x1"]}]
+        doc = {"n": 2, "m": 2, "components": comps}
+        assert is_affine(load_problem(doc))
+        doc["components"][1]["h"].append("x1*x2")
+        assert not is_affine(load_problem(doc))
+
+    def test_no_gradient_or_value_is_evaluated(self, monkeypatch):
+        def fail(self, x):
+            raise AssertionError("is_affine evaluated a piece")
+
+        monkeypatch.setattr(SmoothFn, "grad", fail)
+        monkeypatch.setattr(SmoothFn, "eval", fail)
+        doc = {"n": 2, "m": 1, "components": [{"g": ["log(x1) + x2", "x2"], "h": ["sqrt(x1)"]}]}
+        assert not is_affine(load_problem(doc))
+        assert is_affine(random_affine_problem(3, 2, 4, seed=7))
+
+
+class TestProfiles:
+    def test_strict_argmax_rejects_ties_and_non_finite_maxima(self):
+        inf, nan = np.inf, np.nan
+        values = np.array(
+            [
+                [1.0, 2.0, 0.0],
+                [2.0, 2.0, 0.0],
+                [inf, 0.0, 1.0],
+                [-inf, -inf, -inf],
+                [nan, 1.0, 0.0],
+                [0.0, 1.0, nan],
+            ]
+        )
+        assert _strict_argmax_rows(values).tolist() == [1, -1, -1, -1, -1, -1]
+
+    def test_distinct_profiles_in_first_occurrence_order(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            mat = rng.integers(-1, 3, size=(int(rng.integers(1, 60)), 4))
+            first: dict[tuple, int] = {}
+            for r, row in enumerate(mat):
+                key = tuple(int(v) for v in row)
+                if min(key) >= 0:
+                    first.setdefault(key, r)
+            profiles, rows = _distinct_profiles(mat)
+            assert profiles == list(first)
+            assert rows.tolist() == list(first.values())
+            assert all(type(v) is int for p in profiles for v in p)
 
 
 class TestFiniteDiffDD:

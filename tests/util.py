@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracle and seeded expression
-generation."""
+"""Shared test helpers: finite-difference oracle, seeded expression
+generation, and reference implementations the library must reproduce."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
 from dcjac.jacobian import ConeLinearityReport, DifferenceVectors
+from dcjac.oracle import LimitingSample
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 NEG_ABS_DOC = {
@@ -237,3 +238,70 @@ def reference_cone_linearity(
         tolerance_at_max=float(np.broadcast_to(allowed, disc.shape).flat[worst]),
         passed=bool(np.all(disc <= allowed)),
     )
+
+
+def _reference_affine_text(coeffs, constant) -> str:
+    terms = [f"{int(c)}*x{j + 1}" for j, c in enumerate(coeffs)]
+    terms.append(str(int(constant)))
+    return " + ".join(terms)
+
+
+def reference_random_affine_document(n: int, m: int, pieces: int, seed: int) -> dict:
+    """The problem document, with every piece written as text, that
+    ``random_affine_problem`` must build without the text: the reference
+    for its trees and its random stream."""
+    rng = np.random.default_rng(seed)
+
+    def draw_term() -> list[str]:
+        count = int(rng.integers(1, pieces + 1))
+        seen = set()
+        exprs = []
+        for _ in range(count):
+            coeffs = rng.integers(-5, 6, size=n)
+            const = int(rng.integers(-5, 6))
+            key = (*coeffs.tolist(), const)
+            if key in seen:
+                continue
+            seen.add(key)
+            exprs.append(_reference_affine_text(coeffs, const))
+        return exprs
+
+    components = []
+    for _ in range(m):
+        comp = {"g": draw_term()}
+        if rng.random() >= 0.25:
+            comp["h"] = draw_term()
+        components.append(comp)
+    return {"n": n, "m": m, "components": components}
+
+
+def reference_limiting_samples(F, x, radius, count, seed) -> list[LimitingSample]:
+    """Point-by-point sampler with a zero-tolerance active set per max term
+    (a non-finite maximum counts as no unique piece): the reference for
+    ``sample_limiting_jacobians``."""
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    direc = rng.standard_normal((count, F.n))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    pts = x + direc * (radius * rng.random((count, 1)) ** (1.0 / F.n))
+    found: dict[tuple, LimitingSample] = {}
+    for z in pts:
+        profile = []
+        for i in range(F.m):
+            try:
+                act_g = active_set(F.g[i], z, 0.0).indices
+                act_h = active_set(F.h[i], z, 0.0).indices
+            except OverflowError:
+                act_g = act_h = ()
+            if len(act_g) != 1 or len(act_h) != 1:
+                profile = None
+                break
+            profile.append((act_g[0], act_h[0]))
+        if profile is None or tuple(profile) in found:
+            continue
+        key = tuple(profile)
+        jac = np.array(
+            [F.g[i].pieces[j].grad(z) - F.h[i].pieces[k].grad(z) for i, (j, k) in enumerate(key)]
+        )
+        found[key] = LimitingSample(point=z, jacobian=jac, active_profile=key)
+    return list(found.values())
