@@ -3,9 +3,10 @@ Jacobian.
 
 For piecewise-affine functions the generalized Jacobian is exactly the
 convex hull of the Jacobians active on full-dimensional regions nearby.
-The oracle recovers those regions independently of the selection (dense
-sampling plus exhaustive pattern enumeration) and decides hull membership
-with a minimum-norm-point computation.
+Only the pieces active at x can win there.  The oracle recovers those
+regions from the active pieces alone, independently of the selection
+(dense sampling plus exhaustive pattern enumeration), and decides hull
+membership with a minimum-norm-point computation.
 """
 
 import numpy as np
@@ -21,8 +22,10 @@ from dcjac import (
 
 print("== regions of max(x1+x2, 2*x1, 0) ==")
 F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"]}]})
-for mat in brute_force_subdifferential(F, [0.0, 0.0]):
+regions, report = brute_force_subdifferential(F, [0.0, 0.0])
+for mat in regions:
     print("  region gradient:", mat.tolist())
+print("  probes inside a single region:", report.samples_kept)
 
 print()
 print("== membership certificates ==")
@@ -37,7 +40,7 @@ print("== the selected element always lands in the hull ==")
 for seed in (1, 5, 9):
     G = random_affine_problem(n=3, m=2, pieces=5, seed=seed)
     x = np.zeros(3)
-    mats = brute_force_subdifferential(G, x)
+    mats, _ = brute_force_subdifferential(G, x)
     for conv in ("min", "max"):
         elem = clarke_jacobian_element(G, x, convention=conv)
         cert = hull_membership(elem.xi, mats)

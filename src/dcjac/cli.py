@@ -200,7 +200,6 @@ def cmd_verify(args) -> int:
             probe_radius=args.radius,
             seed=args.seed,
             tol_act=args.tol_act,
-            return_report=True,
         )
         cert = hull_membership(elem.xi, matrices)
         status = "inconclusive" if cert.member is None else ("pass" if cert.member else "fail")
@@ -209,7 +208,7 @@ def cmd_verify(args) -> int:
             "member": cert.member,
             "weights": cert.weights.tolist(),
             "violation": cert.violation,
-            "profiles_found": report.profiles_found,
+            "profiles_found": len(matrices),
             "samples_kept": report.samples_kept,
         }
     else:

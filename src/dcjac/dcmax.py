@@ -113,7 +113,7 @@ def load_problem(document: dict) -> DCMaxFn:
         if key not in document:
             raise SchemaError(f"missing required key '{key}'")
     n, m = document["n"], document["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if any(type(d) is not int or d < 1 for d in (n, m)):  # bool is an int subclass
         raise SchemaError("'n' and 'm' must be positive integers")
     components = document["components"]
     if not isinstance(components, list) or len(components) != m:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, ActiveSet, DCMaxFn, MaxFn, active_set
-from .oracle import _ball_samples
+from .oracle import _ball_samples, _check_t_schedule
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -427,9 +427,7 @@ def verify_limit_inclusion(
     """
     x = np.asarray(x, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
-    ts = [float(t) for t in t_schedule]
-    if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_schedule must be positive and strictly decreasing")
+    ts = _check_t_schedule(t_schedule)
 
     tol_act = xi.provenance.tol_act
     points: list[LimitPoint] = []

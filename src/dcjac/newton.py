@@ -118,29 +118,26 @@ def solve(
         xi = elem.xi
         if res0 is None:
             res0 = residual
-        if residual <= tol:
-            steps.append(NewtonStep(x=x, F_x=F_x, xi=xi, step=None, residual=residual))
-            status = "converged"
-            break
         grow_streak = grow_streak + 1 if residual > 10.0 * res0 else 0
-        if grow_streak >= 5:
-            steps.append(NewtonStep(x=x, F_x=F_x, xi=xi, step=None, residual=residual))
+        d = None  # stays None on the terminal record
+        if residual <= tol:
+            status = "converged"
+        elif grow_streak >= 5:
             status = "diverged"
-            break
-        if len(steps) >= max_iters:
-            steps.append(NewtonStep(x=x, F_x=F_x, xi=xi, step=None, residual=residual))
+        elif len(steps) >= max_iters:
             status = "max_iters"
-            break
-        factored = _factor(xi)
-        if factored is None:
-            xi = clarke_jacobian_element(F, x, tol_act, tol_tie, other).xi
+        else:
             factored = _factor(xi)
             if factored is None:
-                steps.append(NewtonStep(x=x, F_x=F_x, xi=xi, step=None, residual=residual))
+                xi = clarke_jacobian_element(F, x, tol_act, tol_tie, other).xi
+                factored = _factor(xi)
+            if factored is None:
                 status = "singular"
-                break
-        d = lu_solve(factored, -F_x)
+            else:
+                d = lu_solve(factored, -F_x)
         steps.append(NewtonStep(x=x, F_x=F_x, xi=xi, step=d, residual=residual))
+        if d is None:
+            break
         x = x + d
     return NewtonTrace(steps=tuple(steps), status=status)
 

@@ -3,17 +3,20 @@ Clarke generalized Jacobian.
 
 The generalized Jacobian at x is the convex hull of all limits of
 classical Jacobians taken over differentiability points approaching x.
-For piecewise-affine functions that hull is spanned by the Jacobians of
-the selection patterns active on full-dimensional regions near x, which
-this module recovers by dense sampling plus (when the pattern count is
-small enough) exhaustive enumeration with a feasibility program per
-pattern.  Membership in the hull is decided by a minimum-norm-point
-computation, which yields convex weights or a separation margin.
+Only pieces active at x can appear in those limits.  For piecewise-affine
+functions the hull is spanned by the Jacobians of the patterns of active
+pieces that win on full-dimensional regions near x, which this module
+recovers from one evaluation of the active pieces at x: dense sampling of
+that local model plus (when the pattern count is small enough) exhaustive
+enumeration with a feasibility program per pattern.  Membership in the
+hull is decided by a minimum-norm-point computation, which yields convex
+weights or a separation margin.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +224,6 @@ def hull_membership(query, candidates, tol: float = 1e-8) -> HullCertificate:
 
 @dataclass(frozen=True)
 class BruteForceReport:
-    profiles_found: int
     samples_kept: int
     enumerated: bool
 
@@ -229,17 +231,6 @@ class BruteForceReport:
 def is_affine(F: DCMaxFn) -> bool:
     """True when every piece is affine by construction (``SmoothFn.is_affine``)."""
     return all(p.is_affine for fn in (*F.g, *F.h) for p in fn.pieces)
-
-
-def _affine_data(F: DCMaxFn, x):
-    """Per max term: gradient rows and values at x (exact for affine pieces)."""
-    g_data, h_data = [], []
-    for i in range(F.m):
-        for data, fn in ((g_data, F.g[i]), (h_data, F.h[i])):
-            grads = np.array([p.grad(x) for p in fn.pieces])
-            vals = np.array([p.eval(x) for p in fn.pieces])
-            data.append((grads, vals))
-    return g_data, h_data
 
 
 def _strict_argmax_rows(values: np.ndarray) -> np.ndarray:
@@ -284,83 +275,57 @@ def brute_force_subdifferential(
     probe_count: int = DEFAULT_PROBE_COUNT,
     seed: int = DEFAULT_SEED,
     tol_act: float = DEFAULT_TOL_ACT,
-    return_report: bool = False,
-):
+) -> tuple[list[np.ndarray], BruteForceReport]:
     """Jacobians of the selection patterns active on full-dimensional
-    regions near x, for piecewise-affine F.
+    regions near x, for piecewise-affine F, with a report on the search.
 
-    Combines dense sampling of active patterns in a ball around x with, for
-    moderate pattern counts, exhaustive enumeration of active-piece
-    combinations checked by a cone-feasibility program.  The convex hull of
-    the returned matrices equals the Clarke generalized Jacobian at x for
-    this function class.  Non-affine pieces are rejected.
+    Only the pieces active at x (within ``tol_act``) can appear in the
+    generalized Jacobian, so their values and gradients at x are the whole
+    local model.  Dense sampling of that model in a ball around x is
+    combined, for moderate pattern counts, with exhaustive enumeration of
+    active-piece combinations checked by a cone-feasibility program.  The
+    convex hull of the returned matrices equals the Clarke generalized
+    Jacobian at x for this function class.  Non-affine pieces are rejected.
     """
     if not is_affine(F):
         raise ValueError("brute_force_subdifferential requires affine pieces")
     x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    g_data, h_data = _affine_data(F, x)
+    # one entry per max term, in profile order g_1, h_1, g_2, h_2, ...;
+    # profiles hold positions in each term's ascending active list
+    grads, vals = [], []
+    for i in range(F.m):
+        for fn in (F.g[i], F.h[i]):
+            act = active_set(fn, x, tol_act)
+            grads.append(np.array([fn.pieces[j].grad(x) for j in act.indices]))
+            vals.append(np.array([act.values[j] for j in act.indices]))
 
     # dense sampling of strict-argmax patterns
-    pts = _ball_samples(rng, x, probe_radius, probe_count)
-    offsets = pts - x
-    choices = []
-    for i in range(F.m):
-        for grads, vals in (g_data[i], h_data[i]):
-            choices.append(_strict_argmax_rows(offsets @ grads.T + vals))
-    choice_mat = np.stack(choices, axis=1)  # (probe_count, 2m)
+    offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
+    choice_mat = np.stack(
+        [_strict_argmax_rows(offsets @ rows.T + v) for rows, v in zip(grads, vals)], axis=1
+    )
     samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
     profiles = set(_distinct_profiles(choice_mat)[0])
 
     # exhaustive enumeration over active patterns while tractable
-    active_g = [active_set(F.g[i], x, tol_act).indices for i in range(F.m)]
-    active_h = [active_set(F.h[i], x, tol_act).indices for i in range(F.m)]
-    combos = 1
-    for idx in (*active_g, *active_h):
-        combos *= len(idx)
-    enumerated = combos <= ENUMERATION_CAP
+    enumerated = math.prod(len(v) for v in vals) <= ENUMERATION_CAP
     if enumerated:
-        for combo in _product_profiles(active_g, active_h):
-            if combo in profiles:
-                continue
-            rows = []
-            for i in range(F.m):
-                gj, hk = combo[2 * i], combo[2 * i + 1]
-                for picked, others, (grads, _) in (
-                    (gj, active_g[i], g_data[i]),
-                    (hk, active_h[i], h_data[i]),
-                ):
-                    rows.extend(grads[picked] - grads[j] for j in others if j != picked)
-            cone = np.array(rows) if rows else np.zeros((0, F.n))
-            if _cone_full_dimensional(cone):
-                profiles.add(combo)
+        for combo in itertools.product(*(range(len(v)) for v in vals)):
+            if combo not in profiles:
+                cone = np.concatenate(
+                    [rows[p] - np.delete(rows, p, axis=0) for p, rows in zip(combo, grads)]
+                )
+                if _cone_full_dimensional(cone):
+                    profiles.add(combo)
 
     matrices: list[np.ndarray] = []
     for combo in sorted(profiles):
         jac = np.array(
-            [
-                g_data[i][0][combo[2 * i]] - h_data[i][0][combo[2 * i + 1]]
-                for i in range(F.m)
-            ]
+            [grads[2 * i][combo[2 * i]] - grads[2 * i + 1][combo[2 * i + 1]] for i in range(F.m)]
         )
         if not any(np.max(np.abs(jac - seen)) <= 1e-10 for seen in matrices):
             matrices.append(jac)
-    if return_report:
-        report = BruteForceReport(
-            profiles_found=len(matrices), samples_kept=samples_kept, enumerated=enumerated
-        )
-        return matrices, report
-    return matrices
-
-
-def _product_profiles(active_g, active_h):
-    """All joint (g piece, h piece per component) patterns, interleaved to
-    match the sampling profile layout."""
-    pools = []
-    for gi, hi in zip(active_g, active_h):
-        pools.append(gi)
-        pools.append(hi)
-    return itertools.product(*pools)
+    return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +339,19 @@ class FiniteDiffResult:
     convergence: float  # gap between the last two estimates
 
 
-def finite_diff_dd(F: DCMaxFn, x, y, t_schedule=(1e-3, 1e-5, 1e-7)) -> FiniteDiffResult:
-    """One-sided difference quotients (F(x+ty)-F(x))/t down a decreasing
-    step schedule; the smallest step gives the reported value."""
+def _check_t_schedule(t_schedule) -> list[float]:
+    """The step schedule as floats; ValueError unless it is nonempty,
+    positive and strictly decreasing."""
     ts = [float(t) for t in t_schedule]
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_schedule must be positive and strictly decreasing")
+    return ts
+
+
+def finite_diff_dd(F: DCMaxFn, x, y, t_schedule=(1e-3, 1e-5, 1e-7)) -> FiniteDiffResult:
+    """One-sided difference quotients (F(x+ty)-F(x))/t down a decreasing
+    step schedule; the smallest step gives the reported value."""
+    ts = _check_t_schedule(t_schedule)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     base = eval_F(F, x)

@@ -63,7 +63,7 @@ def selections(corpus):
 def test_criterion_1_hull_membership_oracle(corpus):
     start = time.monotonic()
     for seed, F, x in corpus:
-        candidates = brute_force_subdifferential(F, x)
+        candidates = brute_force_subdifferential(F, x)[0]
         for conv in CONVENTIONS:
             elem = clarke_jacobian_element(F, x, convention=conv)
             cert = hull_membership(elem.xi, candidates, tol=1e-8)

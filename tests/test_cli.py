@@ -48,6 +48,15 @@ class TestJac:
         assert code == 2
         assert "missing required key" in err
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_bool_dimension_exits_2(self, capsys, tmp_path, key):
+        doc = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}], key: True}
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["jac", "-p", str(bad), "-x", "0"])
+        assert (code, out) == (2, "")
+        assert "positive integers" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, ["jac", "-p", "/nonexistent.json", "-x", "0"])
         assert code == 2
@@ -105,6 +114,16 @@ class TestVerify:
         assert hull["profiles_found"] == 2
         for name in ("witness_validity", "cone_linearity", "limit_inclusion"):
             assert payload["checks"][name]["status"] == "pass"
+
+    @pytest.mark.parametrize("radius", ["1e-3", "0.5"])
+    def test_hull_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path, radius):
+        prob = tmp_path / "ramp.json"
+        prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]}))
+        argv = ["verify", "-p", str(prob), "-x", "0.0001", "--radius", radius, "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        hull = json.loads(out)["checks"]["hull_membership"]
+        assert (hull["profiles_found"], hull["weights"]) == (1, [1.0])
 
     def test_random_affine_instance(self, capsys):
         code, out, _ = run(

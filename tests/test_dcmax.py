@@ -57,6 +57,13 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match="missing required key 'n'"):
             load_problem({"m": 1, "components": []})
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", 0, None])
+    def test_dimension_must_be_a_positive_int(self, key, value):
+        doc = {"n": 1, "m": 1, "components": [{"g": ["x1"]}], key: value}
+        with pytest.raises(SchemaError, match="positive integers"):
+            load_problem(doc)
+
     def test_variable_beyond_n_rejected(self):
         doc = {"n": 1, "m": 1, "components": [{"g": ["x2"]}]}
         with pytest.raises(Exception, match="out of range"):

@@ -126,7 +126,7 @@ class TestClarkeElement:
             "components": [{"g": ["x1 + x2", "2*x1", "0"], "h": ["x1", "x2"]}],
         }
         F = load_problem(doc)
-        candidates = brute_force_subdifferential(F, [0.0, 0.0])
+        candidates = brute_force_subdifferential(F, [0.0, 0.0])[0]
         for conv in ("min", "max"):
             elem = clarke_jacobian_element(F, [0.0, 0.0], convention=conv)
             assert hull_membership(elem.xi, candidates).member is True
@@ -155,7 +155,7 @@ class TestClarkeElement:
         for seed in (2, 7, 19):
             F = random_affine_problem(3, 2, 4, seed=seed)
             x = np.zeros(3)
-            candidates = brute_force_subdifferential(F, x)
+            candidates = brute_force_subdifferential(F, x)[0]
             elem = clarke_jacobian_element(F, x)
             for i in range(F.m):
                 rows = [c[i] for c in candidates]

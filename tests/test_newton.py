@@ -50,6 +50,22 @@ class TestSolve:
         assert trace.status == "max_iters"
         assert len(trace.steps) == 6
 
+    @pytest.mark.parametrize(
+        "piece, x0, max_iters, status, records",
+        [
+            ("x1 - 1", 5.0, 50, "converged", 2),
+            # five residuals above ten times the initial one end the run
+            ("x1^2 + 1", 0.001, 50, "diverged", 6),
+            ("x1^3", 1.0, 5, "max_iters", 6),
+            ("1", 0.5, 50, "singular", 1),
+        ],
+    )
+    def test_one_terminal_record_without_a_step(self, piece, x0, max_iters, status, records):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": [piece]}]})
+        trace = solve(F, [x0], tol=1e-12, max_iters=max_iters)
+        assert (trace.status, len(trace.steps)) == (status, records)
+        assert [s.step is None for s in trace.steps] == [False] * (records - 1) + [True]
+
     def test_residuals_recorded_at_every_iterate(self):
         trace = solve(load_problem(ROOT_DOC), [9.0])
         for s in trace.steps:

@@ -15,7 +15,13 @@ from dcjac.oracle import (
     sample_limiting_jacobians,
 )
 from dcjac.dcmax import dd_F
-from util import ABS_DOC, assert_bits_equal, reference_limiting_samples
+from util import ABS_DOC, assert_bits_equal, reference_brute_force, reference_limiting_samples
+
+
+def acceptance_corpus():
+    """The 200 instances of the acceptance gate's hull criterion."""
+    for seed in range(200):
+        yield random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
 
 
 class TestSampleLimitingJacobians:
@@ -41,7 +47,7 @@ class TestSampleLimitingJacobians:
         for seed in (1, 12, 31):
             F = random_affine_problem(seed % 3 + 1, seed % 2 + 1, 4, seed=seed)
             x = np.zeros(F.n)
-            mats = brute_force_subdifferential(F, x)
+            mats = brute_force_subdifferential(F, x)[0]
             for s in sample_limiting_jacobians(F, x, radius=1e-3, count=400, seed=seed):
                 assert any(np.max(np.abs(s.jacobian - m)) <= 1e-10 for m in mats)
 
@@ -156,12 +162,12 @@ class TestHullMembership:
 class TestBruteForce:
     def test_abs(self):
         F = load_problem(ABS_DOC)
-        mats = brute_force_subdifferential(F, [0.0])
+        mats = brute_force_subdifferential(F, [0.0])[0]
         assert sorted(m.tolist() for m in mats) == [[[-1.0]], [[1.0]]]
 
     def test_three_region_max(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"]}]})
-        mats = brute_force_subdifferential(F, [0.0, 0.0])
+        mats = brute_force_subdifferential(F, [0.0, 0.0])[0]
         assert sorted(m.tolist() for m in mats) == [
             [[0.0, 0.0]],
             [[1.0, 1.0]],
@@ -170,7 +176,7 @@ class TestBruteForce:
 
     def test_smooth_affine_single_jacobian(self):
         F = load_problem({"n": 3, "m": 2, "components": [{"g": ["x1 - x3"]}, {"g": ["2*x2"]}]})
-        mats = brute_force_subdifferential(F, [0.0, 0.0, 0.0])
+        mats = brute_force_subdifferential(F, [0.0, 0.0, 0.0])[0]
         assert len(mats) == 1
         np.testing.assert_allclose(mats[0], [[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
 
@@ -182,8 +188,8 @@ class TestBruteForce:
 
     def test_report_fields(self):
         F = load_problem(ABS_DOC)
-        mats, report = brute_force_subdifferential(F, [0.0], return_report=True)
-        assert report.profiles_found == len(mats) == 2
+        mats, report = brute_force_subdifferential(F, [0.0])
+        assert len(mats) == 2
         assert report.samples_kept > 0
         assert report.enumerated
 
@@ -192,19 +198,76 @@ class TestBruteForce:
         # interior, so only two regions exist
         doc = {"n": 2, "m": 1, "components": [{"g": ["0", "5*x1 - 5*x2", "5*x2 - 5*x1"]}]}
         F = load_problem(doc)
-        mats = brute_force_subdifferential(F, [0.0, 0.0])
+        mats = brute_force_subdifferential(F, [0.0, 0.0])[0]
         assert sorted(m.tolist() for m in mats) == [[[-5.0, 5.0]], [[5.0, -5.0]]]
 
     def test_enumeration_supplements_starved_sampling(self):
         # with almost no probes the sampler cannot see all three regions;
         # the exhaustive pattern enumeration must still find them
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"]}]})
-        mats = brute_force_subdifferential(F, [0.0, 0.0], probe_count=2)
+        mats = brute_force_subdifferential(F, [0.0, 0.0], probe_count=2)[0]
         assert sorted(m.tolist() for m in mats) == [
             [[0.0, 0.0]],
             [[1.0, 1.0]],
             [[2.0, 0.0]],
         ]
+
+
+class TestBruteForceReadsActivePieces:
+    def test_bitwise_equal_to_reference_at_default_radius(self):
+        for k, F in enumerate(acceptance_corpus()):
+            x = np.zeros(F.n)
+            mats, report = brute_force_subdifferential(F, x)
+            ref_mats, ref_report = reference_brute_force(F, x)
+            assert report == ref_report, k
+            assert len(mats) == len(ref_mats), k
+            for a, b in zip(mats, ref_mats):
+                assert_bits_equal(a, b)
+
+    def test_subset_of_reference_at_wide_radius(self):
+        # inside a ball of radius 0.5 inactive pieces win for the reference
+        # sampler; leaving them out can only drop candidates
+        shrunk = 0
+        for k, F in enumerate(acceptance_corpus()):
+            x = np.zeros(F.n)
+            mats, _ = brute_force_subdifferential(F, x, probe_radius=0.5)
+            ref_mats, _ = reference_brute_force(F, x, probe_radius=0.5)
+            for a in mats:
+                assert any(np.array_equal(a, b) for b in ref_mats), k
+            shrunk += len(mats) < len(ref_mats)
+        assert shrunk > 0
+
+    def test_inactive_piece_winning_in_the_ball_is_ignored(self):
+        # at x = 1e-4 only "x1" is active, but "0" wins on part of the
+        # probe ball of radius 1e-3
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]})
+        mats, report = brute_force_subdifferential(F, [1e-4])
+        assert [m.tolist() for m in mats] == [[[1.0]]]
+        assert report.samples_kept == 4096
+        assert hull_membership(np.array([[0.0]]), mats).member is False
+        assert hull_membership(np.array([[0.5]]), mats).member is False
+        assert hull_membership(np.array([[1.0]]), mats).member is True
+
+    def test_radius_only_sizes_the_sample_ball(self):
+        # "2*x1 - 0.1" is inactive at 0 but wins for x1 > 0.1
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "-x1", "2*x1 - 0.1"]}]})
+        mats, _ = brute_force_subdifferential(F, [0.0], probe_radius=0.5)
+        assert sorted(m.tolist() for m in mats) == [[[-1.0]], [[1.0]]]
+        ref_mats, _ = reference_brute_force(F, [0.0], probe_radius=0.5)
+        assert sorted(m.tolist() for m in ref_mats) == [[[-1.0]], [[1.0]], [[2.0]]]
+
+    def test_gradients_of_inactive_pieces_are_not_taken(self, monkeypatch):
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2", "x1 - 1"]}]})
+        inactive = F.g[0].pieces[2]
+        grad = SmoothFn.grad
+
+        def guarded(self, x):
+            assert self is not inactive, "gradient of an inactive piece"
+            return grad(self, x)
+
+        monkeypatch.setattr(SmoothFn, "grad", guarded)
+        mats, _ = brute_force_subdifferential(F, [0.0, 0.0])
+        assert sorted(m.tolist() for m in mats) == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
 
 class TestIsAffine:
@@ -279,8 +342,9 @@ class TestFiniteDiffDD:
 
     def test_schedule_validation(self):
         F = load_problem(ABS_DOC)
-        with pytest.raises(ValueError, match="decreasing"):
-            finite_diff_dd(F, [0.0], [1.0], t_schedule=(1e-5, 1e-3))
+        for schedule in ((1e-5, 1e-3), (1e-3, 1e-3), (), (1e-3, 0.0)):
+            with pytest.raises(ValueError, match="decreasing"):
+                finite_diff_dd(F, [0.0], [1.0], t_schedule=schedule)
 
 
 class TestTheoremOnRandomInstances:
@@ -288,7 +352,7 @@ class TestTheoremOnRandomInstances:
         for seed in range(25):
             F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed + 2000)
             x = np.zeros(F.n)
-            mats = brute_force_subdifferential(F, x)
+            mats = brute_force_subdifferential(F, x)[0]
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 cert = hull_membership(elem.xi, mats)

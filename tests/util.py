@@ -3,6 +3,7 @@ generation, and reference implementations the library must reproduce."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,18 @@ import numpy as np
 from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
 from dcjac.jacobian import ConeLinearityReport, DifferenceVectors
-from dcjac.oracle import LimitingSample
+from dcjac.oracle import (
+    DEFAULT_PROBE_COUNT,
+    DEFAULT_PROBE_RADIUS,
+    DEFAULT_SEED,
+    ENUMERATION_CAP,
+    BruteForceReport,
+    LimitingSample,
+    _ball_samples,
+    _cone_full_dimensional,
+    _distinct_profiles,
+    _strict_argmax_rows,
+)
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 NEG_ABS_DOC = {
@@ -305,3 +317,54 @@ def reference_limiting_samples(F, x, radius, count, seed) -> list[LimitingSample
         )
         found[key] = LimitingSample(point=z, jacobian=jac, active_profile=key)
     return list(found.values())
+
+
+def reference_brute_force(
+    F,
+    x,
+    probe_radius=DEFAULT_PROBE_RADIUS,
+    probe_count=DEFAULT_PROBE_COUNT,
+    seed=DEFAULT_SEED,
+    tol_act=DEFAULT_TOL_ACT,
+):
+    """Hull oracle that samples every piece, active at x or not, and takes
+    the active sets in a second pass for the enumeration: the reference
+    that ``brute_force_subdifferential`` must reproduce bit for bit when
+    no inactive piece wins inside the probe ball."""
+    x = np.asarray(x, dtype=float)
+    terms = [fn for i in range(F.m) for fn in (F.g[i], F.h[i])]
+    data = [
+        (np.array([p.grad(x) for p in fn.pieces]), np.array([p.eval(x) for p in fn.pieces]))
+        for fn in terms
+    ]
+    offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
+    choice_mat = np.stack(
+        [_strict_argmax_rows(offsets @ grads.T + vals) for grads, vals in data], axis=1
+    )
+    samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
+    profiles = set(_distinct_profiles(choice_mat)[0])
+
+    active = [active_set(fn, x, tol_act).indices for fn in terms]
+    enumerated = math.prod(len(idx) for idx in active) <= ENUMERATION_CAP
+    if enumerated:
+        for combo in itertools.product(*active):
+            if combo in profiles:
+                continue
+            rows = [
+                grads[picked] - grads[j]
+                for picked, others, (grads, _) in zip(combo, active, data)
+                for j in others
+                if j != picked
+            ]
+            cone = np.array(rows) if rows else np.zeros((0, F.n))
+            if _cone_full_dimensional(cone):
+                profiles.add(combo)
+
+    matrices: list[np.ndarray] = []
+    for combo in sorted(profiles):
+        jac = np.array(
+            [data[2 * i][0][combo[2 * i]] - data[2 * i + 1][0][combo[2 * i + 1]] for i in range(F.m)]
+        )
+        if not any(np.max(np.abs(jac - seen)) <= 1e-10 for seen in matrices):
+            matrices.append(jac)
+    return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
