@@ -4,7 +4,8 @@ F = G - H with componentwise maxima is nonsmooth exactly where several
 pieces tie.  The selection filters the tied gradients coordinate by
 coordinate until the survivors coincide; the difference vectors between
 rejected and surviving gradients then admit a witness direction along
-which the directional derivative is linear, certifying the element.
+which the directional derivative is linear, certifying the element.  The
+witness carries the difference vectors, so each check takes the witness.
 """
 
 import numpy as np
@@ -40,15 +41,15 @@ diffs = selection_differences(elem.provenance)
 print("difference vectors (rejected - selected):")
 print(diffs.vectors)
 
-witness = witness_direction(diffs, F2.n)
+witness = witness_direction(diffs)
 print("witness direction:", witness.y_bar, " weights:", witness.lambdas)
-report = check_witness(diffs, witness)
+report = check_witness(witness)
 print("slopes along witness strictly negative:", report.passed,
       " margins:", report.margins)
 
 print()
 print("== certifying the element ==")
-cone = verify_cone_linearity(elem, witness.y_bar, samples=500)
+cone = verify_cone_linearity(elem, witness, samples=500)
 print(f"cone linearity: kept {cone.kept}/{cone.samples} directions, "
       f"max discrepancy {cone.max_discrepancy:.2e} -> passed {cone.passed}")
 limit = verify_limit_inclusion(F2, x, elem, witness.y_bar)

@@ -116,24 +116,22 @@ def _selection_payload(sel) -> dict:
 
 def _select(args):
     """Load the problem and parse -x, then select the element at x with
-    its difference vectors and witness direction."""
+    its witness direction, which carries the difference vectors."""
     F = _load_function(args)
     x = _parse_vector(args.point)
     elem = clarke_jacobian_element(F, x, args.tol_act, args.tol_tie, args.convention)
-    diffs = selection_differences(elem.provenance)
-    witness = witness_direction(diffs, F.n, args.convention)
-    return F, x, elem, diffs, witness
+    return F, x, elem, witness_direction(selection_differences(elem.provenance))
 
 
 def cmd_jac(args) -> int:
-    _, x, elem, diffs, witness = _select(args)
+    _, x, elem, witness = _select(args)
     payload = {
         "command": "jac",
         "point": x.tolist(),
         "convention": args.convention,
         "xi": elem.xi.tolist(),
         "selection": _selection_payload(elem.provenance),
-        "gamma_count": diffs.count,
+        "gamma_count": witness.diffs.count,
         "y_bar": witness.y_bar.tolist(),
     }
     if args.json:
@@ -145,39 +143,34 @@ def cmd_jac(args) -> int:
             h_chain = " > ".join(str(list(level)) for level in c.h_chain)
             print(f"component {i}: g chain {g_chain} (chose {c.chosen_g})")
             print(f"component {i}: h chain {h_chain} (chose {c.chosen_h})")
-        print(f"difference vectors: {diffs.count}")
+        print(f"difference vectors: {witness.diffs.count}")
         print(f"witness direction: {witness.y_bar.tolist()}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    F, x, elem, diffs, witness = _select(args)
+    F, x, elem, witness = _select(args)
     checks: dict[str, dict] = {}
 
-    wrep = check_witness(diffs, witness, args.convention)
+    wrep = check_witness(witness)
     checks["witness_validity"] = {
         "status": "pass" if wrep.passed else "fail",
         "count": wrep.count,
         "min_margin": float(np.min(wrep.margins)) if wrep.count else None,
     }
 
-    cone = verify_cone_linearity(elem, witness.y_bar, samples=args.samples, seed=args.seed)
-    if cone.status == "inconclusive":
-        checks["cone_linearity"] = {
-            "status": "inconclusive",
-            "kept": 0,
-            "samples": cone.samples,
-            "max_discrepancy": None,
-            "tolerance_at_max": None,
-        }
-    else:
-        checks["cone_linearity"] = {
-            "status": "pass" if cone.passed else "fail",
-            "kept": cone.kept,
-            "samples": cone.samples,
-            "max_discrepancy": cone.max_discrepancy,
-            "tolerance_at_max": cone.tolerance_at_max,
-        }
+    cone = verify_cone_linearity(elem, witness, samples=args.samples, seed=args.seed)
+    checks["cone_linearity"] = {
+        "status": (
+            "inconclusive"
+            if cone.status == "inconclusive"
+            else ("pass" if cone.passed else "fail")
+        ),
+        "kept": cone.kept,
+        "samples": cone.samples,
+        "max_discrepancy": cone.max_discrepancy,
+        "tolerance_at_max": cone.tolerance_at_max,
+    }
 
     limit = verify_limit_inclusion(F, x, elem, witness.y_bar)
     checks["limit_inclusion"] = {

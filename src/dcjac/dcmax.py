@@ -154,7 +154,7 @@ def eval_F(F: DCMaxFn, x) -> np.ndarray:
 def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
     """Pieces within tol_act*(1+|max|) of the maximum at x; OverflowError
     when that maximum is infinite or NaN."""
-    if tol_act < 0:
+    if not tol_act >= 0:
         raise ValueError("tol_act must be nonnegative")
     values = tuple(p.eval(x) for p in f.pieces)
     vals = np.array(values)

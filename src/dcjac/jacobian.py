@@ -8,9 +8,9 @@ is an element of the Clarke generalized Jacobian of F.
 
 The module also exposes the constructions that certify this: the
 difference vectors between rejected and selected gradients, a witness
-direction making all of them strictly descent, and runnable checks that
-the directional derivative is linear along the witness cone and that
-nearby classical Jacobians reproduce the selected element.
+direction that carries them and makes all of them strictly descent, and
+runnable checks on that witness: the directional derivative is linear
+along its cone and nearby classical Jacobians reproduce the element.
 """
 
 from __future__ import annotations
@@ -94,11 +94,12 @@ class DifferenceVectors:
     """Gradient differences (rejected minus selected) over all components.
 
     Under the "min" convention every vector's first nonzero component is
-    positive; under "max" it is negative.  Empty when all active gradients
-    already coincide.
+    positive; under "max" it is negative.  Empty (shape (0, n)) when all
+    active gradients already coincide.
     """
 
     vectors: np.ndarray  # shape (count, n)
+    convention: str  # the selection's convention, fixing the leading signs
 
     @property
     def count(self) -> int:
@@ -108,8 +109,9 @@ class DifferenceVectors:
 @dataclass(frozen=True)
 class WitnessDirection:
     """Direction with geometrically decaying weights along which every
-    difference vector has strictly negative slope."""
+    difference vector of ``diffs`` has strictly negative slope."""
 
+    diffs: DifferenceVectors  # the vectors this direction certifies
     y_bar: np.ndarray
     epsilon: float
     m_bound: float
@@ -131,7 +133,7 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
     filtration stops there.
     """
     _check_convention(convention)
-    if tol_tie < 0:
+    if not tol_tie >= 0:
         raise ValueError("tol_tie must be nonnegative")
     mat = np.asarray(grads, dtype=float)
     if mat.ndim != 2:
@@ -220,7 +222,7 @@ def _to_piece_indices(chain, act: ActiveSet):
 
 def selection_differences(sel: SelectionResult) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for a selection,
-    taken from the active-gradient rows it stores.
+    taken from the active-gradient rows it stores, under its convention.
 
     Vectors equal within 1e-12 componentwise are deduplicated.  Empty when
     every active gradient survived (e.g. smooth F).
@@ -231,7 +233,7 @@ def selection_differences(sel: SelectionResult) -> DifferenceVectors:
         _collect_differences(comp.h_grads, comp.h_active, comp.h_selected, vectors)
     n = sel.components[0].g_grads.shape[1]
     mat = np.array(vectors) if vectors else np.zeros((0, n))
-    return DifferenceVectors(vectors=mat)
+    return DifferenceVectors(vectors=mat, convention=sel.convention)
 
 
 def _collect_differences(rows: np.ndarray, active, selected, out: list[np.ndarray]) -> None:
@@ -258,17 +260,19 @@ def _first_nonzero(alpha: np.ndarray) -> tuple[int, float]:
     raise ValueError("difference vector is numerically zero")
 
 
-def witness_direction(
-    diffs: DifferenceVectors, n: int, convention: str = "min"
-) -> WitnessDirection:
-    """Build a direction with every difference vector strictly descending.
+def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
+    """Build a direction in R^n (n the width of ``diffs.vectors``) with
+    every difference vector strictly descending.
 
-    The weights decay geometrically fast enough that the leading component
-    of each difference vector dominates the tail:  epsilon is half the
-    smallest leading magnitude, the bound is twice the largest entry
-    magnitude, and consecutive weight ratios sit at half the admissible
-    limit, so all strict inequalities hold with quantifiable slack.
+    Each leading sign must match ``diffs.convention``, else
+    ConventionMismatchError.  The weights decay geometrically fast enough
+    that the leading component of each difference vector dominates the
+    tail:  epsilon is half the smallest leading magnitude, the bound is
+    twice the largest entry magnitude, and consecutive weight ratios sit
+    at half the admissible limit, so all strict inequalities hold with
+    quantifiable slack.
     """
+    convention = diffs.convention
     _check_convention(convention)
     leading = []
     for alpha in diffs.vectors:
@@ -282,9 +286,11 @@ def witness_direction(
     epsilon = 1.0 if not leading else 0.5 * min(leading)
     m_bound = 2.0 * max(1.0, float(np.max(np.abs(diffs.vectors), initial=0.0)))
     ratio = 0.5 * (epsilon / m_bound) / (1.0 + epsilon / m_bound)
-    lambdas = np.array([ratio**k for k in range(n)])
+    lambdas = np.array([ratio**k for k in range(diffs.vectors.shape[1])])
     y_bar = -lambdas if convention == "min" else lambdas.copy()
-    return WitnessDirection(y_bar=y_bar, epsilon=epsilon, m_bound=m_bound, lambdas=lambdas)
+    return WitnessDirection(
+        diffs=diffs, y_bar=y_bar, epsilon=epsilon, m_bound=m_bound, lambdas=lambdas
+    )
 
 
 @dataclass(frozen=True)
@@ -295,12 +301,11 @@ class WitnessReport:
     passed: bool
 
 
-def check_witness(
-    diffs: DifferenceVectors, witness: WitnessDirection, convention: str = "min"
-) -> WitnessReport:
-    """Check strict negativity of every slope along the witness direction,
-    with the margin each leading component guarantees."""
-    _check_convention(convention)
+def check_witness(witness: WitnessDirection) -> WitnessReport:
+    """Check strict negativity of the slope of every vector in
+    ``witness.diffs`` along the witness direction, with the margin each
+    leading component guarantees."""
+    diffs = witness.diffs
     margins, required = [], []
     for alpha in diffs.vectors:
         k, v = _first_nonzero(alpha)
@@ -317,14 +322,14 @@ class ConeLinearityReport:
     status: str  # "ok" | "inconclusive"
     samples: int
     kept: int
-    max_discrepancy: float
-    tolerance_at_max: float
+    max_discrepancy: float | None  # None when no direction was kept
+    tolerance_at_max: float | None
     passed: bool
 
 
 def verify_cone_linearity(
     xi: JacobianElement,
-    y_bar,
+    witness: WitnessDirection,
     samples: int = 200,
     seed: int = 42,
     radius: float | None = None,
@@ -332,20 +337,21 @@ def verify_cone_linearity(
     """Sample directions near the witness and compare the directional
     derivative of F against the linear map given by the selected element.
 
-    Directions are kept only when every difference vector has strictly
-    negative slope along them (membership in the open descent cone); on
-    kept directions the two sides must agree within 1e-8*(1+|y|) per
-    component.  The directional derivative max_j grad_j'y - max_k grad_k'y
-    is evaluated from the active-gradient rows stored in ``xi.provenance``
-    (the selection's own active sets at x), which do not depend on the
-    direction.
+    Directions are kept only when every vector of ``witness.diffs`` has
+    strictly negative slope along them (membership in the open descent
+    cone); on kept directions the two sides must agree within
+    1e-8*(1+|y|) per component.  The directional derivative
+    max_j grad_j'y - max_k grad_k'y is evaluated from the active-gradient
+    rows stored in ``xi.provenance`` (the selection's own active sets at
+    x), which do not depend on the direction.  The ball around
+    ``witness.y_bar`` has the given radius, by default half the smallest
+    distance from y_bar to a cone face.
     """
-    y_bar = np.asarray(y_bar, dtype=float)
-    diffs = selection_differences(xi.provenance)
-    A = diffs.vectors
+    y_bar = witness.y_bar
+    A = witness.diffs.vectors
 
     if radius is None:
-        if diffs.count:
+        if A.shape[0]:
             margins = -(A @ y_bar)
             norms = np.linalg.norm(A, axis=1)
             radius = 0.5 * float(np.min(margins / norms))
@@ -354,10 +360,7 @@ def verify_cone_linearity(
 
     ys = _ball_samples(np.random.default_rng(seed), y_bar, radius, samples)
 
-    if diffs.count:
-        inside = np.all(A @ ys.T < 0.0, axis=0)
-    else:
-        inside = np.ones(samples, dtype=bool)
+    inside = np.all(A @ ys.T < 0.0, axis=0)
     ys = ys[inside]
     kept = int(ys.shape[0])
     if kept == 0:
@@ -365,8 +368,8 @@ def verify_cone_linearity(
             status="inconclusive",
             samples=samples,
             kept=0,
-            max_discrepancy=float("nan"),
-            tolerance_at_max=float("nan"),
+            max_discrepancy=None,
+            tolerance_at_max=None,
             passed=False,
         )
 

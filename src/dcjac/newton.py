@@ -90,7 +90,7 @@ def solve(
     convention: str = "min",
 ) -> NewtonTrace:
     """Run the Newton iteration from x0 until the sup-norm residual drops
-    below tol.
+    below tol, taking at most max_iters steps.
 
     A rank-deficient element triggers one retry with the opposite
     selection convention before the solve fails as singular.  Divergence
@@ -99,8 +99,10 @@ def solve(
     """
     if F.m != F.n:
         raise ValueError(f"newton requires m = n, got m={F.m}, n={F.n}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (F.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({F.n},)")

@@ -11,6 +11,11 @@ that local model plus (when the pattern count is small enough) exhaustive
 enumeration with a feasibility program per pattern.  Membership in the
 hull is decided by a minimum-norm-point computation, which yields convex
 weights or a separation margin.
+
+The oracle evaluates the active pieces at x itself instead of reading the
+rows a ``ComponentSelection`` stores.  It is the reference the selected
+element is checked against, so a fault in those stored rows must not
+reach the reference as well.
 """
 
 from __future__ import annotations
@@ -74,6 +79,15 @@ class HullCertificate:
     converged: bool
 
 
+def _check_ball(radius: float, count: int) -> None:
+    """ValueError unless the sample ball has a finite positive radius and
+    at least one sample."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+
+
 def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float, count: int):
     n = center.shape[0]
     direc = rng.standard_normal((count, n))
@@ -92,10 +106,7 @@ def sample_limiting_jacobians(
     """Sample the ball around x and keep points where every max term has a
     unique active piece, recording one classical Jacobian per distinct
     active profile, at the first point showing it."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_ball(radius, count)
     x = np.asarray(x, dtype=float)
     pts = _ball_samples(np.random.default_rng(seed), x, radius, count)
     choices = [
@@ -287,6 +298,7 @@ def brute_force_subdifferential(
     convex hull of the returned matrices equals the Clarke generalized
     Jacobian at x for this function class.  Non-affine pieces are rejected.
     """
+    _check_ball(probe_radius, probe_count)
     if not is_affine(F):
         raise ValueError("brute_force_subdifferential requires affine pieces")
     x = np.asarray(x, dtype=float)

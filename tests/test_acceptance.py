@@ -54,7 +54,7 @@ def selections(corpus):
         for conv in CONVENTIONS:
             elem = clarke_jacobian_element(F, x, convention=conv)
             diffs = selection_differences(elem.provenance)
-            witness = witness_direction(diffs, F.n, conv)
+            witness = witness_direction(diffs)
             per_conv[conv] = (elem, diffs, witness)
         out.append((seed, F, x, per_conv))
     return out
@@ -84,7 +84,7 @@ def test_criterion_2_witness_validity(selections):
     for seed, F, x, per_conv in selections:
         for conv in CONVENTIONS:
             elem, diffs, witness = per_conv[conv]
-            report = check_witness(diffs, witness, conv)
+            report = check_witness(witness)
             assert report.passed, f"instance {seed} ({conv})"
             if report.count:
                 assert np.min(report.margins) > 0.0, f"instance {seed} ({conv})"
@@ -97,7 +97,7 @@ def test_criterion_3_cone_linearity(selections):
     for seed, F, x, per_conv in selections:
         for conv in CONVENTIONS:
             elem, diffs, witness = per_conv[conv]
-            report = verify_cone_linearity(elem, witness.y_bar, samples=200, seed=seed)
+            report = verify_cone_linearity(elem, witness, samples=200, seed=seed)
             assert report.status == "ok" and report.kept == 200, f"instance {seed} ({conv})"
             assert report.passed, (
                 f"instance {seed} ({conv}): discrepancy {report.max_discrepancy}"

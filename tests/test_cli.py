@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import dcjac.cli
+import dcjac.jacobian
 from dcjac.cli import main
 from util import ABS_DOC
 
@@ -125,6 +127,30 @@ class TestVerify:
         hull = json.loads(out)["checks"]["hull_membership"]
         assert (hull["profiles_found"], hull["weights"]) == (1, [1.0])
 
+    def test_no_cone_sample_reports_null(self, capsys, abs_problem):
+        argv = ["verify", "-p", abs_problem, "-x", "0", "--samples", "0", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert (
+            '"cone_linearity":{"kept":0,"max_discrepancy":null,"samples":0,'
+            '"status":"inconclusive","tolerance_at_max":null}'
+        ) in out
+        assert json.loads(out)["inconclusive"] == ["cone_linearity"]
+
+    def test_differences_computed_once(self, capsys, monkeypatch):
+        calls = []
+        original = dcjac.jacobian.selection_differences
+
+        def counting(sel):
+            calls.append(sel)
+            return original(sel)
+
+        monkeypatch.setattr(dcjac.cli, "selection_differences", counting)
+        monkeypatch.setattr(dcjac.jacobian, "selection_differences", counting)
+        code, _, _ = run(capsys, ["verify", "--random", "n=3,m=2,pieces=4,seed=7", "-x", "0,0,0"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_random_affine_instance(self, capsys):
         code, out, _ = run(
             capsys,
@@ -192,6 +218,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "must be finite" in err
+
+
+_SPEC3 = ["--random", "n=3,m=3,pieces=4,seed=7", "-x", "0,0,0"]
+_SPEC2 = ["--random", "n=2,m=2,pieces=3,seed=1", "--x0", "1,1"]
+
+
+class TestBadNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", *_SPEC3, "--radius", "-1"], "radius must be positive"),
+            (["verify", *_SPEC3, "--radius", "0"], "radius must be positive"),
+            (["verify", *_SPEC3, "--radius", "nan"], "radius must be positive"),
+            (["verify", *_SPEC3, "--radius", "inf"], "radius must be positive"),
+            (["jac", *_SPEC3, "--tol-act", "nan"], "tol_act must be nonnegative"),
+            (["jac", *_SPEC3, "--tol-tie", "nan"], "tol_tie must be nonnegative"),
+            (["newton", *_SPEC2, "--tol", "nan"], "tol must be positive"),
+            (["newton", *_SPEC2, "--max-iters", "-1"], "max_iters must be nonnegative"),
+        ],
+    )
+    def test_exits_2_without_traceback(self, capsys, argv, message):
+        code, out, err = run(capsys, [*argv, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert message in err
 
 
 class TestNewton:

@@ -131,6 +131,8 @@ class TestActiveSet:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             active_set(max_fn("x1"), [0.0], tol_act=-1.0)
+        with pytest.raises(ValueError, match="tol_act must be nonnegative"):
+            active_set(max_fn("x1"), [0.0], tol_act=float("nan"))
 
     @pytest.mark.parametrize(
         "texts, x",

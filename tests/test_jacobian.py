@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dcjac.jacobian as jacobian
 from dcjac.dcmax import load_problem
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
@@ -66,6 +67,11 @@ class TestLexicographicSelect:
     def test_bad_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
             lexicographic_chain([(1.0,)], "median")
+
+    @pytest.mark.parametrize("tol_tie", [-1.0, float("nan")])
+    def test_bad_tie_tolerance_rejected(self, tol_tie):
+        with pytest.raises(ValueError, match="tol_tie must be nonnegative"):
+            lexicographic_chain([(1.0,), (2.0,)], "min", tol_tie)
 
     def test_chain_is_nested_and_nonempty(self):
         rng = np.random.default_rng(23)
@@ -236,9 +242,9 @@ class TestSelectionRecord:
         for F, x in _record_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                w = witness_direction(selection_differences(elem.provenance), F.n, conv)
+                w = witness_direction(selection_differences(elem.provenance))
                 for kwargs in ({}, {"samples": 50, "seed": 3, "radius": 2.0}):
-                    got = verify_cone_linearity(elem, w.y_bar, **kwargs)
+                    got = verify_cone_linearity(elem, w, **kwargs)
                     want = reference_cone_linearity(F, x, elem, w.y_bar, **kwargs)
                     assert (got.status, got.samples, got.kept, got.passed) == (
                         want.status,
@@ -254,36 +260,57 @@ class TestSelectionRecord:
 
 class TestWitnessDirection:
     def test_empty_difference_set(self):
-        diffs = DifferenceVectors(vectors=np.zeros((0, 2)))
-        w = witness_direction(diffs, 2, "min")
+        diffs = DifferenceVectors(vectors=np.zeros((0, 2)), convention="min")
+        w = witness_direction(diffs)
         assert w.epsilon == 1.0 and w.m_bound == 2.0
         # ratio sits at half of (eps/M)/(1+eps/M) = half of 1/3
         np.testing.assert_allclose(w.y_bar, [-1.0, -1.0 / 6.0])
         assert w.lambdas[1] / w.lambdas[0] < (w.epsilon / w.m_bound) / (1 + w.epsilon / w.m_bound)
 
     def test_single_vector_later_coordinate(self):
-        diffs = DifferenceVectors(vectors=np.array([[0.0, 1.0]]))
-        w = witness_direction(diffs, 2, "min")
+        diffs = DifferenceVectors(vectors=np.array([[0.0, 1.0]]), convention="min")
+        w = witness_direction(diffs)
         assert float(diffs.vectors[0] @ w.y_bar) == -w.lambdas[1] < 0.0
 
     def test_mixed_sign_vector(self):
-        diffs = DifferenceVectors(vectors=np.array([[2.0, -5.0]]))
-        w = witness_direction(diffs, 2, "min")
+        diffs = DifferenceVectors(vectors=np.array([[2.0, -5.0]]), convention="min")
+        w = witness_direction(diffs)
         assert w.epsilon == 1.0 and w.m_bound == 10.0
         expected = -2.0 + 5.0 * 0.5 * (0.1 / 1.1)
         assert float(diffs.vectors[0] @ w.y_bar) == pytest.approx(expected)
         assert float(diffs.vectors[0] @ w.y_bar) < 0.0
 
     def test_max_convention_flips_direction(self):
-        diffs = DifferenceVectors(vectors=np.array([[-2.0, 5.0]]))
-        w = witness_direction(diffs, 2, "max")
+        diffs = DifferenceVectors(vectors=np.array([[-2.0, 5.0]]), convention="max")
+        w = witness_direction(diffs)
         assert np.all(w.y_bar > 0.0)
         assert float(diffs.vectors[0] @ w.y_bar) < 0.0
 
     def test_convention_mismatch_detected(self):
-        diffs = DifferenceVectors(vectors=np.array([[-1.0, 0.0]]))
+        diffs = DifferenceVectors(vectors=np.array([[-1.0, 0.0]]), convention="min")
         with pytest.raises(ConventionMismatchError):
-            witness_direction(diffs, 2, "min")
+            witness_direction(diffs)
+
+    def test_convention_mismatch_detected_under_max(self):
+        diffs = DifferenceVectors(vectors=np.array([[0.0, 3.0]]), convention="max")
+        with pytest.raises(ConventionMismatchError):
+            witness_direction(diffs)
+
+    def test_dimension_read_from_empty_vectors(self):
+        w = witness_direction(DifferenceVectors(np.zeros((0, 3)), "max"))
+        assert w.y_bar.shape == (3,) and np.all(w.y_bar > 0.0)
+        assert w.lambdas.shape == (3,) and np.all(w.lambdas > 0.0)
+
+    def test_witness_carries_its_differences(self):
+        F = load_problem(ABS_DOC)
+        for conv in ("min", "max"):
+            elem = clarke_jacobian_element(F, [0.0], convention=conv)
+            diffs = selection_differences(elem.provenance)
+            assert diffs.convention == conv
+            w = witness_direction(diffs)
+            assert w.diffs is diffs
+            report = check_witness(w)
+            assert report.passed and report.count == 1
 
     def test_margins_on_random_instances(self):
         for seed in range(40):
@@ -292,28 +319,57 @@ class TestWitnessDirection:
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 diffs = selection_differences(elem.provenance)
-                w = witness_direction(diffs, F.n, conv)
-                report = check_witness(diffs, w, conv)
+                w = witness_direction(diffs)
+                report = check_witness(w)
                 assert report.passed
                 if report.count:
                     assert np.min(report.margins) > 0.0
 
 
 class TestConeLinearity:
+    def test_reads_the_differences_from_the_witness(self, monkeypatch):
+        calls = []
+        original = jacobian.selection_differences
+
+        def counting(sel):
+            calls.append(sel)
+            return original(sel)
+
+        monkeypatch.setattr(jacobian, "selection_differences", counting)
+        for F, x in _record_cases():
+            elem = clarke_jacobian_element(F, x)
+            w = witness_direction(jacobian.selection_differences(elem.provenance))
+            calls.clear()
+            verify_cone_linearity(elem, w, samples=20)
+            assert calls == []
+
+    def test_no_kept_direction_gives_none(self):
+        F = load_problem(ABS_DOC)
+        elem = clarke_jacobian_element(F, [0.0])
+        w = witness_direction(selection_differences(elem.provenance))
+        report = verify_cone_linearity(elem, w, samples=0)
+        assert (report.status, report.samples, report.kept, report.passed) == (
+            "inconclusive",
+            0,
+            0,
+            False,
+        )
+        assert report.max_discrepancy is None and report.tolerance_at_max is None
+
     def test_smooth_instance_exact(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["sin(x1) + x2"]}]})
         x = [0.3, 0.1]
         elem = clarke_jacobian_element(F, x)
-        w = witness_direction(selection_differences(elem.provenance), 2)
-        report = verify_cone_linearity(elem, w.y_bar, samples=100, seed=0)
+        w = witness_direction(selection_differences(elem.provenance))
+        report = verify_cone_linearity(elem, w, samples=100, seed=0)
         assert report.status == "ok" and report.kept == 100
         assert report.passed and report.max_discrepancy <= 1e-12
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(elem.provenance), 1)
-        report = verify_cone_linearity(elem, w.y_bar)
+        w = witness_direction(selection_differences(elem.provenance))
+        report = verify_cone_linearity(elem, w)
         assert report.passed and report.max_discrepancy == 0.0
 
     def test_random_piecewise_affine(self):
@@ -321,8 +377,8 @@ class TestConeLinearity:
             F = random_affine_problem(seed % 4 + 1, 2, 5, seed=seed)
             x = np.zeros(F.n)
             elem = clarke_jacobian_element(F, x)
-            w = witness_direction(selection_differences(elem.provenance), F.n)
-            report = verify_cone_linearity(elem, w.y_bar, samples=200)
+            w = witness_direction(selection_differences(elem.provenance))
+            report = verify_cone_linearity(elem, w, samples=200)
             assert report.status == "ok" and report.passed
 
     def test_inconsistent_tie_tolerance_is_caught(self):
@@ -330,8 +386,8 @@ class TestConeLinearity:
         # linearity check must expose the broken selection
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0.5*x1"]}]})
         elem = clarke_jacobian_element(F, [0.0], tol_tie=1.0)
-        w = witness_direction(selection_differences(elem.provenance), 1)
-        report = verify_cone_linearity(elem, w.y_bar)
+        w = witness_direction(selection_differences(elem.provenance))
+        report = verify_cone_linearity(elem, w)
         assert report.status == "ok" and not report.passed
 
 
@@ -339,14 +395,14 @@ class TestLimitInclusion:
     def test_smooth_instance(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["3*x1 - 2"]}]})
         elem = clarke_jacobian_element(F, [0.5])
-        w = witness_direction(selection_differences(elem.provenance), 1)
+        w = witness_direction(selection_differences(elem.provenance))
         report = verify_limit_inclusion(F, [0.5], elem, w.y_bar)
         assert report.passed and report.final_distance == 0.0
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(elem.provenance), 1)
+        w = witness_direction(selection_differences(elem.provenance))
         report = verify_limit_inclusion(F, [0.0], elem, w.y_bar)
         assert report.passed
         assert all(p.distance == 0.0 for p in report.points if not p.degenerate)
@@ -357,9 +413,7 @@ class TestLimitInclusion:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                w = witness_direction(
-                    selection_differences(elem.provenance), F.n, conv
-                )
+                w = witness_direction(selection_differences(elem.provenance))
                 report = verify_limit_inclusion(F, x, elem, w.y_bar)
                 for p in report.points:
                     if not p.degenerate:

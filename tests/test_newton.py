@@ -71,6 +71,15 @@ class TestSolve:
         for s in trace.steps:
             assert s.residual == np.max(np.abs(s.F_x))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(load_problem(ROOT_DOC), [1.0], tol=tol)
+
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            solve(load_problem(ROOT_DOC), [1.0], max_iters=-1)
+
     def test_requires_square_system(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2"]}]})
         with pytest.raises(ValueError, match="m = n"):

@@ -99,6 +99,11 @@ class TestSampleLimitingJacobians:
             sample_limiting_jacobians(F, [0.0], radius=0.0)
         with pytest.raises(ValueError):
             sample_limiting_jacobians(F, [0.0], count=0)
+        for radius in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                sample_limiting_jacobians(F, [0.0], radius=radius)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sample_limiting_jacobians(F, [0.0], count=-3)
 
 
 class TestHullMembership:
@@ -185,6 +190,20 @@ class TestBruteForce:
         assert not is_affine(F)
         with pytest.raises(ValueError, match="affine"):
             brute_force_subdifferential(F, [0.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"probe_radius": 0.0}, "radius must be positive"),
+            ({"probe_radius": -1.0}, "radius must be positive"),
+            ({"probe_radius": float("nan")}, "radius must be positive"),
+            ({"probe_radius": float("inf")}, "radius must be positive"),
+            ({"probe_count": 0}, "count must be at least 1"),
+        ],
+    )
+    def test_bad_sample_ball_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            brute_force_subdifferential(load_problem(ABS_DOC), [0.0], **kwargs)
 
     def test_report_fields(self):
         F = load_problem(ABS_DOC)

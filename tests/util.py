@@ -206,7 +206,7 @@ def reference_selection_differences(F, x, sel) -> DifferenceVectors:
                     if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
                         vectors.append(alpha)
     mat = np.array(vectors) if vectors else np.zeros((0, F.n))
-    return DifferenceVectors(vectors=mat)
+    return DifferenceVectors(vectors=mat, convention=sel.convention)
 
 
 def reference_cone_linearity(
