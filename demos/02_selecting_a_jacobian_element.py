@@ -33,8 +33,8 @@ F2 = load_problem(doc)
 x = np.zeros(2)
 elem = clarke_jacobian_element(F2, x)
 comp = elem.provenance.components[0]
-print("active g pieces:", list(comp.g_active), "filtration:", [list(l) for l in comp.g_chain])
-print("active h pieces:", list(comp.h_active), "filtration:", [list(l) for l in comp.h_chain])
+for name, term in (("g", comp.g), ("h", comp.h)):
+    print(f"active {name} pieces:", list(term.active), "filtration:", term.piece_chain)
 print("xi =", elem.xi.tolist())
 
 diffs = selection_differences(elem.provenance)

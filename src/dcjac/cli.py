@@ -20,6 +20,7 @@ from .expr import DomainError
 from .instances import random_affine_problem
 from .jacobian import (
     DEFAULT_TOL_TIE,
+    ConventionMismatchError,
     check_witness,
     clarke_jacobian_element,
     selection_differences,
@@ -71,6 +72,8 @@ def _parse_random_spec(text: str, default_seed: int) -> dict:
         if key not in ("n", "m", "pieces", "seed") or not value:
             raise _UsageError(f"bad --random entry {part!r} (expected n=, m=, pieces=, seed=)")
         spec[key] = int(value)
+    if spec["seed"] < 0:
+        raise _UsageError(f"--random seed must be nonnegative, got {spec['seed']}")
     for key in ("n", "m", "pieces"):
         if key not in spec:
             raise _UsageError(f"--random is missing '{key}='")
@@ -96,22 +99,16 @@ def _load_function(args, ncp=None):
 
 
 def _selection_payload(sel) -> dict:
-    return {
-        "convention": sel.convention,
-        "components": [
-            {
-                "g_active": list(c.g_active),
-                "h_active": list(c.h_active),
-                "g_chain": [list(level) for level in c.g_chain],
-                "h_chain": [list(level) for level in c.h_chain],
-                "g_selected": list(c.g_selected),
-                "h_selected": list(c.h_selected),
-                "chosen_g": c.chosen_g,
-                "chosen_h": c.chosen_h,
-            }
-            for c in sel.components
-        ],
-    }
+    components = []
+    for c in sel.components:
+        payload = {}
+        for name, term in (("g", c.g), ("h", c.h)):
+            payload[f"{name}_active"] = list(term.active)
+            payload[f"{name}_chain"] = term.piece_chain
+            payload[f"{name}_selected"] = list(term.selected)
+            payload[f"chosen_{name}"] = term.chosen
+        components.append(payload)
+    return {"convention": sel.convention, "components": components}
 
 
 def _select(args):
@@ -139,13 +136,16 @@ def cmd_jac(args) -> int:
     else:
         print(f"xi = {elem.xi.tolist()}")
         for i, c in enumerate(elem.provenance.components):
-            g_chain = " > ".join(str(list(level)) for level in c.g_chain)
-            h_chain = " > ".join(str(list(level)) for level in c.h_chain)
-            print(f"component {i}: g chain {g_chain} (chose {c.chosen_g})")
-            print(f"component {i}: h chain {h_chain} (chose {c.chosen_h})")
+            for name, term in (("g", c.g), ("h", c.h)):
+                chain = " > ".join(str(level) for level in term.piece_chain)
+                print(f"component {i}: {name} chain {chain} (chose {term.chosen})")
         print(f"difference vectors: {witness.diffs.count}")
         print(f"witness direction: {witness.y_bar.tolist()}")
     return EXIT_OK
+
+
+def _status(passed: bool | None) -> str:
+    return "inconclusive" if passed is None else ("pass" if passed else "fail")
 
 
 def cmd_verify(args) -> int:
@@ -154,18 +154,14 @@ def cmd_verify(args) -> int:
 
     wrep = check_witness(witness)
     checks["witness_validity"] = {
-        "status": "pass" if wrep.passed else "fail",
+        "status": _status(wrep.passed),
         "count": wrep.count,
         "min_margin": float(np.min(wrep.margins)) if wrep.count else None,
     }
 
     cone = verify_cone_linearity(elem, witness, samples=args.samples, seed=args.seed)
     checks["cone_linearity"] = {
-        "status": (
-            "inconclusive"
-            if cone.status == "inconclusive"
-            else ("pass" if cone.passed else "fail")
-        ),
+        "status": _status(None if cone.status == "inconclusive" else cone.passed),
         "kept": cone.kept,
         "samples": cone.samples,
         "max_discrepancy": cone.max_discrepancy,
@@ -174,11 +170,7 @@ def cmd_verify(args) -> int:
 
     limit = verify_limit_inclusion(F, x, elem, witness.y_bar)
     checks["limit_inclusion"] = {
-        "status": (
-            "inconclusive"
-            if limit.status == "degenerate"
-            else ("pass" if limit.passed else "fail")
-        ),
+        "status": _status(None if limit.status == "degenerate" else limit.passed),
         "final_distance": limit.final_distance,
         "tolerance": limit.tolerance,
         "points": [
@@ -195,9 +187,8 @@ def cmd_verify(args) -> int:
             tol_act=args.tol_act,
         )
         cert = hull_membership(elem.xi, matrices)
-        status = "inconclusive" if cert.member is None else ("pass" if cert.member else "fail")
         checks["hull_membership"] = {
-            "status": status,
+            "status": _status(cert.member),
             "member": cert.member,
             "weights": cert.weights.tolist(),
             "violation": cert.violation,
@@ -350,7 +341,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_attach_vector_values(argv))
     try:
+        for option in ("samples", "seed"):
+            if getattr(args, option, 0) < 0:
+                raise _UsageError(f"--{option} must be nonnegative, got {getattr(args, option)}")
         return args.func(args)
+    except ConventionMismatchError as exc:
+        hint = "the tie tolerance merged gradients that differ; try a smaller --tol-tie"
+        print(f"error: {exc}: {hint}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except RecursionError as exc:
+        print(f"error: expression nested too deeply ({exc})", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:
         # ParseError, SchemaError, usage and dimension errors all land here
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Certified Clarke generalized Jacobian elements for F = G - H.
 
-The selection walks the active gradients of every max term coordinate by
-coordinate, keeping at step l only the gradients whose l-th component is
-extremal (minimal or maximal, by convention).  The surviving gradients
-coincide, and the row built from any survivor of G minus any survivor of H
-is an element of the Clarke generalized Jacobian of F.
+The Huang-Ma step runs once per max term: coordinate by coordinate it keeps
+only the active gradients whose l-th component is extremal (minimal or
+maximal, by convention), and the survivors coincide.  F = G - H takes this
+step on g_i and on h_i under one convention and subtracts the two selected
+rows, which gives an element of the Clarke generalized Jacobian of F.
 
 The module also exposes the constructions that certify this: the
 difference vectors between rejected and selected gradients, a witness
@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, ActiveSet, DCMaxFn, MaxFn, active_set
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set
 from .oracle import _ball_samples, _check_t_schedule
 
 __all__ = [
     "DEFAULT_TOL_TIE",
+    "TermSelection",
     "ComponentSelection",
     "SelectionResult",
     "JacobianElement",
@@ -49,27 +50,53 @@ _CONVENTIONS = ("min", "max")
 
 
 class ConventionMismatchError(ValueError):
-    """A difference vector's leading sign contradicts the convention used;
-    this signals a bug in the upstream selection, not bad user input."""
+    """A difference vector's leading sign contradicts the convention used:
+    a tolerance merged gradients that differ (tol_tie, or the 1e-12 zero
+    threshold of the leading-sign test), so valid input can reach it."""
+
+
+@dataclass(frozen=True)
+class TermSelection:
+    """The Huang-Ma step on one max term at x.  ``chain`` is the filtration
+    as ``lexicographic_chain`` returns it, in positions into ``active``;
+    ``active`` ascends, so positions and piece indices order alike."""
+
+    active: tuple[int, ...]  # pieces within tol_act of the maximum
+    chain: tuple[tuple[int, ...], ...]
+    max_value: float  # the term's value at x, reduced as MaxFn.eval does
+    grads: np.ndarray = field(compare=False, repr=False)  # one row per active piece
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(self.active[k] for k in self.chain[-1])
+
+    @property
+    def chosen(self) -> int:  # smallest selected piece; any survivor gives the same row
+        return self.active[self.chain[-1][0]]
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.grads[self.chain[-1][0]]
+
+    @property
+    def piece_chain(self) -> list[list[int]]:  # built only where it is printed
+        return [[self.active[k] for k in level] for level in self.chain]
 
 
 @dataclass(frozen=True)
 class ComponentSelection:
-    """Selection bookkeeping for one component of F (piece indices)."""
+    """Component i: the step on g_i and on h_i; its row and value subtract them."""
 
-    g_active: tuple[int, ...]
-    h_active: tuple[int, ...]
-    g_chain: tuple[tuple[int, ...], ...]  # nested filtration, level 0 = active set
-    h_chain: tuple[tuple[int, ...], ...]
-    g_selected: tuple[int, ...]  # final level of g_chain
-    h_selected: tuple[int, ...]
-    chosen_g: int  # smallest selected index; any survivor gives the same row
-    chosen_h: int
-    g_max: float  # value of the max term at x, reduced as MaxFn.eval does
-    h_max: float
-    # active-gradient rows at x, one per index of g_active / h_active
-    g_grads: np.ndarray = field(compare=False, repr=False)
-    h_grads: np.ndarray = field(compare=False, repr=False)
+    g: TermSelection
+    h: TermSelection
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.g.row - self.h.row
+
+    @property
+    def value(self) -> float:  # bitwise eval_F
+        return self.g.max_value - self.h.max_value
 
 
 @dataclass(frozen=True)
@@ -159,9 +186,11 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
     return chain
 
 
-def _active_gradients(f: MaxFn, x, tol_act: float) -> tuple[ActiveSet, np.ndarray]:
+def _select_term(f: MaxFn, x, tol_act: float, tol_tie: float, convention: str) -> TermSelection:
     act = active_set(f, x, tol_act)
-    return act, np.array([f.pieces[j].grad(x) for j in act.indices])
+    grads = np.array([f.pieces[j].grad(x) for j in act.indices])
+    chain = tuple(lexicographic_chain(grads, convention, tol_tie))
+    return TermSelection(act.indices, chain, max(act.values), grads)
 
 
 def clarke_jacobian_element(
@@ -182,42 +211,12 @@ def clarke_jacobian_element(
     """
     _check_convention(convention)
     x = np.asarray(x, dtype=float)
-    rows = []
-    comps = []
-    for i in range(F.m):
-        act_g, grads_g = _active_gradients(F.g[i], x, tol_act)
-        act_h, grads_h = _active_gradients(F.h[i], x, tol_act)
-        level_g = lexicographic_chain(grads_g, convention, tol_tie)
-        level_h = lexicographic_chain(grads_h, convention, tol_tie)
-        chain_g, chain_h = _to_piece_indices(level_g, act_g), _to_piece_indices(level_h, act_h)
-        sel_g, sel_h = chain_g[-1], chain_h[-1]
-        chosen_g, chosen_h = min(sel_g), min(sel_h)
-        # active indices ascend, so the smallest survivor position is chosen_*'s row
-        rows.append(grads_g[min(level_g[-1])] - grads_h[min(level_h[-1])])
-        comps.append(
-            ComponentSelection(
-                g_active=act_g.indices,
-                h_active=act_h.indices,
-                g_chain=chain_g,
-                h_chain=chain_h,
-                g_selected=sel_g,
-                h_selected=sel_h,
-                chosen_g=chosen_g,
-                chosen_h=chosen_h,
-                g_max=max(act_g.values),
-                h_max=max(act_h.values),
-                g_grads=grads_g,
-                h_grads=grads_h,
-            )
-        )
-    sel = SelectionResult(
-        components=tuple(comps), convention=convention, tol_act=tol_act, tol_tie=tol_tie
+    comps = tuple(
+        ComponentSelection(*(_select_term(f, x, tol_act, tol_tie, convention) for f in terms))
+        for terms in zip(F.g, F.h)
     )
-    return JacobianElement(xi=np.array(rows), provenance=sel)
-
-
-def _to_piece_indices(chain, act: ActiveSet):
-    return tuple(tuple(act.indices[i] for i in level) for level in chain)
+    sel = SelectionResult(comps, convention, tol_act, tol_tie)
+    return JacobianElement(xi=np.array([c.row for c in comps]), provenance=sel)
 
 
 def selection_differences(sel: SelectionResult) -> DifferenceVectors:
@@ -229,21 +228,20 @@ def selection_differences(sel: SelectionResult) -> DifferenceVectors:
     """
     vectors: list[np.ndarray] = []
     for comp in sel.components:
-        _collect_differences(comp.g_grads, comp.g_active, comp.g_selected, vectors)
-        _collect_differences(comp.h_grads, comp.h_active, comp.h_selected, vectors)
-    n = sel.components[0].g_grads.shape[1]
+        for term in (comp.g, comp.h):
+            _collect_differences(term, vectors)
+    n = sel.components[0].g.grads.shape[1]
     mat = np.array(vectors) if vectors else np.zeros((0, n))
     return DifferenceVectors(vectors=mat, convention=sel.convention)
 
 
-def _collect_differences(rows: np.ndarray, active, selected, out: list[np.ndarray]) -> None:
-    rejected = [j for j in active if j not in selected]
-    if not rejected:
-        return
-    grads = dict(zip(active, rows))
-    for j in rejected:
-        for t in selected:
-            alpha = grads[j] - grads[t]
+def _collect_differences(term: TermSelection, out: list[np.ndarray]) -> None:
+    survivors = term.chain[-1]
+    for j, row in enumerate(term.grads):
+        if j in survivors:
+            continue
+        for t in survivors:
+            alpha = row - term.grads[t]
             if np.max(np.abs(alpha)) <= 1e-12:
                 continue  # numerically zero difference certifies nothing
             if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in out):
@@ -375,7 +373,8 @@ def verify_cone_linearity(
 
     dd = np.empty((kept, xi.xi.shape[0]))
     for i, comp in enumerate(xi.provenance.components):
-        dd[:, i] = np.max(comp.g_grads @ ys.T, axis=0) - np.max(comp.h_grads @ ys.T, axis=0)
+        dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
+        dd[:, i] = dd_g - dd_h
     lin = ys @ xi.xi.T
     disc = np.abs(dd - lin)
     allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
@@ -440,15 +439,13 @@ def verify_limit_inclusion(
         z = x + t * y_bar
         rows = []
         degenerate = False
-        for i in range(F.m):
-            act_g = active_set(F.g[i], z, tol_act)
-            act_h = active_set(F.h[i], z, tol_act)
-            if len(act_g.indices) != 1 or len(act_h.indices) != 1:
+        for terms in zip(F.g, F.h):
+            actives = [active_set(f, z, tol_act).indices for f in terms]
+            if any(len(act) != 1 for act in actives):
                 degenerate = True
                 break
-            rows.append(
-                F.g[i].pieces[act_g.indices[0]].grad(z) - F.h[i].pieces[act_h.indices[0]].grad(z)
-            )
+            g_row, h_row = (f.pieces[act[0]].grad(z) for f, act in zip(terms, actives))
+            rows.append(g_row - h_row)
         if degenerate:
             points.append(LimitPoint(t=t, degenerate=True, distance=None))
             continue

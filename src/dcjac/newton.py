@@ -115,7 +115,7 @@ def solve(
     for _ in range(max_iters + 1):
         elem = clarke_jacobian_element(F, x, tol_act, tol_tie, convention)
         # bitwise eval_F(F, x): the selection already reduced every max term
-        F_x = np.array([c.g_max - c.h_max for c in elem.provenance.components])
+        F_x = np.array([c.value for c in elem.provenance.components])
         residual = float(np.max(np.abs(F_x)))
         xi = elem.xi
         if res0 is None:

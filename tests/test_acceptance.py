@@ -129,13 +129,13 @@ def test_criterion_5_gradient_coincidence(selections):
             elem, _, _ = per_conv[conv]
             for i, comp in enumerate(elem.provenance.components):
                 row_variants = []
-                for fn, selected in ((F.g[i], comp.g_selected), (F.h[i], comp.h_selected)):
+                for fn, selected in ((F.g[i], comp.g.selected), (F.h[i], comp.h.selected)):
                     grads = np.array([fn.pieces[j].grad(x) for j in selected])
                     mag = np.max(np.abs(grads))
                     spread = np.max(grads.max(axis=0) - grads.min(axis=0))
                     assert spread <= 1e-9 * (1.0 + mag), f"instance {seed} ({conv})"
-                for jj in comp.g_selected:
-                    for kk in comp.h_selected:
+                for jj in comp.g.selected:
+                    for kk in comp.h.selected:
                         row_variants.append(
                             F.g[i].pieces[jj].grad(x) - F.h[i].pieces[kk].grad(x)
                         )

@@ -99,6 +99,39 @@ class TestJac:
         assert code == 3
         assert "overflow" in err
 
+    @pytest.mark.parametrize(
+        "piece",
+        ["(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1", " + ".join(["x1"] * 20000)],
+        ids=["parentheses", "minus-signs", "long-sum"],
+    )
+    def test_deep_nesting_exits_2(self, capsys, tmp_path, piece):
+        prob = tmp_path / "deep.json"
+        prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": [piece]}]}))
+        code, out, err = run(capsys, ["jac", "-p", str(prob), "-x", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expression nested too deeply")
+
+    @pytest.mark.parametrize(
+        "pieces, tol_tie, smaller",
+        [
+            (["5e-10*x1", "x2"], None, "0"),
+            (["0", "0.5*x1 + x2", "0.4*x1 + 5*x2"], "1.0", "0.01"),
+        ],
+    )
+    def test_tie_tolerance_merging_distinct_gradients_exits_2(
+        self, capsys, tmp_path, pieces, tol_tie, smaller
+    ):
+        prob = tmp_path / "merged.json"
+        prob.write_text(json.dumps({"n": 2, "m": 1, "components": [{"g": pieces}]}))
+        argv = ["jac", "-p", str(prob), "-x", "0,0", "--json"]
+        code, out, err = run(capsys, argv + (["--tol-tie", tol_tie] if tol_tie else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "the tie tolerance merged gradients that differ" in err
+        assert "try a smaller --tol-tie" in err
+        code, _, err = run(capsys, argv + ["--tol-tie", smaller])
+        assert (code, err) == (0, "")
+
     def test_no_problem_source_exits_2(self, capsys):
         code, _, err = run(capsys, ["jac", "-x", "0"])
         assert code == 2
@@ -236,6 +269,16 @@ class TestBadNumericOptions:
             (["jac", *_SPEC3, "--tol-tie", "nan"], "tol_tie must be nonnegative"),
             (["newton", *_SPEC2, "--tol", "nan"], "tol must be positive"),
             (["newton", *_SPEC2, "--max-iters", "-1"], "max_iters must be nonnegative"),
+            (["verify", *_SPEC3, "--samples", "-5"], "--samples must be nonnegative"),
+            (["verify", *_SPEC3, "--seed", "-1"], "--seed must be nonnegative"),
+            (
+                ["jac", "--random", "n=3,m=3,pieces=4", "-x", "0,0,0", "--seed", "-1"],
+                "--seed must be nonnegative",
+            ),
+            (
+                ["jac", "--random", "n=3,m=3,pieces=4,seed=-1", "-x", "0,0,0"],
+                "--random seed must be nonnegative",
+            ),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, argv, message):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import load_problem
+from dcjac.dcmax import active_set, load_problem
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     ConventionMismatchError,
@@ -122,7 +124,7 @@ class TestClarkeElement:
         elem = clarke_jacobian_element(F, [0.0], convention="min")
         assert elem.xi.tolist() == [[1.0]]
         comp = elem.provenance.components[0]
-        assert comp.g_selected == (1,) and comp.h_selected == (1,)
+        assert comp.g.selected == (1,) and comp.h.selected == (1,)
         assert clarke_jacobian_element(F, [0.0], convention="max").xi.tolist() == [[-1.0]]
 
     def test_two_dimensional_instance_lies_in_brute_force_hull(self):
@@ -142,7 +144,7 @@ class TestClarkeElement:
         x = np.zeros(3)
         elem = clarke_jacobian_element(F, x)
         for i, comp in enumerate(elem.provenance.components):
-            row = F.g[i].pieces[comp.chosen_g].grad(x) - F.h[i].pieces[comp.chosen_h].grad(x)
+            row = F.g[i].pieces[comp.g.chosen].grad(x) - F.h[i].pieces[comp.h.chosen].grad(x)
             np.testing.assert_array_equal(elem.xi[i], row)
 
     def test_gradient_coincidence_on_random_instances(self):
@@ -152,7 +154,7 @@ class TestClarkeElement:
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 for i, comp in enumerate(elem.provenance.components):
-                    for fn, selected in ((F.g[i], comp.g_selected), (F.h[i], comp.h_selected)):
+                    for fn, selected in ((F.g[i], comp.g.selected), (F.h[i], comp.h.selected)):
                         grads = np.array([fn.pieces[j].grad(x) for j in selected])
                         mag = np.max(np.abs(grads))
                         assert np.max(grads.max(axis=0) - grads.min(axis=0)) <= 1e-9 * (1.0 + mag)
@@ -217,12 +219,34 @@ class TestSelectionRecord:
                 sel = clarke_jacobian_element(F, x, convention=conv).provenance
                 for i, comp in enumerate(sel.components):
                     for f, active, rows in (
-                        (F.g[i], comp.g_active, comp.g_grads),
-                        (F.h[i], comp.h_active, comp.h_grads),
+                        (F.g[i], comp.g.active, comp.g.grads),
+                        (F.h[i], comp.h.active, comp.h.grads),
                     ):
                         assert rows.shape == (len(active), F.n)
                         for j, row in zip(active, rows):
                             assert_bits_equal(row, f.pieces[j].grad(x))
+
+    def test_record_stores_only_what_it_cannot_derive(self):
+        fields = [f.name for f in dataclasses.fields(jacobian.TermSelection)]
+        assert fields == ["active", "chain", "max_value", "grads"]
+        assert [f.name for f in dataclasses.fields(jacobian.ComponentSelection)] == ["g", "h"]
+
+    def test_derived_values_follow_the_filtration(self):
+        for F, x in _record_cases():
+            for conv in ("min", "max"):
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                for i, comp in enumerate(elem.provenance.components):
+                    for f, term in ((F.g[i], comp.g), (F.h[i], comp.h)):
+                        assert term.active == active_set(f, x).indices
+                        want = full_lexicographic_chain(term.grads, conv, jacobian.DEFAULT_TOL_TIE)
+                        assert term.chain == tuple(want)
+                        pieces = [[term.active[k] for k in level] for level in want]
+                        assert term.piece_chain == pieces
+                        assert term.selected == tuple(pieces[-1])
+                        assert term.chosen == min(term.selected)
+                        assert_bits_equal(term.row, f.pieces[term.chosen].grad(x))
+                        assert_bits_equal(term.max_value, f.eval(x))
+                    assert_bits_equal(elem.xi[i], comp.g.row - comp.h.row)
 
     def test_rows_stay_out_of_equality_and_repr(self):
         F = load_problem(ABS_DOC)

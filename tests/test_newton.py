@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dcjac.jacobian as jacobian
 from dcjac.dcmax import eval_F, load_problem
 from dcjac.newton import build_ncp, ncp_residual, solve
 from util import ABS_DOC, assert_bits_equal
@@ -99,6 +100,14 @@ class TestSolve:
         trace = solve(F, x0, max_iters=5)
         for s in trace.steps:
             assert_bits_equal(s.F_x, eval_F(F, s.x))
+
+    def test_piece_index_levels_never_built(self, monkeypatch):
+        def fail(term):
+            raise AssertionError("piece-index levels built")
+
+        monkeypatch.setattr(jacobian.TermSelection, "piece_chain", property(fail))
+        M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert solve(build_ncp(M, np.array([-3.0, -3.0, 0.0])), np.zeros(3)).status == "converged"
 
     def test_json_lines_roundtrip(self):
         trace = solve(load_problem(ROOT_DOC), [5.0])

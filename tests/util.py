@@ -191,8 +191,8 @@ def reference_selection_differences(F, x, sel) -> DifferenceVectors:
     vectors: list[np.ndarray] = []
     for i, comp in enumerate(sel.components):
         for f, active, selected in (
-            (F.g[i], comp.g_active, comp.g_selected),
-            (F.h[i], comp.h_active, comp.h_selected),
+            (F.g[i], comp.g.active, comp.g.selected),
+            (F.h[i], comp.h.active, comp.h.selected),
         ):
             rejected = [j for j in active if j not in selected]
             if not rejected:
