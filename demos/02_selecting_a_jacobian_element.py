@@ -32,12 +32,12 @@ doc = {"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"], "h": ["x1"
 F2 = load_problem(doc)
 x = np.zeros(2)
 elem = clarke_jacobian_element(F2, x)
-comp = elem.provenance.components[0]
+comp = elem.components[0]
 for name, term in (("g", comp.g), ("h", comp.h)):
     print(f"active {name} pieces:", list(term.active), "filtration:", term.piece_chain)
 print("xi =", elem.xi.tolist())
 
-diffs = selection_differences(elem.provenance)
+diffs = selection_differences(elem)
 print("difference vectors (rejected - selected):")
 print(diffs.vectors)
 
@@ -52,7 +52,7 @@ print("== certifying the element ==")
 cone = verify_cone_linearity(elem, witness, samples=500)
 print(f"cone linearity: kept {cone.kept}/{cone.samples} directions, "
       f"max discrepancy {cone.max_discrepancy:.2e} -> passed {cone.passed}")
-limit = verify_limit_inclusion(F2, x, elem, witness.y_bar)
+limit = verify_limit_inclusion(F2, x, elem, witness)
 print("classical Jacobians along the witness ray:")
 for p in limit.points:
     tag = "degenerate" if p.degenerate else f"distance {p.distance:.2e}"

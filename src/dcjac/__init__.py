@@ -20,7 +20,6 @@ from .jacobian import (
     ConventionMismatchError,
     DifferenceVectors,
     JacobianElement,
-    SelectionResult,
     WitnessDirection,
     check_witness,
     clarke_jacobian_element,
@@ -55,7 +54,6 @@ __all__ = [
     "NewtonTrace",
     "ParseError",
     "SchemaError",
-    "SelectionResult",
     "SmoothFn",
     "WitnessDirection",
     "active_set",

@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -66,12 +67,18 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_random_spec(text: str, default_seed: int) -> dict:
-    spec = {"seed": default_seed}
+    spec = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         if key not in ("n", "m", "pieces", "seed") or not value:
             raise _UsageError(f"bad --random entry {part!r} (expected n=, m=, pieces=, seed=)")
-        spec[key] = int(value)
+        if key in spec:
+            raise _UsageError(f"bad --random entry {part!r}: '{key}=' is given twice")
+        try:
+            spec[key] = int(value)
+        except ValueError:
+            raise _UsageError(f"bad --random entry {part!r}: expected an integer") from None
+    spec.setdefault("seed", default_seed)
     if spec["seed"] < 0:
         raise _UsageError(f"--random seed must be nonnegative, got {spec['seed']}")
     for key in ("n", "m", "pieces"):
@@ -80,10 +87,22 @@ def _parse_random_spec(text: str, default_seed: int) -> dict:
     return spec
 
 
+def _read_csv(path: str) -> np.ndarray:
+    """The numbers in one CSV file; a bad cell, ragged rows or no data at
+    all is an input error that names the file."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=float)
+        except ValueError as exc:
+            raise _UsageError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise _UsageError(f"{path}: no data")
+    return data
+
+
 def _read_ncp(m_path: str, q_path: str) -> tuple[np.ndarray, np.ndarray]:
-    M = np.atleast_2d(np.loadtxt(m_path, delimiter=",", dtype=float))
-    q = np.atleast_1d(np.loadtxt(q_path, delimiter=",", dtype=float))
-    return M, q
+    return np.atleast_2d(_read_csv(m_path)), np.atleast_1d(_read_csv(q_path))
 
 
 def _load_function(args, ncp=None):
@@ -98,9 +117,9 @@ def _load_function(args, ncp=None):
     return load_problem_file(args.problem)
 
 
-def _selection_payload(sel) -> dict:
+def _selection_payload(elem) -> dict:
     components = []
-    for c in sel.components:
+    for c in elem.components:
         payload = {}
         for name, term in (("g", c.g), ("h", c.h)):
             payload[f"{name}_active"] = list(term.active)
@@ -108,7 +127,7 @@ def _selection_payload(sel) -> dict:
             payload[f"{name}_selected"] = list(term.selected)
             payload[f"chosen_{name}"] = term.chosen
         components.append(payload)
-    return {"convention": sel.convention, "components": components}
+    return {"convention": elem.convention, "components": components}
 
 
 def _select(args):
@@ -117,7 +136,7 @@ def _select(args):
     F = _load_function(args)
     x = _parse_vector(args.point)
     elem = clarke_jacobian_element(F, x, args.tol_act, args.tol_tie, args.convention)
-    return F, x, elem, witness_direction(selection_differences(elem.provenance))
+    return F, x, elem, witness_direction(selection_differences(elem))
 
 
 def cmd_jac(args) -> int:
@@ -127,7 +146,7 @@ def cmd_jac(args) -> int:
         "point": x.tolist(),
         "convention": args.convention,
         "xi": elem.xi.tolist(),
-        "selection": _selection_payload(elem.provenance),
+        "selection": _selection_payload(elem),
         "gamma_count": witness.diffs.count,
         "y_bar": witness.y_bar.tolist(),
     }
@@ -135,7 +154,7 @@ def cmd_jac(args) -> int:
         print(_dump(payload))
     else:
         print(f"xi = {elem.xi.tolist()}")
-        for i, c in enumerate(elem.provenance.components):
+        for i, c in enumerate(elem.components):
             for name, term in (("g", c.g), ("h", c.h)):
                 chain = " > ".join(str(level) for level in term.piece_chain)
                 print(f"component {i}: {name} chain {chain} (chose {term.chosen})")
@@ -161,16 +180,16 @@ def cmd_verify(args) -> int:
 
     cone = verify_cone_linearity(elem, witness, samples=args.samples, seed=args.seed)
     checks["cone_linearity"] = {
-        "status": _status(None if cone.status == "inconclusive" else cone.passed),
+        "status": _status(cone.passed),
         "kept": cone.kept,
         "samples": cone.samples,
         "max_discrepancy": cone.max_discrepancy,
         "tolerance_at_max": cone.tolerance_at_max,
     }
 
-    limit = verify_limit_inclusion(F, x, elem, witness.y_bar)
+    limit = verify_limit_inclusion(F, x, elem, witness)
     checks["limit_inclusion"] = {
-        "status": _status(None if limit.status == "degenerate" else limit.passed),
+        "status": _status(limit.passed),
         "final_distance": limit.final_distance,
         "tolerance": limit.tolerance,
         "points": [

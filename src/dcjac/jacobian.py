@@ -15,6 +15,7 @@ along its cone and nearby classical Jacobians reproduce the element.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "DEFAULT_TOL_TIE",
     "TermSelection",
     "ComponentSelection",
-    "SelectionResult",
     "JacobianElement",
     "DifferenceVectors",
     "WitnessDirection",
@@ -100,20 +100,19 @@ class ComponentSelection:
 
 
 @dataclass(frozen=True)
-class SelectionResult:
+class JacobianElement:
+    """An m-by-n element of the Clarke generalized Jacobian: the step on
+    every component under one convention and one pair of tolerances."""
+
     components: tuple[ComponentSelection, ...]
     convention: str
     tol_act: float
     tol_tie: float
 
-
-@dataclass(frozen=True)
-class JacobianElement:
-    """An m-by-n element of the Clarke generalized Jacobian with its
-    selection provenance."""
-
-    xi: np.ndarray
-    provenance: SelectionResult
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        """The element, row i being ``components[i].row``; built once."""
+        return np.array([c.row for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -215,24 +214,23 @@ def clarke_jacobian_element(
         ComponentSelection(*(_select_term(f, x, tol_act, tol_tie, convention) for f in terms))
         for terms in zip(F.g, F.h)
     )
-    sel = SelectionResult(comps, convention, tol_act, tol_tie)
-    return JacobianElement(xi=np.array([c.row for c in comps]), provenance=sel)
+    return JacobianElement(comps, convention, tol_act, tol_tie)
 
 
-def selection_differences(sel: SelectionResult) -> DifferenceVectors:
-    """All rejected-minus-selected gradient differences for a selection,
+def selection_differences(elem: JacobianElement) -> DifferenceVectors:
+    """All rejected-minus-selected gradient differences for an element,
     taken from the active-gradient rows it stores, under its convention.
 
     Vectors equal within 1e-12 componentwise are deduplicated.  Empty when
     every active gradient survived (e.g. smooth F).
     """
     vectors: list[np.ndarray] = []
-    for comp in sel.components:
+    for comp in elem.components:
         for term in (comp.g, comp.h):
             _collect_differences(term, vectors)
-    n = sel.components[0].g.grads.shape[1]
+    n = elem.components[0].g.grads.shape[1]
     mat = np.array(vectors) if vectors else np.zeros((0, n))
-    return DifferenceVectors(vectors=mat, convention=sel.convention)
+    return DifferenceVectors(vectors=mat, convention=elem.convention)
 
 
 def _collect_differences(term: TermSelection, out: list[np.ndarray]) -> None:
@@ -317,20 +315,18 @@ def check_witness(witness: WitnessDirection) -> WitnessReport:
 
 @dataclass(frozen=True)
 class ConeLinearityReport:
-    status: str  # "ok" | "inconclusive"
     samples: int
     kept: int
     max_discrepancy: float | None  # None when no direction was kept
     tolerance_at_max: float | None
-    passed: bool
+    passed: bool | None  # None (inconclusive) when no direction was kept
 
 
 def verify_cone_linearity(
-    xi: JacobianElement,
+    elem: JacobianElement,
     witness: WitnessDirection,
     samples: int = 200,
     seed: int = 42,
-    radius: float | None = None,
 ) -> ConeLinearityReport:
     """Sample directions near the witness and compare the directional
     derivative of F against the linear map given by the selected element.
@@ -340,21 +336,18 @@ def verify_cone_linearity(
     cone); on kept directions the two sides must agree within
     1e-8*(1+|y|) per component.  The directional derivative
     max_j grad_j'y - max_k grad_k'y is evaluated from the active-gradient
-    rows stored in ``xi.provenance`` (the selection's own active sets at
-    x), which do not depend on the direction.  The ball around
-    ``witness.y_bar`` has the given radius, by default half the smallest
-    distance from y_bar to a cone face.
+    rows stored in ``elem`` (the selection's own active sets at x), which
+    do not depend on the direction.  The ball around ``witness.y_bar`` has
+    radius half the smallest distance from y_bar to a cone face, or half
+    |y_bar| when there is no face.  With no kept direction the report is
+    inconclusive: ``passed`` is None.
     """
     y_bar = witness.y_bar
     A = witness.diffs.vectors
-
-    if radius is None:
-        if A.shape[0]:
-            margins = -(A @ y_bar)
-            norms = np.linalg.norm(A, axis=1)
-            radius = 0.5 * float(np.min(margins / norms))
-        else:
-            radius = 0.5 * float(np.linalg.norm(y_bar))
+    if A.shape[0]:
+        radius = 0.5 * float(np.min(-(A @ y_bar) / np.linalg.norm(A, axis=1)))
+    else:
+        radius = 0.5 * float(np.linalg.norm(y_bar))
 
     ys = _ball_samples(np.random.default_rng(seed), y_bar, radius, samples)
 
@@ -362,50 +355,41 @@ def verify_cone_linearity(
     ys = ys[inside]
     kept = int(ys.shape[0])
     if kept == 0:
-        return ConeLinearityReport(
-            status="inconclusive",
-            samples=samples,
-            kept=0,
-            max_discrepancy=None,
-            tolerance_at_max=None,
-            passed=False,
-        )
+        return ConeLinearityReport(samples, 0, None, None, None)
 
-    dd = np.empty((kept, xi.xi.shape[0]))
-    for i, comp in enumerate(xi.provenance.components):
+    dd = np.empty((kept, len(elem.components)))
+    for i, comp in enumerate(elem.components):
         dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
         dd[:, i] = dd_g - dd_h
-    lin = ys @ xi.xi.T
+    lin = ys @ elem.xi.T
     disc = np.abs(dd - lin)
     allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
     worst = int(np.argmax(disc - allowed))
     max_disc = float(disc.flat[worst])
     tol_at_max = float(np.broadcast_to(allowed, disc.shape).flat[worst])
     passed = bool(np.all(disc <= allowed))
-    return ConeLinearityReport(
-        status="ok",
-        samples=samples,
-        kept=kept,
-        max_discrepancy=max_disc,
-        tolerance_at_max=tol_at_max,
-        passed=passed,
-    )
+    return ConeLinearityReport(samples, kept, max_disc, tol_at_max, passed)
 
 
 @dataclass(frozen=True)
 class LimitPoint:
     t: float
-    degenerate: bool
-    distance: float | None
+    distance: float | None  # None at a degenerate point
+
+    @property
+    def degenerate(self) -> bool:
+        return self.distance is None
 
 
 @dataclass(frozen=True)
 class LimitInclusionReport:
-    status: str  # "ok" | "degenerate"
     points: tuple[LimitPoint, ...]
-    final_distance: float | None
     tolerance: float
-    passed: bool
+    passed: bool | None  # None (inconclusive) when every point is degenerate
+
+    @property
+    def final_distance(self) -> float | None:  # at the last usable point
+        return next((p.distance for p in reversed(self.points) if not p.degenerate), None)
 
 
 DEFAULT_T_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -414,26 +398,26 @@ DEFAULT_T_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 def verify_limit_inclusion(
     F: DCMaxFn,
     x,
-    xi: JacobianElement,
-    y_bar,
+    elem: JacobianElement,
+    witness: WitnessDirection,
     t_schedule=DEFAULT_T_SCHEDULE,
 ) -> LimitInclusionReport:
-    """Walk x + t*y_bar down the schedule and compare classical Jacobians
-    against the selected element.
+    """Walk x + t*y_bar (``witness.y_bar``) down the schedule and compare
+    classical Jacobians against the selected element.
 
     Points where some component's active sets, at the selection's tol_act,
     are not all singletons are skipped as degenerate.  Passes when the
     distance decreases (within tolerance) along the schedule and the last
     usable point is within 1e-6*(1+scale) of the element, where scale is
-    the largest classical Jacobian norm seen.
+    the largest classical Jacobian norm seen.  When every point is
+    degenerate the report is inconclusive: ``passed`` is None.
     """
     x = np.asarray(x, dtype=float)
-    y_bar = np.asarray(y_bar, dtype=float)
+    y_bar = witness.y_bar
     ts = _check_t_schedule(t_schedule)
 
-    tol_act = xi.provenance.tol_act
+    tol_act = elem.tol_act
     points: list[LimitPoint] = []
-    distances: list[float] = []
     scale = 0.0
     for t in ts:
         z = x + t * y_bar
@@ -447,29 +431,16 @@ def verify_limit_inclusion(
             g_row, h_row = (f.pieces[act[0]].grad(z) for f, act in zip(terms, actives))
             rows.append(g_row - h_row)
         if degenerate:
-            points.append(LimitPoint(t=t, degenerate=True, distance=None))
+            points.append(LimitPoint(t, None))
             continue
         jac = np.array(rows)
         scale = max(scale, float(np.linalg.norm(jac)))
-        dist = float(np.linalg.norm(jac - xi.xi))
-        distances.append(dist)
-        points.append(LimitPoint(t=t, degenerate=False, distance=dist))
+        points.append(LimitPoint(t, float(np.linalg.norm(jac - elem.xi))))
 
     tolerance = 1e-6 * (1.0 + scale)
-    if not distances:
-        return LimitInclusionReport(
-            status="degenerate",
-            points=tuple(points),
-            final_distance=None,
-            tolerance=tolerance,
-            passed=False,
-        )
-    monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
-    passed = bool(distances[-1] <= tolerance and monotone)
-    return LimitInclusionReport(
-        status="ok",
-        points=tuple(points),
-        final_distance=distances[-1],
-        tolerance=tolerance,
-        passed=passed,
-    )
+    distances = [p.distance for p in points if not p.degenerate]
+    passed = None
+    if distances:
+        monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
+        passed = bool(distances[-1] <= tolerance and monotone)
+    return LimitInclusionReport(tuple(points), tolerance, passed)

@@ -5,7 +5,16 @@ import pytest
 
 import dcjac.cli
 import dcjac.jacobian
+from dcjac import load_problem
 from dcjac.cli import main
+from dcjac.jacobian import (
+    check_witness,
+    clarke_jacobian_element,
+    selection_differences,
+    verify_cone_linearity,
+    verify_limit_inclusion,
+    witness_direction,
+)
 from util import ABS_DOC
 
 
@@ -170,6 +179,32 @@ class TestVerify:
         ) in out
         assert json.loads(out)["inconclusive"] == ["cone_linearity"]
 
+    @pytest.mark.parametrize(
+        "doc, samples, name",
+        [
+            (ABS_DOC, 0, "cone_linearity"),
+            ({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]}, 200, "limit_inclusion"),
+        ],
+    )
+    def test_inconclusive_lists_the_checks_whose_passed_is_none(
+        self, capsys, tmp_path, doc, samples, name
+    ):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "-p", str(path), "-x", "0", "--samples", str(samples), "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["inconclusive"] == [name]
+        F = load_problem(doc)
+        elem = clarke_jacobian_element(F, [0.0])
+        w = witness_direction(selection_differences(elem))
+        passed = {
+            "witness_validity": check_witness(w).passed,
+            "cone_linearity": verify_cone_linearity(elem, w, samples=samples).passed,
+            "limit_inclusion": verify_limit_inclusion(F, [0.0], elem, w).passed,
+        }
+        assert [k for k, v in passed.items() if v is None] == [name]
+
     def test_differences_computed_once(self, capsys, monkeypatch):
         calls = []
         original = dcjac.jacobian.selection_differences
@@ -279,6 +314,18 @@ class TestBadNumericOptions:
                 ["jac", "--random", "n=3,m=3,pieces=4,seed=-1", "-x", "0,0,0"],
                 "--random seed must be nonnegative",
             ),
+            (
+                ["jac", "--random", "n=x,m=3,pieces=4", "-x", "0,0,0"],
+                "bad --random entry 'n=x': expected an integer",
+            ),
+            (
+                ["jac", "--random", "n=1e3,m=3,pieces=4", "-x", "0,0,0"],
+                "bad --random entry 'n=1e3': expected an integer",
+            ),
+            (
+                ["jac", "--random", "n=3,n=4,m=1,pieces=2", "-x", "0,0,0"],
+                "bad --random entry 'n=4': 'n=' is given twice",
+            ),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, argv, message):
@@ -287,6 +334,7 @@ class TestBadNumericOptions:
         assert out == ""
         assert err.startswith("error:")
         assert message in err
+        assert err.count("\n") == 1
 
 
 class TestNewton:
@@ -340,6 +388,27 @@ class TestNewton:
         assert code2 == 0
         assert out1 == out2
         assert json.loads(out1.splitlines()[0])["x"] == [-1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2,a\n1,2\n", "could not convert string 'a'"),
+            ("2,1\n1\n", "number of columns changed"),
+            ("", "no data"),
+        ],
+        ids=["bad-cell", "ragged", "empty"],
+    )
+    @pytest.mark.parametrize("bad", ["M", "q"])
+    def test_bad_ncp_csv_names_the_file(self, capsys, tmp_path, bad, text, message):
+        paths = {}
+        for name, good in (("M", "2,1\n1,2\n"), ("q", "-3,-3\n")):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text if name == bad else good)
+        code, out, err = run(capsys, ["newton", "--ncp", str(paths["M"]), str(paths["q"])])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {paths[bad]}: ")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_non_finite_ncp_data_exits_2(self, capsys, tmp_path):
         m_csv = tmp_path / "M.csv"

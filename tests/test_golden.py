@@ -4,6 +4,9 @@ Every case runs one CLI command and compares its exit code and stdout with
 ``tests/golden/out/<case>.txt``.  The set covers ``jac`` (JSON and text,
 up to n = 8 so the padded filtration levels show), ``verify --json``,
 ``dd --json`` and ``newton --ncp``, each under both selection conventions.
+Every script in ``demos/`` is pinned the same way: it runs in-process
+with ``runpy.run_path`` and its stdout is compared with
+``tests/golden/out/demo_<script stem>.txt``.
 It pins the byte-identical output invariant across changes, where the
 determinism tests only compare two runs of the same code.
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -23,6 +27,7 @@ import pytest
 from dcjac.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 _TIES = ["-p", str(GOLDEN / "ties.json"), "-x", "0,0,0,0,0,0,0,0"]
 _CURVED = ["-p", str(GOLDEN / "curved.json"), "-x", "0,0"]
@@ -75,6 +80,19 @@ def test_stdout_matches_golden(name):
     assert out == (GOLDEN / "out" / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def _run_demo(path: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_matches_golden(path):
+    out = _run_demo(path)
+    assert out == (GOLDEN / "out" / f"demo_{path.stem}.txt").read_text(encoding="utf-8")
+
+
 def _record() -> None:
     (GOLDEN / "out").mkdir(exist_ok=True)
     for name, (argv, expected_code) in sorted(CASES.items()):
@@ -82,6 +100,8 @@ def _record() -> None:
         if code != expected_code:
             sys.exit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / "out" / f"{name}.txt").write_text(out, encoding="utf-8")
+    for path in DEMOS:
+        (GOLDEN / "out" / f"demo_{path.stem}.txt").write_text(_run_demo(path), encoding="utf-8")
 
 
 if __name__ == "__main__":

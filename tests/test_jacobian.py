@@ -123,7 +123,7 @@ class TestClarkeElement:
         F = load_problem(NEG_ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
         assert elem.xi.tolist() == [[1.0]]
-        comp = elem.provenance.components[0]
+        comp = elem.components[0]
         assert comp.g.selected == (1,) and comp.h.selected == (1,)
         assert clarke_jacobian_element(F, [0.0], convention="max").xi.tolist() == [[-1.0]]
 
@@ -143,7 +143,7 @@ class TestClarkeElement:
         F = random_affine_problem(3, 2, 4, seed=101)
         x = np.zeros(3)
         elem = clarke_jacobian_element(F, x)
-        for i, comp in enumerate(elem.provenance.components):
+        for i, comp in enumerate(elem.components):
             row = F.g[i].pieces[comp.g.chosen].grad(x) - F.h[i].pieces[comp.h.chosen].grad(x)
             np.testing.assert_array_equal(elem.xi[i], row)
 
@@ -153,7 +153,7 @@ class TestClarkeElement:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                for i, comp in enumerate(elem.provenance.components):
+                for i, comp in enumerate(elem.components):
                     for fn, selected in ((F.g[i], comp.g.selected), (F.h[i], comp.h.selected)):
                         grads = np.array([fn.pieces[j].grad(x) for j in selected])
                         mag = np.max(np.abs(grads))
@@ -174,12 +174,12 @@ class TestSelectionDifferences:
     def test_smooth_instance_has_none(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2"]}]})
         elem = clarke_jacobian_element(F, [0.0, 0.0])
-        assert selection_differences(elem.provenance).count == 0
+        assert selection_differences(elem).count == 0
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        diffs = selection_differences(elem.provenance)
+        diffs = selection_differences(elem)
         assert diffs.vectors.tolist() == [[2.0]]
 
     def test_deduplication(self):
@@ -187,7 +187,7 @@ class TestSelectionDifferences:
         doc = {"n": 1, "m": 2, "components": [{"g": ["x1", "-x1"]}, {"g": ["x1", "-x1"]}]}
         F = load_problem(doc)
         elem = clarke_jacobian_element(F, [0.0])
-        assert selection_differences(elem.provenance).count == 1
+        assert selection_differences(elem).count == 1
 
     def test_sign_property_both_conventions(self):
         for seed in range(40):
@@ -195,7 +195,7 @@ class TestSelectionDifferences:
             x = np.zeros(F.n)
             for conv, sign in (("min", 1.0), ("max", -1.0)):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                diffs = selection_differences(elem.provenance)
+                diffs = selection_differences(elem)
                 for alpha in diffs.vectors:
                     lead = alpha[np.flatnonzero(np.abs(alpha) > 1e-12)[0]]
                     assert sign * lead > 0.0
@@ -216,8 +216,8 @@ class TestSelectionRecord:
     def test_stored_rows_are_the_active_gradients(self):
         for F, x in _record_cases():
             for conv in ("min", "max"):
-                sel = clarke_jacobian_element(F, x, convention=conv).provenance
-                for i, comp in enumerate(sel.components):
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                for i, comp in enumerate(elem.components):
                     for f, active, rows in (
                         (F.g[i], comp.g.active, comp.g.grads),
                         (F.h[i], comp.h.active, comp.h.grads),
@@ -235,7 +235,7 @@ class TestSelectionRecord:
         for F, x in _record_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                for i, comp in enumerate(elem.provenance.components):
+                for i, comp in enumerate(elem.components):
                     for f, term in ((F.g[i], comp.g), (F.h[i], comp.h)):
                         assert term.active == active_set(f, x).indices
                         want = full_lexicographic_chain(term.grads, conv, jacobian.DEFAULT_TOL_TIE)
@@ -248,30 +248,38 @@ class TestSelectionRecord:
                         assert_bits_equal(term.max_value, f.eval(x))
                     assert_bits_equal(elem.xi[i], comp.g.row - comp.h.row)
 
+    def test_element_is_one_record_built_once(self):
+        fields = [f.name for f in dataclasses.fields(jacobian.JacobianElement)]
+        assert fields == ["components", "convention", "tol_act", "tol_tie"]
+        for F, x in _record_cases():
+            elem = clarke_jacobian_element(F, x, tol_act=1e-8, tol_tie=1e-10, convention="max")
+            assert (elem.convention, elem.tol_act, elem.tol_tie) == ("max", 1e-8, 1e-10)
+            assert elem.xi is elem.xi
+            assert_bits_equal(elem.xi, [comp.row for comp in elem.components])
+
     def test_rows_stay_out_of_equality_and_repr(self):
         F = load_problem(ABS_DOC)
-        a = clarke_jacobian_element(F, [0.0]).provenance.components[0]
-        b = clarke_jacobian_element(F, [0.0]).provenance.components[0]
+        a = clarke_jacobian_element(F, [0.0]).components[0]
+        b = clarke_jacobian_element(F, [0.0]).components[0]
         assert a == b
         assert "grads" not in repr(a)
 
     def test_differences_equal_reevaluated_reference(self):
         for F, x in _record_cases():
             for conv in ("min", "max"):
-                sel = clarke_jacobian_element(F, x, convention=conv).provenance
-                got = selection_differences(sel).vectors
-                assert_bits_equal(got, reference_selection_differences(F, x, sel).vectors)
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                got = selection_differences(elem).vectors
+                assert_bits_equal(got, reference_selection_differences(F, x, elem).vectors)
 
     def test_cone_linearity_equals_reevaluated_reference(self):
         for F, x in _record_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                w = witness_direction(selection_differences(elem.provenance))
-                for kwargs in ({}, {"samples": 50, "seed": 3, "radius": 2.0}):
+                w = witness_direction(selection_differences(elem))
+                for kwargs in ({}, {"samples": 50, "seed": 3}):
                     got = verify_cone_linearity(elem, w, **kwargs)
                     want = reference_cone_linearity(F, x, elem, w.y_bar, **kwargs)
-                    assert (got.status, got.samples, got.kept, got.passed) == (
-                        want.status,
+                    assert (got.samples, got.kept, got.passed) == (
                         want.samples,
                         want.kept,
                         want.passed,
@@ -329,7 +337,7 @@ class TestWitnessDirection:
         F = load_problem(ABS_DOC)
         for conv in ("min", "max"):
             elem = clarke_jacobian_element(F, [0.0], convention=conv)
-            diffs = selection_differences(elem.provenance)
+            diffs = selection_differences(elem)
             assert diffs.convention == conv
             w = witness_direction(diffs)
             assert w.diffs is diffs
@@ -342,7 +350,7 @@ class TestWitnessDirection:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                diffs = selection_differences(elem.provenance)
+                diffs = selection_differences(elem)
                 w = witness_direction(diffs)
                 report = check_witness(w)
                 assert report.passed
@@ -362,7 +370,7 @@ class TestConeLinearity:
         monkeypatch.setattr(jacobian, "selection_differences", counting)
         for F, x in _record_cases():
             elem = clarke_jacobian_element(F, x)
-            w = witness_direction(jacobian.selection_differences(elem.provenance))
+            w = witness_direction(jacobian.selection_differences(elem))
             calls.clear()
             verify_cone_linearity(elem, w, samples=20)
             assert calls == []
@@ -370,29 +378,24 @@ class TestConeLinearity:
     def test_no_kept_direction_gives_none(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0])
-        w = witness_direction(selection_differences(elem.provenance))
+        w = witness_direction(selection_differences(elem))
         report = verify_cone_linearity(elem, w, samples=0)
-        assert (report.status, report.samples, report.kept, report.passed) == (
-            "inconclusive",
-            0,
-            0,
-            False,
-        )
+        assert (report.samples, report.kept, report.passed) == (0, 0, None)
         assert report.max_discrepancy is None and report.tolerance_at_max is None
 
     def test_smooth_instance_exact(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["sin(x1) + x2"]}]})
         x = [0.3, 0.1]
         elem = clarke_jacobian_element(F, x)
-        w = witness_direction(selection_differences(elem.provenance))
+        w = witness_direction(selection_differences(elem))
         report = verify_cone_linearity(elem, w, samples=100, seed=0)
-        assert report.status == "ok" and report.kept == 100
+        assert report.kept == 100
         assert report.passed and report.max_discrepancy <= 1e-12
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(elem.provenance))
+        w = witness_direction(selection_differences(elem))
         report = verify_cone_linearity(elem, w)
         assert report.passed and report.max_discrepancy == 0.0
 
@@ -401,33 +404,66 @@ class TestConeLinearity:
             F = random_affine_problem(seed % 4 + 1, 2, 5, seed=seed)
             x = np.zeros(F.n)
             elem = clarke_jacobian_element(F, x)
-            w = witness_direction(selection_differences(elem.provenance))
+            w = witness_direction(selection_differences(elem))
             report = verify_cone_linearity(elem, w, samples=200)
-            assert report.status == "ok" and report.passed
+            assert report.passed is True
 
     def test_inconsistent_tie_tolerance_is_caught(self):
         # a huge tie tolerance merges gradients that do not coincide; the
         # linearity check must expose the broken selection
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0.5*x1"]}]})
         elem = clarke_jacobian_element(F, [0.0], tol_tie=1.0)
-        w = witness_direction(selection_differences(elem.provenance))
+        w = witness_direction(selection_differences(elem))
         report = verify_cone_linearity(elem, w)
-        assert report.status == "ok" and not report.passed
+        assert report.passed is False
+
+
+class TestVerdicts:
+    def test_reports_store_one_verdict(self):
+        names = {
+            cls: [f.name for f in dataclasses.fields(cls)]
+            for cls in (
+                jacobian.ConeLinearityReport,
+                jacobian.LimitPoint,
+                jacobian.LimitInclusionReport,
+            )
+        }
+        assert names == {
+            jacobian.ConeLinearityReport: [
+                "samples",
+                "kept",
+                "max_discrepancy",
+                "tolerance_at_max",
+                "passed",
+            ],
+            jacobian.LimitPoint: ["t", "distance"],
+            jacobian.LimitInclusionReport: ["points", "tolerance", "passed"],
+        }
+
+    def test_final_distance_is_the_last_usable_one(self):
+        points = (
+            jacobian.LimitPoint(1e-2, 3.0),
+            jacobian.LimitPoint(1e-3, 2.0),
+            jacobian.LimitPoint(1e-4, None),
+        )
+        report = jacobian.LimitInclusionReport(points, 1e-6, False)
+        assert [p.degenerate for p in points] == [False, False, True]
+        assert report.final_distance == 2.0
 
 
 class TestLimitInclusion:
     def test_smooth_instance(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["3*x1 - 2"]}]})
         elem = clarke_jacobian_element(F, [0.5])
-        w = witness_direction(selection_differences(elem.provenance))
-        report = verify_limit_inclusion(F, [0.5], elem, w.y_bar)
+        w = witness_direction(selection_differences(elem))
+        report = verify_limit_inclusion(F, [0.5], elem, w)
         assert report.passed and report.final_distance == 0.0
 
     def test_abs_at_origin(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
-        w = witness_direction(selection_differences(elem.provenance))
-        report = verify_limit_inclusion(F, [0.0], elem, w.y_bar)
+        w = witness_direction(selection_differences(elem))
+        report = verify_limit_inclusion(F, [0.0], elem, w)
         assert report.passed
         assert all(p.distance == 0.0 for p in report.points if not p.degenerate)
 
@@ -437,8 +473,8 @@ class TestLimitInclusion:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                w = witness_direction(selection_differences(elem.provenance))
-                report = verify_limit_inclusion(F, x, elem, w.y_bar)
+                w = witness_direction(selection_differences(elem))
+                report = verify_limit_inclusion(F, x, elem, w)
                 for p in report.points:
                     if not p.degenerate:
                         assert p.distance <= 1e-10
@@ -446,22 +482,26 @@ class TestLimitInclusion:
     def test_schedule_validation(self):
         F = load_problem(ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0])
+        w = witness_direction(selection_differences(elem))
         with pytest.raises(ValueError, match="decreasing"):
-            verify_limit_inclusion(F, [0.0], elem, [-1.0], t_schedule=(1e-3, 1e-2))
+            verify_limit_inclusion(F, [0.0], elem, w, t_schedule=(1e-3, 1e-2))
 
     def test_active_sets_use_the_selection_tolerance(self):
         # at x1 = -t the two pieces differ by 2t, inside the band 0.5*(1+t)
         # for every scheduled t: under tol_act=0.5 each point is a tie
         F = load_problem(ABS_DOC)
         loose = clarke_jacobian_element(F, [0.0], tol_act=0.5)
-        assert verify_limit_inclusion(F, [0.0], loose, [-1.0]).status == "degenerate"
+        w = witness_direction(selection_differences(loose))
+        assert w.y_bar.tolist() == [-1.0]
+        assert verify_limit_inclusion(F, [0.0], loose, w).passed is None
         strict = clarke_jacobian_element(F, [0.0])
-        assert verify_limit_inclusion(F, [0.0], strict, [-1.0]).passed
+        assert verify_limit_inclusion(F, [0.0], strict, w).passed
 
     def test_all_points_degenerate_reported(self):
         # duplicate pieces are never uniquely active anywhere
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]})
         elem = clarke_jacobian_element(F, [0.0])
-        report = verify_limit_inclusion(F, [0.0], elem, [-1.0])
-        assert report.status == "degenerate"
+        w = witness_direction(selection_differences(elem))
+        report = verify_limit_inclusion(F, [0.0], elem, w)
+        assert report.passed is None and report.final_distance is None
         assert all(p.degenerate for p in report.points)

@@ -184,12 +184,12 @@ def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
     return np.array([f.pieces[j].grad(x) for j in active_set(f, x, tol_act).indices])
 
 
-def reference_selection_differences(F, x, sel) -> DifferenceVectors:
+def reference_selection_differences(F, x, elem) -> DifferenceVectors:
     """Rejected-minus-selected differences with every gradient evaluated
     afresh from F at x: the reference for ``selection_differences``."""
     x = np.asarray(x, dtype=float)
     vectors: list[np.ndarray] = []
-    for i, comp in enumerate(sel.components):
+    for i, comp in enumerate(elem.components):
         for f, active, selected in (
             (F.g[i], comp.g.active, comp.g.selected),
             (F.h[i], comp.h.active, comp.h.selected),
@@ -206,18 +206,18 @@ def reference_selection_differences(F, x, sel) -> DifferenceVectors:
                     if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
                         vectors.append(alpha)
     mat = np.array(vectors) if vectors else np.zeros((0, F.n))
-    return DifferenceVectors(vectors=mat, convention=sel.convention)
+    return DifferenceVectors(vectors=mat, convention=elem.convention)
 
 
 def reference_cone_linearity(
-    F, x, xi, y_bar, samples=200, seed=42, radius=None, tol_act=DEFAULT_TOL_ACT
+    F, x, elem, y_bar, samples=200, seed=42, radius=None, tol_act=DEFAULT_TOL_ACT
 ) -> ConeLinearityReport:
     """Cone linearity check that recomputes active sets and gradients from
     F at x and samples the ball around y_bar inline: the reference for
     ``verify_cone_linearity``."""
     x = np.asarray(x, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
-    A = reference_selection_differences(F, x, xi.provenance).vectors
+    A = reference_selection_differences(F, x, elem).vectors
     g_grads = [_reference_active_gradients(F.g[i], x, tol_act) for i in range(F.m)]
     h_grads = [_reference_active_gradients(F.h[i], x, tol_act) for i in range(F.m)]
     if radius is None:
@@ -235,15 +235,14 @@ def reference_cone_linearity(
     kept = int(ys.shape[0])
     if kept == 0:
         nan = float("nan")
-        return ConeLinearityReport("inconclusive", samples, 0, nan, nan, False)
+        return ConeLinearityReport(samples, 0, nan, nan, None)
     dd = np.empty((kept, F.m))
     for i in range(F.m):
         dd[:, i] = np.max(g_grads[i] @ ys.T, axis=0) - np.max(h_grads[i] @ ys.T, axis=0)
-    disc = np.abs(dd - ys @ xi.xi.T)
+    disc = np.abs(dd - ys @ elem.xi.T)
     allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
     worst = int(np.argmax(disc - allowed))
     return ConeLinearityReport(
-        status="ok",
         samples=samples,
         kept=kept,
         max_discrepancy=float(disc.flat[worst]),
