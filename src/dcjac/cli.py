@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import warnings
@@ -111,7 +112,10 @@ def _load_function(args, ncp=None):
         spec = _parse_random_spec(args.random, args.seed)
         return random_affine_problem(**spec)
     if ncp is not None:
-        return build_ncp(*ncp)
+        try:
+            return build_ncp(*ncp)
+        except ValueError as exc:
+            raise _UsageError(f"{' and '.join(args.ncp)}: {exc}") from None
     if args.problem is None:
         raise _UsageError("no problem given: use -p/--problem, --random, or --ncp")
     return load_problem_file(args.problem)
@@ -163,6 +167,11 @@ def cmd_jac(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_none(value: float | None) -> float | None:
+    """JSON has no token for an infinity or a NaN; such a figure prints as null."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _status(passed: bool | None) -> str:
     return "inconclusive" if passed is None else ("pass" if passed else "fail")
 
@@ -190,10 +199,11 @@ def cmd_verify(args) -> int:
     limit = verify_limit_inclusion(F, x, elem, witness)
     checks["limit_inclusion"] = {
         "status": _status(limit.passed),
-        "final_distance": limit.final_distance,
-        "tolerance": limit.tolerance,
+        "final_distance": _finite_or_none(limit.final_distance),
+        "tolerance": _finite_or_none(limit.tolerance),
         "points": [
-            {"t": p.t, "degenerate": p.degenerate, "distance": p.distance} for p in limit.points
+            {"t": p.t, "degenerate": p.degenerate, "distance": _finite_or_none(p.distance)}
+            for p in limit.points
         ],
     }
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set
-from .oracle import _ball_samples, _check_t_schedule
+from .oracle import _ball_samples, _classical_jacobian, _strict_profiles
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -385,14 +385,14 @@ class LimitPoint:
 class LimitInclusionReport:
     points: tuple[LimitPoint, ...]
     tolerance: float
-    passed: bool | None  # None (inconclusive) when every point is degenerate
+    passed: bool | None  # None (inconclusive): no usable point, or a non-finite figure
 
     @property
     def final_distance(self) -> float | None:  # at the last usable point
         return next((p.distance for p in reversed(self.points) if not p.degenerate), None)
 
 
-DEFAULT_T_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+LIMIT_T_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def verify_limit_inclusion(
@@ -400,47 +400,34 @@ def verify_limit_inclusion(
     x,
     elem: JacobianElement,
     witness: WitnessDirection,
-    t_schedule=DEFAULT_T_SCHEDULE,
 ) -> LimitInclusionReport:
-    """Walk x + t*y_bar (``witness.y_bar``) down the schedule and compare
-    classical Jacobians against the selected element.
+    """Walk x + t*y_bar (``witness.y_bar``) down ``LIMIT_T_SCHEDULE`` and
+    compare classical Jacobians against the selected element.
 
-    Points where some component's active sets, at the selection's tol_act,
-    are not all singletons are skipped as degenerate.  Passes when the
-    distance decreases (within tolerance) along the schedule and the last
-    usable point is within 1e-6*(1+scale) of the element, where scale is
-    the largest classical Jacobian norm seen.  When every point is
-    degenerate the report is inconclusive: ``passed`` is None.
+    Points where some max term has no strictly largest finite piece (the
+    sampler's rule; tol_act plays no part) are skipped as degenerate.
+    Passes when the distance decreases (within tolerance) along the
+    schedule and the last usable point is within 1e-6*(1+scale) of the
+    element, where scale is the largest classical Jacobian norm seen.  The
+    report is inconclusive (``passed`` is None) when every point is
+    degenerate or a figure is not finite.
     """
-    x = np.asarray(x, dtype=float)
-    y_bar = witness.y_bar
-    ts = _check_t_schedule(t_schedule)
-
-    tol_act = elem.tol_act
+    zs = np.asarray(x, dtype=float) + np.outer(LIMIT_T_SCHEDULE, witness.y_bar)
     points: list[LimitPoint] = []
     scale = 0.0
-    for t in ts:
-        z = x + t * y_bar
-        rows = []
-        degenerate = False
-        for terms in zip(F.g, F.h):
-            actives = [active_set(f, z, tol_act).indices for f in terms]
-            if any(len(act) != 1 for act in actives):
-                degenerate = True
-                break
-            g_row, h_row = (f.pieces[act[0]].grad(z) for f, act in zip(terms, actives))
-            rows.append(g_row - h_row)
-        if degenerate:
-            points.append(LimitPoint(t, None))
-            continue
-        jac = np.array(rows)
-        scale = max(scale, float(np.linalg.norm(jac)))
-        points.append(LimitPoint(t, float(np.linalg.norm(jac - elem.xi))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is inconclusive
+        for t, z, profile in zip(LIMIT_T_SCHEDULE, zs, _strict_profiles(F, zs)):
+            distance = None  # a degenerate point
+            if profile is not None:
+                jac = _classical_jacobian(F, z, profile)
+                scale = max(scale, float(np.linalg.norm(jac)))
+                distance = float(np.linalg.norm(jac - elem.xi))
+            points.append(LimitPoint(t, distance))
 
     tolerance = 1e-6 * (1.0 + scale)
     distances = [p.distance for p in points if not p.degenerate]
     passed = None
-    if distances:
+    if distances and np.isfinite([tolerance, *distances]).all():
         monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
         passed = bool(distances[-1] <= tolerance and monotone)
     return LimitInclusionReport(tuple(points), tolerance, passed)

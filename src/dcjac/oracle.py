@@ -12,6 +12,9 @@ enumeration with a feasibility program per pattern.  Membership in the
 hull is decided by a minimum-norm-point computation, which yields convex
 weights or a separation margin.
 
+``_strict_profiles`` decides where F is differentiable, for the sampler
+and for ``jacobian.verify_limit_inclusion`` alike.
+
 The oracle evaluates the active pieces at x itself instead of reading the
 rows a ``ComponentSelection`` stores.  It is the reference the selected
 element is checked against, so a fault in those stored rows must not
@@ -103,26 +106,34 @@ def sample_limiting_jacobians(
     count: int = 512,
     seed: int = DEFAULT_SEED,
 ) -> list[LimitingSample]:
-    """Sample the ball around x and keep points where every max term has a
-    unique active piece, recording one classical Jacobian per distinct
-    active profile, at the first point showing it."""
+    """One classical Jacobian per distinct active profile, at the first of
+    ``count`` points sampled in the ball around x that shows it."""
     _check_ball(radius, count)
-    x = np.asarray(x, dtype=float)
-    pts = _ball_samples(np.random.default_rng(seed), x, radius, count)
-    choices = [
-        _strict_argmax_rows(np.array([[p.eval(z) for p in fn.pieces] for z in pts]))
-        for i in range(F.m)
-        for fn in (F.g[i], F.h[i])
-    ]
-    samples = []
-    for combo, row in zip(*_distinct_profiles(np.stack(choices, axis=1))):
-        z = pts[row]
-        key = tuple(zip(combo[0::2], combo[1::2]))
-        jac = np.array(
-            [F.g[i].pieces[j].grad(z) - F.h[i].pieces[k].grad(z) for i, (j, k) in enumerate(key)]
-        )
-        samples.append(LimitingSample(point=z, jacobian=jac, active_profile=key))
-    return samples
+    pts = _ball_samples(np.random.default_rng(seed), np.asarray(x, dtype=float), radius, count)
+    found: dict[tuple, LimitingSample] = {}
+    for z, key in zip(pts, _strict_profiles(F, pts)):
+        if key is not None and key not in found:
+            found[key] = LimitingSample(z, _classical_jacobian(F, z, key), key)
+    return list(found.values())
+
+
+def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> list[tuple | None]:
+    """Per row of ``pts``, the strictly largest piece of each max term as
+    ((g piece, h piece) per component), or None where some max term has no
+    strictly largest finite piece: the one test of "F is differentiable"."""
+    terms = [fn for pair in zip(F.g, F.h) for fn in pair]
+    # a row per point and max term; the -inf padding never wins or ties a finite max
+    pad = [-math.inf] * max(len(fn.pieces) for fn in terms)
+    values = [[p.eval(z) for p in fn.pieces] + pad[len(fn.pieces) :] for z in pts for fn in terms]
+    choices = _strict_argmax_rows(np.array(values)).reshape(len(pts), len(terms))
+    return [tuple(zip(c[0::2], c[1::2])) if min(c) >= 0 else None for c in choices.tolist()]
+
+
+def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile: tuple) -> np.ndarray:
+    """The Jacobian of F at z from the gradients of the pieces ``profile``
+    names, the strictly largest ones there."""
+    rows = [g.pieces[j].grad(z) - h.pieces[k].grad(z) for g, h, (j, k) in zip(F.g, F.h, profile)]
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -351,24 +362,15 @@ class FiniteDiffResult:
     convergence: float  # gap between the last two estimates
 
 
-def _check_t_schedule(t_schedule) -> list[float]:
-    """The step schedule as floats; ValueError unless it is nonempty,
-    positive and strictly decreasing."""
-    ts = [float(t) for t in t_schedule]
-    if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_schedule must be positive and strictly decreasing")
-    return ts
+FD_T_SCHEDULE = (1e-3, 1e-5, 1e-7)
 
 
-def finite_diff_dd(F: DCMaxFn, x, y, t_schedule=(1e-3, 1e-5, 1e-7)) -> FiniteDiffResult:
-    """One-sided difference quotients (F(x+ty)-F(x))/t down a decreasing
-    step schedule; the smallest step gives the reported value."""
-    ts = _check_t_schedule(t_schedule)
+def finite_diff_dd(F: DCMaxFn, x, y) -> FiniteDiffResult:
+    """One-sided difference quotients (F(x+ty)-F(x))/t down the steps of
+    ``FD_T_SCHEDULE``; the smallest step gives the reported value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     base = eval_F(F, x)
-    estimates = np.array([(eval_F(F, x + t * y) - base) / t for t in ts])
-    convergence = 0.0
-    if len(ts) > 1:
-        convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
+    estimates = np.array([(eval_F(F, x + t * y) - base) / t for t in FD_T_SCHEDULE])
+    convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
     return FiniteDiffResult(value=estimates[-1], estimates=estimates, convergence=convergence)

@@ -205,6 +205,29 @@ class TestVerify:
         }
         assert [k for k, v in passed.items() if v is None] == [name]
 
+    def test_infinite_tolerance_is_inconclusive(self, capsys, tmp_path):
+        # the classical Jacobian's norm overflows, so the tolerance is inf
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["1e308*x1", "0"]}]}))
+        code, out, err = run(capsys, ["verify", "-p", str(path), "-x", "1", "--json"])
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out and "NaN" not in out
+        payload = json.loads(out)
+        assert payload["inconclusive"] == ["limit_inclusion"]
+        assert payload["checks"]["limit_inclusion"]["tolerance"] is None
+
+    def test_nan_at_a_ray_point_is_degenerate(self, capsys, tmp_path):
+        # 1e308*x1 overflows at x1 = 1.79 + 1e-2, where the piece is inf - inf
+        path = tmp_path / "nan.json"
+        doc = {"n": 1, "m": 1, "components": [{"g": ["1e308*x1 - 1e308*x1"]}]}
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "-p", str(path), "-x", "1.79", "--convention", "max", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        points = json.loads(out)["checks"]["limit_inclusion"]["points"]
+        assert [p["degenerate"] for p in points] == [True, False, False, False, False]
+        assert points[0]["t"] == 1e-2
+
     def test_differences_computed_once(self, capsys, monkeypatch):
         calls = []
         original = dcjac.jacobian.selection_differences
@@ -409,6 +432,24 @@ class TestNewton:
         assert err.startswith(f"error: {paths[bad]}: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "m_text, q_text, swap, message",
+        [
+            ("2,1\n1,2\n", "-3,-3\n", True, "M must be square, got shape (1, 2)"),
+            ("2,1\n1,2\n", "-3,-3,1\n", False, "q has shape (3,), expected (2,)"),
+        ],
+        ids=["swapped", "long-q"],
+    )
+    def test_ncp_shape_error_names_the_files(self, capsys, tmp_path, m_text, q_text, swap, message):
+        m_csv = tmp_path / "M.csv"
+        q_csv = tmp_path / "q.csv"
+        m_csv.write_text(m_text)
+        q_csv.write_text(q_text)
+        paths = [str(q_csv), str(m_csv)] if swap else [str(m_csv), str(q_csv)]
+        code, out, err = run(capsys, ["newton", "--ncp", *paths])
+        assert (code, out) == (2, "")
+        assert err == f"error: {paths[0]} and {paths[1]}: {message}\n"
 
     def test_non_finite_ncp_data_exits_2(self, capsys, tmp_path):
         m_csv = tmp_path / "M.csv"

@@ -46,8 +46,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
             cases[f"jac_{name}_{conv}_text"] = (["jac", *spec, *opt], 0)
         cases[f"verify_ties_{conv}"] = (["verify", *_TIES, *opt, "--json"], 0)
         cases[f"verify_rand4_{conv}"] = (["verify", *_RAND4, *opt, "--json"], 0)
-        # limit inclusion fails on this smooth instance (see ROADMAP item 1)
-        cases[f"verify_curved_{conv}"] = (["verify", *_CURVED, *opt, "--json"], 1)
+        cases[f"verify_curved_{conv}"] = (["verify", *_CURVED, *opt, "--json"], 0)
         cases[f"dd_ties_{conv}"] = (
             ["dd", *_TIES, "-y", "1,-1,0.5,0,2,-3,1,0.25", *opt, "--json"],
             0,

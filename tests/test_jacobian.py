@@ -1,10 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import active_set, load_problem
+from dcjac.dcmax import DCMaxFn, MaxFn, active_set, load_problem, load_problem_file
+from dcjac.expr import Binary, Const, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     ConventionMismatchError,
@@ -23,9 +25,13 @@ from util import (
     NEG_ABS_DOC,
     assert_bits_equal,
     full_lexicographic_chain,
+    random_expr,
     reference_cone_linearity,
+    reference_limit_inclusion,
     reference_selection_differences,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # smooth pieces tied at the origin in both components, with distinct
 # gradients among the tied pieces
@@ -210,6 +216,36 @@ def _record_cases():
     F = load_problem(SMOOTH_TIED_DOC)
     yield F, np.zeros(2)
     yield F, np.array([0.3, -0.2])
+
+
+def _smooth_tied_problem(rng: np.random.Generator) -> tuple[DCMaxFn, np.ndarray]:
+    """Random smooth pieces, each shifted to be exactly 0 at the point."""
+    n, m = (int(v) for v in rng.integers(1, 4, size=2))
+    x = rng.uniform(-1.0, 1.0, size=n)
+
+    def term() -> MaxFn:
+        pieces = []
+        for _ in range(int(rng.integers(1, 4))):
+            expr = random_expr(rng, n)
+            pieces.append(SmoothFn(Binary("-", expr, Const(SmoothFn(expr, n).eval(x))), n))
+        return MaxFn(tuple(pieces))
+
+    g, h = zip(*((term(), term()) for _ in range(m)))
+    return DCMaxFn(n, m, g, h), x
+
+
+def _limit_cases():
+    """(F, x) pairs: the acceptance corpus at the origin, the golden curved
+    and tied problems at theirs, and seeded smooth instances at a tie."""
+    for seed in range(200):
+        F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+        yield F, np.zeros(F.n)
+    for name in ("curved", "ties"):
+        F = load_problem_file(GOLDEN / f"{name}.json")
+        yield F, np.zeros(F.n)
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        yield _smooth_tied_problem(rng)
 
 
 class TestSelectionRecord:
@@ -479,23 +515,32 @@ class TestLimitInclusion:
                     if not p.degenerate:
                         assert p.distance <= 1e-10
 
-    def test_schedule_validation(self):
-        F = load_problem(ABS_DOC)
-        elem = clarke_jacobian_element(F, [0.0])
-        w = witness_direction(selection_differences(elem))
-        with pytest.raises(ValueError, match="decreasing"):
-            verify_limit_inclusion(F, [0.0], elem, w, t_schedule=(1e-3, 1e-2))
-
-    def test_active_sets_use_the_selection_tolerance(self):
+    def test_walk_ignores_the_selection_tolerance(self):
         # at x1 = -t the two pieces differ by 2t, inside the band 0.5*(1+t)
-        # for every scheduled t: under tol_act=0.5 each point is a tie
+        # for every scheduled t, yet -x1 is strictly largest there
         F = load_problem(ABS_DOC)
         loose = clarke_jacobian_element(F, [0.0], tol_act=0.5)
         w = witness_direction(selection_differences(loose))
         assert w.y_bar.tolist() == [-1.0]
-        assert verify_limit_inclusion(F, [0.0], loose, w).passed is None
-        strict = clarke_jacobian_element(F, [0.0])
-        assert verify_limit_inclusion(F, [0.0], strict, w).passed
+        report = verify_limit_inclusion(F, [0.0], loose, w)
+        assert report.passed is True
+        assert [p.distance for p in report.points] == [0.0] * 5
+
+    def test_equals_the_zero_band_reference(self):
+        for F, x in _limit_cases():
+            for conv in ("min", "max"):
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                w = witness_direction(selection_differences(elem))
+                got = verify_limit_inclusion(F, x, elem, w)
+                want = reference_limit_inclusion(F, x, elem, w.y_bar)
+                assert [p.t for p in got.points] == [p.t for p in want.points]
+                assert [p.degenerate for p in got.points] == [p.degenerate for p in want.points]
+                assert_bits_equal(
+                    [np.nan if p.degenerate else p.distance for p in got.points],
+                    [np.nan if p.degenerate else p.distance for p in want.points],
+                )
+                assert_bits_equal(got.tolerance, want.tolerance)
+                assert got.passed is want.passed
 
     def test_all_points_degenerate_reported(self):
         # duplicate pieces are never uniquely active anywhere

@@ -356,14 +356,8 @@ class TestFiniteDiffDD:
             F = random_affine_problem(2, 2, 4, seed=seed)
             x = rng.uniform(-1, 1, size=2)
             y = rng.uniform(-1, 1, size=2)
-            res = finite_diff_dd(F, x, y, t_schedule=(1e-3, 1e-5, 1e-7))
+            res = finite_diff_dd(F, x, y)
             np.testing.assert_allclose(res.value, dd_F(F, x, y), atol=1e-5)
-
-    def test_schedule_validation(self):
-        F = load_problem(ABS_DOC)
-        for schedule in ((1e-5, 1e-3), (1e-3, 1e-3), (), (1e-3, 0.0)):
-            with pytest.raises(ValueError, match="decreasing"):
-                finite_diff_dd(F, [0.0], [1.0], t_schedule=schedule)
 
 
 class TestTheoremOnRandomInstances:

@@ -10,7 +10,12 @@ import numpy as np
 
 from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
-from dcjac.jacobian import ConeLinearityReport, DifferenceVectors
+from dcjac.jacobian import (
+    ConeLinearityReport,
+    DifferenceVectors,
+    LimitInclusionReport,
+    LimitPoint,
+)
 from dcjac.oracle import (
     DEFAULT_PROBE_COUNT,
     DEFAULT_PROBE_RADIUS,
@@ -210,7 +215,7 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
 
 
 def reference_cone_linearity(
-    F, x, elem, y_bar, samples=200, seed=42, radius=None, tol_act=DEFAULT_TOL_ACT
+    F, x, elem, y_bar, samples=200, seed=42, tol_act=DEFAULT_TOL_ACT
 ) -> ConeLinearityReport:
     """Cone linearity check that recomputes active sets and gradients from
     F at x and samples the ball around y_bar inline: the reference for
@@ -220,11 +225,10 @@ def reference_cone_linearity(
     A = reference_selection_differences(F, x, elem).vectors
     g_grads = [_reference_active_gradients(F.g[i], x, tol_act) for i in range(F.m)]
     h_grads = [_reference_active_gradients(F.h[i], x, tol_act) for i in range(F.m)]
-    if radius is None:
-        if A.shape[0]:
-            radius = 0.5 * float(np.min(-(A @ y_bar) / np.linalg.norm(A, axis=1)))
-        else:
-            radius = 0.5 * float(np.linalg.norm(y_bar))
+    if A.shape[0]:
+        radius = 0.5 * float(np.min(-(A @ y_bar) / np.linalg.norm(A, axis=1)))
+    else:
+        radius = 0.5 * float(np.linalg.norm(y_bar))
     rng = np.random.default_rng(seed)
     direc = rng.standard_normal((samples, F.n))
     direc /= np.linalg.norm(direc, axis=1, keepdims=True)
@@ -249,6 +253,42 @@ def reference_cone_linearity(
         tolerance_at_max=float(np.broadcast_to(allowed, disc.shape).flat[worst]),
         passed=bool(np.all(disc <= allowed)),
     )
+
+
+def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionReport:
+    """Ray walk that takes the active sets at each point x + t*y_bar with
+    ``active_set`` at ``tol_act``, a non-finite maximum counting as a tie:
+    at ``tol_act=0.0`` the reference for ``verify_limit_inclusion``."""
+    x = np.asarray(x, dtype=float)
+    points = []
+    scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            z = x + t * np.asarray(y_bar, dtype=float)
+            rows = []
+            for i in range(F.m):
+                try:
+                    act_g = active_set(F.g[i], z, tol_act).indices
+                    act_h = active_set(F.h[i], z, tol_act).indices
+                except OverflowError:
+                    act_g = act_h = ()
+                if len(act_g) != 1 or len(act_h) != 1:
+                    rows = None
+                    break
+                rows.append(F.g[i].pieces[act_g[0]].grad(z) - F.h[i].pieces[act_h[0]].grad(z))
+            if rows is None:
+                points.append(LimitPoint(t, None))
+                continue
+            jac = np.array(rows)
+            scale = max(scale, float(np.linalg.norm(jac)))
+            points.append(LimitPoint(t, float(np.linalg.norm(jac - elem.xi))))
+    tolerance = 1e-6 * (1.0 + scale)
+    distances = [p.distance for p in points if p.distance is not None]
+    passed = None
+    if distances and np.isfinite([tolerance, *distances]).all():
+        monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
+        passed = bool(distances[-1] <= tolerance and monotone)
+    return LimitInclusionReport(tuple(points), tolerance, passed)
 
 
 def _reference_affine_text(coeffs, constant) -> str:
