@@ -308,10 +308,13 @@ def cmd_dd(args) -> int:
     return EXIT_OK
 
 
+def _add_random(parser) -> None:
+    parser.add_argument("--random", help="generate an instance: n=,m=,pieces=[,seed=]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-p", "--problem", help="problem JSON file")
-    common.add_argument("--random", help="generate an instance: n=,m=,pieces=[,seed=]")
     common.add_argument("--tol-act", type=float, default=DEFAULT_TOL_ACT, dest="tol_act")
     common.add_argument("--tol-tie", type=float, default=DEFAULT_TOL_TIE, dest="tol_tie")
     common.add_argument("--convention", choices=("min", "max"), default="min")
@@ -322,10 +325,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_jac = sub.add_parser("jac", parents=[common], help="compute a generalized Jacobian element")
+    _add_random(p_jac)
     p_jac.add_argument("-x", "--point", required=True, help="comma-separated coordinates")
     p_jac.set_defaults(func=cmd_jac)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    _add_random(p_verify)
     p_verify.add_argument("-x", "--point", required=True)
     p_verify.add_argument("--radius", type=float, default=DEFAULT_PROBE_RADIUS)
     p_verify.add_argument("--samples", type=int, default=200)
@@ -335,7 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_newton.add_argument("--x0", help="starting point (default: origin)")
     p_newton.add_argument("--tol", type=float, default=1e-10)
     p_newton.add_argument("--max-iters", type=int, default=50, dest="max_iters")
-    p_newton.add_argument(
+    source = p_newton.add_mutually_exclusive_group()
+    _add_random(source)
+    source.add_argument(
         "--ncp",
         nargs=2,
         metavar=("M.csv", "q.csv"),
@@ -344,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_newton.set_defaults(func=cmd_newton)
 
     p_dd = sub.add_parser("dd", parents=[common], help="directional derivative")
+    _add_random(p_dd)
     p_dd.add_argument("-x", "--point", required=True)
     p_dd.add_argument("-y", "--direction", required=True)
     p_dd.set_defaults(func=cmd_dd)

@@ -7,13 +7,14 @@ evaluation, active index sets, and directional derivatives.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import SmoothFn
+from .expr import PieceStack, SmoothFn
 
 __all__ = [
     "MaxFn",
@@ -82,6 +83,47 @@ class DCMaxFn:
                 raise SchemaError(
                     f"component has dimension {fn.dim}, problem declares n={self.n}"
                 )
+
+    @functools.cached_property
+    def terms(self) -> tuple[MaxFn, ...]:
+        """The 2m max terms in the order g_1, h_1, g_2, h_2, ..."""
+        return tuple(fn for pair in zip(self.g, self.h) for fn in pair)
+
+    @functools.cached_property
+    def stack(self) -> PieceStack:
+        """Every piece of every max term, term by term; built once."""
+        return PieceStack([p for fn in self.terms for p in fn.pieces], self.n)
+
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per stacked piece its term and its index in that term, and per
+        term the stack position of its first piece."""
+        counts = [len(fn.pieces) for fn in self.terms]
+        first = np.cumsum([0, *counts[:-1]])
+        term = np.repeat(np.arange(len(counts)), counts)
+        return term, np.arange(term.size) - first[term], first
+
+    def term_values(self, X) -> tuple[np.ndarray, tuple | None]:
+        """Every piece's value at every row of X as an array (points,
+        terms, widest term), -inf past a term's last piece (it never wins
+        or ties a finite maximum), from one ``PieceStack`` sweep.
+
+        The second item is None, or (point, term, exception) for the first
+        piece that could not be evaluated, in point-major order; see
+        ``PieceStack.values``.
+        """
+        values, fault = self.stack.values(X)
+        term, slot, _ = self._layout
+        out = np.full((len(values), len(self.terms), int(slot.max()) + 1), -math.inf)
+        out[:, term, slot] = values
+        if fault is not None:
+            fault = (fault[0], int(term[fault[1]]), fault[2])
+        return out, fault
+
+    def term_grads(self, x, terms, pieces) -> np.ndarray:
+        """Gradients at x of piece ``pieces[k]`` of term ``terms[k]``, one
+        row each; see ``PieceStack.grads``."""
+        return self.stack.grads(x, self._layout[2][terms] + pieces)
 
 
 @dataclass(frozen=True)
@@ -161,9 +203,17 @@ def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
     vmax = float(vals.max())
     if not math.isfinite(vmax):
         raise OverflowError(f"largest piece value is {vmax!r}")
-    cutoff = tol_act * (1.0 + abs(vmax))
-    indices = tuple(int(j) for j in np.flatnonzero(vals >= vmax - cutoff))
-    return ActiveSet(indices=indices, max_value=vmax, tolerance_used=cutoff, values=values)
+    active, cutoff = _within_cutoff(vals, vmax, tol_act)
+    indices = tuple(int(j) for j in np.flatnonzero(active))
+    return ActiveSet(indices=indices, max_value=vmax, tolerance_used=float(cutoff), values=values)
+
+
+def _within_cutoff(values: np.ndarray, vmax, tol_act: float):
+    """The active rule for one max term (``values`` 1-D, ``vmax`` its
+    finite maximum) or a stack of them (a row each, ``vmax`` per row):
+    the pieces within tol_act*(1+|max|) of the maximum, and that cutoff."""
+    cutoff = tol_act * (1.0 + np.abs(vmax))
+    return values >= np.expand_dims(vmax - cutoff, -1), cutoff
 
 
 def dd_max(f: MaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> float:

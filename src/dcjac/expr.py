@@ -5,6 +5,10 @@ Expressions are C1 functions of the variables ``x1 .. xn`` built from
 constants.  Gradients are computed by vector forward-mode automatic
 differentiation: one sweep over the tree carries the value and the whole
 gradient, so they are exact up to rounding (never finite differences).
+
+An affine piece also carries its coefficient data (``Affine``), from
+which ``PieceStack`` evaluates many pieces at once with the tree's own
+IEEE operations, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ __all__ = [
     "Binary",
     "Expr",
     "SmoothFn",
+    "Affine",
+    "PieceStack",
     "ParseError",
     "DomainError",
     "parse",
@@ -453,16 +459,128 @@ def _eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.ndarray]:
     return lv * inv, (ld - lv * rd * inv) * inv
 
 
-@dataclass(frozen=True)
-class SmoothFn:
-    """A parsed C1 function of ``dim`` real variables with exact gradient."""
+@dataclass(frozen=True, eq=False)
+class Affine:
+    """Coefficient data of an affine piece.
 
-    expr: Expr
-    dim: int
+    An affine piece is a left-associated chain of ``+``/``-`` terms, each
+    a constant, a variable or constant*variable (any of them possibly
+    negated), with every variable at most once and every coefficient
+    finite; the whole chain may be negated.  ``terms`` has a column per
+    term and four rows: its coefficient c, its variable index j (``dim``
+    for a constant term, read as 1.0), and two flags, zero_sign and
+    zero_flips.  Term k's value is c*x[j].  The terms add left to right
+    and ``negate`` applies a unary minus last: the tree's IEEE operations,
+    hence its bits.
+
+    Off the lanes of its nonzero coefficients the tree's gradient is a
+    signed zero.  Term k adds -0 to it exactly when
+    ``zero_sign ^ (zero_flips & signbit(x[j]))``, and a sum of zeros is -0
+    only when every addend is.
+    """
+
+    terms: np.ndarray  # float, shape (4, number of terms)
+    negate: bool
+
+
+def _strip_neg(node: Expr, flip: bool) -> tuple[bool, Expr]:
+    while isinstance(node, Unary) and node.op == "neg":
+        node, flip = node.operand, not flip
+    return flip, node
+
+
+def _affine_data(node: Expr, dim: int) -> Affine | None:
+    """The coefficient data of ``node``, or None when it is not an affine
+    piece in the sense of ``Affine``.  Walks the chain without recursion."""
+    negate, node = _strip_neg(node, False)
+    chain = []
+    while isinstance(node, Binary) and node.op in "+-":
+        chain.append((node.op == "-", node.right))
+        node = node.left
+    chain.append((False, node))
+    terms, seen = [], set()
+    for minus, term in reversed(chain):
+        flip, term = _strip_neg(term, minus)
+        if isinstance(term, Const):
+            c, j, zero_sign, zero_flips = term.value, dim, False, False
+        elif isinstance(term, Var):
+            c, j, zero_sign, zero_flips = 1.0, term.index, False, False
+        elif isinstance(term, Binary) and term.op == "*" and isinstance(term.right, Var):
+            # d(c*x_j) = dc*x_j + c*e_j: off lane j, (+-0)*x_j + c*0.0
+            neg_c, const = _strip_neg(term.left, False)
+            if not isinstance(const, Const):
+                return None
+            c = -const.value if neg_c else const.value
+            j = term.right.index
+            zero_flips = math.copysign(1.0, c) < 0.0
+            zero_sign = neg_c and zero_flips
+        else:
+            return None
+        if not math.isfinite(c) or (j != dim and (j in seen or not 0 <= j < dim)):
+            return None
+        seen.add(j)
+        terms.append((-c if flip else c, j, flip != zero_sign, zero_flips))
+    return Affine(np.array(terms, dtype=float).T, negate)
+
+
+class SmoothFn:
+    """A C1 function of ``dim`` real variables with exact gradient.
+
+    ``affine`` holds the coefficient data of an affine piece (see
+    ``Affine``), else None.  A piece made by ``from_affine`` builds its
+    tree only when ``expr``, ``==``, ``hash``, ``repr`` or ``str`` reads it.
+    Instances are immutable.
+    """
+
+    def __init__(self, expr: Expr, dim: int):
+        self.__dict__.update(_expr=expr, dim=dim, affine=_affine_data(expr, dim))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to '{name}': SmoothFn is immutable")
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "SmoothFn":
         return cls(parse(text, dim), dim)
+
+    @classmethod
+    def from_affine(cls, coeffs, constant, negate: bool = False) -> "SmoothFn":
+        """The piece ``affine_expr(coeffs, constant)``, negated when
+        ``negate``, made straight from its coefficient data."""
+        coefs = np.append(np.asarray(coeffs, dtype=float), float(constant))
+        if not np.isfinite(coefs).all():
+            raise ValueError("coefficients must be finite")
+        dim = coefs.size - 1
+        terms = np.empty((4, dim + 1))
+        terms[0] = coefs
+        terms[1] = np.arange(dim + 1)
+        # affine_expr writes a negative number as neg(|number|): the terms
+        # c*x_j of _affine_data with neg_c = zero_flips = signbit(c), and a
+        # negated constant
+        terms[2] = np.signbit(coefs)
+        terms[3] = terms[2]
+        terms[3, -1] = 0.0
+        fn = cls.__new__(cls)
+        fn.__dict__.update(_expr=None, dim=dim, affine=Affine(terms, negate))
+        return fn
+
+    @property
+    def expr(self) -> Expr:
+        if self._expr is None:  # made by from_affine
+            coefs = self.affine.terms[0]
+            tree = affine_expr(coefs[:-1], coefs[-1])
+            self.__dict__["_expr"] = Unary("neg", tree) if self.affine.negate else tree
+        return self._expr
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.expr, self.dim) == (other.expr, other.dim)
+
+    def __hash__(self):
+        return hash((self.expr, self.dim))
+
+    def __repr__(self) -> str:
+        return f"SmoothFn(expr={self.expr!r}, dim={self.dim!r})"
 
     def eval(self, x) -> float:
         """Value at x (sequence of length dim)."""
@@ -473,7 +591,7 @@ class SmoothFn:
     @functools.cached_property
     def is_affine(self) -> bool:
         """Affine by construction (see ``_structure``); computed once."""
-        return _structure(self.expr)[1]
+        return self.affine is not None or _structure(self.expr)[1]
 
     def grad(self, x) -> np.ndarray:
         """Exact gradient at x via one vector forward-mode sweep."""
@@ -487,3 +605,134 @@ class SmoothFn:
 
     def __str__(self) -> str:
         return unparse(self.expr)
+
+
+# Entries of one chunk of term products in PieceStack._sweep (8 MB)
+_SWEEP_CHUNK = 1 << 20
+
+
+class PieceStack:
+    """Pieces of one dimension ``dim``, evaluated together.
+
+    The pieces with coefficient data are swept: their term products are
+    summed left to right with ``np.add.accumulate`` (never ``@`` or
+    ``sum``, which reassociate), over blocks of pieces with similar term
+    counts padded to a common width.  Their gradients are the nonzero
+    coefficients, kept by piece, with every other lane set to the signed
+    zero that ``Affine`` derives.  The other pieces go through
+    ``SmoothFn.eval`` and ``grad``, as every piece does at a point that is
+    not finite.  Values and gradients have the bits of those methods.
+    """
+
+    def __init__(self, pieces, dim: int):
+        self.pieces = tuple(pieces)
+        self.dim = dim
+        data = [p.affine for p in self.pieces]
+        swept = [r for r, a in enumerate(data) if a is not None]
+        self.walked = [r for r, a in enumerate(data) if a is None]
+        self.swept = np.array(swept, dtype=np.intp)
+        self.row = np.full(len(data), -1)  # row of each piece among the swept ones, or -1
+        self.row[swept] = np.arange(len(swept))
+        data = [data[r] for r in swept]
+        self.negate = np.array([a.negate for a in data], dtype=bool)
+        lengths = [a.terms.shape[1] for a in data]
+        coefs, index, zero_sign, zero_flips = (
+            np.concatenate([a.terms for a in data], axis=1) if data else np.empty((4, 0))
+        )
+        index = index.astype(np.intp)
+        zero_sign, zero_flips = zero_sign != 0.0, zero_flips != 0.0
+        owner = np.repeat(np.arange(len(data)), lengths)  # swept row of each term
+        col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+        # Values: up to 8 terms share a block, then widths double.  A pad
+        # is the product -0.0*1.0 (column dim of a point reads 1.0), and
+        # adding -0.0 changes no sum, not even the sign of a zero.
+        buckets = [max(0, (length - 1).bit_length() - 3) for length in lengths]
+        bucket, lengths = np.array(buckets), np.array(lengths)
+        self.blocks = []
+        for b in sorted(set(buckets)):
+            rows = np.flatnonzero(bucket == b)
+            terms = bucket[owner] == b
+            at = (np.searchsorted(rows, owner[terms]), col[terms])
+            shape = (rows.size, int(lengths[rows].max()))
+            block_coefs = np.full(shape, -0.0)
+            block_coefs[at] = coefs[terms]
+            block_index = np.full(shape, dim, dtype=np.intp)
+            block_index[at] = index[terms]
+            self.blocks.append((rows, block_coefs, block_index))
+
+        # Gradients: the nonzero coefficient lanes of each row, stored by
+        # row, and the signed zero elsewhere, -0 when every term adds -0:
+        # always for a term without zero_flips whose zero_sign is set, and
+        # for one with zero_flips when signbit(x[var]) equals flip_sign.
+        lane = (index < dim) & (coefs != 0.0)
+        self.lane_start = np.searchsorted(owner[lane], np.arange(len(data) + 1))
+        self.lane_col = index[lane]
+        self.lane_val = np.where(self.negate[owner[lane]], -coefs[lane], coefs[lane])
+        self.zero_neg = np.ones(len(data), dtype=bool)
+        self.zero_neg[owner[~zero_flips & ~zero_sign]] = False
+        self.flip_row = owner[zero_flips]
+        self.flip_var = index[zero_flips]
+        self.flip_sign = ~zero_sign[zero_flips]
+
+    def values(self, X) -> tuple[np.ndarray, tuple | None]:
+        """Every piece's value at every row of X, shape (points, pieces).
+
+        The second item is None, or (point, piece, exception) for the first
+        tree walk that raised, in point-major order; the walks after it
+        are skipped and their entries left NaN.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] != self.dim:
+            raise ValueError(f"point has length {X.shape[1]}, expected {self.dim}")
+        out = np.full((len(X), len(self.pieces)), np.nan)
+        if self.swept.size:
+            out[:, self.swept] = self._sweep(X)
+        finite = np.isfinite(X).all(axis=1)
+        walks = range(len(X)) if self.walked else np.flatnonzero(~finite)
+        for i in walks:
+            for r in self.walked if finite[i] else range(len(self.pieces)):
+                try:
+                    out[i, r] = self.pieces[r].eval(X[i])
+                except (ArithmeticError, RecursionError) as exc:  # DomainError, OverflowError
+                    return out, (int(i), r, exc)
+        return out, None
+
+    def _sweep(self, X: np.ndarray) -> np.ndarray:
+        X1 = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+        out = np.empty((len(X), self.negate.size))
+        # values overflow to inf/nan silently, as the scalar floats of the tree
+        with np.errstate(all="ignore"):
+            for rows, coefs, index in self.blocks:
+                step = max(1, _SWEEP_CHUNK // coefs.size)
+                for s in range(0, len(X), step):
+                    terms = coefs * X1[s : s + step, index]
+                    out[s : s + step, rows] = np.add.accumulate(terms, axis=2)[..., -1]
+        return np.negative(out, out=out, where=self.negate)
+
+    def grads(self, x, pieces) -> np.ndarray:
+        """Gradients at the point x of the pieces indexed by ``pieces``, one
+        row each.  Tree walks run in the order given; the first that
+        raises propagates."""
+        x = np.asarray(x, dtype=float)
+        pieces = np.asarray(pieces, dtype=np.intp)
+        rows = self.row[pieces] if np.isfinite(x).all() else np.full(pieces.size, -1)
+        out = np.empty((pieces.size, self.dim))
+        swept = rows >= 0
+        if swept.any():
+            out[swept] = self._sweep_grads(x, rows[swept])
+        for k in np.flatnonzero(~swept):
+            out[k] = self.pieces[pieces[k]].grad(x)
+        return out
+
+    def _sweep_grads(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        zero_neg = self.zero_neg.copy()
+        zero_neg[self.flip_row[np.signbit(x)[self.flip_var] != self.flip_sign]] = False
+        out = np.zeros((rows.size, self.dim))
+        out[zero_neg[rows] != self.negate[rows]] = -0.0
+        starts = self.lane_start[rows]
+        counts = self.lane_start[rows + 1] - starts
+        k = np.repeat(np.arange(rows.size), counts)
+        src = np.arange(k.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        out[k, self.lane_col[src]] = self.lane_val[src]
+        return out

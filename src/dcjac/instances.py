@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dcmax import DCMaxFn, MaxFn
-from .expr import Const, SmoothFn, affine_expr
+from .expr import Const, SmoothFn
 
 __all__ = ["random_affine_problem"]
 
@@ -33,7 +33,7 @@ def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:
             if key in seen:
                 continue
             seen.add(key)
-            fns.append(SmoothFn(affine_expr(coeffs, const), n))
+            fns.append(SmoothFn.from_affine(coeffs, const))
         return MaxFn(tuple(fns))
 
     g, h = [], []

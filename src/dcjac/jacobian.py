@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set
+# active_set stays bound here, unused: bench/spans.py traces it at this binding too
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _within_cutoff, active_set  # noqa: F401
 from .oracle import _ball_samples, _classical_jacobian, _strict_profiles
 
 __all__ = [
@@ -111,8 +112,16 @@ class JacobianElement:
 
     @functools.cached_property
     def xi(self) -> np.ndarray:
-        """The element, row i being ``components[i].row``; built once."""
-        return np.array([c.row for c in self.components])
+        """The element, row i being ``components[i].row``; built once.
+        OverflowError when a row is not finite (the rows it subtracts are
+        huge or not finite)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi = np.array([c.row for c in self.components])
+        finite = np.isfinite(xi).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise OverflowError(f"row {i} of the Jacobian element is {xi[i].tolist()}")
+        return xi
 
 
 @dataclass(frozen=True)
@@ -185,13 +194,6 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
     return chain
 
 
-def _select_term(f: MaxFn, x, tol_act: float, tol_tie: float, convention: str) -> TermSelection:
-    act = active_set(f, x, tol_act)
-    grads = np.array([f.pieces[j].grad(x) for j in act.indices])
-    chain = tuple(lexicographic_chain(grads, convention, tol_tie))
-    return TermSelection(act.indices, chain, max(act.values), grads)
-
-
 def clarke_jacobian_element(
     F: DCMaxFn,
     x,
@@ -207,13 +209,47 @@ def clarke_jacobian_element(
     chosen g-gradient minus the chosen h-gradient.  The choice within each
     surviving set is immaterial because survivors coincide; the smallest
     index is taken for determinism.
+
+    All max terms are stepped together: one sweep (``DCMaxFn.term_values``)
+    gives every piece's value, a piece is active within
+    tol_act*(1+|max|) of its term's maximum (the rule of ``active_set``),
+    one call gives every active gradient, and the filtration runs only
+    where two or more pieces are active.  Faults surface in the order a
+    term-by-term step meets them: a piece that cannot be evaluated, a
+    non-finite maximum (OverflowError), a gradient that cannot be taken.
     """
     _check_convention(convention)
+    for name, tol in (("tol_act", tol_act), ("tol_tie", tol_tie)):
+        if not tol >= 0:
+            raise ValueError(f"{name} must be nonnegative")
     x = np.asarray(x, dtype=float)
-    comps = tuple(
-        ComponentSelection(*(_select_term(f, x, tol_act, tol_tie, convention) for f in terms))
-        for terms in zip(F.g, F.h)
-    )
+    values, fault = F.term_values(x[None])
+    values = values[0, : None if fault is None else fault[1]]
+    vmax = values.max(axis=1)
+    finite = np.isfinite(vmax)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        fault = (0, stop, OverflowError(f"largest piece value is {float(vmax[stop])!r}"))
+        values, vmax = values[:stop], vmax[:stop]
+    terms, pieces = np.nonzero(_within_cutoff(values, vmax, tol_act)[0])
+    grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
+    if fault is not None:
+        raise fault[2]
+
+    # the first maximal value, as Python's max picks it
+    max_values = values[np.arange(len(values)), np.argmax(values, axis=1)].tolist()
+    bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
+    pieces = pieces.tolist()
+    finite_rows = np.isfinite(grads).all(axis=1).tolist()
+    lone = ((0,),) * (F.n + 1)  # a lone finite row survives every level
+    steps = []
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if hi - lo == 1 and finite_rows[lo]:
+            chain = lone
+        else:
+            chain = tuple(lexicographic_chain(grads[lo:hi], convention, tol_tie))
+        steps.append(TermSelection(tuple(pieces[lo:hi]), chain, max_values[t], grads[lo:hi]))
+    comps = tuple(ComponentSelection(g, h) for g, h in zip(steps[0::2], steps[1::2]))
     return JacobianElement(comps, convention, tol_act, tol_tie)
 
 
@@ -342,6 +378,7 @@ def verify_cone_linearity(
     |y_bar| when there is no face.  With no kept direction the report is
     inconclusive: ``passed`` is None.
     """
+    xi = elem.xi  # OverflowError on a non-finite row, before any figure is computed
     y_bar = witness.y_bar
     A = witness.diffs.vectors
     if A.shape[0]:
@@ -361,7 +398,7 @@ def verify_cone_linearity(
     for i, comp in enumerate(elem.components):
         dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
         dd[:, i] = dd_g - dd_h
-    lin = ys @ elem.xi.T
+    lin = ys @ xi.T
     disc = np.abs(dd - lin)
     allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
     worst = int(np.argmax(disc - allowed))

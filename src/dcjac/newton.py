@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
-from .expr import Const, SmoothFn, Unary, Var, affine_expr
+from .expr import Const, SmoothFn, Unary, Var
 from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
 
 __all__ = [
@@ -149,7 +149,9 @@ def build_ncp(M, q) -> DCMaxFn:
     difference of max terms.
 
     Component i is 0 - max(-x_i, -(Mx+q)_i), which equals
-    min(x_i, (Mx+q)_i).  M and q must be finite.
+    min(x_i, (Mx+q)_i).  M and q must be finite.  The pieces -(Mx+q)_i
+    are made from the rows of (M, q) as coefficient data
+    (``SmoothFn.from_affine``); their trees are built only when read.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -160,17 +162,12 @@ def build_ncp(M, q) -> DCMaxFn:
         raise ValueError(f"q has shape {q.shape}, expected ({n},)")
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
-    g = tuple(MaxFn((SmoothFn(Const(0.0), n),)) for _ in range(n))
+    zero = MaxFn((SmoothFn(Const(0.0), n),))
     h = tuple(
-        MaxFn(
-            (
-                SmoothFn(Unary("neg", Var(i)), n),
-                SmoothFn(Unary("neg", affine_expr(row, qi)), n),
-            )
-        )
-        for i, (row, qi) in enumerate(zip(M.tolist(), q.tolist()))
+        MaxFn((SmoothFn(Unary("neg", Var(i)), n), SmoothFn.from_affine(M[i], q[i], negate=True)))
+        for i in range(n)
     )
-    return DCMaxFn(n=n, m=n, g=g, h=h)
+    return DCMaxFn(n=n, m=n, g=(zero,) * n, h=h)
 
 
 def ncp_residual(M, q, x) -> float:

@@ -121,19 +121,19 @@ def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> list[tuple | None]:
     """Per row of ``pts``, the strictly largest piece of each max term as
     ((g piece, h piece) per component), or None where some max term has no
     strictly largest finite piece: the one test of "F is differentiable"."""
-    terms = [fn for pair in zip(F.g, F.h) for fn in pair]
+    values, fault = F.term_values(pts)
+    if fault is not None:
+        raise fault[2]
     # a row per point and max term; the -inf padding never wins or ties a finite max
-    pad = [-math.inf] * max(len(fn.pieces) for fn in terms)
-    values = [[p.eval(z) for p in fn.pieces] + pad[len(fn.pieces) :] for z in pts for fn in terms]
-    choices = _strict_argmax_rows(np.array(values)).reshape(len(pts), len(terms))
+    choices = _strict_argmax_rows(values.reshape(-1, values.shape[2])).reshape(len(pts), -1)
     return [tuple(zip(c[0::2], c[1::2])) if min(c) >= 0 else None for c in choices.tolist()]
 
 
 def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile: tuple) -> np.ndarray:
     """The Jacobian of F at z from the gradients of the pieces ``profile``
     names, the strictly largest ones there."""
-    rows = [g.pieces[j].grad(z) - h.pieces[k].grad(z) for g, h, (j, k) in zip(F.g, F.h, profile)]
-    return np.array(rows)
+    grads = F.term_grads(z, np.arange(2 * F.m), np.ravel(profile))
+    return grads[0::2] - grads[1::2]
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,20 @@ class TestBadNumericOptions:
         assert err.count("\n") == 1
 
 
+class TestNonFiniteElement:
+    @pytest.mark.parametrize(
+        "argv", [["jac", "-x", "0"], ["verify", "-x", "0"], ["newton", "--x0", "0"]]
+    )
+    def test_exits_3_with_empty_stdout(self, capsys, tmp_path, argv):
+        # each row is finite, their difference 1e308 - (-1e308) is not
+        prob = tmp_path / "huge.json"
+        doc = {"n": 1, "m": 1, "components": [{"g": ["1e308*x1"], "h": ["-1e308*x1"]}]}
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [argv[0], "-p", str(prob), *argv[1:], "--json"])
+        assert (code, out) == (3, "")
+        assert err == "error: numeric overflow: row 0 of the Jacobian element is [inf]\n"
+
+
 class TestNewton:
     def test_converges_exit_0(self, capsys, abs_problem):
         code, out, _ = run(capsys, ["newton", "-p", abs_problem, "--x0", "1", "--json"])
@@ -384,6 +398,17 @@ class TestNewton:
         )
         assert code == 5
         assert json.loads(out.strip().splitlines()[-1])["status"] == "max_iters"
+
+    def test_random_and_ncp_exclude_each_other(self, capsys, tmp_path):
+        m_csv, q_csv = tmp_path / "M.csv", tmp_path / "q.csv"
+        m_csv.write_text("2,1\n1,2\n")
+        q_csv.write_text("-3,-3\n")
+        argv = ["newton", "--random", "n=2,m=2,pieces=3,seed=1", "--ncp", str(m_csv), str(q_csv)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--x0", "1,1", "--json"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --ncp: not allowed with argument --random" in captured.err
 
     def test_ncp_from_csv(self, capsys, tmp_path):
         m_csv = tmp_path / "M.csv"

@@ -8,9 +8,13 @@ from dcjac.expr import (
     Const,
     DomainError,
     ParseError,
+    PieceStack,
     SmoothFn,
     Unary,
     Var,
+    _affine_data,
+    _eval_float,
+    _eval_tangent,
     affine_expr,
     parse,
     unparse,
@@ -316,3 +320,177 @@ class TestGrad:
         for _ in range(3):
             assert fn.eval(x) == first_val
             np.testing.assert_array_equal(fn.grad(x), first_grad)
+
+
+# Pieces in the shape of Affine: signed zero coefficients, negative
+# constants, '-' chains, negated terms and an outer negation
+AFFINE_TEXTS = [
+    "-5*x1 + -2",  # oc105's piece: gradient [-5, -0.0] at the origin
+    "0*x1 + -0.0*x2 + 0",
+    "-0.0*x1 - 0*x2 - -0.0",
+    "-0.0*x2 + -0.0",
+    "x1 - x2 + 3",
+    "-x1 - -x2 - 2.5",
+    "-(2*x1 - -3*x2 + -1)",
+    "--(x2 - 0.0*x1 - 5e-324)",
+    "-(-0.0)*x1 + x2",
+    "-(0*x1 - -0.0*x2)",
+    "-(-0.0*x1 + -0.0)",
+    "3",
+    "-0.0",
+    "-x2",
+    "1e300*x1 - -1e300*x2",  # overflows to inf, and to nan at (1e300, -1e300)
+    "2.5e-310*x2 + -1e-300*x1",
+]
+AFFINE_POINTS = [
+    [0.0, 0.0],
+    [-0.0, -0.0],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [-1.5, 2.0],
+    [3.0, -0.0],
+    [-2.5e-310, -4.0],
+    [1e300, -1e300],
+]
+NON_FINITE_POINTS = [[math.inf, 0.0], [math.nan, -0.0], [-0.0, -math.inf], [math.nan, math.nan]]
+
+
+def _tree_value_and_grad(fn, x):
+    with np.errstate(all="ignore"):
+        return _eval_float(fn.expr, x), _eval_tangent(fn.expr, x, np.zeros(fn.dim))[1]
+
+
+class TestAffineData:
+    def test_every_affine_text_carries_data(self):
+        for text in AFFINE_TEXTS:
+            assert SmoothFn.from_text(text, 2).affine is not None, text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1*2",  # the coefficient is on the right
+            "x1 + x1",  # a variable twice
+            "2*3*x1",
+            "x1/2",
+            "x1 - (x2 + 1)",  # a chain as a term
+            "2*(x1 + 1)",
+            "1e400*x1 + x2",  # an infinite coefficient
+            "x2 + 1e400",
+            "sin(x1) + x2",
+            "x1^1",
+        ],
+    )
+    def test_other_pieces_stay_on_the_tree_walkers(self, text):
+        fn = SmoothFn.from_text(text, 2)
+        assert fn.affine is None
+        stack = PieceStack([fn], 2)
+        for x in AFFINE_POINTS[:6]:
+            value, grad = _tree_value_and_grad(fn, x)
+            assert_bits_equal(stack.values([x])[0][0, 0], value)
+            assert_bits_equal(stack.grads(x, [0])[0], grad)
+
+    def test_values_and_gradients_equal_the_tree_walkers(self):
+        # parse never writes a negative Const; hand-built trees can
+        built = [
+            Binary("*", Unary("neg", Const(-2.0)), Var(0)),
+            Binary("-", Binary("*", Unary("neg", Const(-0.0)), Var(1)), Unary("neg", Const(-3.0))),
+            Binary("+", Unary("neg", Binary("*", Const(-1.5), Var(0))), Const(-0.0)),
+        ]
+        fns = [SmoothFn.from_text(text, 2) for text in AFFINE_TEXTS]
+        fns += [SmoothFn(tree, 2) for tree in built]
+        assert all(fn.affine is not None for fn in fns)
+        stack = PieceStack(fns, 2)
+        values, fault = stack.values(AFFINE_POINTS)
+        assert fault is None
+        for i, x in enumerate(AFFINE_POINTS):
+            grads = stack.grads(x, np.arange(len(fns)))
+            for r, fn in enumerate(fns):
+                value, grad = _tree_value_and_grad(fn, x)
+                assert_bits_equal(values[i, r], value)
+                assert_bits_equal(grads[r], grad)
+        assert_bits_equal(stack.grads([0.0, 0.0], [0])[0], [-5.0, -0.0])
+
+    def test_random_pieces_across_blocks_equal_the_tree_walkers(self):
+        # up to 25 terms, so the pieces fall into blocks of different widths
+        rng = np.random.default_rng(11)
+        pool = [0.0, -0.0, 1.0, -1.0, 2.5, -7.0, 1e-300, -5e-324, 1e300]
+        for _ in range(20):
+            n = int(rng.integers(1, 25))
+            fns = []
+            for _ in range(int(rng.integers(1, 12))):
+                terms = [
+                    f"{pool[int(rng.integers(0, len(pool)))]!r}*x{j + 1}"
+                    for j in rng.permutation(n)[: int(rng.integers(1, n + 1))]
+                ]
+                text = " + ".join([*terms, repr(pool[int(rng.integers(0, len(pool)))])])
+                fns.append(SmoothFn.from_text(f"-({text})" if rng.random() < 0.3 else text, n))
+            assert all(fn.affine is not None for fn in fns)
+            stack = PieceStack(fns, n)
+            points = rng.choice([0.0, -0.0, 1.5, -2.0, 1e300, -3e-310], size=(4, n))
+            values, _ = stack.values(points)
+            for i, x in enumerate(points):
+                subset = rng.permutation(len(fns))[: int(rng.integers(1, len(fns) + 1))]
+                grads = stack.grads(x, subset)
+                for k, r in enumerate(subset):
+                    value, grad = _tree_value_and_grad(fns[r], x)
+                    assert_bits_equal(values[i, r], value)
+                    assert_bits_equal(grads[k], grad)
+
+    def test_non_finite_points_fall_back_to_the_tree_walkers(self):
+        fns = [SmoothFn.from_text(text, 2) for text in AFFINE_TEXTS]
+        stack = PieceStack(fns, 2)
+        values, fault = stack.values(NON_FINITE_POINTS)
+        assert fault is None
+        for i, x in enumerate(NON_FINITE_POINTS):
+            grads = stack.grads(x, np.arange(len(fns)))
+            for r, fn in enumerate(fns):
+                value, grad = _tree_value_and_grad(fn, x)
+                assert_bits_equal(values[i, r], value)  # NaN signs included
+                assert_bits_equal(grads[r], grad)
+
+    def test_first_fault_in_point_major_order(self):
+        fns = [SmoothFn.from_text(t, 1) for t in ("x1", "log(x1)", "sqrt(x1 + 5)", "log(x1 + 9)")]
+        values, fault = PieceStack(fns, 1).values([[2.0], [-1.0], [-20.0]])
+        point, piece, exc = fault
+        assert (point, piece) == (1, 1)
+        assert isinstance(exc, DomainError) and "log" in str(exc)
+        assert_bits_equal(values[0], [2.0, math.log(2.0), math.sqrt(7.0), math.log(11.0)])
+        assert_bits_equal(values[1:, 0], [-1.0, -20.0])  # swept before any walk
+        assert np.isnan(values[1:, 1:]).all()  # never walked
+
+    def test_from_affine_equals_the_data_of_its_tree(self):
+        rng = np.random.default_rng(5)
+        pool = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0, -7.25]
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            values = [pool[int(k)] for k in rng.integers(0, len(pool), size=n + 1)]
+            for negate in (False, True):
+                tree = affine_expr(values[:n], values[n])
+                tree = Unary("neg", tree) if negate else tree
+                fn = SmoothFn.from_affine(values[:n], values[n], negate)
+                want = _affine_data(tree, n)
+                assert_bits_equal(fn.affine.terms, want.terms)
+                assert fn.affine.negate == want.negate
+                assert fn == SmoothFn(tree, n) and repr(fn) == repr(SmoothFn(tree, n))
+                assert hash(fn) == hash(SmoothFn(tree, n)) and str(fn) == unparse(tree)
+
+    def test_from_affine_builds_its_tree_only_when_read(self, monkeypatch):
+        import dcjac.expr
+
+        def fail(*args):
+            raise AssertionError("tree built")
+
+        monkeypatch.setattr(dcjac.expr, "affine_expr", fail)
+        fn = SmoothFn.from_affine([2.0, -3.0], 1.5)
+        stack = PieceStack([fn], 2)
+        assert_bits_equal(stack.values([[1.0, 1.0]])[0], [[0.5]])
+        assert_bits_equal(stack.grads([1.0, 1.0], [0]), [[2.0, -3.0]])
+        assert fn.is_affine
+        monkeypatch.undo()
+        assert fn.expr == parse("2.0*x1 + -3.0*x2 + 1.5", 2)
+
+    def test_pieces_are_immutable(self):
+        fn = SmoothFn.from_text("x1", 1)
+        for name in ("expr", "dim", "affine"):
+            with pytest.raises(AttributeError):
+                setattr(fn, name, None)

@@ -3,7 +3,8 @@
 Every case runs one CLI command and compares its exit code and stdout with
 ``tests/golden/out/<case>.txt``.  The set covers ``jac`` (JSON and text,
 up to n = 8 so the padded filtration levels show), ``verify --json``,
-``dd --json`` and ``newton --ncp``, each under both selection conventions.
+``dd --json`` and ``newton --ncp``, each under both selection conventions
+(one NCP case under the default only).
 Every script in ``demos/`` is pinned the same way: it runs in-process
 with ``runpy.run_path`` and its stdout is compared with
 ``tests/golden/out/demo_<script stem>.txt``.
@@ -35,6 +36,17 @@ _RAND8 = ["--random", "n=8,m=4,pieces=8,seed=6", "-x", "0,0,0,0,0,0,0,0"]
 _RAND5 = ["--random", "n=5,m=3,pieces=5,seed=2", "-x", "1,-1,0,0.5,2"]
 _RAND4 = ["--random", "n=4,m=3,pieces=5,seed=11", "-x", "0,0,0,0"]
 _NCP = ["--ncp", str(GOLDEN / "ncp_M.csv"), str(GOLDEN / "ncp_q.csv")]
+# Signed zeros: oc105's xi carries -0.0 (the gradient of "-5*x1 + -2" at
+# the origin), and a step of the NCP ncp10-3 from its x0 prints -0.0.
+_OC105 = ["-p", str(GOLDEN / "oc105.json"), "-x", "0,0"]
+_NCP10_3 = [
+    "--ncp",
+    str(GOLDEN / "ncp10-3_M.csv"),
+    str(GOLDEN / "ncp10-3_q.csv"),
+    "--x0=-0.26968133702764163,-3.505127072503501,4.290573634435152,-3.1493735788927046,"
+    "3.525696210967199,2.762970437683224,1.885547787586333,-0.530639368454576,"
+    "0.2909930918346513,-0.3904822414950191",
+]
 
 
 def _cases() -> dict[str, tuple[list[str], int]]:
@@ -47,6 +59,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         cases[f"verify_ties_{conv}"] = (["verify", *_TIES, *opt, "--json"], 0)
         cases[f"verify_rand4_{conv}"] = (["verify", *_RAND4, *opt, "--json"], 0)
         cases[f"verify_curved_{conv}"] = (["verify", *_CURVED, *opt, "--json"], 0)
+        cases[f"verify_oc105_{conv}"] = (["verify", *_OC105, *opt, "--json"], 0)
         cases[f"dd_ties_{conv}"] = (
             ["dd", *_TIES, "-y", "1,-1,0.5,0,2,-3,1,0.25", *opt, "--json"],
             0,
@@ -58,6 +71,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
             0,
         )
         cases[f"newton_ncp_{conv}_text"] = (["newton", *_NCP, *opt], 0)
+    cases["newton_ncp10-3_json"] = (["newton", *_NCP10_3, "--json"], 0)
     return cases
 
 

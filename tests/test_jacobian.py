@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import dcjac.jacobian as jacobian
 from dcjac.dcmax import DCMaxFn, MaxFn, active_set, load_problem, load_problem_file
-from dcjac.expr import Binary, Const, SmoothFn
+from dcjac.expr import Binary, Const, DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     ConventionMismatchError,
@@ -19,14 +20,17 @@ from dcjac.jacobian import (
     verify_limit_inclusion,
     witness_direction,
 )
+from dcjac.newton import build_ncp, solve
 from dcjac.oracle import brute_force_subdifferential, hull_membership
 from util import (
     ABS_DOC,
     NEG_ABS_DOC,
     assert_bits_equal,
+    assert_element_equal,
     full_lexicographic_chain,
     random_expr,
     reference_cone_linearity,
+    reference_element,
     reference_limit_inclusion,
     reference_selection_differences,
 )
@@ -246,6 +250,99 @@ def _limit_cases():
     rng = np.random.default_rng(2024)
     for _ in range(30):
         yield _smooth_tied_problem(rng)
+
+
+def _ncp_iterates():
+    """(F, x) at every iterate of seeded NCP solves, where most active sets
+    are singletons and the pieces are coefficient data."""
+    rng = np.random.default_rng(77)
+    for n in (3, 10, 30):
+        A = rng.standard_normal((n, n))
+        M, q = A @ A.T / n + np.eye(n), rng.standard_normal(n)
+        F = build_ncp(M, q)
+        for step in solve(F, rng.uniform(-5.0, 5.0, n)).steps:
+            yield F, step.x
+
+
+MIXED_DOC = {
+    "n": 2,
+    "m": 2,
+    "components": [
+        {"g": ["x1 - x2", "sin(x1) - x2", "-x1 + 2*x2", "0"], "h": ["x1^2 - x2", "-0.0*x1"]},
+        {"g": ["x1*x2", "-(x1 + -3*x2)"], "h": ["2*x1 - -x2 + 0", "x2"]},
+    ],
+}
+
+
+class TestBatchedElement:
+    @pytest.mark.parametrize("tols", [{}, {"tol_act": 0.5, "tol_tie": 1e-3}, {"tol_act": 0.0}])
+    def test_equals_the_term_by_term_reference(self, tols):
+        cases = list(_limit_cases()) + list(_ncp_iterates())
+        F = load_problem(MIXED_DOC)
+        cases += [(F, np.zeros(2)), (F, np.array([0.3, -0.0])), (F, np.array([-1.0, 2.0]))]
+        # a lone active piece whose gradient 0*(1/x1) is nan: the
+        # filtration runs on a row that is not finite and keeps nothing
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["0*log(x1)"], "h": ["x1"]}]})
+        cases.append((F, np.array([5e-324])))
+        for F, x in cases:
+            for conv in ("min", "max"):
+                got = clarke_jacobian_element(F, x, convention=conv, **tols)
+                assert_element_equal(got, reference_element(F, x, convention=conv, **tols))
+
+    def test_lone_active_pieces_skip_the_filtration(self, monkeypatch):
+        calls = []
+        chain = jacobian.lexicographic_chain
+        monkeypatch.setattr(
+            jacobian, "lexicographic_chain", lambda *args: calls.append(args) or chain(*args)
+        )
+        F, x = next(_ncp_iterates())
+        elem = clarke_jacobian_element(F, x)
+        assert all(len(t.active) == 1 for c in elem.components for t in (c.g, c.h))
+        assert calls == []
+        clarke_jacobian_element(load_problem(ABS_DOC), [0.0])
+        assert len(calls) == 1  # g has two active pieces, h the lone zero
+
+    def test_no_tree_walk_on_coefficient_data(self, monkeypatch):
+        def fail(self, x):
+            raise AssertionError("tree walked")
+
+        monkeypatch.setattr(SmoothFn, "eval", fail)
+        monkeypatch.setattr(SmoothFn, "grad", fail)
+        for F, x in _ncp_iterates():
+            clarke_jacobian_element(F, x)
+
+    @pytest.mark.parametrize(
+        "components, x, error, message",
+        [
+            # an infinite maximum in term g_1 comes before a domain error in g_2
+            ([{"g": ["1e308*x1"]}, {"g": ["log(x1 - 20)"]}], [10.0], OverflowError, "inf"),
+            # a gradient of term g_1 comes before a value of term g_2
+            ([{"g": ["sqrt(x1)"]}, {"g": ["log(x1)"]}], [0.0], DomainError, "sqrt"),
+            # a value of term h_1 comes before a maximum in term g_2
+            (
+                [{"g": ["x1"], "h": ["log(x1)"]}, {"g": ["1e308*x1*x1"]}],
+                [-1e200],
+                DomainError,
+                "log",
+            ),
+            ([{"g": ["x1"]}, {"g": ["exp(x1)", "sqrt(x1)"]}], [1000.0], OverflowError, "range"),
+        ],
+    )
+    def test_faults_in_the_order_of_a_term_by_term_step(self, components, x, error, message):
+        F = load_problem({"n": 1, "m": len(components), "components": components})
+        with pytest.raises(error, match=message) as want:
+            reference_element(F, x)
+        with pytest.raises(error) as got:
+            clarke_jacobian_element(F, x)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_row_raises_overflow_without_a_warning(self):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e308*x1"], "h": ["-1e308*x1"]}]})
+        elem = clarke_jacobian_element(F, [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="row 0 of the Jacobian element"):
+                elem.xi
 
 
 class TestSelectionRecord:

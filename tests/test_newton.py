@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import dcjac.expr
 import dcjac.jacobian as jacobian
 from dcjac.dcmax import eval_F, load_problem
+from dcjac.expr import _eval_float, _eval_tangent
 from dcjac.newton import build_ncp, ncp_residual, solve
 from util import ABS_DOC, assert_bits_equal
 
@@ -182,6 +184,38 @@ class TestBuildNCP:
         assert F == expected
         # repr tells -0.0 from 0.0, which == does not
         assert repr(F) == repr(expected)
+
+    def test_pieces_equal_the_tree_walkers_at_random_points(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 4, 12):
+            M = rng.standard_normal((n, n))
+            M[rng.random((n, n)) < 0.2] = 0.0
+            M[rng.random((n, n)) < 0.1] = -0.0
+            q = rng.standard_normal(n)
+            q[0] = -0.0
+            F = build_ncp(M, q)
+            points = rng.choice([0.0, -0.0, 1.0, -2.5], size=(5, n))
+            points[1:] += rng.standard_normal((4, n)) * (rng.random((4, n)) < 0.5)
+            values, fault = F.stack.values(points)
+            assert fault is None
+            for x, row in zip(points, values):
+                grads = F.stack.grads(x, np.arange(len(F.stack.pieces)))
+                for piece, value, grad in zip(F.stack.pieces, row, grads):
+                    assert_bits_equal(value, _eval_float(piece.expr, x))
+                    assert_bits_equal(grad, _eval_tangent(piece.expr, x, np.zeros(n))[1])
+
+    def test_large_system_builds_no_tree(self, monkeypatch):
+        # a left-deep tree of 1000 terms is too deep for the recursive walkers
+        def fail(*args):
+            raise AssertionError("tree built")
+
+        monkeypatch.setattr(dcjac.expr, "affine_expr", fail)
+        n = 1000
+        M = 3.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        q = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        trace = solve(build_ncp(M, q), np.ones(n))
+        assert trace.status == "converged"
+        assert ncp_residual(M, q, trace.solution) <= 1e-8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):

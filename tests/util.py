@@ -11,10 +11,15 @@ import numpy as np
 from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
 from dcjac.jacobian import (
+    DEFAULT_TOL_TIE,
+    ComponentSelection,
     ConeLinearityReport,
     DifferenceVectors,
+    JacobianElement,
     LimitInclusionReport,
     LimitPoint,
+    TermSelection,
+    lexicographic_chain,
 )
 from dcjac.oracle import (
     DEFAULT_PROBE_COUNT,
@@ -183,6 +188,37 @@ def full_lexicographic_chain(grads, convention: str, tol_tie: float):
         keep = keep[mask]
         chain.append(tuple(int(i) for i in keep))
     return chain
+
+
+def reference_element(
+    F, x, tol_act=DEFAULT_TOL_ACT, tol_tie=DEFAULT_TOL_TIE, convention="min"
+) -> JacobianElement:
+    """The Huang-Ma step run term by term: ``active_set`` on each max term,
+    each active gradient by ``SmoothFn.grad`` and the full
+    ``lexicographic_chain``.  The reference for ``clarke_jacobian_element``."""
+    x = np.asarray(x, dtype=float)
+
+    def select_term(f) -> TermSelection:
+        act = active_set(f, x, tol_act)
+        grads = np.array([f.pieces[j].grad(x) for j in act.indices])
+        chain = tuple(lexicographic_chain(grads, convention, tol_tie))
+        return TermSelection(act.indices, chain, max(act.values), grads)
+
+    comps = tuple(ComponentSelection(select_term(g), select_term(h)) for g, h in zip(F.g, F.h))
+    return JacobianElement(comps, convention, tol_act, tol_tie)
+
+
+def assert_element_equal(got, want) -> None:
+    """Same active sets, filtrations and convention, and bitwise the same
+    values and active gradients, term by term."""
+    settings = ("convention", "tol_act", "tol_tie")
+    assert [getattr(got, k) for k in settings] == [getattr(want, k) for k in settings]
+    assert len(got.components) == len(want.components)
+    for comp, ref in zip(got.components, want.components):
+        for term, ref_term in ((comp.g, ref.g), (comp.h, ref.h)):
+            assert (term.active, term.chain) == (ref_term.active, ref_term.chain)
+            assert_bits_equal(term.max_value, ref_term.max_value)
+            assert_bits_equal(term.grads, ref_term.grads)
 
 
 def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
