@@ -103,10 +103,20 @@ class DCMaxFn:
         term = np.repeat(np.arange(len(counts)), counts)
         return term, np.arange(term.size) - first[term], first
 
+    @functools.cached_property
+    def slots(self) -> np.ndarray:
+        """Per max term and slot of ``term_values``, whether the slot holds
+        a piece (False on the -inf padding)."""
+        term, slot, _ = self._layout
+        mask = np.zeros((len(self.terms), int(slot.max()) + 1), dtype=bool)
+        mask[term, slot] = True
+        return mask
+
     def term_values(self, X) -> tuple[np.ndarray, tuple | None]:
         """Every piece's value at every row of X as an array (points,
         terms, widest term), -inf past a term's last piece (it never wins
-        or ties a finite maximum), from one ``PieceStack`` sweep.
+        or ties a finite maximum; ``slots`` masks it), from one
+        ``PieceStack`` sweep.
 
         The second item is None, or (point, term, exception) for the first
         piece that could not be evaluated, in point-major order; see
@@ -114,7 +124,7 @@ class DCMaxFn:
         """
         values, fault = self.stack.values(X)
         term, slot, _ = self._layout
-        out = np.full((len(values), len(self.terms), int(slot.max()) + 1), -math.inf)
+        out = np.full((len(values), *self.slots.shape), -math.inf)
         out[:, term, slot] = values
         if fault is not None:
             fault = (fault[0], int(term[fault[1]]), fault[2])
@@ -211,9 +221,12 @@ def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
 def _within_cutoff(values: np.ndarray, vmax, tol_act: float):
     """The active rule for one max term (``values`` 1-D, ``vmax`` its
     finite maximum) or a stack of them (a row each, ``vmax`` per row):
-    the pieces within tol_act*(1+|max|) of the maximum, and that cutoff."""
-    cutoff = tol_act * (1.0 + np.abs(vmax))
-    return values >= np.expand_dims(vmax - cutoff, -1), cutoff
+    the pieces within tol_act*(1+|max|) of the maximum, and that cutoff.
+    Near the largest floats the cutoff or the bound overflows to inf,
+    silently, as Python floats do."""
+    with np.errstate(over="ignore"):
+        cutoff = tol_act * (1.0 + np.abs(vmax))
+        return values >= np.expand_dims(vmax - cutoff, -1), cutoff
 
 
 def dd_max(f: MaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> float:

@@ -502,25 +502,37 @@ def _affine_data(node: Expr, dim: int) -> Affine | None:
     for minus, term in reversed(chain):
         flip, term = _strip_neg(term, minus)
         if isinstance(term, Const):
-            c, j, zero_sign, zero_flips = term.value, dim, False, False
+            c, j, neg_c, product = term.value, dim, False, False
         elif isinstance(term, Var):
-            c, j, zero_sign, zero_flips = 1.0, term.index, False, False
+            c, j, neg_c, product = 1.0, term.index, False, False
         elif isinstance(term, Binary) and term.op == "*" and isinstance(term.right, Var):
-            # d(c*x_j) = dc*x_j + c*e_j: off lane j, (+-0)*x_j + c*0.0
             neg_c, const = _strip_neg(term.left, False)
             if not isinstance(const, Const):
                 return None
-            c = -const.value if neg_c else const.value
-            j = term.right.index
-            zero_flips = math.copysign(1.0, c) < 0.0
-            zero_sign = neg_c and zero_flips
+            c, j, product = (-const.value if neg_c else const.value), term.right.index, True
         else:
             return None
         if not math.isfinite(c) or (j != dim and (j in seen or not 0 <= j < dim)):
             return None
         seen.add(j)
-        terms.append((-c if flip else c, j, flip != zero_sign, zero_flips))
+        zero_sign, zero_flips = _zero_flags(product, math.copysign(1.0, c) < 0.0, neg_c, flip)
+        terms.append((-c if flip else c, j, zero_sign, zero_flips))
     return Affine(np.array(terms, dtype=float).T, negate)
+
+
+def _zero_flags(product, c_signbit, neg_c, flip):
+    """The zero_sign and zero_flips flags of ``Affine`` for a term c*x_j
+    (bools, or bool arrays with one entry per term).  ``product`` marks a
+    term written constant*variable, whose constant c is written as a
+    negation when ``neg_c``; ``flip`` marks a negated term.
+
+    Off lane j a product's gradient is d(c)*x_j + c*0.0, with d(c) the
+    zero -0 when ``neg_c``: it can be -0 only when c's sign bit is set,
+    and then exactly when neg_c ^ signbit(x_j).  A constant or a variable
+    adds +0 there.  ``flip`` negates the term and its zero.
+    """
+    zero_flips = product & c_signbit
+    return flip ^ (neg_c & zero_flips), zero_flips
 
 
 class SmoothFn:
@@ -550,15 +562,13 @@ class SmoothFn:
         if not np.isfinite(coefs).all():
             raise ValueError("coefficients must be finite")
         dim = coefs.size - 1
-        terms = np.empty((4, dim + 1))
-        terms[0] = coefs
-        terms[1] = np.arange(dim + 1)
-        # affine_expr writes a negative number as neg(|number|): the terms
-        # c*x_j of _affine_data with neg_c = zero_flips = signbit(c), and a
-        # negated constant
-        terms[2] = np.signbit(coefs)
-        terms[3] = terms[2]
-        terms[3, -1] = 0.0
+        # affine_expr writes a number with its sign bit set as neg(|number|):
+        # in a product c*x_j a negated constant, as the last term a negated
+        # |constant|
+        sign = np.signbit(coefs)
+        product = np.arange(dim + 1) < dim
+        flags = _zero_flags(product, sign, sign & product, sign & ~product)
+        terms = np.stack([coefs, np.arange(dim + 1), *flags])
         fn = cls.__new__(cls)
         fn.__dict__.update(_expr=None, dim=dim, affine=Affine(terms, negate))
         return fn

@@ -177,7 +177,7 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
         raise ValueError("empty input list")
     n = mat.shape[1]
     keep = np.arange(mat.shape[0])
-    chain = [tuple(int(i) for i in keep)]
+    chain = [tuple(range(mat.shape[0]))]
     for l in range(n):
         if keep.size == 1 and np.isfinite(mat[keep[0]]).all():
             chain.extend([chain[-1]] * (n - l))
@@ -213,8 +213,8 @@ def clarke_jacobian_element(
     All max terms are stepped together: one sweep (``DCMaxFn.term_values``)
     gives every piece's value, a piece is active within
     tol_act*(1+|max|) of its term's maximum (the rule of ``active_set``),
-    one call gives every active gradient, and the filtration runs only
-    where two or more pieces are active.  Faults surface in the order a
+    one call gives every active gradient, and each term's filtration
+    reads its rows of that call.  Faults surface in the order a
     term-by-term step meets them: a piece that cannot be evaluated, a
     non-finite maximum (OverflowError), a gradient that cannot be taken.
     """
@@ -231,7 +231,10 @@ def clarke_jacobian_element(
         stop = int(np.argmin(finite))
         fault = (0, stop, OverflowError(f"largest piece value is {float(vmax[stop])!r}"))
         values, vmax = values[:stop], vmax[:stop]
-    terms, pieces = np.nonzero(_within_cutoff(values, vmax, tol_act)[0])
+    # the -inf padding passes a cutoff that is itself -inf (tol_act = inf,
+    # or a maximum near -DBL_MAX), so mask it out
+    active = _within_cutoff(values, vmax, tol_act)[0] & F.slots[: len(values)]
+    terms, pieces = np.nonzero(active)
     grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
     if fault is not None:
         raise fault[2]
@@ -240,14 +243,9 @@ def clarke_jacobian_element(
     max_values = values[np.arange(len(values)), np.argmax(values, axis=1)].tolist()
     bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
     pieces = pieces.tolist()
-    finite_rows = np.isfinite(grads).all(axis=1).tolist()
-    lone = ((0,),) * (F.n + 1)  # a lone finite row survives every level
     steps = []
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if hi - lo == 1 and finite_rows[lo]:
-            chain = lone
-        else:
-            chain = tuple(lexicographic_chain(grads[lo:hi], convention, tol_tie))
+        chain = tuple(lexicographic_chain(grads[lo:hi], convention, tol_tie))
         steps.append(TermSelection(tuple(pieces[lo:hi]), chain, max_values[t], grads[lo:hi]))
     comps = tuple(ComponentSelection(g, h) for g, h in zip(steps[0::2], steps[1::2]))
     return JacobianElement(comps, convention, tol_act, tol_tie)

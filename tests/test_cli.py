@@ -374,6 +374,48 @@ class TestNonFiniteElement:
         assert err == "error: numeric overflow: row 0 of the Jacobian element is [inf]\n"
 
 
+# g's one piece peaks near -DBL_MAX, where its activity cutoff overflows
+NEAR_MIN_DOC = {
+    "n": 1,
+    "m": 1,
+    "components": [{"g": ["-1.7976931348623157e308 + x1"], "h": ["0", "2*x1"]}],
+}
+
+
+class TestPaddedTerms:
+    """Max terms with fewer pieces than the widest one, where the cutoff
+    is -inf: only the term's own pieces can be active."""
+
+    @pytest.mark.parametrize(
+        "doc, argv, xi, key, active",
+        [
+            (
+                {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"], "h": ["0"]}]},
+                ["-x", "1", "--tol-act", "inf"],
+                [[-1.0]],
+                "h_active",
+                [0],
+            ),
+            (NEAR_MIN_DOC, ["-x", "0"], [[1.0]], "g_active", [0]),
+        ],
+    )
+    def test_jac(self, capsys, tmp_path, doc, argv, xi, key, active):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["jac", "-p", str(prob), *argv, "--json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["xi"] == xi
+        assert payload["selection"]["components"][0][key] == active
+
+    def test_dd_prints_no_overflow_warning(self, capsys, tmp_path):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(NEAR_MIN_DOC))
+        code, out, err = run(capsys, ["dd", "-p", str(prob), "-x", "0", "-y", "1", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dd"] == [-1.0]
+
+
 class TestNewton:
     def test_converges_exit_0(self, capsys, abs_problem):
         code, out, _ = run(capsys, ["newton", "-p", abs_problem, "--x0", "1", "--json"])
