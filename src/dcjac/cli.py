@@ -9,6 +9,7 @@ JSON output is byte-stable for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -312,7 +313,10 @@ def _add_random(parser) -> None:
     parser.add_argument("--random", help="generate an instance: n=,m=,pieces=[,seed=]")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: nothing in it
+    depends on the call (help width is read when help is formatted)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-p", "--problem", help="problem JSON file")
     common.add_argument("--tol-act", type=float, default=DEFAULT_TOL_ACT, dest="tol_act")

@@ -216,7 +216,8 @@ def clarke_jacobian_element(
     one call gives every active gradient, and each term's filtration
     reads its rows of that call.  Faults surface in the order a
     term-by-term step meets them: a piece that cannot be evaluated, a
-    non-finite maximum (OverflowError), a gradient that cannot be taken.
+    non-finite maximum (OverflowError), a gradient that cannot be taken
+    and then one that is not finite (OverflowError).
     """
     _check_convention(convention)
     for name, tol in (("tol_act", tol_act), ("tol_tie", tol_tie)):
@@ -236,6 +237,14 @@ def clarke_jacobian_element(
     active = _within_cutoff(values, vmax, tol_act)[0] & F.slots[: len(values)]
     terms, pieces = np.nonzero(active)
     grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
+    finite = np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        # a NaN or infinite row would leave the filtration with no survivor
+        k = int(np.argmin(finite))
+        raise OverflowError(
+            f"gradient of active piece {pieces[k]} of {'gh'[terms[k] % 2]} in component "
+            f"{terms[k] // 2} is {grads[k].tolist()}"
+        )
     if fault is not None:
         raise fault[2]
 

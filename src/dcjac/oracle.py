@@ -267,9 +267,14 @@ def _distinct_profiles(choice_mat: np.ndarray) -> tuple[list[tuple[int, ...]], n
     """Distinct tie-free rows of a strict-argmax matrix (one column per max
     term) in order of first occurrence, with the index of that occurrence."""
     kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
-    rows, first = np.unique(choice_mat[kept], axis=0, return_index=True)
-    order = np.argsort(first)
-    return [tuple(int(v) for v in row) for row in rows[order]], kept[first[order]]
+    rows = choice_mat[kept]
+    # a stable sort groups equal rows with their first occurrence leading
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    leads = np.ones(len(order), dtype=bool)
+    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.sort(order[leads])
+    return [tuple(row) for row in rows[first].tolist()], kept[first]
 
 
 def _cone_full_dimensional(rows: np.ndarray) -> bool:
@@ -324,9 +329,15 @@ def brute_force_subdifferential(
 
     # dense sampling of strict-argmax patterns
     offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
-    choice_mat = np.stack(
-        [_strict_argmax_rows(offsets @ rows.T + v) for rows, v in zip(grads, vals)], axis=1
-    )
+    # one row per probe and max term, padded with -inf, which never wins or
+    # ties a finite max: a single strict-argmax pass covers every term.
+    # A value that overflows is not finite and so never a strict maximum.
+    widest = max(len(v) for v in vals)
+    values = np.full((probe_count, len(vals), widest), -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (rows, v) in enumerate(zip(grads, vals)):
+            values[:, t, : len(v)] = offsets @ rows.T + v
+    choice_mat = _strict_argmax_rows(values.reshape(-1, widest)).reshape(probe_count, -1)
     samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
     profiles = set(_distinct_profiles(choice_mat)[0])
 

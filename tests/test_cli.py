@@ -374,6 +374,32 @@ class TestNonFiniteElement:
         assert err == "error: numeric overflow: row 0 of the Jacobian element is [inf]\n"
 
 
+class TestNonFiniteActiveGradient:
+    """A lone active piece whose gradient is not finite leaves the
+    filtration with no survivor; the commands refuse it with exit 3."""
+
+    @pytest.mark.parametrize(
+        "doc, options, bad",
+        [
+            # 0*(1/x1) with 1/x1 = inf
+            ({"n": 1, "m": 1, "components": [{"g": ["0*log(x1)"], "h": ["x1"]}]}, [], "nan"),
+            # the max filtration would compute inf - inf
+            ({"n": 1, "m": 1, "components": [{"g": ["log(x1)"]}]}, ["--convention", "max"], "inf"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["jac", "-x", "5e-324"], ["verify", "-x", "5e-324"], ["newton", "--x0", "5e-324"]],
+    )
+    def test_exits_3_with_one_error_line(self, capsys, tmp_path, doc, options, bad, argv):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [argv[0], "-p", str(prob), *argv[1:], *options, "--json"])
+        assert (code, out) == (3, "")
+        want = f"error: numeric overflow: gradient of active piece 0 of g in component 0 is [{bad}]\n"
+        assert err == want
+
+
 # g's one piece peaks near -DBL_MAX, where its activity cutoff overflows
 NEAR_MIN_DOC = {
     "n": 1,
@@ -551,6 +577,37 @@ class TestDD:
         payload = json.loads(out1)
         assert payload["point"] == [-0.5, 1.0]
         assert payload["direction"] == [-0.25, -0.3]
+
+
+class TestParserBuiltOnce:
+    def test_repeated_calls_in_one_process(self, capsys, abs_problem):
+        dcjac.cli._build_parser.cache_clear()
+        spec = ["--random", "n=3,m=2,pieces=4,seed=7"]
+        calls = [
+            ["jac", *spec, "-x", "0,0,0", "--json"],
+            ["verify", *spec, "-x", "0,0,0", "--convention", "max", "--json"],
+            ["newton", "-p", abs_problem, "--x0", "1", "--json"],
+            ["dd", *spec, "-x", "0,0,0", "-y", "1,-1,0"],
+            ["jac", *spec],  # usage error: -x is required
+            ["jac", "--random", "n=x,m=2,pieces=4", "-x", "0,0,0"],
+            ["verify", *spec, "-x", "0,0,0", "--json"],
+        ]
+        first = {}
+        for rnd in range(3):
+            for argv in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse reports usage errors itself
+                    code = exc.code
+                got = (code, *capsys.readouterr())
+                first.setdefault(tuple(argv), got)
+                assert got == first[tuple(argv)], (rnd, argv)
+        codes = [first[tuple(argv)][0] for argv in calls]
+        assert codes == [0, 0, 0, 0, 2, 2, 0]
+        assert "the following arguments are required: -x/--point" in first[tuple(calls[4])][2]
+        # no option value carries over from an earlier call
+        assert json.loads(first[tuple(calls[6])][1])["convention"] == "min"
+        assert dcjac.cli._build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:

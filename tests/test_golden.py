@@ -39,6 +39,11 @@ _NCP = ["--ncp", str(GOLDEN / "ncp_M.csv"), str(GOLDEN / "ncp_q.csv")]
 # Signed zeros: oc105's xi carries -0.0 (the gradient of "-5*x1 + -2" at
 # the origin), and a step of the NCP ncp10-3 from its x0 prints -0.0.
 _OC105 = ["-p", str(GOLDEN / "oc105.json"), "-x", "0,0"]
+# Multi-piece terms, all active at (1, -2), and a g piece that wins only on
+# a cone about 1e-5 wide: the 4096 probes miss it and the enumeration's
+# LP finds it.  The wide radius and the nonzero point keep the probe
+# offsets away from the plain draw.
+_THIN = ["-p", str(GOLDEN / "thin.json"), "-x", "1,-2", "--radius", "0.5"]
 _NCP10_3 = [
     "--ncp",
     str(GOLDEN / "ncp10-3_M.csv"),
@@ -60,6 +65,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         cases[f"verify_rand4_{conv}"] = (["verify", *_RAND4, *opt, "--json"], 0)
         cases[f"verify_curved_{conv}"] = (["verify", *_CURVED, *opt, "--json"], 0)
         cases[f"verify_oc105_{conv}"] = (["verify", *_OC105, *opt, "--json"], 0)
+        cases[f"verify_thin_{conv}"] = (["verify", *_THIN, *opt, "--json"], 0)
         cases[f"dd_ties_{conv}"] = (
             ["dd", *_TIES, "-y", "1,-1,0.5,0,2,-3,1,0.25", *opt, "--json"],
             0,

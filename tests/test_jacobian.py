@@ -297,10 +297,6 @@ class TestBatchedElement:
             }
         )
         cases += [(F, np.zeros(1)), (F, np.ones(1))]
-        # a lone active piece whose gradient 0*(1/x1) is nan: the
-        # filtration runs on a row that is not finite and keeps nothing
-        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["0*log(x1)"], "h": ["x1"]}]})
-        cases.append((F, np.array([5e-324])))
         for F, x in cases:
             for conv in ("min", "max"):
                 got = clarke_jacobian_element(F, x, convention=conv, **tols)
@@ -330,6 +326,17 @@ class TestBatchedElement:
                 "log",
             ),
             ([{"g": ["x1"]}, {"g": ["exp(x1)", "sqrt(x1)"]}], [1000.0], OverflowError, "range"),
+            # a lone active piece whose gradient 0*(1/x1) is nan, which the
+            # filtration would keep nothing of
+            ([{"g": ["0*log(x1)"], "h": ["x1"]}], [5e-324], OverflowError, r"\[nan\]"),
+            # a gradient that is not finite in term h_1 comes before a value
+            # of term g_2
+            (
+                [{"g": ["x1"], "h": ["x1", "0*log(x1)"]}, {"g": ["log(x1 - 1)"]}],
+                [5e-324],
+                OverflowError,
+                "piece 1 of h in component 0",
+            ),
         ],
     )
     def test_faults_in_the_order_of_a_term_by_term_step(self, components, x, error, message):
@@ -339,6 +346,22 @@ class TestBatchedElement:
         with pytest.raises(error) as got:
             clarke_jacobian_element(F, x)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize(
+        "components, bad",
+        [
+            ([{"g": ["0*log(x1)"], "h": ["x1"]}], "nan"),  # 0*(1/x1) with 1/x1 = inf
+            ([{"g": ["log(x1)"]}], "inf"),  # the max filtration would compute inf - inf
+            ([{"g": ["0", "0*log(x1)"]}], "nan"),  # not the lone active piece: still refused
+        ],
+    )
+    def test_non_finite_active_gradient_raises_overflow(self, components, bad, convention):
+        F = load_problem({"n": 1, "m": len(components), "components": components})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=rf"is \[{bad}\]$"):
+                clarke_jacobian_element(F, [5e-324], convention=convention)
 
     def test_non_finite_row_raises_overflow_without_a_warning(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e308*x1"], "h": ["-1e308*x1"]}]})

@@ -6,6 +6,7 @@ from dcjac.instances import random_affine_problem
 from dcjac.jacobian import clarke_jacobian_element
 from dcjac.expr import SmoothFn
 from dcjac.oracle import (
+    _ball_samples,
     _distinct_profiles,
     _strict_argmax_rows,
     brute_force_subdifferential,
@@ -15,7 +16,13 @@ from dcjac.oracle import (
     sample_limiting_jacobians,
 )
 from dcjac.dcmax import dd_F
-from util import ABS_DOC, assert_bits_equal, reference_brute_force, reference_limiting_samples
+from util import (
+    ABS_DOC,
+    assert_bits_equal,
+    reference_brute_force,
+    reference_distinct_profiles,
+    reference_limiting_samples,
+)
 
 
 def acceptance_corpus():
@@ -289,6 +296,102 @@ class TestBruteForceReadsActivePieces:
         assert sorted(m.tolist() for m in mats) == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
 
+def _assert_equals_reference(F, x, **kwargs):
+    mats, report = brute_force_subdifferential(F, x, **kwargs)
+    ref_mats, ref_report = reference_brute_force(F, x, **kwargs)
+    assert report == ref_report
+    assert len(mats) == len(ref_mats)
+    for a, b in zip(mats, ref_mats):
+        assert_bits_equal(a, b)
+    return mats, report
+
+
+def _all_active_problem(rng, x) -> dict:
+    """Random affine terms of 1 to 4 integer-coefficient pieces, each 0 at
+    the dyadic point x exactly, so every piece is active there and the
+    reference, which samples every piece, applies."""
+    x = [float(v) for v in x]
+    n = len(x)
+
+    def term() -> list[str]:
+        pieces = []
+        for _ in range(int(rng.integers(1, 5))):
+            coeffs = rng.integers(-5, 6, size=n).tolist()
+            const = -sum(c * v for c, v in zip(coeffs, x))
+            pieces.append(" + ".join([*(f"{c}*x{j + 1}" for j, c in enumerate(coeffs)), repr(const)]))
+        return pieces
+
+    m = int(rng.integers(1, 3))
+    return {"n": n, "m": m, "components": [{"g": term(), "h": term()} for _ in range(m)]}
+
+
+class TestPaddedSampler:
+    """The hull oracle writes every term into one -inf padded array and
+    takes one strict-argmax pass; the reference takes one pass per term."""
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.5])
+    def test_shifted_points(self, radius):
+        rng = np.random.default_rng(12)
+        for x in ([0.5], [0.5, -1.25], [0.5, -1.25, 3.0], [0.5, -1.25, 3.0, -0.375]):
+            x = np.array(x)
+            # the probe offsets are not the raw draws: center + d - x rounds
+            plain = _ball_samples(np.random.default_rng(42), np.zeros(len(x)), radius, 4096)
+            shifted = _ball_samples(np.random.default_rng(42), x, radius, 4096) - x
+            assert not np.array_equal(plain, shifted)
+            for _ in range(3):
+                F = load_problem(_all_active_problem(rng, x))
+                _assert_equals_reference(F, x, probe_radius=radius)
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_few_probes(self, count):
+        rng = np.random.default_rng(count)
+        x = np.array([0.5, -1.25])
+        for seed in range(6):
+            F = load_problem(_all_active_problem(rng, x))
+            _assert_equals_reference(F, x, probe_count=count, seed=seed)
+
+    def test_duplicated_pieces(self):
+        doc = {
+            "n": 2,
+            "m": 2,
+            "components": [
+                {"g": ["x1 + x2", "x1 + x2", "-x1", "2*x2"], "h": ["0", "0"]},
+                {"g": ["x1", "-x1", "x1"], "h": ["x2", "-x2"]},
+            ],
+        }
+        _, report = _assert_equals_reference(load_problem(doc), [0.0, 0.0])
+        assert report.samples_kept == 0  # the two h pieces of component 0 always tie
+
+    def test_widths_one_and_five_in_one_problem(self):
+        doc = {
+            "n": 2,
+            "m": 2,
+            "components": [
+                {"g": ["x1", "-x1", "x2", "-x2", "x1 + x2"]},
+                {"g": ["3*x1 - x2"], "h": ["x1", "x2", "-x1", "-x2", "0"]},
+            ],
+        }
+        for x in ([0.0, 0.0], [1e-300, -0.0]):
+            mats, report = _assert_equals_reference(load_problem(doc), x)
+            assert report.samples_kept > 0 and len(mats) > 1
+
+    def test_values_overflowing_inside_the_ball(self):
+        # every piece is 0 at the origin; at radius 4 the products reach
+        # +-inf and sums of opposite infinities give nan, so some probes
+        # have no finite strict maximum.  Gradient differences stay finite.
+        doc = {
+            "n": 2,
+            "m": 2,
+            "components": [
+                {"g": ["1e308*x1", "-5e307*x1", "1e308*x1 + 1e308*x2"], "h": ["0", "-5e307*x2"]},
+                {"g": ["x1", "-x2"], "h": ["1e308*x2", "x1"]},
+            ],
+        }
+        F = load_problem(doc)
+        _, report = _assert_equals_reference(F, [0.0, 0.0], probe_radius=4.0)
+        assert 0 < report.samples_kept < 4096
+
+
 class TestIsAffine:
     def test_every_piece_of_both_terms_counts(self):
         comps = [{"g": ["x1", "2*x2 - 1"]}, {"g": ["x2"], "h": ["x1"]}]
@@ -335,6 +438,33 @@ class TestProfiles:
             profiles, rows = _distinct_profiles(mat)
             assert profiles == list(first)
             assert rows.tolist() == list(first.values())
+            assert all(type(v) is int for p in profiles for v in p)
+
+    @pytest.mark.parametrize(
+        "rows, cols, low, high, pool, holes",
+        [
+            (0, 3, 0, 3, 5, 0.0),  # no row at all
+            (50, 3, -1, 0, 5, 0.0),  # no kept row: every row holds a -1
+            (200, 1, 0, 5, 5, 0.05),  # one column
+            (300, 48, 0, 3, 300, 0.0),  # 48 columns, as m = 24 gives
+            (300, 48, 0, 3, 7, 0.01),
+            (100, 6, 0, 4, 1, 0.0),  # every row equal
+            (4096, 6, 0, 4, 40, 0.02),  # -1 entries mixed with valid ones
+            (400, 6, -1, 4, 400, 0.0),
+        ],
+    )
+    def test_distinct_profiles_equal_the_unique_reference(self, rows, cols, low, high, pool, holes):
+        rng = np.random.default_rng(rows * 100 + cols + pool)
+        for _ in range(10):
+            # rows drawn from a pool of candidates, so that rows repeat
+            candidates = rng.integers(low, high, size=(pool, cols))
+            mat = candidates[rng.integers(0, pool, size=rows)]
+            mat[rng.random(mat.shape) < holes] = -1
+            profiles, first = _distinct_profiles(mat)
+            ref_profiles, ref_first = reference_distinct_profiles(mat)
+            assert profiles == ref_profiles
+            assert first.dtype == ref_first.dtype
+            assert first.tolist() == ref_first.tolist()
             assert all(type(v) is int for p in profiles for v in p)
 
 

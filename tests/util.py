@@ -30,7 +30,6 @@ from dcjac.oracle import (
     LimitingSample,
     _ball_samples,
     _cone_full_dimensional,
-    _distinct_profiles,
     _strict_argmax_rows,
 )
 
@@ -194,17 +193,26 @@ def reference_element(
     F, x, tol_act=DEFAULT_TOL_ACT, tol_tie=DEFAULT_TOL_TIE, convention="min"
 ) -> JacobianElement:
     """The Huang-Ma step run term by term: ``active_set`` on each max term,
-    each active gradient by ``SmoothFn.grad`` and the full
-    ``lexicographic_chain``.  The reference for ``clarke_jacobian_element``."""
+    each active gradient by ``SmoothFn.grad`` (OverflowError for the
+    first one that is not finite) and the full ``lexicographic_chain``.
+    The reference for ``clarke_jacobian_element``."""
     x = np.asarray(x, dtype=float)
 
-    def select_term(f) -> TermSelection:
+    def select_term(f, name: str, i: int) -> TermSelection:
         act = active_set(f, x, tol_act)
         grads = np.array([f.pieces[j].grad(x) for j in act.indices])
+        for j, row in zip(act.indices, grads):
+            if not np.isfinite(row).all():
+                raise OverflowError(
+                    f"gradient of active piece {j} of {name} in component {i} is {row.tolist()}"
+                )
         chain = tuple(lexicographic_chain(grads, convention, tol_tie))
         return TermSelection(act.indices, chain, max(act.values), grads)
 
-    comps = tuple(ComponentSelection(select_term(g), select_term(h)) for g, h in zip(F.g, F.h))
+    comps = tuple(
+        ComponentSelection(select_term(g, "g", i), select_term(h, "h", i))
+        for i, (g, h) in enumerate(zip(F.g, F.h))
+    )
     return JacobianElement(comps, convention, tol_act, tol_tie)
 
 
@@ -394,6 +402,16 @@ def reference_limiting_samples(F, x, radius, count, seed) -> list[LimitingSample
     return list(found.values())
 
 
+def reference_distinct_profiles(choice_mat) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Distinct tie-free rows by ``np.unique`` over rows, put back in order
+    of first occurrence: the reference for ``oracle._distinct_profiles``."""
+    choice_mat = np.asarray(choice_mat)
+    kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
+    rows, first = np.unique(choice_mat[kept], axis=0, return_index=True)
+    order = np.argsort(first)
+    return [tuple(int(v) for v in row) for row in rows[order]], kept[first[order]]
+
+
 def reference_brute_force(
     F,
     x,
@@ -413,11 +431,12 @@ def reference_brute_force(
         for fn in terms
     ]
     offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
-    choice_mat = np.stack(
-        [_strict_argmax_rows(offsets @ grads.T + vals) for grads, vals in data], axis=1
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        choice_mat = np.stack(
+            [_strict_argmax_rows(offsets @ grads.T + vals) for grads, vals in data], axis=1
+        )
     samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
-    profiles = set(_distinct_profiles(choice_mat)[0])
+    profiles = set(reference_distinct_profiles(choice_mat)[0])
 
     active = [active_set(fn, x, tol_act).indices for fn in terms]
     enumerated = math.prod(len(idx) for idx in active) <= ENUMERATION_CAP
