@@ -42,7 +42,7 @@ print("difference vectors (rejected - selected):")
 print(diffs.vectors)
 
 witness = witness_direction(diffs)
-print("witness direction:", witness.y_bar, " weights:", witness.lambdas)
+print("witness direction:", witness.y_bar, " weights:", np.abs(witness.y_bar))
 report = check_witness(witness)
 print("slopes along witness strictly negative:", report.passed,
       " margins:", report.margins)

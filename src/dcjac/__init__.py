@@ -9,7 +9,6 @@ from .dcmax import (
     SchemaError,
     active_set,
     dd_F,
-    dd_max,
     eval_F,
     load_problem,
     load_problem_file,
@@ -62,7 +61,6 @@ __all__ = [
     "check_witness",
     "clarke_jacobian_element",
     "dd_F",
-    "dd_max",
     "eval_F",
     "finite_diff_dd",
     "hull_membership",

@@ -296,10 +296,10 @@ def cmd_dd(args) -> int:
         "command": "dd",
         "point": x.tolist(),
         "direction": y.tolist(),
-        "F": eval_F(F, x).tolist(),
+        "F": [_finite_or_none(v) for v in eval_F(F, x).tolist()],
         "dd": value.tolist(),
-        "finite_diff": fd.value.tolist(),
-        "fd_convergence": fd.convergence,
+        "finite_diff": [_finite_or_none(v) for v in fd.value.tolist()],
+        "fd_convergence": _finite_or_none(fd.convergence),
     }
     if args.json:
         print(_dump(payload))

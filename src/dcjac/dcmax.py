@@ -26,7 +26,6 @@ __all__ = [
     "load_problem_file",
     "eval_F",
     "active_set",
-    "dd_max",
     "dd_F",
 ]
 
@@ -56,9 +55,6 @@ class MaxFn:
     @property
     def dim(self) -> int:
         return self.pieces[0].dim
-
-    def eval(self, x) -> float:
-        return max(p.eval(x) for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -198,9 +194,25 @@ def load_problem_file(path) -> DCMaxFn:
 
 
 def eval_F(F: DCMaxFn, x) -> np.ndarray:
-    """Componentwise value max_j g_ij(x) - max_k h_ik(x)."""
-    x = _check_point(F, x)
-    return np.array([F.g[i].eval(x) - F.h[i].eval(x) for i in range(F.m)])
+    """Componentwise value max_j g_ij(x) - max_k h_ik(x); a max term that
+    holds a NaN piece is NaN."""
+    return _values_at(F, _check_point(F, x)[None])[0]
+
+
+def _values_at(F: DCMaxFn, X: np.ndarray) -> np.ndarray:
+    """F at every row of X from one sweep; values overflow silently."""
+    values, fault = F.term_values(X)
+    if fault is not None:
+        raise fault[2]
+    tops = _first_max(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tops[..., 0::2] - tops[..., 1::2]
+
+
+def _first_max(values: np.ndarray) -> np.ndarray:
+    """Along the last axis, the first maximal value (as Python's ``max``
+    picks -0.0 before 0.0), or the first NaN."""
+    return np.take_along_axis(values, np.argmax(values, axis=-1)[..., None], -1)[..., 0]
 
 
 def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
@@ -229,20 +241,66 @@ def _within_cutoff(values: np.ndarray, vmax, tol_act: float):
         return values >= np.expand_dims(vmax - cutoff, -1), cutoff
 
 
-def dd_max(f: MaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> float:
-    """Directional derivative of a max-type function: the largest slope
-    grad_j(x)'y over the active pieces j."""
-    y = np.asarray(y, dtype=float)
-    act = active_set(f, x, tol_act)
-    return max(float(f.pieces[j].grad(x) @ y) for j in act.indices)
+def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
+    """Per max term (g_1, h_1, g_2, ...) from one sweep: its active pieces
+    (the rule of ``active_set``) in ascending order, its value at x and
+    the active gradients, a row each.  Faults surface in the order a
+    term-by-term step meets them: a piece that cannot be evaluated, a
+    non-finite maximum (OverflowError), a gradient that cannot be taken
+    and then one that is not finite (OverflowError)."""
+    if not tol_act >= 0:
+        raise ValueError("tol_act must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    values, fault = F.term_values(x[None])
+    values = values[0, : None if fault is None else fault[1]]
+    tops = _first_max(values)
+    finite = np.isfinite(tops)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        fault = (0, stop, OverflowError(f"largest piece value is {float(tops[stop])!r}"))
+        values, tops = values[:stop], tops[:stop]
+    # the -inf padding passes a cutoff that is itself -inf (tol_act = inf,
+    # or a maximum near -DBL_MAX), so mask it out
+    active = _within_cutoff(values, tops, tol_act)[0] & F.slots[: len(values)]
+    terms, pieces = np.nonzero(active)
+    grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
+    # a NaN or infinite row would leave the filtration with no survivor
+    _refuse_non_finite(
+        grads,
+        lambda k: f"gradient of active piece {pieces[k]} of {'gh'[terms[k] % 2]} "
+        f"in component {terms[k] // 2}",
+    )
+    if fault is not None:
+        raise fault[2]
+    bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
+    pieces, tops = pieces.tolist(), tops.tolist()
+    return [
+        (tuple(pieces[lo:hi]), tops[t], grads[lo:hi])
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
-    """Directional derivative of F componentwise: dd(g_i) - dd(h_i)."""
+    """Directional derivative of F componentwise: dd(g_i) - dd(h_i), dd of
+    a max term its largest slope grad_j(x)'y over the active pieces j.
+    OverflowError when an active gradient or a result is not finite."""
     x = _check_point(F, x)
-    return np.array(
-        [dd_max(F.g[i], x, y, tol_act) - dd_max(F.h[i], x, y, tol_act) for i in range(F.m)]
-    )
+    y = np.asarray(y, dtype=float)
+    terms = _active_step(F, x, tol_act)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = [_first_max(np.array([row @ y for row in grads])) for *_, grads in terms]
+        dd = np.subtract(slopes[0::2], slopes[1::2])
+    _refuse_non_finite(dd, lambda i: f"directional derivative of component {i}")
+    return dd
+
+
+def _refuse_non_finite(rows: np.ndarray, describe) -> None:
+    """OverflowError for the first row of ``rows`` (a value or a vector)
+    that is not finite, ``describe(its index)`` saying what it is."""
+    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise OverflowError(f"{describe(k)} is {rows[k].tolist()}")
 
 
 def _check_point(F: DCMaxFn, x) -> np.ndarray:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # active_set stays bound here, unused: bench/spans.py traces it at this binding too
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _within_cutoff, active_set  # noqa: F401
-from .oracle import _ball_samples, _classical_jacobian, _strict_profiles
+from .dcmax import active_set  # noqa: F401
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
+from .oracle import _ball_samples, _classical_jacobian, _row_norms, _strict_profiles
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -64,7 +65,7 @@ class TermSelection:
 
     active: tuple[int, ...]  # pieces within tol_act of the maximum
     chain: tuple[tuple[int, ...], ...]
-    max_value: float  # the term's value at x, reduced as MaxFn.eval does
+    max_value: float  # the term's value at x, as eval_F reduces it
     grads: np.ndarray = field(compare=False, repr=False)  # one row per active piece
 
     @property
@@ -117,10 +118,7 @@ class JacobianElement:
         huge or not finite)."""
         with np.errstate(over="ignore", invalid="ignore"):
             xi = np.array([c.row for c in self.components])
-        finite = np.isfinite(xi).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise OverflowError(f"row {i} of the Jacobian element is {xi[i].tolist()}")
+        _refuse_non_finite(xi, lambda i: f"row {i} of the Jacobian element")
         return xi
 
 
@@ -147,10 +145,10 @@ class WitnessDirection:
     difference vector of ``diffs`` has strictly negative slope."""
 
     diffs: DifferenceVectors  # the vectors this direction certifies
-    y_bar: np.ndarray
+    y_bar: np.ndarray  # its weights are |y_bar|
     epsilon: float
     m_bound: float
-    lambdas: np.ndarray
+    leading: np.ndarray  # per vector of diffs, the index of its leading component
 
 
 def _check_convention(convention: str) -> None:
@@ -210,52 +208,17 @@ def clarke_jacobian_element(
     surviving set is immaterial because survivors coincide; the smallest
     index is taken for determinism.
 
-    All max terms are stepped together: one sweep (``DCMaxFn.term_values``)
-    gives every piece's value, a piece is active within
-    tol_act*(1+|max|) of its term's maximum (the rule of ``active_set``),
-    one call gives every active gradient, and each term's filtration
-    reads its rows of that call.  Faults surface in the order a
-    term-by-term step meets them: a piece that cannot be evaluated, a
-    non-finite maximum (OverflowError), a gradient that cannot be taken
-    and then one that is not finite (OverflowError).
+    Every max term's active pieces, value and gradients come from one
+    ``dcmax._active_step``, which also fixes the order of faults.
     """
     _check_convention(convention)
     for name, tol in (("tol_act", tol_act), ("tol_tie", tol_tie)):
         if not tol >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    values, fault = F.term_values(x[None])
-    values = values[0, : None if fault is None else fault[1]]
-    vmax = values.max(axis=1)
-    finite = np.isfinite(vmax)
-    if not finite.all():
-        stop = int(np.argmin(finite))
-        fault = (0, stop, OverflowError(f"largest piece value is {float(vmax[stop])!r}"))
-        values, vmax = values[:stop], vmax[:stop]
-    # the -inf padding passes a cutoff that is itself -inf (tol_act = inf,
-    # or a maximum near -DBL_MAX), so mask it out
-    active = _within_cutoff(values, vmax, tol_act)[0] & F.slots[: len(values)]
-    terms, pieces = np.nonzero(active)
-    grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
-    finite = np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        # a NaN or infinite row would leave the filtration with no survivor
-        k = int(np.argmin(finite))
-        raise OverflowError(
-            f"gradient of active piece {pieces[k]} of {'gh'[terms[k] % 2]} in component "
-            f"{terms[k] // 2} is {grads[k].tolist()}"
-        )
-    if fault is not None:
-        raise fault[2]
-
-    # the first maximal value, as Python's max picks it
-    max_values = values[np.arange(len(values)), np.argmax(values, axis=1)].tolist()
-    bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
-    pieces = pieces.tolist()
-    steps = []
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        chain = tuple(lexicographic_chain(grads[lo:hi], convention, tol_tie))
-        steps.append(TermSelection(tuple(pieces[lo:hi]), chain, max_values[t], grads[lo:hi]))
+    steps = [
+        TermSelection(active, tuple(lexicographic_chain(grads, convention, tol_tie)), value, grads)
+        for active, value, grads in _active_step(F, x, tol_act)
+    ]
     comps = tuple(ComponentSelection(g, h) for g, h in zip(steps[0::2], steps[1::2]))
     return JacobianElement(comps, convention, tol_act, tol_tie)
 
@@ -264,46 +227,36 @@ def selection_differences(elem: JacobianElement) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for an element,
     taken from the active-gradient rows it stores, under its convention.
 
-    Vectors equal within 1e-12 componentwise are deduplicated.  Empty when
-    every active gradient survived (e.g. smooth F).
+    A vector within 1e-12 componentwise of zero or of an earlier vector is
+    dropped.  Empty when every active gradient survived (e.g. smooth F).
+    OverflowError when a difference is not finite.
     """
-    vectors: list[np.ndarray] = []
-    for comp in elem.components:
-        for term in (comp.g, comp.h):
-            _collect_differences(term, vectors)
     n = elem.components[0].g.grads.shape[1]
-    mat = np.array(vectors) if vectors else np.zeros((0, n))
-    return DifferenceVectors(vectors=mat, convention=elem.convention)
-
-
-def _collect_differences(term: TermSelection, out: list[np.ndarray]) -> None:
-    survivors = term.chain[-1]
-    for j, row in enumerate(term.grads):
-        if j in survivors:
-            continue
-        for t in survivors:
-            alpha = row - term.grads[t]
-            if np.max(np.abs(alpha)) <= 1e-12:
-                continue  # numerically zero difference certifies nothing
-            if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in out):
-                out.append(alpha)
-
-
-def _first_nonzero(alpha: np.ndarray) -> tuple[int, float]:
-    """Index and value of the leading component, treating entries below
-    1e-12*(1+max|alpha|) as zero."""
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(alpha), initial=0.0)))
-    for k, v in enumerate(alpha):
-        if abs(v) > scale:
-            return k, float(v)
-    raise ValueError("difference vector is numerically zero")
+    blocks = []
+    for i, comp in enumerate(elem.components):
+        for name, term in (("g", comp.g), ("h", comp.h)):
+            survivors = list(term.chain[-1])
+            with np.errstate(over="ignore"):
+                alphas = np.delete(term.grads, survivors, axis=0)[:, None] - term.grads[survivors]
+            alphas = alphas.reshape(-1, n)
+            what = f"difference of active gradients of {name} in component {i}"
+            _refuse_non_finite(alphas, lambda _: what)
+            blocks.append(alphas)
+    alphas = np.concatenate(blocks)
+    kept = alphas[:0]
+    with np.errstate(over="ignore"):  # a gap that overflows is no duplicate
+        for alpha in alphas[np.max(np.abs(alphas), axis=1) > 1e-12]:
+            if not (np.max(np.abs(kept - alpha), axis=1) <= 1e-12).any():
+                kept = np.vstack([kept, alpha])
+    return DifferenceVectors(vectors=kept, convention=elem.convention)
 
 
 def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     """Build a direction in R^n (n the width of ``diffs.vectors``) with
     every difference vector strictly descending.
 
-    Each leading sign must match ``diffs.convention``, else
+    Each leading sign (of the first entry above 1e-12*(1+max|alpha|) in
+    magnitude) must match ``diffs.convention``, else
     ConventionMismatchError.  The weights decay geometrically fast enough
     that the leading component of each difference vector dominates the
     tail:  epsilon is half the smallest leading magnitude, the bound is
@@ -313,22 +266,27 @@ def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     """
     convention = diffs.convention
     _check_convention(convention)
-    leading = []
-    for alpha in diffs.vectors:
-        k, v = _first_nonzero(alpha)
-        if (convention == "min" and v <= 0) or (convention == "max" and v >= 0):
-            raise ConventionMismatchError(
-                f"difference vector {alpha.tolist()} has leading component {v} "
-                f"under convention {convention!r}"
-            )
-        leading.append(abs(v))
-    epsilon = 1.0 if not leading else 0.5 * min(leading)
-    m_bound = 2.0 * max(1.0, float(np.max(np.abs(diffs.vectors), initial=0.0)))
+    A = diffs.vectors
+    nonzero = np.abs(A) > 1e-12 * (1.0 + np.max(np.abs(A), axis=1))[:, None]
+    leading = np.argmax(nonzero, axis=1)
+    lead = A[np.arange(len(A)), leading]
+    zero = ~nonzero.any(axis=1)
+    wrong = zero | ((lead <= 0) if convention == "min" else (lead >= 0))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if zero[i]:
+            raise ValueError("difference vector is numerically zero")
+        raise ConventionMismatchError(
+            f"difference vector {A[i].tolist()} has leading component {float(lead[i])} "
+            f"under convention {convention!r}"
+        )
+    epsilon = 0.5 * float(np.min(np.abs(lead))) if len(A) else 1.0
+    m_bound = 2.0 * max(1.0, float(np.max(np.abs(A), initial=0.0)))
     ratio = 0.5 * (epsilon / m_bound) / (1.0 + epsilon / m_bound)
-    lambdas = np.array([ratio**k for k in range(diffs.vectors.shape[1])])
-    y_bar = -lambdas if convention == "min" else lambdas.copy()
+    lambdas = np.array([ratio**k for k in range(A.shape[1])])
+    y_bar = -lambdas if convention == "min" else lambdas
     return WitnessDirection(
-        diffs=diffs, y_bar=y_bar, epsilon=epsilon, m_bound=m_bound, lambdas=lambdas
+        diffs=diffs, y_bar=y_bar, epsilon=epsilon, m_bound=m_bound, leading=leading
     )
 
 
@@ -336,7 +294,7 @@ def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
 class WitnessReport:
     count: int
     margins: np.ndarray  # -alpha'y_bar, must be strictly positive
-    required: np.ndarray  # lambda_k * (|leading| - epsilon) * (1 - 1e-9)
+    required: np.ndarray  # |y_bar[k]| * (|alpha[k]| - epsilon) * (1 - 1e-9), k leading
     passed: bool
 
 
@@ -344,16 +302,12 @@ def check_witness(witness: WitnessDirection) -> WitnessReport:
     """Check strict negativity of the slope of every vector in
     ``witness.diffs`` along the witness direction, with the margin each
     leading component guarantees."""
-    diffs = witness.diffs
-    margins, required = [], []
-    for alpha in diffs.vectors:
-        k, v = _first_nonzero(alpha)
-        margins.append(-float(alpha @ witness.y_bar))
-        required.append(float(witness.lambdas[k]) * (abs(v) - witness.epsilon) * (1.0 - 1e-9))
-    margins = np.array(margins)
-    required = np.array(required)
+    A, k = witness.diffs.vectors, witness.leading
+    margins = np.array([-float(alpha @ witness.y_bar) for alpha in A])
+    lead = np.abs(A[np.arange(len(A)), k])
+    required = np.abs(witness.y_bar[k]) * (lead - witness.epsilon) * (1.0 - 1e-9)
     passed = bool(np.all(margins > 0.0) and np.all(margins >= required))
-    return WitnessReport(count=diffs.count, margins=margins, required=required, passed=passed)
+    return WitnessReport(count=len(A), margins=margins, required=required, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -389,7 +343,7 @@ def verify_cone_linearity(
     y_bar = witness.y_bar
     A = witness.diffs.vectors
     if A.shape[0]:
-        radius = 0.5 * float(np.min(-(A @ y_bar) / np.linalg.norm(A, axis=1)))
+        radius = 0.5 * float(np.min(-(A @ y_bar) / _row_norms(A)))
     else:
         radius = 0.5 * float(np.linalg.norm(y_bar))
 

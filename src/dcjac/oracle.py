@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, active_set, eval_F
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _check_point, _values_at, active_set
 
 __all__ = [
     "LimitingSample",
@@ -89,6 +89,14 @@ def _check_ball(radius: float, count: int) -> None:
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be at least 1")
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a finite 2-D array, by ``np.hypot``
+    where the squares overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        return np.where(np.isinf(norms), np.hypot.reduce(np.abs(rows), axis=1), norms)
 
 
 def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float, count: int):
@@ -224,7 +232,7 @@ def hull_membership(query, candidates, tol: float = 1e-8) -> HullCertificate:
     shape = q.shape
     pts = np.array([c.reshape(-1) - q.reshape(-1) for c in cands])
     # normalize so the minor-cycle systems stay well conditioned at any scale
-    scale = max(1.0, float(np.max(np.linalg.norm(pts, axis=1))))
+    scale = max(1.0, float(np.max(_row_norms(pts))))
     cap = 10 * len(cands) * int(np.prod(shape))
     point, weights, iters, converged = _min_norm_point(pts / scale, cap)
     violation = float(np.linalg.norm(point)) * scale
@@ -378,10 +386,12 @@ FD_T_SCHEDULE = (1e-3, 1e-5, 1e-7)
 
 def finite_diff_dd(F: DCMaxFn, x, y) -> FiniteDiffResult:
     """One-sided difference quotients (F(x+ty)-F(x))/t down the steps of
-    ``FD_T_SCHEDULE``; the smallest step gives the reported value."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base = eval_F(F, x)
-    estimates = np.array([(eval_F(F, x + t * y) - base) / t for t in FD_T_SCHEDULE])
-    convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
+    ``FD_T_SCHEDULE``, F at x and at every step from one sweep; the
+    smallest step gives the reported value."""
+    x = _check_point(F, x)
+    ts = np.array(FD_T_SCHEDULE)[:, None]
+    base, *steps = _values_at(F, np.vstack([x, x + ts * np.asarray(y, dtype=float)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = (np.array(steps) - base) / ts
+        convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
     return FiniteDiffResult(value=estimates[-1], estimates=estimates, convergence=convergence)

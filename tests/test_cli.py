@@ -31,6 +31,21 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_loads(text: str):
+    """``json.loads`` that refuses the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_reject)
+
+
+def write_problem(tmp_path, components, n=1):
+    prob = tmp_path / "p.json"
+    prob.write_text(json.dumps({"n": n, "m": len(components), "components": components}))
+    return str(prob)
+
+
 class TestJac:
     def test_default_min_convention(self, capsys, abs_problem):
         code, out, _ = run(capsys, ["jac", "-p", abs_problem, "-x", "0", "--json"])
@@ -242,6 +257,15 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path):
+        # the hull scale was inf, so the violation was NaN and the check failed
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
+        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        hull = strict_loads(out)["checks"]["hull_membership"]
+        assert (hull["status"], hull["violation"], hull["weights"]) == ("pass", 0.0, [0.0, 1.0])
+
     def test_random_affine_instance(self, capsys):
         code, out, _ = run(
             capsys,
@@ -372,6 +396,27 @@ class TestNonFiniteElement:
         code, out, err = run(capsys, [argv[0], "-p", str(prob), *argv[1:], "--json"])
         assert (code, out) == (3, "")
         assert err == "error: numeric overflow: row 0 of the Jacobian element is [inf]\n"
+
+
+class TestNonFiniteDifference:
+    """Two finite active gradients whose difference overflows."""
+
+    @pytest.mark.parametrize("command", ["jac", "verify"])
+    def test_exits_3_with_empty_stdout(self, capsys, tmp_path, command):
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "-1e308*x1"]}])
+        code, out, err = run(capsys, [command, "-p", prob, "-x", "0", "--json"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: numeric overflow: difference of active gradients of g in component 0 "
+            "is [inf]\n"
+        )
+
+    def test_newton_builds_no_difference_vectors(self, capsys, tmp_path):
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "-1e308*x1"]}])
+        code, out, err = run(capsys, ["newton", "-p", prob, "--x0", "1", "--json"])
+        assert (code, err) == (0, "")
+        lines = [strict_loads(line) for line in out.splitlines()]
+        assert lines[-1]["status"] == "converged"
 
 
 class TestNonFiniteActiveGradient:
@@ -567,6 +612,48 @@ class TestDD:
         code, out, _ = run(capsys, ["dd", "-p", abs_problem, "-x", "0", "-y", "-2"])
         assert code == 0
         assert "dd = [2.0]" in out
+
+    def test_non_finite_directional_derivative_exits_3(self, capsys, tmp_path):
+        prob = write_problem(tmp_path, [{"g": ["x1*x1*x1"]}])
+        argv = ["dd", "-p", prob, "-x", "5.64e102", "-y", "1e103", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "error: numeric overflow: directional derivative of component 0 is inf\n"
+
+    def test_non_finite_active_gradient_exits_3(self, capsys, tmp_path):
+        prob = write_problem(tmp_path, [{"g": ["0*log(x1)"], "h": ["x1"]}])
+        code, out, err = run(capsys, ["dd", "-p", prob, "-x", "5e-324", "-y", "1", "--json"])
+        assert (code, out) == (3, "")
+        want = "error: numeric overflow: gradient of active piece 0 of g in component 0 is [nan]\n"
+        assert err == want
+
+    @pytest.mark.parametrize(
+        "components, x, y, dd, nulls",
+        [
+            # every step of the finite difference overflows F
+            ([{"g": ["1e308*x1"]}], "1.7976931348623157", "1", 1e308, ["finite_diff", "gap"]),
+            # F itself is 1e308 - (-1e308)
+            (
+                [{"g": ["1e308*x1"], "h": ["-1e308*x1"]}],
+                "1",
+                "1e-300",
+                2e8,
+                ["F", "finite_diff", "gap"],
+            ),
+        ],
+    )
+    def test_non_finite_figures_print_null(self, capsys, tmp_path, components, x, y, dd, nulls):
+        prob = write_problem(tmp_path, components)
+        code, out, err = run(capsys, ["dd", "-p", prob, "-x", x, "-y", y, "--json"])
+        assert (code, err) == (0, "")
+        payload = strict_loads(out)
+        figures = {
+            "F": payload["F"],
+            "finite_diff": payload["finite_diff"],
+            "gap": [payload["fd_convergence"]],
+        }
+        assert [key for key, value in figures.items() if value == [None]] == nulls
+        assert payload["dd"] == [dd]
 
     def test_negative_vectors_as_separate_arguments(self, capsys):
         base = ["dd", "--random", "n=2,m=1,pieces=3,seed=5", "--json"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -97,6 +98,22 @@ def test_stdout_matches_golden(name):
     code, out = _run(argv)
     assert code == expected_code
     assert out == (GOLDEN / "out" / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+JSON_CASES = sorted(name for name, (argv, _) in CASES.items() if "--json" in argv)
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_json_golden_is_strict_json(name):
+    # json.dumps writes NaN and Infinity for non-finite floats, which JSON has no token for
+    lines = (GOLDEN / "out" / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:  # newton prints one document per line
+        json.loads(line, parse_constant=_reject)
 
 
 def _run_demo(path: Path) -> str:

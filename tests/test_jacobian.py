@@ -1,14 +1,13 @@
 import dataclasses
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import DCMaxFn, MaxFn, active_set, load_problem, load_problem_file
-from dcjac.expr import Binary, Const, DomainError, SmoothFn
+from dcjac.dcmax import active_set, load_problem
+from dcjac.expr import DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     ConventionMismatchError,
@@ -28,15 +27,14 @@ from util import (
     NEG_ABS_DOC,
     assert_bits_equal,
     assert_element_equal,
+    corpus_cases,
     full_lexicographic_chain,
-    random_expr,
     reference_cone_linearity,
     reference_element,
     reference_limit_inclusion,
     reference_selection_differences,
+    reference_witness,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
 
 # smooth pieces tied at the origin in both components, with distinct
 # gradients among the tied pieces
@@ -211,6 +209,54 @@ class TestSelectionDifferences:
                     lead = alpha[np.flatnonzero(np.abs(alpha) > 1e-12)[0]]
                     assert sign * lead > 0.0
 
+    def test_non_finite_difference_raises_overflow(self):
+        # both gradients are finite, 1e308 - (-1e308) is not
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e308*x1", "-1e308*x1"]}]})
+        elem = clarke_jacobian_element(F, [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as got:
+                selection_differences(elem)
+            with pytest.raises(OverflowError) as want:
+                reference_selection_differences(F, [0.0], elem)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "difference of active gradients of g in component 0 is [inf]"
+
+    def test_gap_that_overflows_is_no_duplicate(self):
+        # [1, 1e308] and [1, -1e308] differ by [0, inf]: both are kept
+        doc = {
+            "n": 2,
+            "m": 2,
+            "components": [{"g": ["x1 + 1e308*x2", "0"]}, {"g": ["x1 - 1e308*x2", "0"]}],
+        }
+        F = load_problem(doc)
+        elem = clarke_jacobian_element(F, [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = selection_differences(elem).vectors
+        assert got.tolist() == [[1.0, 1e308], [1.0, -1e308]]
+        assert_bits_equal(got, reference_selection_differences(F, [0.0, 0.0], elem).vectors)
+
+    def test_equals_the_loop_reference(self):
+        """The acceptance corpus, the golden problems and 30 smooth tied
+        instances: the array-built differences and the vectorised leading
+        entries equal the loops' bit for bit, under both conventions."""
+        for F, x in list(corpus_cases()) + [(load_problem(MIXED_DOC), np.zeros(2))]:
+            for conv in ("min", "max"):
+                elem = clarke_jacobian_element(F, x, convention=conv)
+                diffs = selection_differences(elem)
+                assert diffs.convention == conv
+                want = reference_selection_differences(F, x, elem)
+                assert_bits_equal(diffs.vectors, want.vectors)
+                w = witness_direction(diffs)
+                report = check_witness(w)
+                y_bar, epsilon, m_bound, leading, margins, required = reference_witness(diffs)
+                assert_bits_equal(w.y_bar, y_bar)
+                assert_bits_equal([w.epsilon, w.m_bound], [epsilon, m_bound])
+                assert w.leading.tolist() == leading
+                assert_bits_equal(report.margins, margins)
+                assert_bits_equal(report.required, required)
+
 
 def _record_cases():
     """(F, x) pairs: random affine instances at the origin, where pieces
@@ -221,36 +267,6 @@ def _record_cases():
     F = load_problem(SMOOTH_TIED_DOC)
     yield F, np.zeros(2)
     yield F, np.array([0.3, -0.2])
-
-
-def _smooth_tied_problem(rng: np.random.Generator) -> tuple[DCMaxFn, np.ndarray]:
-    """Random smooth pieces, each shifted to be exactly 0 at the point."""
-    n, m = (int(v) for v in rng.integers(1, 4, size=2))
-    x = rng.uniform(-1.0, 1.0, size=n)
-
-    def term() -> MaxFn:
-        pieces = []
-        for _ in range(int(rng.integers(1, 4))):
-            expr = random_expr(rng, n)
-            pieces.append(SmoothFn(Binary("-", expr, Const(SmoothFn(expr, n).eval(x))), n))
-        return MaxFn(tuple(pieces))
-
-    g, h = zip(*((term(), term()) for _ in range(m)))
-    return DCMaxFn(n, m, g, h), x
-
-
-def _limit_cases():
-    """(F, x) pairs: the acceptance corpus at the origin, the golden curved
-    and tied problems at theirs, and seeded smooth instances at a tie."""
-    for seed in range(200):
-        F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
-        yield F, np.zeros(F.n)
-    for name in ("curved", "ties"):
-        F = load_problem_file(GOLDEN / f"{name}.json")
-        yield F, np.zeros(F.n)
-    rng = np.random.default_rng(2024)
-    for _ in range(30):
-        yield _smooth_tied_problem(rng)
 
 
 def _ncp_iterates():
@@ -281,7 +297,7 @@ class TestBatchedElement:
         [{}, {"tol_act": 0.5, "tol_tie": 1e-3}, {"tol_act": 0.0}, {"tol_act": math.inf}],
     )
     def test_equals_the_term_by_term_reference(self, tols):
-        cases = list(_limit_cases()) + list(_ncp_iterates())
+        cases = list(corpus_cases()) + list(_ncp_iterates())
         F = load_problem(MIXED_DOC)
         cases += [(F, np.zeros(2)), (F, np.array([0.3, -0.0])), (F, np.array([-1.0, 2.0]))]
         # a term maximum near -DBL_MAX: its cutoff overflows to -inf, which
@@ -405,7 +421,7 @@ class TestSelectionRecord:
                         assert term.selected == tuple(pieces[-1])
                         assert term.chosen == min(term.selected)
                         assert_bits_equal(term.row, f.pieces[term.chosen].grad(x))
-                        assert_bits_equal(term.max_value, f.eval(x))
+                        assert_bits_equal(term.max_value, max(p.eval(x) for p in f.pieces))
                     assert_bits_equal(elem.xi[i], comp.g.row - comp.h.row)
 
     def test_element_is_one_record_built_once(self):
@@ -457,12 +473,13 @@ class TestWitnessDirection:
         assert w.epsilon == 1.0 and w.m_bound == 2.0
         # ratio sits at half of (eps/M)/(1+eps/M) = half of 1/3
         np.testing.assert_allclose(w.y_bar, [-1.0, -1.0 / 6.0])
-        assert w.lambdas[1] / w.lambdas[0] < (w.epsilon / w.m_bound) / (1 + w.epsilon / w.m_bound)
+        weights = np.abs(w.y_bar)
+        assert weights[1] / weights[0] < (w.epsilon / w.m_bound) / (1 + w.epsilon / w.m_bound)
 
     def test_single_vector_later_coordinate(self):
         diffs = DifferenceVectors(vectors=np.array([[0.0, 1.0]]), convention="min")
         w = witness_direction(diffs)
-        assert float(diffs.vectors[0] @ w.y_bar) == -w.lambdas[1] < 0.0
+        assert float(diffs.vectors[0] @ w.y_bar) == -abs(w.y_bar[1]) < 0.0
 
     def test_mixed_sign_vector(self):
         diffs = DifferenceVectors(vectors=np.array([[2.0, -5.0]]), convention="min")
@@ -491,7 +508,7 @@ class TestWitnessDirection:
     def test_dimension_read_from_empty_vectors(self):
         w = witness_direction(DifferenceVectors(np.zeros((0, 3)), "max"))
         assert w.y_bar.shape == (3,) and np.all(w.y_bar > 0.0)
-        assert w.lambdas.shape == (3,) and np.all(w.lambdas > 0.0)
+        assert w.leading.shape == (0,)
 
     def test_witness_carries_its_differences(self):
         F = load_problem(ABS_DOC)
@@ -516,6 +533,46 @@ class TestWitnessDirection:
                 assert report.passed
                 if report.count:
                     assert np.min(report.margins) > 0.0
+
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[0.0, 1e-13, 2.0]],  # 1e-13 is below 1e-12*(1+2): the lead is the 2
+            [[3e-12, -1.0], [0.0, 5.0]],
+            [[-3e-12, 1.0], [0.0, -5.0]],
+            [[0.0, 0.0]],  # numerically zero
+            [[0.0, 1e-13], [-1.0, 0.0]],  # a zero vector before a wrong sign
+            [[-1.0, 0.0], [1e-13, 0.0]],  # a wrong sign before a zero vector
+            [[1.0, float("nan")]],  # NaN makes the threshold NaN: no entry leads
+            [[1.0, 2.0], [float("inf"), 1.0]],
+        ],
+    )
+    def test_leading_entries_equal_the_scan(self, vectors, convention):
+        diffs = DifferenceVectors(np.array(vectors), convention)
+        try:
+            y_bar, epsilon, m_bound, leading, margins, required = reference_witness(diffs)
+        except ValueError as exc:  # ConventionMismatchError is a ValueError
+            with pytest.raises(ValueError) as got:
+                witness_direction(diffs)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return
+        w = witness_direction(diffs)
+        report = check_witness(w)
+        assert w.leading.tolist() == leading
+        assert_bits_equal(w.y_bar, y_bar)
+        assert_bits_equal([w.epsilon, w.m_bound], [epsilon, m_bound])
+        assert_bits_equal(report.margins, margins)
+        assert_bits_equal(report.required, required)
+
+    def test_check_reads_the_leading_entries_from_the_witness(self):
+        diffs = DifferenceVectors(np.array([[1.0, 1.0]]), "min")
+        w = witness_direction(diffs)
+        moved = dataclasses.replace(w, leading=np.array([1]))
+        want = abs(w.y_bar[1]) * (1.0 - w.epsilon) * (1.0 - 1e-9)
+        assert check_witness(moved).required[0] == want
+        assert check_witness(moved).required[0] < check_witness(w).required[0]
 
 
 class TestConeLinearity:
@@ -651,7 +708,7 @@ class TestLimitInclusion:
         assert [p.distance for p in report.points] == [0.0] * 5
 
     def test_equals_the_zero_band_reference(self):
-        for F, x in _limit_cases():
+        for F, x in corpus_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 w = witness_direction(selection_differences(elem))

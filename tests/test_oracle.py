@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from dcjac.dcmax import load_problem
+import warnings
+
+from dcjac.dcmax import DCMaxFn, load_problem
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import clarke_jacobian_element
-from dcjac.expr import SmoothFn
+from dcjac.expr import DomainError, SmoothFn
 from dcjac.oracle import (
     _ball_samples,
     _distinct_profiles,
+    _row_norms,
     _strict_argmax_rows,
     brute_force_subdifferential,
     finite_diff_dd,
@@ -19,8 +24,10 @@ from dcjac.dcmax import dd_F
 from util import (
     ABS_DOC,
     assert_bits_equal,
+    corpus_cases,
     reference_brute_force,
     reference_distinct_profiles,
+    reference_finite_diff,
     reference_limiting_samples,
 )
 
@@ -169,6 +176,25 @@ class TestHullMembership:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             hull_membership(np.zeros((1, 1)), [])
+
+    def test_candidate_whose_squares_overflow(self):
+        # 1e308**2 overflows: the scale was inf and the violation NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = hull_membership(np.array([[0.0]]), [np.array([[1e308]]), np.array([[0.0]])])
+        assert cert.member is True
+        assert cert.violation == 0.0
+        assert cert.weights.tolist() == [0.0, 1.0]
+
+    def test_row_norms_keep_the_bits_of_norm_when_finite(self):
+        rows = np.random.default_rng(4).standard_normal((50, 7))
+        rows *= np.logspace(-150, 150, 50)[:, None]
+        assert_bits_equal(_row_norms(rows), np.linalg.norm(rows, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = _row_norms(np.array([[1e308, 1e308], [3.0, 4.0], [-1.5e308, 0.0]]))
+        assert big[0] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        assert big[1:].tolist() == [5.0, 1.5e308]
 
 
 class TestBruteForce:
@@ -488,6 +514,56 @@ class TestFiniteDiffDD:
             y = rng.uniform(-1, 1, size=2)
             res = finite_diff_dd(F, x, y)
             np.testing.assert_allclose(res.value, dd_F(F, x, y), atol=1e-5)
+
+    def test_equals_the_pointwise_reference(self):
+        rng = np.random.default_rng(23)
+        for F, x in corpus_cases():
+            y = rng.uniform(-1.0, 1.0, size=F.n)
+            res = finite_diff_dd(F, x, y)
+            estimates, convergence = reference_finite_diff(F, x, y)
+            assert_bits_equal(res.estimates, estimates)
+            assert_bits_equal(res.value, estimates[-1])
+            assert_bits_equal(res.convergence, convergence)
+
+    def test_one_sweep_for_the_point_and_its_steps(self, monkeypatch):
+        calls = []
+        sweep = DCMaxFn.term_values
+
+        def counted(self, X):
+            calls.append(np.shape(X))
+            return sweep(self, X)
+
+        monkeypatch.setattr(DCMaxFn, "term_values", counted)
+        finite_diff_dd(load_problem(ABS_DOC), [0.5], [1.0])
+        assert calls == [(4, 1)]
+
+    @pytest.mark.parametrize(
+        "doc, x, y",
+        [
+            # every step overflows F, and inf - inf is the gap
+            ({"n": 1, "m": 1, "components": [{"g": ["1e308*x1"]}]}, [1.7976931348623157], [1.0]),
+            # F is inf - (-inf) at every point
+            (
+                {"n": 1, "m": 1, "components": [{"g": ["1e308*x1"], "h": ["-1e308*x1"]}]},
+                [1.0],
+                [1e-300],
+            ),
+        ],
+    )
+    def test_values_that_overflow_warn_nothing(self, doc, x, y):
+        F = load_problem(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = finite_diff_dd(F, x, y)
+        estimates, convergence = reference_finite_diff(F, x, y)
+        assert not np.isfinite(res.value).any() and math.isnan(res.convergence)
+        assert_bits_equal(res.estimates, estimates)
+        assert_bits_equal(res.convergence, convergence)
+
+    def test_domain_error_at_the_first_point_that_meets_it(self):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["log(x1)"]}]})
+        with pytest.raises(DomainError, match="-0.001"):
+            finite_diff_dd(F, [1e-3], [-2.0])
 
 
 class TestTheoremOnRandomInstances:

@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
-from dcjac.dcmax import DEFAULT_TOL_ACT, active_set
+from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set, load_problem_file
 from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
+from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     DEFAULT_TOL_TIE,
     ComponentSelection,
+    ConventionMismatchError,
     ConeLinearityReport,
     DifferenceVectors,
     JacobianElement,
@@ -105,6 +108,36 @@ def random_smooth_pair(rng: np.random.Generator, max_dim: int = 4):
         if abs(value) > 1e3 or np.max(np.abs(probe)) > 1e3:
             continue
         return fn, x
+
+
+def smooth_tied_problem(rng: np.random.Generator) -> tuple[DCMaxFn, np.ndarray]:
+    """Random smooth pieces, each shifted to be exactly 0 at the point."""
+    n, m = (int(v) for v in rng.integers(1, 4, size=2))
+    x = rng.uniform(-1.0, 1.0, size=n)
+
+    def term() -> MaxFn:
+        pieces = []
+        for _ in range(int(rng.integers(1, 4))):
+            expr = random_expr(rng, n)
+            pieces.append(SmoothFn(Binary("-", expr, Const(SmoothFn(expr, n).eval(x))), n))
+        return MaxFn(tuple(pieces))
+
+    g, h = zip(*((term(), term()) for _ in range(m)))
+    return DCMaxFn(n, m, g, h), x
+
+
+def corpus_cases():
+    """(F, x) pairs: the acceptance corpus at the origin, the golden curved
+    and tied problems at theirs, and 30 seeded smooth instances at a tie."""
+    for seed in range(200):
+        F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+        yield F, np.zeros(F.n)
+    for name in ("curved", "ties"):
+        F = load_problem_file(Path(__file__).parent / "golden" / f"{name}.json")
+        yield F, np.zeros(F.n)
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        yield smooth_tied_problem(rng)
 
 
 def _dual(node, x, coord: int) -> tuple[float, float]:
@@ -235,13 +268,14 @@ def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
 
 def reference_selection_differences(F, x, elem) -> DifferenceVectors:
     """Rejected-minus-selected differences with every gradient evaluated
-    afresh from F at x: the reference for ``selection_differences``."""
+    afresh from F at x, deduplicated one pair at a time: the reference for
+    ``selection_differences``."""
     x = np.asarray(x, dtype=float)
     vectors: list[np.ndarray] = []
     for i, comp in enumerate(elem.components):
-        for f, active, selected in (
-            (F.g[i], comp.g.active, comp.g.selected),
-            (F.h[i], comp.h.active, comp.h.selected),
+        for name, f, active, selected in (
+            ("g", F.g[i], comp.g.active, comp.g.selected),
+            ("h", F.h[i], comp.h.active, comp.h.selected),
         ):
             rejected = [j for j in active if j not in selected]
             if not rejected:
@@ -249,13 +283,110 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
             grads = {j: f.pieces[j].grad(x) for j in set(rejected) | set(selected)}
             for j in rejected:
                 for t in selected:
-                    alpha = grads[j] - grads[t]
+                    with np.errstate(over="ignore"):
+                        alpha = grads[j] - grads[t]
+                    if not np.isfinite(alpha).all():
+                        raise OverflowError(
+                            f"difference of active gradients of {name} in component {i} "
+                            f"is {alpha.tolist()}"
+                        )
                     if np.max(np.abs(alpha)) <= 1e-12:
                         continue
-                    if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
-                        vectors.append(alpha)
+                    with np.errstate(over="ignore"):
+                        if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
+                            vectors.append(alpha)
     mat = np.array(vectors) if vectors else np.zeros((0, F.n))
     return DifferenceVectors(vectors=mat, convention=elem.convention)
+
+
+def reference_leading(alpha) -> tuple[int, float]:
+    """Index and value of the first entry above 1e-12*(1+max|alpha|) in
+    magnitude, by a scan: the reference for ``WitnessDirection.leading``."""
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(alpha), initial=0.0)))
+    for k, v in enumerate(alpha):
+        if abs(v) > scale:
+            return k, float(v)
+    raise ValueError("difference vector is numerically zero")
+
+
+def reference_witness(diffs: DifferenceVectors):
+    """The witness built and checked vector by vector, each leading entry
+    found by ``reference_leading`` once for the direction and once more for
+    the check: the reference for ``witness_direction`` and
+    ``check_witness``.  Returns (y_bar, epsilon, m_bound, leading indices,
+    margins, required)."""
+    convention = diffs.convention
+    leading = []
+    for alpha in diffs.vectors:
+        k, v = reference_leading(alpha)
+        if (convention == "min" and v <= 0) or (convention == "max" and v >= 0):
+            raise ConventionMismatchError(
+                f"difference vector {alpha.tolist()} has leading component {v} "
+                f"under convention {convention!r}"
+            )
+        leading.append((k, abs(v)))
+    epsilon = 1.0 if not leading else 0.5 * min(v for _, v in leading)
+    m_bound = 2.0 * max(1.0, float(np.max(np.abs(diffs.vectors), initial=0.0)))
+    ratio = 0.5 * (epsilon / m_bound) / (1.0 + epsilon / m_bound)
+    lambdas = np.array([ratio**k for k in range(diffs.vectors.shape[1])])
+    y_bar = -lambdas if convention == "min" else lambdas.copy()
+    margins, required = [], []
+    for alpha in diffs.vectors:
+        k, v = reference_leading(alpha)
+        margins.append(-float(alpha @ y_bar))
+        required.append(float(lambdas[k]) * (abs(v) - epsilon) * (1.0 - 1e-9))
+    indices = [k for k, _ in leading]
+    return y_bar, epsilon, m_bound, indices, np.array(margins), np.array(required)
+
+
+def _reference_first_max(values) -> float:
+    """Python's ``max``, except that a NaN anywhere gives the first NaN."""
+    nans = [v for v in values if math.isnan(v)]
+    return nans[0] if nans else max(values)
+
+
+def reference_eval_F(F, x) -> np.ndarray:
+    """Every piece walked as a tree, term by term: the reference for
+    ``eval_F``.  A max term holding a NaN piece is that NaN; a plain
+    ``max`` would return NaN only when the NaN came first."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (F.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({F.n},)")
+    terms = [_reference_first_max([p.eval(x) for p in f.pieces]) for f in F.terms]
+    return np.array([g - h for g, h in zip(terms[0::2], terms[1::2])])
+
+
+def reference_dd_F(F, x, y, tol_act=DEFAULT_TOL_ACT) -> np.ndarray:
+    """The largest slope over the active gradients of each max term, from
+    ``reference_element`` (``active_set`` and ``SmoothFn.grad`` term by
+    term, a non-finite active gradient refused), g minus h, and a result
+    that is not finite refused: the reference for ``dd_F``."""
+    y = np.asarray(y, dtype=float)
+    elem = reference_element(F, x, tol_act=tol_act)
+
+    def slope(term) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _reference_first_max([float(row @ y) for row in term.grads])
+
+    dd = [slope(comp.g) - slope(comp.h) for comp in elem.components]
+    for i, value in enumerate(dd):
+        if not math.isfinite(value):
+            raise OverflowError(f"directional derivative of component {i} is {value!r}")
+    return np.array(dd)
+
+
+def reference_finite_diff(F, x, y) -> tuple[np.ndarray, float]:
+    """Difference quotients down the steps 1e-3, 1e-5, 1e-7, F evaluated
+    at one point at a time by ``reference_eval_F``: the reference for
+    ``finite_diff_dd``.  Returns (estimates, convergence)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    base = reference_eval_F(F, x)
+    steps = [(t, reference_eval_F(F, x + t * y)) for t in (1e-3, 1e-5, 1e-7)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = np.array([(value - base) / t for t, value in steps])
+        convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
+    return estimates, convergence
 
 
 def reference_cone_linearity(
