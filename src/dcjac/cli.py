@@ -390,9 +390,6 @@ def main(argv=None) -> int:
         hint = "the tie tolerance merged gradients that differ; try a smaller --tol-tie"
         print(f"error: {exc}: {hint}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except RecursionError as exc:
-        print(f"error: expression nested too deeply ({exc})", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:
         # ParseError, SchemaError, usage and dimension errors all land here
         print(f"error: {exc}", file=sys.stderr)

@@ -188,7 +188,7 @@ def load_problem_file(path) -> DCMaxFn:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise SchemaError(f"invalid JSON: {exc}") from exc
     return load_problem(document)
 
@@ -284,8 +284,7 @@ def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
     """Directional derivative of F componentwise: dd(g_i) - dd(h_i), dd of
     a max term its largest slope grad_j(x)'y over the active pieces j.
     OverflowError when an active gradient or a result is not finite."""
-    x = _check_point(F, x)
-    y = np.asarray(y, dtype=float)
+    x, y = _check_point(F, x), _check_point(F, y, "direction")
     terms = _active_step(F, x, tol_act)
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = [_first_max(np.array([row @ y for row in grads])) for *_, grads in terms]
@@ -303,8 +302,8 @@ def _refuse_non_finite(rows: np.ndarray, describe) -> None:
         raise OverflowError(f"{describe(k)} is {rows[k].tolist()}")
 
 
-def _check_point(F: DCMaxFn, x) -> np.ndarray:
+def _check_point(F: DCMaxFn, x, name: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (F.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({F.n},)")
+        raise ValueError(f"{name} has shape {x.shape}, expected ({F.n},)")
     return x

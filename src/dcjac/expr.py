@@ -5,6 +5,8 @@ Expressions are C1 functions of the variables ``x1 .. xn`` built from
 constants.  Gradients are computed by vector forward-mode automatic
 differentiation: one sweep over the tree carries the value and the whole
 gradient, so they are exact up to rounding (never finite differences).
+Every walk is a loop over the tree's postorder and no parse or walk
+recurses, so no depth of nesting reaches the Python stack.
 
 An affine piece also carries its coefficient data (``Affine``), from
 which ``PieceStack`` evaluates many pieces at once with the tree's own
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -150,7 +153,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent parser
+# Operator-stack parser
 #
 # expr   := term (('+'|'-') term)*          left-assoc
 # term   := factor (('*'|'/') factor)*      left-assoc
@@ -158,111 +161,65 @@ def _tokenize(text: str) -> list[_Token]:
 # power  := atom ('^' factor)?              right-assoc, binds above unary '-'
 # atom   := number | ident | ident '(' expr ')' | '(' expr ')'
 #
-# The exponent of '^' must contain no variables; it is folded to a single
-# constant at parse time so every power node has a Const right child.
+# One explicit stack reads this grammar (shunting-yard), so no depth of
+# input reaches the Python stack: operators wait on it by precedence, '('
+# and function names until their ')'.  The exponent of '^' must contain no
+# variables; it is folded to a single constant as soon as it is complete,
+# so every power node has a Const right child.
+
+# Binding strength of binary '+ -', binary '* /', unary '-' ("neg"), '^'
+# (right-assoc) and of an atom or a function call, in parsing and printing
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC = {
+    "+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "neg": _PREC_NEG, "^": _PREC_POW
+}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.dim = dim
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found '{tok.text or 'end of input'}'", tok.offset)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Unary("neg", self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exponent = self.parse_factor()
-            if _structure(exponent)[0]:
-                raise ParseError("exponent of '^' must be a constant", tok.offset)
-            return Binary("^", base, Const(_eval_float(exponent, ())))
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Const(float(tok.text))
-        if tok.kind == "lparen":
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
-            return node
-        if tok.kind == "ident":
-            name = tok.text
-            if name in FUNC_NAMES:
-                if self.peek().kind != "lparen":
-                    raise ParseError(f"expected '(' after function '{name}'", self.peek().offset)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect("rparen", "')'")
-                return Unary(name, arg)
-            if name.startswith("x") and name[1:].isdigit():
-                index = int(name[1:]) - 1
-                if index < 0 or index >= self.dim:
-                    raise ParseError(
-                        f"variable '{name}' out of range for dimension {self.dim}", tok.offset
-                    )
-                return Var(index)
-            raise ParseError(f"unknown identifier '{name}'", tok.offset)
-        raise ParseError(f"expected a value, found '{tok.text or 'end of input'}'", tok.offset)
+def _postorder(node: Expr) -> list[Expr]:
+    """Every node of the tree ``node``, each after its operands (the left
+    before the right), found without recursion.  The constant exponent of
+    '^' is read from its node and has no entry of its own."""
+    order, todo = [], [node]
+    while todo:  # root, right, left: the reverse of the postorder
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Unary):
+            todo.append(node.operand)
+        elif isinstance(node, Binary):
+            todo.append(node.left)
+            if node.op != "^":
+                todo.append(node.right)
+    order.reverse()
+    return order
 
 
-def _structure(node: Expr) -> tuple[bool, bool]:
-    """(contains a variable, is affine by construction).  A variable-free
-    subtree is a constant; a function of a variable is never affine, even
-    where its gradient is constant (``0*sin(x1)``)."""
-    if not isinstance(node, (Unary, Binary)):
-        return isinstance(node, Var), True
-    if isinstance(node, Unary):
-        var, aff = _structure(node.operand)
-        return var, not var or (aff and node.op == "neg")
-    lvar, laff = _structure(node.left)
-    rvar, raff = _structure(node.right)
-    if not (lvar or rvar):
-        return False, True
-    if node.op in "+-":
-        return True, laff and raff
-    if node.op == "*":
-        return True, (not lvar and raff) or (not rvar and laff)
-    if node.op == "/":
-        return True, not rvar and laff
-    c = node.right.value  # '^'
-    return True, c == 0.0 or (c == 1.0 and laff)
+def _structure(order: list[Expr]) -> tuple[bool, bool]:
+    """(contains a variable, is affine by construction) of the tree whose
+    ``_postorder`` is ``order``.  A variable-free subtree is a constant; a
+    function of a variable is never affine, even where its gradient is
+    constant (``0*sin(x1)``)."""
+    stack = []
+    for node in order:
+        if not isinstance(node, (Unary, Binary)):
+            stack.append((isinstance(node, Var), True))
+        elif isinstance(node, Unary):
+            var, aff = stack[-1]
+            stack[-1] = var, not var or (aff and node.op == "neg")
+        else:
+            rvar, raff = (False, True) if node.op == "^" else stack.pop()
+            lvar, laff = stack[-1]
+            if not (lvar or rvar):
+                stack[-1] = False, True
+            elif node.op in "+-":
+                stack[-1] = True, laff and raff
+            elif node.op == "*":
+                stack[-1] = True, (not lvar and raff) or (not rvar and laff)
+            elif node.op == "/":
+                stack[-1] = True, not rvar and laff
+            else:  # '^'
+                c = node.right.value
+                stack[-1] = True, c == 0.0 or (c == 1.0 and laff)
+    return stack[0]
 
 
 def _const(value: float) -> Expr:
@@ -281,6 +238,21 @@ def affine_expr(coeffs, constant) -> Expr:
     return functools.reduce(lambda left, right: Binary("+", left, right), terms)
 
 
+def _atom(tok: _Token, dim: int) -> Expr:
+    """The number or variable that ``tok`` stands for."""
+    if tok.kind == "num":
+        return Const(float(tok.text))
+    name = tok.text
+    if tok.kind != "ident":
+        raise ParseError(f"expected a value, found '{name or 'end of input'}'", tok.offset)
+    if name.startswith("x") and name[1:].isdigit():
+        index = int(name[1:]) - 1
+        if index < 0 or index >= dim:
+            raise ParseError(f"variable '{name}' out of range for dimension {dim}", tok.offset)
+        return Var(index)
+    raise ParseError(f"unknown identifier '{name}'", tok.offset)
+
+
 def parse(text: str, dim: int) -> Expr:
     """Parse ``text`` into an AST over variables x1..x{dim}.
 
@@ -290,66 +262,99 @@ def parse(text: str, dim: int) -> Expr:
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    parser = _Parser(_tokenize(text), dim)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input '{tok.text}'", tok.offset)
-    return node
+    tokens = _tokenize(text)
+    operands: list[Expr] = []
+    waiting: list[tuple[str, int]] = []  # operators, '(' and function names, with offsets
+
+    def reduce() -> None:
+        op, offset = waiting.pop()
+        right = operands.pop()
+        if op == "neg":
+            operands.append(Unary("neg", right))
+        elif op != "^":
+            operands[-1] = Binary(op, operands[-1], right)
+        else:
+            order = _postorder(right)
+            if _structure(order)[0]:
+                raise ParseError("exponent of '^' must be a constant", offset)
+            operands[-1] = Binary("^", operands[-1], Const(_eval_float(order, ())))
+
+    i = 0
+    while True:  # an operand is due: prefixes, then an atom
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "lparen" or (tok.kind == "op" and tok.text == "-"):
+            waiting.append(("(" if tok.kind == "lparen" else "neg", tok.offset))
+            continue
+        if tok.kind == "ident" and tok.text in FUNC_NAMES:
+            if tokens[i].kind != "lparen":
+                raise ParseError(f"expected '(' after function '{tok.text}'", tokens[i].offset)
+            waiting.append((tok.text, tok.offset))
+            i += 1
+            continue
+        operands.append(_atom(tok, dim))
+        while True:  # a binary operator is due, or the end of a group
+            tok = tokens[i]
+            i += 1
+            if tok.kind == "op":
+                if tok.text != "^":  # '^' binds tightest, to the right
+                    while waiting and _PREC.get(waiting[-1][0], 0) >= _PREC[tok.text]:
+                        reduce()
+                waiting.append((tok.text, tok.offset))
+                break
+            while waiting and waiting[-1][0] in _PREC:
+                reduce()
+            if not waiting:
+                if tok.kind == "eof":
+                    return operands[0]
+                raise ParseError(f"unexpected trailing input '{tok.text}'", tok.offset)
+            if tok.kind != "rparen":
+                raise ParseError(f"expected ')', found '{tok.text or 'end of input'}'", tok.offset)
+            name = waiting.pop()[0]
+            if name != "(":
+                operands[-1] = Unary(name, operands[-1])
 
 
 # ---------------------------------------------------------------------------
 # Printing (inverse of parse up to structural equality)
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 def _prec(node: Expr) -> int:
-    if isinstance(node, Binary):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, Unary):
-        return _PREC_NEG if node.op == "neg" else _PREC_ATOM
-    return _PREC_ATOM
+    return _PREC.get(getattr(node, "op", None), _PREC_ATOM)
 
 
 def unparse(node: Expr) -> str:
     """Render an AST as text that reparses to a structurally equal AST."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = unparse(node.operand)
+    texts = []
+    for node in _postorder(node):
+        if isinstance(node, Const):
+            texts.append(repr(node.value))
+        elif isinstance(node, Var):
+            texts.append(f"x{node.index + 1}")
+        elif isinstance(node, Unary):
+            if node.op != "neg":
+                texts[-1] = f"{node.op}({texts[-1]})"
             # '-' binds below '^', '*', '/'; parenthesize weaker operands
-            if _prec(node.operand) < _PREC_NEG:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.op}({unparse(node.operand)})"
-    left, right = unparse(node.left), unparse(node.right)
-    if node.op in "+-":
-        if _prec(node.left) < _PREC_ADD:
-            left = f"({left})"
-        # left-assoc: a right operand at the same level must be parenthesized
-        if _prec(node.right) <= _PREC_ADD:
-            right = f"({right})"
-    elif node.op in "*/":
-        if _prec(node.left) < _PREC_MUL:
-            left = f"({left})"
-        if _prec(node.right) <= _PREC_MUL:
-            right = f"({right})"
-    else:  # '^': base must be an atom, exponent parses at factor level
-        if _prec(node.left) < _PREC_ATOM or left.startswith("-"):
-            left = f"({left})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+            elif _prec(node.operand) < _PREC_NEG:
+                texts[-1] = f"-({texts[-1]})"
+            else:
+                texts[-1] = f"-{texts[-1]}"
+        elif node.op == "^":  # base must be an atom, exponent parses at factor level
+            if _prec(node.left) < _PREC_ATOM or texts[-1].startswith("-"):
+                texts[-1] = f"({texts[-1]})"
+            texts[-1] += f"^{node.right.value!r}"
+        else:
+            right, prec = texts.pop(), _PREC[node.op]
+            left = f"({texts[-1]})" if _prec(node.left) < prec else texts[-1]
+            # left-assoc: a right operand at the same level must be parenthesized
+            if _prec(node.right) <= prec:
+                right = f"({right})"
+            texts[-1] = f"{left} {node.op} {right}" if prec == _PREC_ADD else f"{left}{node.op}{right}"
+    return texts[0]
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: loops over ``_postorder`` with a stack of operand values
 
 _MATH_UNARY = {
     "sin": math.sin,
@@ -358,36 +363,32 @@ _MATH_UNARY = {
     "log": math.log,
     "sqrt": math.sqrt,
 }
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _eval_float(node: Expr, x) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(x[node.index])
-    if isinstance(node, Unary):
-        v = _eval_float(node.operand, x)
-        if node.op == "neg":
-            return -v
-        if node.op == "log" and v <= 0.0:
-            raise DomainError(f"log of non-positive value {v!r}", node)
-        if node.op == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}", node)
-        return _MATH_UNARY[node.op](v)
-    lv = _eval_float(node.left, x)
-    if node.op == "^":
-        c = node.right.value
-        return _pow_value(lv, c, node)
-    rv = _eval_float(node.right, x)
-    if node.op == "+":
-        return lv + rv
-    if node.op == "-":
-        return lv - rv
-    if node.op == "*":
-        return lv * rv
-    if rv == 0.0:
-        raise DomainError("division by zero", node)
-    return lv / rv
+def _eval_float(order: list[Expr], x) -> float:
+    """Value at x of the tree whose ``_postorder`` is ``order``."""
+    stack = []
+    for node in order:
+        if isinstance(node, Const):
+            stack.append(node.value)
+        elif isinstance(node, Var):
+            stack.append(float(x[node.index]))
+        elif isinstance(node, Unary):
+            v = stack[-1]
+            if node.op == "log" and v <= 0.0:
+                raise DomainError(f"log of non-positive value {v!r}", node)
+            if node.op == "sqrt" and v < 0.0:
+                raise DomainError(f"sqrt of negative value {v!r}", node)
+            stack[-1] = -v if node.op == "neg" else _MATH_UNARY[node.op](v)
+        elif node.op == "^":
+            stack[-1] = _pow_value(stack[-1], node.right.value, node)
+        else:
+            rv = stack.pop()
+            if node.op == "/" and rv == 0.0:
+                raise DomainError("division by zero", node)
+            stack[-1] = _ARITHMETIC[node.op](stack[-1], rv)
+    return stack[0]
 
 
 def _pow_value(base: float, c: float, node: Expr) -> float:
@@ -402,61 +403,66 @@ def _pow_value(base: float, c: float, node: Expr) -> float:
     return base**c
 
 
-def _eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and full gradient of ``node`` at x in one forward sweep.
+def _eval_tangent(order: list[Expr], x, zero: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and full gradient at x of the tree whose ``_postorder`` is
+    ``order``, in one forward sweep.
 
     Vector forward mode: ``dot`` holds one lane per coordinate, and every
     lane takes exactly the IEEE operations, in the same order, of a scalar
     dual number seeded with that coordinate's unit vector.  ``zero`` is the
     shared derivative of constants; no array is modified once returned.
     """
-    if isinstance(node, Const):
-        return node.value, zero
-    if isinstance(node, Var):
-        dot = zero.copy()
-        dot[node.index] = 1.0
-        return float(x[node.index]), dot
-    if isinstance(node, Unary):
-        v, d = _eval_tangent(node.operand, x, zero)
-        op = node.op
-        if op == "neg":
-            return -v, -d
-        if op == "sin":
-            return math.sin(v), math.cos(v) * d
-        if op == "cos":
-            return math.cos(v), -math.sin(v) * d
-        if op == "exp":
-            e = math.exp(v)
-            return e, e * d
-        if op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r}", node)
-            return math.log(v), d / v
-        # sqrt, the last of UNARY_FUNCS
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}", node)
-        if v == 0.0:
-            raise DomainError("sqrt not differentiable at 0", node)
-        r = math.sqrt(v)
-        return r, 0.5 * d / r
-    lv, ld = _eval_tangent(node.left, x, zero)
-    if node.op == "^":
-        c = node.right.value
-        _pow_value(lv, c, node)  # domain check
-        if c == 0.0:
-            return 1.0, zero
-        return lv**c, c * lv ** (c - 1.0) * ld
-    rv, rd = _eval_tangent(node.right, x, zero)
-    if node.op == "+":
-        return lv + rv, ld + rd
-    if node.op == "-":
-        return lv - rv, ld - rd
-    if node.op == "*":
-        return lv * rv, ld * rv + lv * rd
-    if rv == 0.0:
-        raise DomainError("division by zero", node)
-    inv = 1.0 / rv
-    return lv * inv, (ld - lv * rd * inv) * inv
+    stack = []
+    for node in order:
+        if isinstance(node, Const):
+            stack.append((node.value, zero))
+        elif isinstance(node, Var):
+            dot = zero.copy()
+            dot[node.index] = 1.0
+            stack.append((float(x[node.index]), dot))
+        elif isinstance(node, Unary):
+            v, d = stack[-1]
+            op = node.op
+            if op == "neg":
+                stack[-1] = -v, -d
+            elif op == "sin":
+                stack[-1] = math.sin(v), math.cos(v) * d
+            elif op == "cos":
+                stack[-1] = math.cos(v), -math.sin(v) * d
+            elif op == "exp":
+                e = math.exp(v)
+                stack[-1] = e, e * d
+            elif op == "log":
+                if v <= 0.0:
+                    raise DomainError(f"log of non-positive value {v!r}", node)
+                stack[-1] = math.log(v), d / v
+            else:  # sqrt, the last of UNARY_FUNCS
+                if v < 0.0:
+                    raise DomainError(f"sqrt of negative value {v!r}", node)
+                if v == 0.0:
+                    raise DomainError("sqrt not differentiable at 0", node)
+                r = math.sqrt(v)
+                stack[-1] = r, 0.5 * d / r
+        elif node.op == "^":
+            lv, ld = stack[-1]
+            c = node.right.value
+            _pow_value(lv, c, node)  # domain check
+            stack[-1] = (1.0, zero) if c == 0.0 else (lv**c, c * lv ** (c - 1.0) * ld)
+        else:
+            rv, rd = stack.pop()
+            lv, ld = stack[-1]
+            if node.op == "+":
+                stack[-1] = lv + rv, ld + rd
+            elif node.op == "-":
+                stack[-1] = lv - rv, ld - rd
+            elif node.op == "*":
+                stack[-1] = lv * rv, ld * rv + lv * rd
+            elif rv == 0.0:
+                raise DomainError("division by zero", node)
+            else:
+                inv = 1.0 / rv
+                stack[-1] = lv * inv, (ld - lv * rd * inv) * inv
+    return stack[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -596,12 +602,17 @@ class SmoothFn:
         """Value at x (sequence of length dim)."""
         if len(x) != self.dim:
             raise ValueError(f"point has length {len(x)}, expected {self.dim}")
-        return _eval_float(self.expr, x)
+        return _eval_float(self._order, x)
+
+    @functools.cached_property
+    def _order(self) -> list[Expr]:
+        """``_postorder(self.expr)``, the walk every evaluation reads; built once."""
+        return _postorder(self.expr)
 
     @functools.cached_property
     def is_affine(self) -> bool:
         """Affine by construction (see ``_structure``); computed once."""
-        return self.affine is not None or _structure(self.expr)[1]
+        return self.affine is not None or _structure(self._order)[1]
 
     def grad(self, x) -> np.ndarray:
         """Exact gradient at x via one vector forward-mode sweep."""
@@ -611,7 +622,7 @@ class SmoothFn:
             return np.empty(0)
         # lanes overflow to inf/nan silently, as the scalar floats they mirror
         with np.errstate(all="ignore"):
-            return _eval_tangent(self.expr, x, np.zeros(self.dim))[1]
+            return _eval_tangent(self._order, x, np.zeros(self.dim))[1]
 
     def __str__(self) -> str:
         return unparse(self.expr)
@@ -704,7 +715,7 @@ class PieceStack:
             for r in self.walked if finite[i] else range(len(self.pieces)):
                 try:
                     out[i, r] = self.pieces[r].eval(X[i])
-                except (ArithmeticError, RecursionError) as exc:  # DomainError, OverflowError
+                except ArithmeticError as exc:  # DomainError, OverflowError
                     return out, (int(i), r, exc)
         return out, None
 

@@ -418,7 +418,10 @@ def verify_limit_inclusion(
             distance = None  # a degenerate point
             if profile is not None:
                 jac = _classical_jacobian(F, z, profile)
-                scale = max(scale, float(np.linalg.norm(jac)))
+                norm = float(np.linalg.norm(jac))
+                if norm == np.inf:  # its squares overflow
+                    norm = float(np.hypot.reduce(np.abs(jac).ravel()))
+                scale = max(scale, norm)
                 distance = float(np.linalg.norm(jac - elem.xi))
             points.append(LimitPoint(t, distance))
 

@@ -388,9 +388,9 @@ def finite_diff_dd(F: DCMaxFn, x, y) -> FiniteDiffResult:
     """One-sided difference quotients (F(x+ty)-F(x))/t down the steps of
     ``FD_T_SCHEDULE``, F at x and at every step from one sweep; the
     smallest step gives the reported value."""
-    x = _check_point(F, x)
+    x, y = _check_point(F, x), _check_point(F, y, "direction")
     ts = np.array(FD_T_SCHEDULE)[:, None]
-    base, *steps = _values_at(F, np.vstack([x, x + ts * np.asarray(y, dtype=float)]))
+    base, *steps = _values_at(F, np.vstack([x, x + ts * y]))
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = (np.array(steps) - base) / ts
         convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))

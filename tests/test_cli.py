@@ -124,16 +124,51 @@ class TestJac:
         assert "overflow" in err
 
     @pytest.mark.parametrize(
-        "piece",
-        ["(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1", " + ".join(["x1"] * 20000)],
+        "piece, xi",
+        [
+            ("(" * 5000 + "x1" + ")" * 5000, 1.0),
+            ("-" * 5000 + "x1", 1.0),
+            (" + ".join(["x1"] * 20000), 20000.0),
+        ],
         ids=["parentheses", "minus-signs", "long-sum"],
     )
-    def test_deep_nesting_exits_2(self, capsys, tmp_path, piece):
+    def test_deep_nesting_exits_0(self, capsys, tmp_path, piece, xi):
+        # neither the parser nor a tree walk recurses, so depth is no limit
         prob = tmp_path / "deep.json"
         prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": [piece]}]}))
+        code, out, err = run(capsys, ["jac", "-p", str(prob), "-x", "1", "--json"])
+        assert (code, err) == (0, "")
+        assert strict_loads(out)["xi"] == [[xi]]
+
+    def test_deeply_nested_json_is_invalid_json(self, capsys, tmp_path):
+        prob = tmp_path / "deep.json"
+        prob.write_text("[" * 100_000 + "]" * 100_000)
         code, out, err = run(capsys, ["jac", "-p", str(prob), "-x", "1"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: expression nested too deeply")
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+    def test_piece_text_fuzz_exits_cleanly(self, capsys, tmp_path):
+        # seeded random piece texts: every outcome is a result, an input
+        # error or a domain error, never a traceback
+        rng = np.random.default_rng(314)
+        vocabulary = [
+            "x1", "x2", "x3", "0", "2", "0.5", "1e308", "1e-320", "+", "-", "*", "/", "^",
+            "(", ")", "sin", "cos", "exp", "log", "sqrt", "y", " ", ".", "e", ",", "1e",
+        ]
+        codes = set()
+        for _ in range(300):
+            piece = "".join(rng.choice(vocabulary, size=int(rng.integers(1, 10))))
+            prob = write_problem(tmp_path, [{"g": [piece, "x2"]}], n=2)
+            code, out, err = run(capsys, ["jac", "-p", prob, "-x", "0.5,-1", "--json"])
+            codes.add(code)
+            assert code in (0, 2, 3), (piece, err)
+            if code == 0:
+                assert err == ""
+                strict_loads(out)
+            else:
+                assert out == "" and err.startswith("error: "), (piece, err)
+                assert err.count("\n") == 1 and "Traceback" not in err, (piece, err)
+        assert codes == {0, 2, 3}
 
     @pytest.mark.parametrize(
         "pieces, tol_tie, smaller",
@@ -221,15 +256,30 @@ class TestVerify:
         assert [k for k, v in passed.items() if v is None] == [name]
 
     def test_infinite_tolerance_is_inconclusive(self, capsys, tmp_path):
-        # the classical Jacobian's norm overflows, so the tolerance is inf
+        # the classical Jacobian's norm, 1.9e308, is beyond the largest
+        # float, so the tolerance is inf
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["1e308*x1", "0"]}]}))
+        doc = {"n": 1, "m": 3, "components": [{"g": ["1.1e308*x1", "0"]}] * 3}
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["verify", "-p", str(path), "-x", "1", "--json"])
         assert (code, err) == (0, "")
         assert "Infinity" not in out and "NaN" not in out
         payload = json.loads(out)
         assert payload["inconclusive"] == ["limit_inclusion"]
         assert payload["checks"]["limit_inclusion"]["tolerance"] is None
+
+    def test_jacobian_whose_squares_overflow_passes_limit_inclusion(self, capsys, tmp_path):
+        # the norm of [[1e308]] is taken without squaring, so the tolerance
+        # is finite
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
+        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--convention", "max", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        payload = strict_loads(out)
+        limit = payload["checks"]["limit_inclusion"]
+        assert (payload["passed"], payload["inconclusive"]) == (True, [])
+        assert (limit["status"], limit["final_distance"]) == ("pass", 0.0)
+        assert limit["tolerance"] == 1e-6 * (1.0 + 1e308)
 
     def test_nan_at_a_ray_point_is_degenerate(self, capsys, tmp_path):
         # 1e308*x1 overflows at x1 = 1.79 + 1e-2, where the piece is inf - inf
@@ -654,6 +704,12 @@ class TestDD:
         }
         assert [key for key, value in figures.items() if value == [None]] == nulls
         assert payload["dd"] == [dd]
+
+    def test_direction_of_the_wrong_length_exits_2(self, capsys):
+        argv = ["dd", "--random", "n=2,m=1,pieces=3,seed=5", "-x", "0,0", "-y", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: direction has shape (1,), expected (2,)\n"
 
     def test_negative_vectors_as_separate_arguments(self, capsys):
         base = ["dd", "--random", "n=2,m=1,pieces=3,seed=5", "--json"]

@@ -10,6 +10,7 @@ from dcjac.dcmax import (
     dd_F,
     eval_F,
     load_problem,
+    load_problem_file,
 )
 from dcjac.expr import SmoothFn
 from util import (
@@ -41,6 +42,12 @@ class TestLoadProblem:
         F = load_problem(ABS_DOC)
         assert (F.n, F.m) == (1, 1)
         np.testing.assert_array_equal(eval_F(F, [-3.0]), [3.0])
+
+    def test_json_too_deep_for_the_decoder_is_invalid_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SchemaError, match="^invalid JSON: "):
+            load_problem_file(path)
 
     def test_missing_h_defaults_to_zero(self):
         F = load_problem(ABS_DOC)
@@ -329,5 +336,7 @@ class TestSweptValuesEqualTheTreeWalk:
         F = load_problem(ABS_DOC)
         with pytest.raises(ValueError, match="point has shape"):
             dd_F(F, [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match=r"^direction has shape \(2,\), expected \(1,\)$"):
+            dd_F(F, [0.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="tol_act must be nonnegative"):
             dd_F(F, [0.0], [1.0], float("nan"))

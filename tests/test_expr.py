@@ -15,11 +15,24 @@ from dcjac.expr import (
     _affine_data,
     _eval_float,
     _eval_tangent,
+    _postorder,
+    _structure,
     affine_expr,
     parse,
     unparse,
 )
-from util import assert_bits_equal, central_diff, dual_grad, random_expr, random_smooth_pair
+from util import (
+    assert_bits_equal,
+    central_diff,
+    dual_grad,
+    random_expr,
+    random_smooth_pair,
+    reference_eval_float,
+    reference_eval_tangent,
+    reference_parse,
+    reference_structure,
+    reference_unparse,
+)
 
 
 class TestParse:
@@ -357,7 +370,10 @@ NON_FINITE_POINTS = [[math.inf, 0.0], [math.nan, -0.0], [-0.0, -math.inf], [math
 
 def _tree_value_and_grad(fn, x):
     with np.errstate(all="ignore"):
-        return _eval_float(fn.expr, x), _eval_tangent(fn.expr, x, np.zeros(fn.dim))[1]
+        return (
+            reference_eval_float(fn.expr, x),
+            reference_eval_tangent(fn.expr, x, np.zeros(fn.dim))[1],
+        )
 
 
 class TestAffineData:
@@ -494,3 +510,186 @@ class TestAffineData:
         for name in ("expr", "dim", "affine"):
             with pytest.raises(AttributeError):
                 setattr(fn, name, None)
+
+
+# Tokens that random texts are drawn from, malformed pieces included
+VOCABULARY = [
+    "x1", "x2", "x3", "x0", "0", "2", "0.5", "1e308", "3e", ".", "-", "+", "*", "/", "^",
+    "(", ")", "sin", "cos", "exp", "log", "sqrt", "y", " ", "_", "1/0", "2^", "-2",
+]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, message and offset of the
+    error it raises (a domain error, or an overflow while folding an
+    exponent, among others)."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _grammar_text(rng: np.random.Generator, depth: int) -> str:
+    """A random text built by the rules of the grammar, with random spacing;
+    its powers may have variables in their exponents."""
+    kind = rng.random()
+    if depth == 0 or kind < 0.25:
+        return str(rng.choice(["x1", "x2", "0", "2", "0.5", "3e2", ".5", "7.", "1e308"]))
+    if kind < 0.4:
+        return "-" + _grammar_text(rng, depth - 1)
+    if kind < 0.5:
+        return f"{rng.choice(['sin', 'cos', 'exp', 'log', 'sqrt'])}({_grammar_text(rng, depth - 1)})"
+    if kind < 0.6:
+        return f"({_grammar_text(rng, depth - 1)})"
+    space = str(rng.choice(["", " "]))
+    op = str(rng.choice(["+", "-", "*", "/", "^"]))
+    return _grammar_text(rng, depth - 1) + space + op + space + _grammar_text(rng, depth - 1)
+
+
+def _mutate(rng: np.random.Generator, text: str) -> str:
+    """``text`` with a character deleted, a token inserted or two
+    characters swapped."""
+    if not text:
+        return str(rng.choice(VOCABULARY))
+    i = int(rng.integers(0, len(text)))
+    kind = rng.random()
+    if kind < 1 / 3:
+        return text[:i] + text[i + 1 :]
+    if kind < 2 / 3:
+        return text[:i] + str(rng.choice(VOCABULARY)) + text[i:]
+    j = int(rng.integers(0, len(text)))
+    chars = list(text)
+    chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+class TestAgainstTheRecursiveReferences:
+    """The operator-stack parser and the loops over ``_postorder`` against
+    the recursive parser and walkers they replaced (``tests/util.py``)."""
+
+    def test_random_token_strings_parse_alike(self):
+        rng = np.random.default_rng(101)
+        for _ in range(3000):
+            text = "".join(rng.choice(VOCABULARY, size=int(rng.integers(1, 14))))
+            assert _outcome(parse, text, 2) == _outcome(reference_parse, text, 2), text
+
+    def test_mutated_grammar_texts_parse_alike(self):
+        rng = np.random.default_rng(202)
+        trees = 0
+        for _ in range(3000):
+            text = _grammar_text(rng, 4)
+            for _ in range(int(rng.integers(0, 3))):
+                text = _mutate(rng, text)
+            want = _outcome(reference_parse, text, 2)
+            assert _outcome(parse, text, 2) == want, text
+            trees += not isinstance(want, tuple)
+        assert 300 <= trees <= 2700  # both trees and errors are compared
+
+    def test_errors_keep_their_offsets(self):
+        cases = {
+            "x1 +": ("expected a value, found 'end of input'", 4),
+            "(x1": ("expected ')', found 'end of input'", 3),
+            "x1)": ("unexpected trailing input ')'", 2),
+            "sin x1": ("expected '(' after function 'sin'", 4),
+            "(x1 x2)": ("expected ')', found 'x2'", 4),
+            "x1 x2": ("unexpected trailing input 'x2'", 3),
+            "2^x1 + 1": ("exponent of '^' must be a constant", 1),
+            "x1^2^-x2": ("exponent of '^' must be a constant", 4),
+            "x1 * * x2": ("expected a value, found '*'", 5),
+        }
+        for text, (message, offset) in cases.items():
+            with pytest.raises(ParseError) as info:
+                parse(text, 2)
+            assert (str(info.value), info.value.offset) == (
+                f"{message} (at offset {offset})",
+                offset,
+            )
+            assert _outcome(parse, text, 2) == _outcome(reference_parse, text, 2)
+
+    def test_exponent_folding_errors_come_first(self):
+        # the exponent is folded as soon as it is complete, before the
+        # next token is judged
+        for text in ["x1^(1/0) )", "x1^1e308^2 x2", "x1^(-1)^0.5 +"]:
+            want = _outcome(reference_parse, text, 2)
+            assert want[0] is not ParseError
+            assert _outcome(parse, text, 2) == want
+
+    def test_walkers_equal_the_references_bit_for_bit(self):
+        rng = np.random.default_rng(303)
+        # parse never writes a negative Const; hand-built trees can
+        trees = [
+            Binary("^", Const(-2.0), Const(2.0)),
+            Binary("-", Unary("neg", Const(-0.0)), Binary("*", Const(-1.5), Var(1))),
+            Binary("/", Var(0), Binary("-", Var(1), Var(1))),
+            Unary("log", Binary("-", Var(0), Var(0))),
+            Unary("sqrt", Binary("*", Const(0.0), Var(1))),
+            Binary("^", Var(0), Const(-1.0)),
+            Binary("^", Var(1), Const(0.5)),
+            Binary("^", Var(0), Const(0.0)),
+        ]
+        trees += [random_expr(rng, 2, depth=5) for _ in range(300)]
+        points = [[0.0, 0.0], [-0.0, 1.0], [0.7, -1.3], [-2.5, 1e-310], [1e300, -1e300]]
+        zero = np.zeros(2)
+        errors = 0
+        for tree in trees:
+            order = _postorder(tree)
+            assert unparse(tree) == reference_unparse(tree)
+            assert _structure(order) == reference_structure(tree)
+            for x in points:
+                for got, want in (
+                    (
+                        _outcome(lambda: (_eval_float(order, x),)),
+                        _outcome(lambda: (reference_eval_float(tree, x),)),
+                    ),
+                    (
+                        _outcome(_eval_tangent, order, x, zero),
+                        _outcome(reference_eval_tangent, tree, x, zero),
+                    ),
+                ):
+                    if isinstance(want[0], type):  # an error
+                        assert got == want, (unparse(tree), x)
+                        errors += 1
+                    else:  # the value and every gradient lane
+                        assert_bits_equal(np.hstack(got), np.hstack(want))
+        assert errors > 0
+
+    def test_order_is_built_once_per_piece(self):
+        fn = SmoothFn.from_text("sin(x1)*x2 + x1^3", 2)
+        fn.eval([1.0, 2.0])
+        assert fn.__dict__["_order"] is fn._order
+        assert [type(node).__name__ for node in fn._order] == [
+            "Var", "Unary", "Var", "Binary", "Var", "Binary", "Binary",
+        ]
+
+
+class TestDeepInputs:
+    """No depth of nesting reaches the Python stack."""
+
+    def test_sin_chain_gradient_is_the_product_of_cosines(self):
+        text = "sin(" * 1500 + "x1" + ")" * 1500
+        fn = SmoothFn.from_text(text, 1)
+        v, d = 0.7, 1.0
+        for _ in range(1500):
+            v, d = math.sin(v), math.cos(v) * d
+        assert_bits_equal(fn.eval([0.7]), v)
+        assert_bits_equal(fn.grad([0.7]), [d])
+        assert str(fn) == text
+
+    def test_parentheses_minus_signs_and_a_long_sum(self):
+        assert parse("(" * 5000 + "x1" + ")" * 5000, 1) == Var(0)
+        minus = SmoothFn.from_text("-" * 5001 + "x1", 1)
+        assert (minus.eval([1.5]), minus.grad([1.5]).tolist()) == (-1.5, [-1.0])
+        assert str(minus) == "-" * 5001 + "x1"
+        text = " + ".join(["x1"] * 20000)
+        total = SmoothFn.from_text(text, 1)
+        assert total.affine is None and total.is_affine
+        assert (total.eval([1.5]), total.grad([1.5]).tolist()) == (30000.0, [20000.0])
+        assert str(total) == text
+
+    def test_deep_errors_keep_their_offsets(self):
+        with pytest.raises(ParseError, match=r"expected '\)', found 'end of input' \(at offset 5002\)"):
+            parse("(" * 5000 + "x1", 1)
+        fn = SmoothFn.from_text("log(" + "-" * 4000 + "x1)", 1)
+        with pytest.raises(DomainError, match=r"^log of non-positive value -2.0 in subexpression"):
+            fn.eval([-2.0])

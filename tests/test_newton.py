@@ -6,9 +6,8 @@ import pytest
 import dcjac.expr
 import dcjac.jacobian as jacobian
 from dcjac.dcmax import eval_F, load_problem
-from dcjac.expr import _eval_float, _eval_tangent
 from dcjac.newton import build_ncp, ncp_residual, solve
-from util import ABS_DOC, assert_bits_equal
+from util import ABS_DOC, assert_bits_equal, reference_eval_float, reference_eval_tangent
 
 ROOT_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1 - 1", "2*x1 - 2"]}]}
 
@@ -201,11 +200,11 @@ class TestBuildNCP:
             for x, row in zip(points, values):
                 grads = F.stack.grads(x, np.arange(len(F.stack.pieces)))
                 for piece, value, grad in zip(F.stack.pieces, row, grads):
-                    assert_bits_equal(value, _eval_float(piece.expr, x))
-                    assert_bits_equal(grad, _eval_tangent(piece.expr, x, np.zeros(n))[1])
+                    assert_bits_equal(value, reference_eval_float(piece.expr, x))
+                    assert_bits_equal(grad, reference_eval_tangent(piece.expr, x, np.zeros(n))[1])
 
     def test_large_system_builds_no_tree(self, monkeypatch):
-        # a left-deep tree of 1000 terms is too deep for the recursive walkers
+        # the pieces are coefficient data: solving builds no tree
         def fail(*args):
             raise AssertionError("tree built")
 

@@ -525,6 +525,11 @@ class TestFiniteDiffDD:
             assert_bits_equal(res.value, estimates[-1])
             assert_bits_equal(res.convergence, convergence)
 
+    def test_direction_of_the_wrong_shape_raises(self):
+        F = random_affine_problem(2, 1, 2, seed=0)
+        with pytest.raises(ValueError, match=r"^direction has shape \(1,\), expected \(2,\)$"):
+            finite_diff_dd(F, np.zeros(2), [1.0])
+
     def test_one_sweep_for_the_point_and_its_steps(self, monkeypatch):
         calls = []
         sweep = DCMaxFn.term_values

@@ -10,7 +10,21 @@ from pathlib import Path
 import numpy as np
 
 from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set, load_problem_file
-from dcjac.expr import Binary, Const, DomainError, SmoothFn, Unary, Var, _pow_value
+from dcjac.expr import (
+    FUNC_NAMES,
+    _MATH_UNARY,
+    Binary,
+    Const,
+    DomainError,
+    Expr,
+    ParseError,
+    SmoothFn,
+    Unary,
+    Var,
+    _pow_value,
+    _tokenize,
+    _Token,
+)
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     DEFAULT_TOL_TIE,
@@ -455,7 +469,10 @@ def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionR
                 points.append(LimitPoint(t, None))
                 continue
             jac = np.array(rows)
-            scale = max(scale, float(np.linalg.norm(jac)))
+            norm = float(np.linalg.norm(jac))
+            if math.isinf(norm):  # the squares overflow: pairwise hypot instead
+                norm = float(np.hypot.reduce(np.abs(jac).ravel()))
+            scale = max(scale, norm)
             points.append(LimitPoint(t, float(np.linalg.norm(jac - elem.xi))))
     tolerance = 1e-6 * (1.0 + scale)
     distances = [p.distance for p in points if p.distance is not None]
@@ -593,3 +610,269 @@ def reference_brute_force(
         if not any(np.max(np.abs(jac - seen)) <= 1e-10 for seen in matrices):
             matrices.append(jac)
     return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
+
+
+# ---------------------------------------------------------------------------
+# The recursive parser and tree walkers that ``dcjac.expr`` replaced with an
+# operator-stack parser and loops over ``_postorder``.  They recurse once per
+# level of nesting, so they serve as references on trees of modest depth:
+# the library must give the same trees, errors, values and gradient lanes,
+# bit for bit.
+
+
+def reference_parse(text: str, dim: int) -> Expr:
+    """``parse`` by recursive descent."""
+    if dim < 0:
+        raise ValueError("dimension must be nonnegative")
+    parser = _ReferenceParser(_tokenize(text), dim)
+    node = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input '{tok.text}'", tok.offset)
+    return node
+
+
+class _ReferenceParser:
+    """The recursive-descent parser ``parse`` replaced, kept as its reference:
+
+    expr   := term (('+'|'-') term)*          left-assoc
+    term   := factor (('*'|'/') factor)*      left-assoc
+    factor := '-' factor | power
+    power  := atom ('^' factor)?              right-assoc, binds above unary '-'
+    atom   := number | ident | ident '(' expr ')' | '(' expr ')'
+    """
+
+    def __init__(self, tokens: list[_Token], dim: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.dim = dim
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}, found '{tok.text or 'end of input'}'", tok.offset)
+        return self.advance()
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            node = Binary(op, node, self.parse_term())
+        return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance().text
+            node = Binary(op, node, self.parse_factor())
+        return node
+
+    def parse_factor(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            return Unary("neg", self.parse_factor())
+        return self.parse_power()
+
+    def parse_power(self) -> Expr:
+        base = self.parse_atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exponent = self.parse_factor()
+            if reference_structure(exponent)[0]:
+                raise ParseError("exponent of '^' must be a constant", tok.offset)
+            return Binary("^", base, Const(reference_eval_float(exponent, ())))
+        return base
+
+    def parse_atom(self) -> Expr:
+        tok = self.advance()
+        if tok.kind == "num":
+            return Const(float(tok.text))
+        if tok.kind == "lparen":
+            node = self.parse_expr()
+            self.expect("rparen", "')'")
+            return node
+        if tok.kind == "ident":
+            name = tok.text
+            if name in FUNC_NAMES:
+                if self.peek().kind != "lparen":
+                    raise ParseError(f"expected '(' after function '{name}'", self.peek().offset)
+                self.advance()
+                arg = self.parse_expr()
+                self.expect("rparen", "')'")
+                return Unary(name, arg)
+            if name.startswith("x") and name[1:].isdigit():
+                index = int(name[1:]) - 1
+                if index < 0 or index >= self.dim:
+                    raise ParseError(
+                        f"variable '{name}' out of range for dimension {self.dim}", tok.offset
+                    )
+                return Var(index)
+            raise ParseError(f"unknown identifier '{name}'", tok.offset)
+        raise ParseError(f"expected a value, found '{tok.text or 'end of input'}'", tok.offset)
+
+
+def reference_structure(node: Expr) -> tuple[bool, bool]:
+    """(contains a variable, is affine by construction).  A variable-free
+    subtree is a constant; a function of a variable is never affine, even
+    where its gradient is constant (``0*sin(x1)``)."""
+    if not isinstance(node, (Unary, Binary)):
+        return isinstance(node, Var), True
+    if isinstance(node, Unary):
+        var, aff = reference_structure(node.operand)
+        return var, not var or (aff and node.op == "neg")
+    lvar, laff = reference_structure(node.left)
+    rvar, raff = reference_structure(node.right)
+    if not (lvar or rvar):
+        return False, True
+    if node.op in "+-":
+        return True, laff and raff
+    if node.op == "*":
+        return True, (not lvar and raff) or (not rvar and laff)
+    if node.op == "/":
+        return True, not rvar and laff
+    c = node.right.value  # '^'
+    return True, c == 0.0 or (c == 1.0 and laff)
+
+
+_REF_PREC_ADD, _REF_PREC_MUL, _REF_PREC_NEG, _REF_PREC_POW, _REF_PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _reference_prec(node: Expr) -> int:
+    if isinstance(node, Binary):
+        if node.op in "+-":
+            return _REF_PREC_ADD
+        if node.op in "*/":
+            return _REF_PREC_MUL
+        return _REF_PREC_POW
+    if isinstance(node, Unary):
+        return _REF_PREC_NEG if node.op == "neg" else _REF_PREC_ATOM
+    return _REF_PREC_ATOM
+
+
+def reference_unparse(node: Expr) -> str:
+    """Render an AST as text that reparses to a structurally equal AST."""
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"x{node.index + 1}"
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            inner = reference_unparse(node.operand)
+            # '-' binds below '^', '*', '/'; parenthesize weaker operands
+            if _reference_prec(node.operand) < _REF_PREC_NEG:
+                inner = f"({inner})"
+            return f"-{inner}"
+        return f"{node.op}({reference_unparse(node.operand)})"
+    left, right = reference_unparse(node.left), reference_unparse(node.right)
+    if node.op in "+-":
+        if _reference_prec(node.left) < _REF_PREC_ADD:
+            left = f"({left})"
+        # left-assoc: a right operand at the same level must be parenthesized
+        if _reference_prec(node.right) <= _REF_PREC_ADD:
+            right = f"({right})"
+    elif node.op in "*/":
+        if _reference_prec(node.left) < _REF_PREC_MUL:
+            left = f"({left})"
+        if _reference_prec(node.right) <= _REF_PREC_MUL:
+            right = f"({right})"
+    else:  # '^': base must be an atom, exponent parses at factor level
+        if _reference_prec(node.left) < _REF_PREC_ATOM or left.startswith("-"):
+            left = f"({left})"
+    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+
+
+def reference_eval_float(node: Expr, x) -> float:
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return float(x[node.index])
+    if isinstance(node, Unary):
+        v = reference_eval_float(node.operand, x)
+        if node.op == "neg":
+            return -v
+        if node.op == "log" and v <= 0.0:
+            raise DomainError(f"log of non-positive value {v!r}", node)
+        if node.op == "sqrt" and v < 0.0:
+            raise DomainError(f"sqrt of negative value {v!r}", node)
+        return _MATH_UNARY[node.op](v)
+    lv = reference_eval_float(node.left, x)
+    if node.op == "^":
+        c = node.right.value
+        return _pow_value(lv, c, node)
+    rv = reference_eval_float(node.right, x)
+    if node.op == "+":
+        return lv + rv
+    if node.op == "-":
+        return lv - rv
+    if node.op == "*":
+        return lv * rv
+    if rv == 0.0:
+        raise DomainError("division by zero", node)
+    return lv / rv
+
+
+def reference_eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and full gradient of ``node`` at x in one forward sweep.
+
+    Vector forward mode: ``dot`` holds one lane per coordinate, and every
+    lane takes exactly the IEEE operations, in the same order, of a scalar
+    dual number seeded with that coordinate's unit vector.  ``zero`` is the
+    shared derivative of constants; no array is modified once returned.
+    """
+    if isinstance(node, Const):
+        return node.value, zero
+    if isinstance(node, Var):
+        dot = zero.copy()
+        dot[node.index] = 1.0
+        return float(x[node.index]), dot
+    if isinstance(node, Unary):
+        v, d = reference_eval_tangent(node.operand, x, zero)
+        op = node.op
+        if op == "neg":
+            return -v, -d
+        if op == "sin":
+            return math.sin(v), math.cos(v) * d
+        if op == "cos":
+            return math.cos(v), -math.sin(v) * d
+        if op == "exp":
+            e = math.exp(v)
+            return e, e * d
+        if op == "log":
+            if v <= 0.0:
+                raise DomainError(f"log of non-positive value {v!r}", node)
+            return math.log(v), d / v
+        # sqrt, the last of UNARY_FUNCS
+        if v < 0.0:
+            raise DomainError(f"sqrt of negative value {v!r}", node)
+        if v == 0.0:
+            raise DomainError("sqrt not differentiable at 0", node)
+        r = math.sqrt(v)
+        return r, 0.5 * d / r
+    lv, ld = reference_eval_tangent(node.left, x, zero)
+    if node.op == "^":
+        c = node.right.value
+        _pow_value(lv, c, node)  # domain check
+        if c == 0.0:
+            return 1.0, zero
+        return lv**c, c * lv ** (c - 1.0) * ld
+    rv, rd = reference_eval_tangent(node.right, x, zero)
+    if node.op == "+":
+        return lv + rv, ld + rd
+    if node.op == "-":
+        return lv - rv, ld - rd
+    if node.op == "*":
+        return lv * rv, ld * rv + lv * rd
+    if rv == 0.0:
+        raise DomainError("division by zero", node)
+    inv = 1.0 / rv
+    return lv * inv, (ld - lv * rd * inv) * inv
