@@ -119,21 +119,21 @@ def _tokenize(text: str) -> list[_Token]:
         elif c == ")":
             tokens.append(_Token("rparen", c, i))
             i += 1
-        elif c.isdigit() or c == ".":
+        elif "0" <= c <= "9" or c == ".":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and "0" <= text[i] <= "9":
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and "0" <= text[j] <= "9":
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and "0" <= text[i] <= "9":
                         i += 1
             lexeme = text[start:i]
             try:
@@ -245,7 +245,7 @@ def _atom(tok: _Token, dim: int) -> Expr:
     name = tok.text
     if tok.kind != "ident":
         raise ParseError(f"expected a value, found '{name or 'end of input'}'", tok.offset)
-    if name.startswith("x") and name[1:].isdigit():
+    if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
         index = int(name[1:]) - 1
         if index < 0 or index >= dim:
             raise ParseError(f"variable '{name}' out of range for dimension {dim}", tok.offset)
@@ -633,14 +633,15 @@ _SWEEP_CHUNK = 1 << 20
 
 
 class PieceStack:
-    """Pieces of one dimension ``dim``, evaluated together.
+    """Pieces of one dimension ``dim``, evaluated together.  Every array
+    is indexed by piece.
 
     The pieces with coefficient data are swept: their term products are
     summed left to right with ``np.add.accumulate`` (never ``@`` or
     ``sum``, which reassociate), over blocks of pieces with similar term
-    counts padded to a common width.  Their gradients are the nonzero
-    coefficients, kept by piece, with every other lane set to the signed
-    zero that ``Affine`` derives.  The other pieces go through
+    counts padded to a common width.  A swept piece's gradient is its row
+    of ``table``, the nonzero coefficients, with every other lane set to
+    the signed zero that ``Affine`` derives.  The other pieces go through
     ``SmoothFn.eval`` and ``grad``, as every piece does at a point that is
     not finite.  Values and gradients have the bits of those methods.
     """
@@ -649,47 +650,42 @@ class PieceStack:
         self.pieces = tuple(pieces)
         self.dim = dim
         data = [p.affine for p in self.pieces]
-        swept = [r for r, a in enumerate(data) if a is not None]
-        self.walked = [r for r, a in enumerate(data) if a is None]
-        self.swept = np.array(swept, dtype=np.intp)
-        self.row = np.full(len(data), -1)  # row of each piece among the swept ones, or -1
-        self.row[swept] = np.arange(len(swept))
-        data = [data[r] for r in swept]
-        self.negate = np.array([a.negate for a in data], dtype=bool)
-        lengths = [a.terms.shape[1] for a in data]
-        coefs, index, zero_sign, zero_flips = (
-            np.concatenate([a.terms for a in data], axis=1) if data else np.empty((4, 0))
+        self.swept = np.array([a is not None for a in data], dtype=bool)
+        self.walked = np.flatnonzero(~self.swept).tolist()
+        self.negate = np.array([a is not None and a.negate for a in data], dtype=bool)
+        lengths = np.array([0 if a is None else a.terms.shape[1] for a in data], dtype=np.intp)
+        coefs, index, zero_sign, zero_flips = np.concatenate(
+            [np.empty((4, 0)), *(a.terms for a in data if a is not None)], axis=1
         )
         index = index.astype(np.intp)
         zero_sign, zero_flips = zero_sign != 0.0, zero_flips != 0.0
-        owner = np.repeat(np.arange(len(data)), lengths)  # swept row of each term
+        owner = np.repeat(np.arange(len(data)), lengths)  # piece of each term
         col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
         # Values: up to 8 terms share a block, then widths double.  A pad
         # is the product -0.0*1.0 (column dim of a point reads 1.0), and
         # adding -0.0 changes no sum, not even the sign of a zero.
-        buckets = [max(0, (length - 1).bit_length() - 3) for length in lengths]
-        bucket, lengths = np.array(buckets), np.array(lengths)
+        bucket = np.array([max(0, (int(n) - 1).bit_length() - 3) if n else -1 for n in lengths])
         self.blocks = []
-        for b in sorted(set(buckets)):
-            rows = np.flatnonzero(bucket == b)
+        for b in np.unique(bucket[self.swept]):
+            block = np.flatnonzero(bucket == b)
             terms = bucket[owner] == b
-            at = (np.searchsorted(rows, owner[terms]), col[terms])
-            shape = (rows.size, int(lengths[rows].max()))
+            at = (np.searchsorted(block, owner[terms]), col[terms])
+            shape = (block.size, int(lengths[block].max()))
             block_coefs = np.full(shape, -0.0)
             block_coefs[at] = coefs[terms]
             block_index = np.full(shape, dim, dtype=np.intp)
             block_index[at] = index[terms]
-            self.blocks.append((rows, block_coefs, block_index))
+            self.blocks.append((block, block_coefs, block_index))
 
-        # Gradients: the nonzero coefficient lanes of each row, stored by
-        # row, and the signed zero elsewhere, -0 when every term adds -0:
+        # Gradients: each piece's nonzero coefficient lanes, negated with
+        # it, and +0 elsewhere; grads makes those lanes -0 where zero_neg !=
+        # negate.  Before the negation they are -0 when every term adds -0:
         # always for a term without zero_flips whose zero_sign is set, and
         # for one with zero_flips when signbit(x[var]) equals flip_sign.
-        lane = (index < dim) & (coefs != 0.0)
-        self.lane_start = np.searchsorted(owner[lane], np.arange(len(data) + 1))
-        self.lane_col = index[lane]
-        self.lane_val = np.where(self.negate[owner[lane]], -coefs[lane], coefs[lane])
+        lane = (index < dim) & (coefs != 0.0)  # the rule, not c, signs a zero lane
+        self.table = np.zeros((len(data), dim))
+        self.table[owner[lane], index[lane]] = np.where(self.negate[owner], -coefs, coefs)[lane]
         self.zero_neg = np.ones(len(data), dtype=bool)
         self.zero_neg[owner[~zero_flips & ~zero_sign]] = False
         self.flip_row = owner[zero_flips]
@@ -707,8 +703,7 @@ class PieceStack:
         if X.shape[1] != self.dim:
             raise ValueError(f"point has length {X.shape[1]}, expected {self.dim}")
         out = np.full((len(X), len(self.pieces)), np.nan)
-        if self.swept.size:
-            out[:, self.swept] = self._sweep(X)
+        self._sweep(X, out)
         finite = np.isfinite(X).all(axis=1)
         walks = range(len(X)) if self.walked else np.flatnonzero(~finite)
         for i in walks:
@@ -719,17 +714,16 @@ class PieceStack:
                     return out, (int(i), r, exc)
         return out, None
 
-    def _sweep(self, X: np.ndarray) -> np.ndarray:
+    def _sweep(self, X: np.ndarray, out: np.ndarray) -> None:
         X1 = np.concatenate([X, np.ones((len(X), 1))], axis=1)
-        out = np.empty((len(X), self.negate.size))
         # values overflow to inf/nan silently, as the scalar floats of the tree
         with np.errstate(all="ignore"):
-            for rows, coefs, index in self.blocks:
+            for pieces, coefs, index in self.blocks:
                 step = max(1, _SWEEP_CHUNK // coefs.size)
                 for s in range(0, len(X), step):
                     terms = coefs * X1[s : s + step, index]
-                    out[s : s + step, rows] = np.add.accumulate(terms, axis=2)[..., -1]
-        return np.negative(out, out=out, where=self.negate)
+                    out[s : s + step, pieces] = np.add.accumulate(terms, axis=2)[..., -1]
+        np.negative(out, out=out, where=self.negate)
 
     def grads(self, x, pieces) -> np.ndarray:
         """Gradients at the point x of the pieces indexed by ``pieces``, one
@@ -737,23 +731,12 @@ class PieceStack:
         raises propagates."""
         x = np.asarray(x, dtype=float)
         pieces = np.asarray(pieces, dtype=np.intp)
-        rows = self.row[pieces] if np.isfinite(x).all() else np.full(pieces.size, -1)
-        out = np.empty((pieces.size, self.dim))
-        swept = rows >= 0
-        if swept.any():
-            out[swept] = self._sweep_grads(x, rows[swept])
-        for k in np.flatnonzero(~swept):
+        walk = ~self.swept[pieces] if np.isfinite(x).all() else np.ones(pieces.size, dtype=bool)
+        out = self.table[pieces]
+        if not walk.all():
+            zero_neg = self.zero_neg.copy()
+            zero_neg[self.flip_row[np.signbit(x)[self.flip_var] != self.flip_sign]] = False
+            out[(out == 0.0) & (zero_neg != self.negate)[pieces, None]] = -0.0
+        for k in np.flatnonzero(walk):
             out[k] = self.pieces[pieces[k]].grad(x)
-        return out
-
-    def _sweep_grads(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        zero_neg = self.zero_neg.copy()
-        zero_neg[self.flip_row[np.signbit(x)[self.flip_var] != self.flip_sign]] = False
-        out = np.zeros((rows.size, self.dim))
-        out[zero_neg[rows] != self.negate[rows]] = -0.0
-        starts = self.lane_start[rows]
-        counts = self.lane_start[rows + 1] - starts
-        k = np.repeat(np.arange(rows.size), counts)
-        src = np.arange(k.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        out[k, self.lane_col[src]] = self.lane_val[src]
         return out

@@ -314,9 +314,9 @@ def check_witness(witness: WitnessDirection) -> WitnessReport:
 class ConeLinearityReport:
     samples: int
     kept: int
-    max_discrepancy: float | None  # None when no direction was kept
+    max_discrepancy: float | None  # None when inconclusive
     tolerance_at_max: float | None
-    passed: bool | None  # None (inconclusive) when no direction was kept
+    passed: bool | None  # None (inconclusive): no direction kept, or a non-finite figure
 
 
 def verify_cone_linearity(
@@ -336,33 +336,38 @@ def verify_cone_linearity(
     rows stored in ``elem`` (the selection's own active sets at x), which
     do not depend on the direction.  The ball around ``witness.y_bar`` has
     radius half the smallest distance from y_bar to a cone face, or half
-    |y_bar| when there is no face.  With no kept direction the report is
-    inconclusive: ``passed`` is None.
+    |y_bar| when there is no face.  With no kept direction, or a
+    discrepancy or bound that is not finite, the report is inconclusive:
+    ``passed`` and both figures are None.
     """
     xi = elem.xi  # OverflowError on a non-finite row, before any figure is computed
     y_bar = witness.y_bar
     A = witness.diffs.vectors
-    if A.shape[0]:
-        radius = 0.5 * float(np.min(-(A @ y_bar) / _row_norms(A)))
-    else:
-        radius = 0.5 * float(np.linalg.norm(y_bar))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite figure is inconclusive
+        if A.shape[0]:
+            radius = 0.5 * float(np.min(-(A @ y_bar) / _row_norms(A)))
+        else:
+            radius = 0.5 * float(np.linalg.norm(y_bar))
 
-    ys = _ball_samples(np.random.default_rng(seed), y_bar, radius, samples)
+        ys = _ball_samples(np.random.default_rng(seed), y_bar, radius, samples)
 
-    inside = np.all(A @ ys.T < 0.0, axis=0)
-    ys = ys[inside]
-    kept = int(ys.shape[0])
-    if kept == 0:
-        return ConeLinearityReport(samples, 0, None, None, None)
+        inside = np.all(A @ ys.T < 0.0, axis=0)
+        ys = ys[inside]
+        kept = int(ys.shape[0])
+        if kept == 0:
+            return ConeLinearityReport(samples, 0, None, None, None)
 
-    dd = np.empty((kept, len(elem.components)))
-    for i, comp in enumerate(elem.components):
-        dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
-        dd[:, i] = dd_g - dd_h
-    lin = ys @ xi.T
-    disc = np.abs(dd - lin)
-    allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
-    worst = int(np.argmax(disc - allowed))
+        dd = np.empty((kept, len(elem.components)))
+        for i, comp in enumerate(elem.components):
+            dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
+            dd[:, i] = dd_g - dd_h
+        lin = ys @ xi.T
+        disc = np.abs(dd - lin)
+        allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
+        excess = disc - allowed
+    if not np.isfinite(excess).all():
+        return ConeLinearityReport(samples, kept, None, None, None)
+    worst = int(np.argmax(excess))
     max_disc = float(disc.flat[worst])
     tol_at_max = float(np.broadcast_to(allowed, disc.shape).flat[worst])
     passed = bool(np.all(disc <= allowed))

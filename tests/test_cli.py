@@ -94,6 +94,16 @@ class TestJac:
         assert code == 2
         assert "offset" in err
 
+    @pytest.mark.parametrize("piece", ["x²", "x١", "x1²", "١٢"])
+    def test_non_ascii_digits_exit_2(self, capsys, tmp_path, piece):
+        prob = tmp_path / "digits.json"
+        doc = {"n": 2, "m": 1, "components": [{"g": [piece]}]}
+        prob.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, ["jac", "-p", str(prob), "-x", "0,0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "offset 0" in err
+
     def test_domain_error_exits_3(self, capsys, tmp_path):
         prob = tmp_path / "log.json"
         prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["log(x1)"]}]}))
@@ -267,6 +277,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["inconclusive"] == ["limit_inclusion"]
         assert payload["checks"]["limit_inclusion"]["tolerance"] is None
+
+    def test_overflowing_cone_linearity_is_inconclusive(self, capsys, tmp_path):
+        # 1.5e308*y overflows on sampled directions, and inf - inf is NaN
+        prob = write_problem(tmp_path, [{"g": ["1.5e308*x1", "0"]}])
+        code, out, err = run(capsys, ["verify", "-p", prob, "-x", "1", "--json"])
+        assert (code, err) == (0, "")
+        payload = strict_loads(out)
+        cone = payload["checks"]["cone_linearity"]
+        assert (payload["passed"], payload["inconclusive"]) == (True, ["cone_linearity"])
+        assert cone["status"] == "inconclusive"
+        assert cone["max_discrepancy"] is None and cone["tolerance_at_max"] is None
 
     def test_jacobian_whose_squares_overflow_passes_limit_inclusion(self, capsys, tmp_path):
         # the norm of [[1e308]] is taken without squaring, so the tolerance

@@ -78,6 +78,18 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown identifier 'tan'"):
             parse("tan(x1)", 1)
 
+    @pytest.mark.parametrize("text", ["x²", "x١", "x1²"])
+    def test_variable_index_takes_ascii_digits_only(self, text):
+        with pytest.raises(ParseError, match="unknown identifier") as err:
+            parse(text, 2)
+        assert err.value.offset == 0
+        assert _outcome(reference_parse, text, 2) == _outcome(parse, text, 2)
+
+    def test_number_takes_ascii_digits_only(self):
+        with pytest.raises(ParseError, match="unexpected character '١'") as err:
+            parse("١٢", 2)
+        assert err.value.offset == 0
+
     def test_variable_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):
             parse("x3", 2)
@@ -366,6 +378,9 @@ AFFINE_POINTS = [
     [1e300, -1e300],
 ]
 NON_FINITE_POINTS = [[math.inf, 0.0], [math.nan, -0.0], [-0.0, -math.inf], [math.nan, math.nan]]
+# Walked pieces between swept ones.  The zero coefficients of the third and
+# the last piece are no lanes: the last one's gradient is [+0.0, 1.0]
+INTERLEAVED_TEXTS = ["x1", "sqrt(x1*x1 + 1)", "-(0*x1 + -0.0)", "x1*x1", "-2*x2 + 1", "x2 - 0.0*x1"]
 
 
 def _tree_value_and_grad(fn, x):
@@ -463,6 +478,29 @@ class TestAffineData:
                 value, grad = _tree_value_and_grad(fn, x)
                 assert_bits_equal(values[i, r], value)  # NaN signs included
                 assert_bits_equal(grads[r], grad)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            INTERLEAVED_TEXTS,
+            ["sqrt(x1*x1 + 1)", "x1*x1", "x1*x2 - x2", "x1/2", "-(x2*x2)", "x2*x2 - x1"],
+            ["x1", "-(0*x1 + -0.0)", "-2*x2 + 1", "x2 - 0.0*x1", "-(-0.0*x1 + -0.0)", "3"],
+        ],
+        ids=["interleaved", "walked only", "swept only"],
+    )
+    def test_every_array_is_indexed_by_piece(self, texts):
+        fns = [SmoothFn.from_text(text, 2) for text in texts]
+        stack = PieceStack(fns, 2)
+        points = AFFINE_POINTS + NON_FINITE_POINTS
+        values, fault = stack.values(points)
+        assert fault is None
+        for i, x in enumerate(points):
+            want = [_tree_value_and_grad(fn, x) for fn in fns]
+            assert_bits_equal(values[i], [value for value, _ in want])
+            # every piece, a subset out of order with repeats, and none
+            for subset in (range(len(fns)), [3, 0, 0, 5, 2], []):
+                grads = stack.grads(x, subset)
+                assert_bits_equal(grads, np.reshape([want[r][1] for r in subset], (-1, 2)))
 
     def test_first_fault_in_point_major_order(self):
         fns = [SmoothFn.from_text(t, 1) for t in ("x1", "log(x1)", "sqrt(x1 + 5)", "log(x1 + 9)")]

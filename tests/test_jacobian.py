@@ -600,6 +600,16 @@ class TestConeLinearity:
         assert (report.samples, report.kept, report.passed) == (0, 0, None)
         assert report.max_discrepancy is None and report.tolerance_at_max is None
 
+    def test_non_finite_figure_gives_none(self):
+        # 1.5e308*y overflows on directions longer than 1.2, and inf - inf
+        # is NaN; no RuntimeWarning may escape
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1.5e308*x1", "0"]}]})
+        elem = clarke_jacobian_element(F, [1.0])
+        w = witness_direction(selection_differences(elem))
+        report = verify_cone_linearity(elem, w)
+        assert (report.samples, report.kept, report.passed) == (200, 200, None)
+        assert report.max_discrepancy is None and report.tolerance_at_max is None
+
     def test_smooth_instance_exact(self):
         F = load_problem({"n": 2, "m": 1, "components": [{"g": ["sin(x1) + x2"]}]})
         x = [0.3, 0.1]

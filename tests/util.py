@@ -710,7 +710,7 @@ class _ReferenceParser:
                 arg = self.parse_expr()
                 self.expect("rparen", "')'")
                 return Unary(name, arg)
-            if name.startswith("x") and name[1:].isdigit():
+            if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
                 index = int(name[1:]) - 1
                 if index < 0 or index >= self.dim:
                     raise ParseError(
