@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, dd_F, eval_F, load_problem_file
-from .expr import DomainError
+from .expr import _NUMBER, DomainError
 from .instances import random_affine_problem
 from .jacobian import (
     DEFAULT_TOL_TIE,
@@ -58,11 +58,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _parse_entry(part: str, text: str) -> float:
+    """One entry of a vector: an optional sign, then a number as piece
+    texts write it (ASCII digits only), between optional blanks.  The
+    words float() reads as an infinity or a NaN pass here; the caller
+    refuses them as not finite."""
+    entry = part.strip(" \t\r\n")
+    digits = entry[1:] if entry[:1] in ("+", "-") else entry
+    if _NUMBER.fullmatch(digits) or digits.lower() in ("inf", "infinity", "nan"):
+        try:
+            return float(entry)
+        except ValueError:  # '', '.', '.e5': a lexeme piece texts refuse too
+            pass
+    raise _UsageError(f"bad vector {text!r}: entry {part!r} is not a number")
+
+
 def _parse_vector(text: str) -> np.ndarray:
-    try:
-        vec = np.array([float(part) for part in text.split(",")])
-    except ValueError as exc:
-        raise _UsageError(f"bad vector {text!r}: {exc}") from None
+    vec = np.array([_parse_entry(part, text) for part in text.split(",")])
     if not np.isfinite(vec).all():
         raise _UsageError(f"bad vector {text!r}: entries must be finite")
     return vec
@@ -90,12 +102,16 @@ def _parse_random_spec(text: str, default_seed: int) -> dict:
 
 
 def _read_csv(path: str) -> np.ndarray:
-    """The numbers in one CSV file; a bad cell, ragged rows or no data at
-    all is an input error that names the file."""
+    """The numbers in one CSV file, read as plain text; a file that cannot
+    be opened, a bad cell, ragged rows or no data at all is an input error
+    that names the file."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            data = np.loadtxt(path, delimiter=",", dtype=float)
+            with open(path, encoding="utf-8") as fh:
+                data = np.loadtxt(fh, delimiter=",", dtype=float)
+        except OSError as exc:
+            raise _UsageError(f"{path}: {exc.strerror or exc}") from None
         except ValueError as exc:
             raise _UsageError(f"{path}: {exc}") from None
     if data.size == 0:

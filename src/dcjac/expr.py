@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -53,7 +54,8 @@ class ParseError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the admissible domain (log/sqrt/div/pow violation)."""
+    """Evaluation left the admissible domain (log/sqrt/div/pow violation,
+    or sin/cos of an infinite value)."""
 
     def __init__(self, message: str, subexpr: "Expr | None" = None):
         if subexpr is not None:
@@ -62,24 +64,73 @@ class DomainError(ArithmeticError):
         self.subexpr = subexpr
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """``==``, ``hash`` and ``repr`` of a tree node, the ones ``dataclass``
+    would generate, computed in loops (equality and hash over the tree's
+    ``_postorder``) so that no depth of nesting reaches the Python stack."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        """Per node in postorder its class and its own fields, a '^' node
+        with its exponent; with each class's arity this fixes the tree."""
+        key = []
+        for node in _postorder(self):
+            if isinstance(node, Const):
+                key.append((Const, node.value))
+            elif isinstance(node, Var):
+                key.append((Var, node.index))
+            elif isinstance(node, Unary):
+                key.append((Unary, node.op))
+            else:
+                key.append((Binary, node.op, node.right if node.op == "^" else None))
+        return tuple(key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]  # nodes to print and the text that closes them
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                out.append(node)
+            elif isinstance(node, Const):
+                out.append(f"Const(value={node.value!r})")
+            elif isinstance(node, Var):
+                out.append(f"Var(index={node.index!r})")
+            elif isinstance(node, Unary):
+                out.append(f"Unary(op={node.op!r}, operand=")
+                todo += [")", node.operand]
+            else:
+                out.append(f"Binary(op={node.op!r}, left=")
+                todo += [")", node.right, ", right=", node.left]
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     index: int  # 0-based; rendered as x{index+1}
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Unary(_Node):
     op: str  # one of UNARY_FUNCS
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Binary(_Node):
     op: str  # one of BINARY_OPS; for "^" the right child is always Const
     left: "Expr"
     right: "Expr"
@@ -101,6 +152,11 @@ class _Token:
         self.offset = offset
 
 
+# A number: ASCII digits, an optional fraction, and an exponent only where
+# a digit follows its 'e'; a lexeme that float() refuses ('.') is malformed
+_NUMBER = re.compile(r"[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -120,21 +176,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("rparen", c, i))
             i += 1
         elif "0" <= c <= "9" or c == ".":
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and "0" <= text[i] <= "9":
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and "0" <= text[j] <= "9":
-                    i = j
-                    while i < n and "0" <= text[i] <= "9":
-                        i += 1
+            start, i = i, _NUMBER.match(text, i).end()
             lexeme = text[start:i]
             try:
                 float(lexeme)
@@ -363,6 +405,7 @@ _MATH_UNARY = {
     "log": math.log,
     "sqrt": math.sqrt,
 }
+_PERIODIC = ("sin", "cos")  # math.sin and math.cos of an infinity raise ValueError
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -380,6 +423,8 @@ def _eval_float(order: list[Expr], x) -> float:
                 raise DomainError(f"log of non-positive value {v!r}", node)
             if node.op == "sqrt" and v < 0.0:
                 raise DomainError(f"sqrt of negative value {v!r}", node)
+            if node.op in _PERIODIC and math.isinf(v):
+                raise DomainError(f"{node.op} of infinite value {v!r}", node)
             stack[-1] = -v if node.op == "neg" else _MATH_UNARY[node.op](v)
         elif node.op == "^":
             stack[-1] = _pow_value(stack[-1], node.right.value, node)
@@ -425,6 +470,8 @@ def _eval_tangent(order: list[Expr], x, zero: np.ndarray) -> tuple[float, np.nda
             op = node.op
             if op == "neg":
                 stack[-1] = -v, -d
+            elif op in _PERIODIC and math.isinf(v):
+                raise DomainError(f"{op} of infinite value {v!r}", node)
             elif op == "sin":
                 stack[-1] = math.sin(v), math.cos(v) * d
             elif op == "cos":
@@ -563,21 +610,10 @@ class SmoothFn:
     @classmethod
     def from_affine(cls, coeffs, constant, negate: bool = False) -> "SmoothFn":
         """The piece ``affine_expr(coeffs, constant)``, negated when
-        ``negate``, made straight from its coefficient data."""
-        coefs = np.append(np.asarray(coeffs, dtype=float), float(constant))
-        if not np.isfinite(coefs).all():
-            raise ValueError("coefficients must be finite")
-        dim = coefs.size - 1
-        # affine_expr writes a number with its sign bit set as neg(|number|):
-        # in a product c*x_j a negated constant, as the last term a negated
-        # |constant|
-        sign = np.signbit(coefs)
-        product = np.arange(dim + 1) < dim
-        flags = _zero_flags(product, sign, sign & product, sign & ~product)
-        terms = np.stack([coefs, np.arange(dim + 1), *flags])
-        fn = cls.__new__(cls)
-        fn.__dict__.update(_expr=None, dim=dim, affine=Affine(terms, negate))
-        return fn
+        ``negate``, made straight from its coefficient data: the one-row
+        case of ``_affine_rows``."""
+        coeffs = np.asarray(coeffs, dtype=float).ravel()
+        return _affine_rows(coeffs[None], [float(constant)], negate)[0]
 
     @property
     def expr(self) -> Expr:
@@ -626,6 +662,31 @@ class SmoothFn:
 
     def __str__(self) -> str:
         return unparse(self.expr)
+
+
+def _affine_rows(coeffs, constants, negate: bool = False) -> list[SmoothFn]:
+    """The pieces ``affine_expr(coeffs[r], constants[r])``, negated when
+    ``negate``, one per row of the matrix ``coeffs``, made straight from
+    their coefficient data in one pass over the whole matrix.  Each piece
+    builds its tree only when read."""
+    coefs = np.column_stack([np.asarray(coeffs, dtype=float), np.asarray(constants, dtype=float)])
+    if not np.isfinite(coefs).all():
+        raise ValueError("coefficients must be finite")
+    dim = coefs.shape[1] - 1
+    # affine_expr writes a number with its sign bit set as neg(|number|):
+    # in a product c*x_j a negated constant, as the last term a negated
+    # |constant|
+    sign = np.signbit(coefs)
+    product = np.arange(dim + 1) < dim
+    flags = _zero_flags(product, sign, sign & product, sign & ~product)
+    index = np.broadcast_to(np.arange(dim + 1, dtype=float), coefs.shape)
+    terms = np.stack([coefs, index, *flags], axis=1)  # (rows, 4, dim + 1)
+    pieces = []
+    for row in terms:
+        fn = SmoothFn.__new__(SmoothFn)
+        fn.__dict__.update(_expr=None, dim=dim, affine=Affine(row, negate))
+        pieces.append(fn)
+    return pieces
 
 
 # Entries of one chunk of term products in PieceStack._sweep (8 MB)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dcmax import DCMaxFn, MaxFn
-from .expr import Const, SmoothFn
+from .expr import Const, SmoothFn, _affine_rows
 
 __all__ = ["random_affine_problem"]
 
@@ -21,23 +21,28 @@ def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:
     if n < 1 or m < 1 or pieces < 1:
         raise ValueError("n, m, and pieces must be positive")
     rng = np.random.default_rng(seed)
+    coeffs, constants = [], []  # every drawn piece, in the order drawn
 
-    def draw_term() -> MaxFn:
-        count = int(rng.integers(1, pieces + 1))
+    def draw_term() -> range:
+        """Draw one max term's pieces; their positions in the draw order."""
+        start = len(coeffs)
         seen = set()
-        fns = []
-        for _ in range(count):
-            coeffs = rng.integers(-5, 6, size=n).tolist()
+        for _ in range(int(rng.integers(1, pieces + 1))):
+            row = rng.integers(-5, 6, size=n).tolist()
             const = int(rng.integers(-5, 6))
-            key = (*coeffs, const)
+            key = (*row, const)
             if key in seen:
                 continue
             seen.add(key)
-            fns.append(SmoothFn.from_affine(coeffs, const))
-        return MaxFn(tuple(fns))
+            coeffs.append(row)
+            constants.append(const)
+        return range(start, len(coeffs))
 
-    g, h = [], []
+    terms = []  # g_1, h_1, g_2, ...; None for the zero function
     for _ in range(m):
-        g.append(draw_term())
-        h.append(draw_term() if rng.random() >= 0.25 else MaxFn((SmoothFn(Const(0.0), n),)))
-    return DCMaxFn(n=n, m=m, g=tuple(g), h=tuple(h))
+        terms.append(draw_term())
+        terms.append(draw_term() if rng.random() >= 0.25 else None)
+    fns = _affine_rows(coeffs, constants)
+    zero = MaxFn((SmoothFn(Const(0.0), n),))
+    maxes = [zero if t is None else MaxFn(tuple(fns[k] for k in t)) for t in terms]
+    return DCMaxFn(n=n, m=m, g=tuple(maxes[0::2]), h=tuple(maxes[1::2]))

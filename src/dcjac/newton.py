@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
-from .expr import Const, SmoothFn, Unary, Var
+from .expr import Const, SmoothFn, Unary, Var, _affine_rows
 from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
 
 __all__ = [
@@ -150,8 +150,9 @@ def build_ncp(M, q) -> DCMaxFn:
 
     Component i is 0 - max(-x_i, -(Mx+q)_i), which equals
     min(x_i, (Mx+q)_i).  M and q must be finite.  The pieces -(Mx+q)_i
-    are made from the rows of (M, q) as coefficient data
-    (``SmoothFn.from_affine``); their trees are built only when read.
+    are made from (M, q) as coefficient data in one pass over the whole
+    matrix (``expr._affine_rows``, whose one-row case is
+    ``SmoothFn.from_affine``); their trees are built only when read.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -163,10 +164,8 @@ def build_ncp(M, q) -> DCMaxFn:
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
     zero = MaxFn((SmoothFn(Const(0.0), n),))
-    h = tuple(
-        MaxFn((SmoothFn(Unary("neg", Var(i)), n), SmoothFn.from_affine(M[i], q[i], negate=True)))
-        for i in range(n)
-    )
+    rows = _affine_rows(M, q, negate=True)
+    h = tuple(MaxFn((SmoothFn(Unary("neg", Var(i)), n), rows[i])) for i in range(n))
     return DCMaxFn(n=n, m=n, g=(zero,) * n, h=h)
 
 

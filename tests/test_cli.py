@@ -15,7 +15,7 @@ from dcjac.jacobian import (
     verify_limit_inclusion,
     witness_direction,
 )
-from util import ABS_DOC
+from util import ABS_DOC, assert_bits_equal
 
 
 @pytest.fixture
@@ -406,6 +406,39 @@ class TestVerify:
         assert "must be finite" in err
 
 
+    @pytest.mark.parametrize(
+        "point, entry",
+        [
+            ("١", "١"),  # an Arabic-Indic one, which float() reads as 1.0
+            ("1_0", "1_0"),  # float() reads 10.0
+            ("²", "²"),
+            ("0x1", "0x1"),
+            ("1e", "1e"),
+            (".", "."),
+            ("", ""),
+            ("1,,2", ""),
+            ("- 1", "- 1"),
+        ],
+    )
+    def test_entry_that_is_not_a_number_exits_2(self, capsys, abs_problem, point, entry):
+        code, out, err = run(capsys, ["jac", "-p", abs_problem, f"--point={point}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad vector {point!r}: entry {entry!r} is not a number\n"
+
+    def test_entries_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        values = np.concatenate(
+            [
+                rng.uniform(-5.0, 5.0, 50),
+                rng.standard_normal(50) * 10.0 ** rng.integers(-320, 307, 50),
+                [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max],
+            ]
+        )
+        text = ",".join(repr(float(v)) for v in values)
+        assert_bits_equal(dcjac.cli._parse_vector(text), values)
+        assert_bits_equal(dcjac.cli._parse_vector(" +1.5 ,\t2e3"), [1.5, 2000.0])
+
+
 _SPEC3 = ["--random", "n=3,m=3,pieces=4,seed=7", "-x", "0,0,0"]
 _SPEC2 = ["--random", "n=2,m=2,pieces=3,seed=1", "--x0", "1,1"]
 
@@ -488,6 +521,18 @@ class TestNonFiniteDifference:
         assert (code, err) == (0, "")
         lines = [strict_loads(line) for line in out.splitlines()]
         assert lines[-1]["status"] == "converged"
+
+
+class TestPeriodicOfInfinity:
+    @pytest.mark.parametrize(
+        "cmd", [["jac", "-x", "2"], ["verify", "-x", "2"], ["dd", "-x", "2", "-y", "1"]]
+    )
+    def test_sin_of_an_overflowed_argument_exits_3(self, capsys, tmp_path, cmd):
+        prob = write_problem(tmp_path, [{"g": ["sin(1e308*x1*x1)"]}])
+        code, out, err = run(capsys, [cmd[0], "-p", prob, *cmd[1:], "--json"])
+        assert (code, out) == (3, "")
+        want = "error: sin of infinite value inf in subexpression 'sin(1e+308*x1*x1)'\n"
+        assert err == want
 
 
 class TestNonFiniteActiveGradient:
@@ -659,6 +704,17 @@ class TestNewton:
         code, out, err = run(capsys, ["newton", "--ncp", *paths])
         assert (code, out) == (2, "")
         assert err == f"error: {paths[0]} and {paths[1]}: {message}\n"
+
+    @pytest.mark.parametrize("missing", ["M", "q"])
+    def test_missing_ncp_csv_names_the_file(self, capsys, tmp_path, missing):
+        paths = {}
+        for name, text in (("M", "2,1\n1,2\n"), ("q", "-3,-3\n")):
+            paths[name] = tmp_path / f"{name}.csv"
+            if name != missing:
+                paths[name].write_text(text)
+        code, out, err = run(capsys, ["newton", "--ncp", str(paths["M"]), str(paths["q"])])
+        assert (code, out) == (2, "")
+        assert err == f"error: {paths[missing]}: No such file or directory\n"
 
     def test_non_finite_ncp_data_exits_2(self, capsys, tmp_path):
         m_csv = tmp_path / "M.csv"

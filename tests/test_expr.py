@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcjac.expr import (
+    _NUMBER,
     Binary,
     Const,
     DomainError,
@@ -13,6 +14,7 @@ from dcjac.expr import (
     Unary,
     Var,
     _affine_data,
+    _affine_rows,
     _eval_float,
     _eval_tangent,
     _postorder,
@@ -29,6 +31,7 @@ from util import (
     random_smooth_pair,
     reference_eval_float,
     reference_eval_tangent,
+    reference_number_end,
     reference_parse,
     reference_structure,
     reference_unparse,
@@ -543,6 +546,36 @@ class TestAffineData:
         monkeypatch.undo()
         assert fn.expr == parse("2.0*x1 + -3.0*x2 + 1.5", 2)
 
+    def test_affine_rows_equal_from_affine_row_by_row(self):
+        rng = np.random.default_rng(9)
+        pool = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0 / 3.0, -7.25]
+        for rows, n in ((1, 1), (4, 3), (7, 6), (5, 2)):
+            M = rng.choice(pool, size=(rows, n))
+            q = rng.choice(pool, size=rows)
+            M[:, :1] = -0.0
+            q[0] = -0.0
+            for negate in (False, True):
+                pieces = _affine_rows(M, q, negate)
+                assert len(pieces) == rows
+                for fn, coeffs, constant in zip(pieces, M, q):
+                    one = SmoothFn.from_affine(coeffs, constant, negate)
+                    tree = affine_expr(coeffs, constant)
+                    want = _affine_data(Unary("neg", tree) if negate else tree, n)
+                    for other in (one.affine, want):
+                        assert_bits_equal(fn.affine.terms, other.terms)
+                        assert fn.affine.negate == other.negate
+                    assert fn.dim == one.dim == n
+                    assert fn.__dict__["_expr"] is None  # the tree waits until read
+                    assert repr(fn) == repr(one)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_affine_rows_refuse_non_finite_data(self, bad):
+        for coeffs, constants in (([[1.0, bad], [0.0, 0.0]], [0.0, 0.0]), ([[1.0, 2.0]], [bad])):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                _affine_rows(coeffs, constants)
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                SmoothFn.from_affine(coeffs[0], constants[0])
+
     def test_pieces_are_immutable(self):
         fn = SmoothFn.from_text("x1", 1)
         for name in ("expr", "dim", "affine"):
@@ -699,6 +732,81 @@ class TestAgainstTheRecursiveReferences:
         assert [type(node).__name__ for node in fn._order] == [
             "Var", "Unary", "Var", "Binary", "Var", "Binary", "Binary",
         ]
+
+
+class TestPeriodicOfInfinity:
+    """math.sin and math.cos refuse an infinite argument; both walks turn
+    that into a DomainError that names the subexpression."""
+
+    @pytest.mark.parametrize("op", ["sin", "cos"])
+    def test_both_walks_raise_a_domain_error(self, op):
+        fn = SmoothFn.from_text(f"x1 + {op}(1e308*x1*x1)", 1)
+        message = rf"^{op} of infinite value inf in subexpression '{op}\(1e\+308\*x1\*x1\)'$"
+        with pytest.raises(DomainError, match=message):
+            fn.eval([2.0])
+        with pytest.raises(DomainError, match=message):
+            fn.grad([2.0])
+        bare = SmoothFn.from_text(f"{op}(x1)", 1)
+        for x in (math.inf, -math.inf):
+            for walk in (bare.eval, bare.grad):
+                with pytest.raises(DomainError, match=f"^{op} of infinite value {x!r} in"):
+                    walk([x])
+        assert_bits_equal(fn.eval([1.0]), 1.0 + getattr(math, op)(1e308))
+
+    def test_piece_stack_returns_it_as_the_fault(self):
+        fns = [SmoothFn.from_text(t, 1) for t in ("x1", "sin(1e308*x1*x1)", "cos(x1)")]
+        values, fault = PieceStack(fns, 1).values([[1.0], [2.0], [math.inf]])
+        point, piece, exc = fault
+        assert (point, piece) == (1, 1)
+        assert isinstance(exc, DomainError) and str(exc).startswith("sin of infinite value inf")
+        assert_bits_equal(values[0], [1.0, math.sin(1e308), math.cos(1.0)])
+        _, fault = PieceStack(fns[2:], 1).values([[math.inf]])
+        assert fault[:2] == (0, 0) and isinstance(fault[2], DomainError)
+
+
+class TestNumberLexemes:
+    def test_pattern_equals_the_character_scan(self):
+        rng = np.random.default_rng(17)
+        alphabet = list("0123456789.eE+-x ")
+        for _ in range(4000):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(1, 10))))
+            for i, c in enumerate(text):
+                if "0" <= c <= "9" or c == ".":
+                    assert _NUMBER.match(text, i).end() == reference_number_end(text, i), text
+
+
+class TestNodeMethods:
+    """``==``, ``hash`` and ``repr`` of tree nodes, as ``dataclass`` would
+    generate them, without recursion."""
+
+    def test_small_trees_print_and_compare_as_dataclasses(self):
+        tree = parse("-sin(x1)^2/3 - cos(-x2)", 2)
+        assert repr(tree) == (
+            "Binary(op='-', left=Binary(op='/', left=Unary(op='neg', operand=Binary(op='^', "
+            "left=Unary(op='sin', operand=Var(index=0)), right=Const(value=2.0))), "
+            "right=Const(value=3.0)), right=Unary(op='cos', operand=Unary(op='neg', "
+            "operand=Var(index=1))))"
+        )
+        assert tree == parse("-sin(x1)^2/3 - cos(-x2)", 2)
+        assert hash(tree) == hash(parse("-sin(x1)^2/3 - cos(-x2)", 2))
+        # the exponent of '^' has no postorder entry of its own, but counts
+        assert parse("x1^2", 1) != parse("x1^3", 1)
+        assert parse("x1 - x2", 2) != parse("x2 - x1", 2)
+        assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+        assert repr(Const(-0.0)) == "Const(value=-0.0)"
+        assert Var(0) != Const(0) and Unary("neg", Var(0)) != Var(0)
+        assert Var(0).__eq__(0) is NotImplemented
+
+    def test_equality_hash_and_repr_of_deep_sums(self):
+        text = " + ".join(["x1"] * 20000)
+        a, b = SmoothFn.from_text(text, 1), SmoothFn.from_text(text, 1)
+        other = SmoothFn.from_text(" + ".join(["x1"] * 19999 + ["2*x1"]), 1)
+        assert a.expr is not b.expr
+        assert a == b and hash(a) == hash(b)
+        assert a != other and a.expr != other.expr
+        assert repr(a) == repr(b) != repr(other)
+        head = "SmoothFn(expr=" + "Binary(op='+', left=" * 19999 + "Var(index=0)"
+        assert repr(a) == head + ", right=Var(index=0))" * 19999 + ", dim=1)"
 
 
 class TestDeepInputs:

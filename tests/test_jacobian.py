@@ -122,6 +122,109 @@ class TestLexicographicSelect:
                     assert lexicographic_chain(grads, conv, tol) == expected
 
 
+DBL_MAX = np.finfo(float).max
+
+
+def _tied_terms(rng, widest: int, n: int, pool) -> list[np.ndarray]:
+    """One term of each width 1..widest over n columns, entries drawn from
+    ``pool``: each row copies the term's first row up to a random depth
+    (all n columns for some), so ties reach every depth."""
+    terms = []
+    for width in range(1, widest + 1):
+        base = rng.choice(pool, size=n)
+        rows = np.tile(base, (width, 1))
+        for row in rows[1:]:
+            depth = int(rng.integers(0, n + 1))
+            row[depth:] = rng.choice(pool, size=n - depth)
+        terms.append(rows)
+    return terms
+
+
+class TestOneFiltration:
+    """One padded filtration per element, equal to the term-by-term rule."""
+
+    POOLS = {
+        "small": [-1.0, 0.0, -0.0, 1.0, 2.0],
+        "huge": [-DBL_MAX, -0.5 * DBL_MAX, 0.0, 1.0, 0.5 * DBL_MAX, DBL_MAX],
+    }
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("tol_tie", [0.0, 1e-9, 0.6, math.inf])
+    @pytest.mark.parametrize("conv", ["min", "max"])
+    def test_padded_filtration_equals_full_chain_term_by_term(self, pool, tol_tie, conv):
+        rng = np.random.default_rng(61)
+        stopped_early = 0
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            terms = _tied_terms(rng, 7, n, self.POOLS[pool])
+            terms.insert(3, np.array([[0.0] * n, [1.0] * n, [-1.0] * n]))  # a lone survivor at once
+            # RuntimeWarnings are errors here: the padded pass raises none
+            chains = jacobian._filtrations(
+                np.concatenate(terms), [len(t) for t in terms], conv, tol_tie
+            )
+            assert len(chains) == len(terms)
+            for rows, chain in zip(terms, chains):
+                with np.errstate(all="ignore"):  # the reference's bands overflow
+                    assert list(chain) == full_lexicographic_chain(rows, conv, tol_tie)
+                assert list(chain) == lexicographic_chain(rows, conv, tol_tie)
+                stopped_early += len(chain[0]) > 1 and len(chain[-2]) == 1
+        # some term narrowed to a lone survivor partway through, except
+        # where the band is infinite and keeps every row
+        assert stopped_early or tol_tie == math.inf
+
+    def test_padding_never_survives(self):
+        # an infinite band keeps every real row, and the +inf fill of the
+        # padded slots compares true against it
+        terms = [np.zeros((1, 2)), np.zeros((4, 2)), np.zeros((2, 2))]
+        for conv in ("min", "max"):
+            chains = jacobian._filtrations(np.concatenate(terms), [1, 4, 2], conv, math.inf)
+            assert chains == [((0,),) * 3, ((0, 1, 2, 3),) * 3, ((0, 1),) * 3]
+
+    def test_unchanged_levels_are_reused(self):
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
+        chain = jacobian._filtrations(rows, [3], "min", 0.0)[0]
+        assert chain == ((0, 1, 2), (0, 1), (0, 1), (0,))
+        assert chain[1] is chain[2]
+
+    def test_one_filtration_per_element(self, monkeypatch):
+        calls = {"filtrations": 0, "elements": 0}
+        filtrations, element = jacobian._filtrations, jacobian.clarke_jacobian_element
+
+        def count_filtrations(*args):
+            calls["filtrations"] += 1
+            return filtrations(*args)
+
+        def count_elements(*args, **kwargs):
+            calls["elements"] += 1
+            return element(*args, **kwargs)
+
+        monkeypatch.setattr(jacobian, "_filtrations", count_filtrations)
+        F = random_affine_problem(4, 3, 5, seed=11)
+        clarke_jacobian_element(F, np.zeros(4))
+        assert calls["filtrations"] == 1
+        monkeypatch.setattr("dcjac.newton.clarke_jacobian_element", count_elements)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((6, 6))
+        trace = solve(build_ncp(A @ A.T / 6 + np.eye(6), rng.standard_normal(6)), np.ones(6))
+        assert trace.status == "converged"
+        assert calls["elements"] >= len(trace.steps)
+        assert calls["filtrations"] == 1 + calls["elements"]
+
+    def test_lexicographic_chain_is_the_one_term_call(self, monkeypatch):
+        seen = []
+        filtrations = jacobian._filtrations
+
+        def record(grads, counts, *args):
+            seen.append(list(counts))
+            return filtrations(grads, counts, *args)
+
+        monkeypatch.setattr(jacobian, "_filtrations", record)
+        assert lexicographic_chain([(1.0, 2.0), (1.0, 3.0), (2.0, 0.0)]) == [
+            (0, 1, 2), (0, 1), (0,)
+        ]
+        assert seen == [[3]]
+
+
 class TestClarkeElement:
     def test_abs_both_conventions(self):
         F = load_problem(ABS_DOC)

@@ -791,6 +791,27 @@ def reference_unparse(node: Expr) -> str:
     return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
 
 
+def reference_number_end(text: str, i: int) -> int:
+    """End of the number lexeme at ``text[i]`` (a digit or '.'), scanned
+    character by character: the reference for ``expr._NUMBER``."""
+    n = len(text)
+    while i < n and "0" <= text[i] <= "9":
+        i += 1
+    if i < n and text[i] == ".":
+        i += 1
+        while i < n and "0" <= text[i] <= "9":
+            i += 1
+    if i < n and text[i] in "eE":
+        j = i + 1
+        if j < n and text[j] in "+-":
+            j += 1
+        if j < n and "0" <= text[j] <= "9":
+            i = j
+            while i < n and "0" <= text[i] <= "9":
+                i += 1
+    return i
+
+
 def reference_eval_float(node: Expr, x) -> float:
     if isinstance(node, Const):
         return node.value
@@ -804,6 +825,8 @@ def reference_eval_float(node: Expr, x) -> float:
             raise DomainError(f"log of non-positive value {v!r}", node)
         if node.op == "sqrt" and v < 0.0:
             raise DomainError(f"sqrt of negative value {v!r}", node)
+        if node.op in ("sin", "cos") and math.isinf(v):
+            raise DomainError(f"{node.op} of infinite value {v!r}", node)
         return _MATH_UNARY[node.op](v)
     lv = reference_eval_float(node.left, x)
     if node.op == "^":
@@ -840,6 +863,8 @@ def reference_eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.n
         op = node.op
         if op == "neg":
             return -v, -d
+        if op in ("sin", "cos") and math.isinf(v):
+            raise DomainError(f"{op} of infinite value {v!r}", node)
         if op == "sin":
             return math.sin(v), math.cos(v) * d
         if op == "cos":
