@@ -241,15 +241,13 @@ def _within_cutoff(values: np.ndarray, vmax, tol_act: float):
         return values >= np.expand_dims(vmax - cutoff, -1), cutoff
 
 
-def _active_step(F: DCMaxFn, x, tol_act: float):
+def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
     """Per max term (g_1, h_1, g_2, ...) from one sweep: its active pieces
     (the rule of ``active_set``) in ascending order, its value at x and
-    the active gradients, a row each; and every term's active gradients
-    in one array, term after term, of which those rows are slices.
-    Faults surface in the order a term-by-term step meets them: a piece
-    that cannot be evaluated, a non-finite maximum (OverflowError), a
-    gradient that cannot be taken and then one that is not finite
-    (OverflowError)."""
+    the active gradients, a row each.  Faults surface in the order a
+    term-by-term step meets them: a piece that cannot be evaluated, a
+    non-finite maximum (OverflowError), a gradient that cannot be taken
+    and then one that is not finite (OverflowError)."""
     if not tol_act >= 0:
         raise ValueError("tol_act must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -276,11 +274,10 @@ def _active_step(F: DCMaxFn, x, tol_act: float):
         raise fault[2]
     bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
     pieces, tops = pieces.tolist(), tops.tolist()
-    steps = [
+    return [
         (tuple(pieces[lo:hi]), tops[t], grads[lo:hi])
         for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
-    return steps, grads
 
 
 def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
@@ -288,7 +285,7 @@ def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
     a max term its largest slope grad_j(x)'y over the active pieces j.
     OverflowError when an active gradient or a result is not finite."""
     x, y = _check_point(F, x), _check_point(F, y, "direction")
-    steps, _ = _active_step(F, x, tol_act)
+    steps = _active_step(F, x, tol_act)
     with np.errstate(over="ignore", invalid="ignore"):
         slopes = [_first_max(np.array([row @ y for row in grads])) for *_, grads in steps]
         dd = np.subtract(slopes[0::2], slopes[1::2])

@@ -367,32 +367,34 @@ def _prec(node: Expr) -> int:
 
 def unparse(node: Expr) -> str:
     """Render an AST as text that reparses to a structurally equal AST."""
-    texts = []
-    for node in _postorder(node):
-        if isinstance(node, Const):
-            texts.append(repr(node.value))
+    out, todo = [], [node]  # nodes to render and the text around them
+
+    def push(child, wrap: bool, before: str = "", after: str = ""):  # before, (child), after
+        todo.extend([f"){after}" if wrap else after, child, f"{before}(" if wrap else before])
+
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Const):
+            out.append(repr(node.value))
         elif isinstance(node, Var):
-            texts.append(f"x{node.index + 1}")
+            out.append(f"x{node.index + 1}")
         elif isinstance(node, Unary):
-            if node.op != "neg":
-                texts[-1] = f"{node.op}({texts[-1]})"
             # '-' binds below '^', '*', '/'; parenthesize weaker operands
-            elif _prec(node.operand) < _PREC_NEG:
-                texts[-1] = f"-({texts[-1]})"
-            else:
-                texts[-1] = f"-{texts[-1]}"
+            wrap = node.op != "neg" or _prec(node.operand) < _PREC_NEG
+            push(node.operand, wrap, "-" if node.op == "neg" else node.op)
         elif node.op == "^":  # base must be an atom, exponent parses at factor level
-            if _prec(node.left) < _PREC_ATOM or texts[-1].startswith("-"):
-                texts[-1] = f"({texts[-1]})"
-            texts[-1] += f"^{node.right.value!r}"
+            # of the atoms only a negative number's text starts with '-'
+            left = node.left
+            minus = isinstance(left, Const) and repr(left.value).startswith("-")
+            push(left, _prec(left) < _PREC_ATOM or minus, after=f"^{node.right.value!r}")
         else:
-            right, prec = texts.pop(), _PREC[node.op]
-            left = f"({texts[-1]})" if _prec(node.left) < prec else texts[-1]
+            prec = _PREC[node.op]
             # left-assoc: a right operand at the same level must be parenthesized
-            if _prec(node.right) <= prec:
-                right = f"({right})"
-            texts[-1] = f"{left} {node.op} {right}" if prec == _PREC_ADD else f"{left}{node.op}{right}"
-    return texts[0]
+            push(node.right, _prec(node.right) <= prec, f" {node.op} " if prec == _PREC_ADD else node.op)
+            push(node.left, _prec(node.left) < prec)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

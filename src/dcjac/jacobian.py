@@ -1,11 +1,11 @@
 """Certified Clarke generalized Jacobian elements for F = G - H.
 
-The Huang-Ma step runs on every max term: coordinate by coordinate it keeps
+The Huang-Ma step runs once per max term: coordinate by coordinate it keeps
 only the active gradients whose l-th component is extremal (minimal or
-maximal, by convention), and the survivors coincide.  At a point one
-filtration pass covers all max terms.  F = G - H takes this
-step on g_i and on h_i under one convention and subtracts the two selected
-rows, which gives an element of the Clarke generalized Jacobian of F.
+maximal, by convention), and the survivors coincide; a term with one
+active piece has nothing to filter.  F = G - H takes this step on g_i and
+on h_i under one convention and subtracts the two selected rows, which
+gives an element of the Clarke generalized Jacobian of F.
 
 The module also exposes the constructions that certify this: the
 difference vectors between rejected and selected gradients, a witness
@@ -162,10 +162,11 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
 
     Level 0 is all input indices; level l keeps the indices whose l-th
     component is within tol_tie*(1+|extremum|) of the minimum ("min") or
-    maximum ("max") over the previous level.  Returns n+1 levels.  This is
-    the one-term case of the filtration ``clarke_jacobian_element`` runs
-    over every max term at once, so it stops where that one does: at a
-    lone survivor with a finite row, which survives every later level.
+    maximum ("max") over the previous level.  Returns n+1 levels.  A lone
+    survivor with a finite row survives every later level, so the
+    filtration stops there.  Bands that overflow or are NaN compare as in
+    scalar arithmetic, without a warning; after a level with no survivor
+    the next column's extremum raises numpy's zero-size reduction error.
     """
     _check_convention(convention)
     if not tol_tie >= 0:
@@ -175,60 +176,24 @@ def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT
         raise ValueError("gradients must form a 2-D array (one row per gradient)")
     if mat.shape[0] == 0:
         raise ValueError("empty input list")
-    return list(_filtrations(mat, [mat.shape[0]], convention, tol_tie)[0])
-
-
-def _filtrations(grads: np.ndarray, counts, convention: str, tol_tie: float):
-    """The lexicographic filtration of several terms at once: ``grads``
-    holds their rows term after term, ``counts[t]`` (at least one) of
-    them for term t.  Returns per term its n+1 levels, positions into its
-    rows, as ``lexicographic_chain`` describes them.
-
-    The rows sit in one (terms, widest, n) stack, filtered column by
-    column over the terms still running; a term stops once it has a lone
-    survivor with a finite row.  The padding is masked out of every
-    extremum and every level.  "max" runs the "min" rule on the negated
-    rows, which keeps the same rows, since negation is exact.  A level is
-    built only where it changed.  Bands that overflow or are NaN compare
-    as in scalar arithmetic, without a warning.
-    """
-    counts = np.asarray(counts, dtype=np.intp)
-    n = grads.shape[1]
-    whole = {c: (tuple(range(c)),) * (n + 1) for c in set(counts.tolist())}
-    chains = [whole[c] for c in counts.tolist()]  # the chain of a term no column narrows
-    term = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(term.size) - (np.cumsum(counts) - counts)[term]
-    alive = np.arange(int(counts.max())) < counts[:, None]
-    finite = np.zeros_like(alive)
-    finite[term, slot] = np.isfinite(grads).all(axis=1)
-
-    def going(terms):  # drop each term whose lone survivor has a finite row
-        live = alive[terms]
-        return terms[(live.sum(axis=1) != 1) | ~(live & finite[terms]).any(axis=1)]
-
-    running = going(np.arange(counts.size))
-    if not running.size:
-        return chains
-    stack = np.zeros((*alive.shape, n))
-    stack[term, slot] = grads if convention == "min" else -grads
-    levels = {t: [chains[t][0]] for t in running.tolist()}
-    for l in range(n):
-        live = alive[running]
-        col = np.where(live, stack[running, :, l], np.inf)
-        if not live.any(axis=1).all():  # a level with no survivor has no extremum
-            (np.min if convention == "min" else np.max)(col[0, :0])  # raises
-        ext = col.min(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            keep = live & (col <= (ext + tol_tie * (1.0 + np.abs(ext)))[:, None])
-        alive[running] = keep
-        for t, row, new in zip(running.tolist(), keep, (keep != live).any(axis=1).tolist()):
-            levels[t].append(tuple(np.flatnonzero(row).tolist()) if new else levels[t][-1])
-        running = going(running)
-        if not running.size:
-            break
-    for t, chain in levels.items():
-        chains[t] = (*chain, *chain[-1:] * (n + 1 - len(chain)))
-    return chains
+    n = mat.shape[1]
+    keep = np.arange(mat.shape[0])
+    chain = [tuple(range(mat.shape[0]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(n):
+            if keep.size == 1 and np.isfinite(mat[keep[0]]).all():
+                chain.extend([chain[-1]] * (n - l))
+                break
+            col = mat[keep, l]
+            if convention == "min":
+                ext = col.min()
+                mask = col <= ext + tol_tie * (1.0 + abs(ext))
+            else:
+                ext = col.max()
+                mask = col >= ext - tol_tie * (1.0 + abs(ext))
+            keep = keep[mask]
+            chain.append(tuple(keep.tolist()))
+    return chain
 
 
 def clarke_jacobian_element(
@@ -248,20 +213,20 @@ def clarke_jacobian_element(
     index is taken for determinism.
 
     Every max term's active pieces, value and gradients come from one
-    ``dcmax._active_step``, which also fixes the order of faults, and one
-    filtration runs over all 2m terms' gradients at once (the routine
-    ``lexicographic_chain`` runs on one term).
+    ``dcmax._active_step``, which also fixes the order of faults.  A term
+    with one active piece is its own filtration (its row is finite, or
+    the step would have refused it); every other term goes through
+    ``lexicographic_chain``.
     """
     _check_convention(convention)
     for name, tol in (("tol_act", tol_act), ("tol_tie", tol_tie)):
         if not tol >= 0:
             raise ValueError(f"{name} must be nonnegative")
-    steps, grads = _active_step(F, x, tol_act)
-    chains = _filtrations(grads, [len(active) for active, _, _ in steps], convention, tol_tie)
-    terms = [
-        TermSelection(active, chain, value, rows)
-        for (active, value, rows), chain in zip(steps, chains)
-    ]
+    lone = ((0,),) * (F.n + 1)
+    terms = []
+    for active, value, grads in _active_step(F, x, tol_act):
+        chain = lone if len(active) == 1 else tuple(lexicographic_chain(grads, convention, tol_tie))
+        terms.append(TermSelection(active, chain, value, grads))
     comps = tuple(ComponentSelection(g, h) for g, h in zip(terms[0::2], terms[1::2]))
     return JacobianElement(comps, convention, tol_act, tol_tie)
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -832,6 +833,17 @@ class TestDeepInputs:
         assert total.affine is None and total.is_affine
         assert (total.eval([1.5]), total.grad([1.5]).tolist()) == (30000.0, [20000.0])
         assert str(total) == text
+
+    def test_unparse_of_a_long_sum_runs_in_linear_time(self):
+        # a left-deep sum of 200000 terms, built without parse; an unparse
+        # that rebuilt the left operand's text at every '+' took about 5 s
+        tree = Var(0)
+        for _ in range(199999):
+            tree = Binary("+", tree, Var(0))
+        start = time.perf_counter()
+        text = unparse(tree)
+        assert time.perf_counter() - start < 2.0
+        assert text == " + ".join(["x1"] * 200000)
 
     def test_deep_errors_keep_their_offsets(self):
         with pytest.raises(ParseError, match=r"expected '\)', found 'end of input' \(at offset 5002\)"):

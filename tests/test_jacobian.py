@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import active_set, load_problem
+from dcjac.dcmax import DCMaxFn, MaxFn, active_set, load_problem
 from dcjac.expr import DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
@@ -141,12 +141,21 @@ def _tied_terms(rng, widest: int, n: int, pool) -> list[np.ndarray]:
 
 
 class TestOneFiltration:
-    """One padded filtration per element, equal to the term-by-term rule."""
+    """The filtration runs per max term, in ``lexicographic_chain``, on the
+    terms with more than one active piece; a lone active piece is its own
+    chain.  Both equal the full term-by-term rule."""
 
     POOLS = {
         "small": [-1.0, 0.0, -0.0, 1.0, 2.0],
         "huge": [-DBL_MAX, -0.5 * DBL_MAX, 0.0, 1.0, 0.5 * DBL_MAX, DBL_MAX],
     }
+
+    @staticmethod
+    def _terms(rng, pool):
+        n = int(rng.integers(1, 6))
+        terms = _tied_terms(rng, 7, n, pool)
+        terms.insert(3, np.array([[0.0] * n, [1.0] * n, [-1.0] * n]))  # a lone survivor at once
+        return n, terms
 
     @pytest.mark.parametrize("pool", sorted(POOLS))
     @pytest.mark.parametrize("tol_tie", [0.0, 1e-9, 0.6, math.inf])
@@ -155,74 +164,64 @@ class TestOneFiltration:
         rng = np.random.default_rng(61)
         stopped_early = 0
         for _ in range(20):
-            n = int(rng.integers(1, 6))
-            terms = _tied_terms(rng, 7, n, self.POOLS[pool])
-            terms.insert(3, np.array([[0.0] * n, [1.0] * n, [-1.0] * n]))  # a lone survivor at once
-            # RuntimeWarnings are errors here: the padded pass raises none
-            chains = jacobian._filtrations(
-                np.concatenate(terms), [len(t) for t in terms], conv, tol_tie
-            )
-            assert len(chains) == len(terms)
-            for rows, chain in zip(terms, chains):
+            _, terms = self._terms(rng, self.POOLS[pool])
+            for rows in terms:
+                # RuntimeWarnings are errors here: the filtration raises none
+                chain = lexicographic_chain(rows, conv, tol_tie)
                 with np.errstate(all="ignore"):  # the reference's bands overflow
-                    assert list(chain) == full_lexicographic_chain(rows, conv, tol_tie)
-                assert list(chain) == lexicographic_chain(rows, conv, tol_tie)
+                    assert chain == full_lexicographic_chain(rows, conv, tol_tie)
                 stopped_early += len(chain[0]) > 1 and len(chain[-2]) == 1
         # some term narrowed to a lone survivor partway through, except
         # where the band is infinite and keeps every row
         assert stopped_early or tol_tie == math.inf
 
-    def test_padding_never_survives(self):
-        # an infinite band keeps every real row, and the +inf fill of the
-        # padded slots compares true against it
-        terms = [np.zeros((1, 2)), np.zeros((4, 2)), np.zeros((2, 2))]
-        for conv in ("min", "max"):
-            chains = jacobian._filtrations(np.concatenate(terms), [1, 4, 2], conv, math.inf)
-            assert chains == [((0,),) * 3, ((0, 1, 2, 3),) * 3, ((0, 1),) * 3]
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("tol_tie", [0.0, 1e-9, 0.6, math.inf])
+    @pytest.mark.parametrize("conv", ["min", "max"])
+    def test_element_of_lone_and_tied_terms_equals_reference(self, pool, tol_tie, conv):
+        # g_i and h_i are consecutive terms of widths 1..7 plus one of
+        # width 3, all affine through the origin, so every piece is active
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            n, terms = self._terms(rng, self.POOLS[pool])
+            g, h = (
+                tuple(MaxFn(tuple(SmoothFn.from_affine(row, 0.0) for row in t)) for t in half)
+                for half in (terms[0::2], terms[1::2])
+            )
+            F = DCMaxFn(n, len(g), g, h)
+            elem = clarke_jacobian_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
+            with np.errstate(all="ignore"):  # the references' bands overflow
+                assert_element_equal(
+                    elem, reference_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
+                )
+                for term in (t for comp in elem.components for t in (comp.g, comp.h)):
+                    assert list(term.chain) == full_lexicographic_chain(term.grads, conv, tol_tie)
 
-    def test_unchanged_levels_are_reused(self):
-        rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [2.0, 0.0, 0.0]])
-        chain = jacobian._filtrations(rows, [3], "min", 0.0)[0]
-        assert chain == ((0, 1, 2), (0, 1), (0, 1), (0,))
-        assert chain[1] is chain[2]
+    def test_lexicographic_chain_runs_on_tied_terms_only(self, monkeypatch):
+        calls = {"chains": 0, "elements": 0}
+        chain, element = jacobian.lexicographic_chain, jacobian.clarke_jacobian_element
 
-    def test_one_filtration_per_element(self, monkeypatch):
-        calls = {"filtrations": 0, "elements": 0}
-        filtrations, element = jacobian._filtrations, jacobian.clarke_jacobian_element
-
-        def count_filtrations(*args):
-            calls["filtrations"] += 1
-            return filtrations(*args)
+        def count_chains(*args):
+            calls["chains"] += 1
+            return chain(*args)
 
         def count_elements(*args, **kwargs):
             calls["elements"] += 1
             return element(*args, **kwargs)
 
-        monkeypatch.setattr(jacobian, "_filtrations", count_filtrations)
-        F = random_affine_problem(4, 3, 5, seed=11)
-        clarke_jacobian_element(F, np.zeros(4))
-        assert calls["filtrations"] == 1
+        monkeypatch.setattr(jacobian, "lexicographic_chain", count_chains)
         monkeypatch.setattr("dcjac.newton.clarke_jacobian_element", count_elements)
         rng = np.random.default_rng(5)
         A = rng.standard_normal((6, 6))
         trace = solve(build_ncp(A @ A.T / 6 + np.eye(6), rng.standard_normal(6)), np.ones(6))
         assert trace.status == "converged"
         assert calls["elements"] >= len(trace.steps)
-        assert calls["filtrations"] == 1 + calls["elements"]
-
-    def test_lexicographic_chain_is_the_one_term_call(self, monkeypatch):
-        seen = []
-        filtrations = jacobian._filtrations
-
-        def record(grads, counts, *args):
-            seen.append(list(counts))
-            return filtrations(grads, counts, *args)
-
-        monkeypatch.setattr(jacobian, "_filtrations", record)
-        assert lexicographic_chain([(1.0, 2.0), (1.0, 3.0), (2.0, 0.0)]) == [
-            (0, 1, 2), (0, 1), (0,)
-        ]
-        assert seen == [[3]]
+        assert calls["chains"] == 0  # no iterate ties two pieces
+        F = random_affine_problem(4, 3, 5, seed=11)
+        tied = sum(len(active_set(f, np.zeros(4)).indices) > 1 for f in F.terms)
+        assert 0 < tied < len(F.terms)
+        clarke_jacobian_element(F, np.zeros(4))
+        assert calls["chains"] == tied
 
 
 class TestClarkeElement:
