@@ -18,11 +18,13 @@ import warnings
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, dd_F, eval_F, load_problem_file
+from .dcmax import DEFAULT_TOL_ACT, dd_F, load_problem_file
 from .expr import _NUMBER, DomainError
 from .instances import random_affine_problem
 from .jacobian import (
+    DEFAULT_CONE_SAMPLES,
     DEFAULT_TOL_TIE,
+    LEAD_ZERO,
     ConventionMismatchError,
     check_witness,
     clarke_jacobian_element,
@@ -31,9 +33,10 @@ from .jacobian import (
     verify_limit_inclusion,
     witness_direction,
 )
-from .newton import build_ncp, ncp_residual, solve
+from .newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, build_ncp, ncp_residual, solve
 from .oracle import (
     DEFAULT_PROBE_RADIUS,
+    DEFAULT_SEED,
     brute_force_subdifferential,
     finite_diff_dd,
     hull_membership,
@@ -312,7 +315,7 @@ def cmd_dd(args) -> int:
         "command": "dd",
         "point": x.tolist(),
         "direction": y.tolist(),
-        "F": [_finite_or_none(v) for v in eval_F(F, x).tolist()],
+        "F": [_finite_or_none(v) for v in fd.F_x.tolist()],
         "dd": value.tolist(),
         "finite_diff": [_finite_or_none(v) for v in fd.value.tolist()],
         "fd_convergence": _finite_or_none(fd.convergence),
@@ -338,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-act", type=float, default=DEFAULT_TOL_ACT, dest="tol_act")
     common.add_argument("--tol-tie", type=float, default=DEFAULT_TOL_TIE, dest="tol_tie")
     common.add_argument("--convention", choices=("min", "max"), default="min")
-    common.add_argument("--seed", type=int, default=42)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(prog="dcjac", description=__doc__)
@@ -353,13 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_random(p_verify)
     p_verify.add_argument("-x", "--point", required=True)
     p_verify.add_argument("--radius", type=float, default=DEFAULT_PROBE_RADIUS)
-    p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--samples", type=int, default=DEFAULT_CONE_SAMPLES)
     p_verify.set_defaults(func=cmd_verify)
 
     p_newton = sub.add_parser("newton", parents=[common], help="semismooth Newton solve")
     p_newton.add_argument("--x0", help="starting point (default: origin)")
-    p_newton.add_argument("--tol", type=float, default=1e-10)
-    p_newton.add_argument("--max-iters", type=int, default=50, dest="max_iters")
+    p_newton.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_newton.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS, dest="max_iters")
     source = p_newton.add_mutually_exclusive_group()
     _add_random(source)
     source.add_argument(
@@ -404,6 +407,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConventionMismatchError as exc:
         hint = "the tie tolerance merged gradients that differ; try a smaller --tol-tie"
+        if args.tol_tie == 0:
+            hint = f"the leading-sign test reads |entry| <= {LEAD_ZERO:g}*(1+max|entry|) as zero"
         print(f"error: {exc}: {hint}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:

@@ -683,12 +683,15 @@ def _affine_rows(coeffs, constants, negate: bool = False) -> list[SmoothFn]:
     flags = _zero_flags(product, sign, sign & product, sign & ~product)
     index = np.broadcast_to(np.arange(dim + 1, dtype=float), coefs.shape)
     terms = np.stack([coefs, index, *flags], axis=1)  # (rows, 4, dim + 1)
-    pieces = []
-    for row in terms:
-        fn = SmoothFn.__new__(SmoothFn)
-        fn.__dict__.update(_expr=None, dim=dim, affine=Affine(row, negate))
-        pieces.append(fn)
-    return pieces
+    return [_premade(None, dim, row, negate) for row in terms]
+
+
+def _premade(tree: Expr | None, dim: int, terms: np.ndarray, negate: bool) -> SmoothFn:
+    """The piece ``tree`` (built when read if None) with the data
+    ``Affine(terms, negate)`` that ``_affine_data`` would derive from it."""
+    fn = SmoothFn.__new__(SmoothFn)
+    fn.__dict__.update(_expr=tree, dim=dim, affine=Affine(terms, negate))
+    return fn
 
 
 # Entries of one chunk of term products in PieceStack._sweep (8 MB)

@@ -24,7 +24,8 @@ import numpy as np
 # active_set stays bound here, unused: bench/spans.py traces it at this binding too
 from .dcmax import active_set  # noqa: F401
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
-from .oracle import _ball_samples, _classical_jacobian, _row_norms, _strict_profiles
+from .oracle import DEFAULT_SEED, _ball_samples, _classical_jacobian, _distinct_rows
+from .oracle import _row_norms, _strict_profiles
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -48,13 +49,15 @@ __all__ = [
 ]
 
 DEFAULT_TOL_TIE = 1e-9
+DEFAULT_CONE_SAMPLES = 200
+LEAD_ZERO = 1e-12  # witness_direction reads |entry| <= LEAD_ZERO*(1+max|entry|) as zero
 
 _CONVENTIONS = ("min", "max")
 
 
 class ConventionMismatchError(ValueError):
     """A difference vector's leading sign contradicts the convention used:
-    a tolerance merged gradients that differ (tol_tie, or the 1e-12 zero
+    a tolerance merged gradients that differ (tol_tie, or the LEAD_ZERO
     threshold of the leading-sign test), so valid input can reach it."""
 
 
@@ -128,8 +131,8 @@ class DifferenceVectors:
     """Gradient differences (rejected minus selected) over all components.
 
     Under the "min" convention every vector's first nonzero component is
-    positive; under "max" it is negative.  Empty (shape (0, n)) when all
-    active gradients already coincide.
+    positive; under "max" it is negative.  No two vectors are equal.  Empty
+    (shape (0, n)) when all active gradients already coincide.
     """
 
     vectors: np.ndarray  # shape (count, n)
@@ -235,35 +238,31 @@ def selection_differences(elem: JacobianElement) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for an element,
     taken from the active-gradient rows it stores, under its convention.
 
-    A vector within 1e-12 componentwise of zero or of an earlier vector is
-    dropped.  Empty when every active gradient survived (e.g. smooth F).
-    OverflowError when a difference is not finite.
+    A vector within 1e-12 componentwise of zero, or equal to an earlier
+    one (``oracle._distinct_rows``), is dropped.  Empty when every active
+    gradient survived (e.g. smooth F).  OverflowError when a difference is
+    not finite.
     """
-    n = elem.components[0].g.grads.shape[1]
     blocks = []
     for i, comp in enumerate(elem.components):
         for name, term in (("g", comp.g), ("h", comp.h)):
             survivors = list(term.chain[-1])
             with np.errstate(over="ignore"):
                 alphas = np.delete(term.grads, survivors, axis=0)[:, None] - term.grads[survivors]
-            alphas = alphas.reshape(-1, n)
+            alphas = alphas.reshape(-1, term.grads.shape[1])
             what = f"difference of active gradients of {name} in component {i}"
             _refuse_non_finite(alphas, lambda _: what)
             blocks.append(alphas)
     alphas = np.concatenate(blocks)
-    kept = alphas[:0]
-    with np.errstate(over="ignore"):  # a gap that overflows is no duplicate
-        for alpha in alphas[np.max(np.abs(alphas), axis=1) > 1e-12]:
-            if not (np.max(np.abs(kept - alpha), axis=1) <= 1e-12).any():
-                kept = np.vstack([kept, alpha])
-    return DifferenceVectors(vectors=kept, convention=elem.convention)
+    alphas = alphas[np.max(np.abs(alphas), axis=1) > 1e-12]
+    return DifferenceVectors(vectors=alphas[_distinct_rows(alphas)], convention=elem.convention)
 
 
 def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     """Build a direction in R^n (n the width of ``diffs.vectors``) with
     every difference vector strictly descending.
 
-    Each leading sign (of the first entry above 1e-12*(1+max|alpha|) in
+    Each leading sign (of the first entry above LEAD_ZERO*(1+max|alpha|) in
     magnitude) must match ``diffs.convention``, else
     ConventionMismatchError.  The weights decay geometrically fast enough
     that the leading component of each difference vector dominates the
@@ -275,7 +274,7 @@ def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     convention = diffs.convention
     _check_convention(convention)
     A = diffs.vectors
-    nonzero = np.abs(A) > 1e-12 * (1.0 + np.max(np.abs(A), axis=1))[:, None]
+    nonzero = np.abs(A) > LEAD_ZERO * (1.0 + np.max(np.abs(A), axis=1))[:, None]
     leading = np.argmax(nonzero, axis=1)
     lead = A[np.arange(len(A)), leading]
     zero = ~nonzero.any(axis=1)
@@ -330,8 +329,8 @@ class ConeLinearityReport:
 def verify_cone_linearity(
     elem: JacobianElement,
     witness: WitnessDirection,
-    samples: int = 200,
-    seed: int = 42,
+    samples: int = DEFAULT_CONE_SAMPLES,
+    seed: int = DEFAULT_SEED,
 ) -> ConeLinearityReport:
     """Sample directions near the witness and compare the directional
     derivative of F against the linear map given by the selected element.
@@ -429,7 +428,7 @@ def verify_limit_inclusion(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is inconclusive
         for t, z, profile in zip(LIMIT_T_SCHEDULE, zs, _strict_profiles(F, zs)):
             distance = None  # a degenerate point
-            if profile is not None:
+            if profile.min() >= 0:
                 jac = _classical_jacobian(F, z, profile)
                 norm = float(np.linalg.norm(jac))
                 if norm == np.inf:  # its squares overflow

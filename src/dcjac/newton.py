@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
-from .expr import Const, SmoothFn, Unary, Var, _affine_rows
+from .expr import Const, Unary, Var, _affine_rows, _premade
 from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "ncp_residual",
 ]
 
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITERS = 50
 _PIVOT_REL_TOL = 1e-12
 
 
@@ -83,8 +85,8 @@ def _factor(xi: np.ndarray):
 def solve(
     F: DCMaxFn,
     x0,
-    tol: float = 1e-10,
-    max_iters: int = 50,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     tol_act: float = DEFAULT_TOL_ACT,
     tol_tie: float = DEFAULT_TOL_TIE,
     convention: str = "min",
@@ -163,9 +165,11 @@ def build_ncp(M, q) -> DCMaxFn:
         raise ValueError(f"q has shape {q.shape}, expected ({n},)")
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
-    zero = MaxFn((SmoothFn(Const(0.0), n),))
+    # 0 and -x_i get the one term _affine_data would find by a walk: coefficient, index, flags
+    zero = MaxFn((_premade(Const(0.0), n, np.array([[0.0], [n], [0.0], [0.0]]), False),))
+    neg_x = np.stack([np.ones(n), np.arange(n), np.zeros(n), np.zeros(n)], axis=1)[:, :, None]
     rows = _affine_rows(M, q, negate=True)
-    h = tuple(MaxFn((SmoothFn(Unary("neg", Var(i)), n), rows[i])) for i in range(n))
+    h = tuple(MaxFn((_premade(Unary("neg", Var(i)), n, neg_x[i], True), rows[i])) for i in range(n))
     return DCMaxFn(n=n, m=n, g=(zero,) * n, h=h)
 
 

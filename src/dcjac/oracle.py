@@ -118,28 +118,26 @@ def sample_limiting_jacobians(
     ``count`` points sampled in the ball around x that shows it."""
     _check_ball(radius, count)
     pts = _ball_samples(np.random.default_rng(seed), np.asarray(x, dtype=float), radius, count)
-    found: dict[tuple, LimitingSample] = {}
-    for z, key in zip(pts, _strict_profiles(F, pts)):
-        if key is not None and key not in found:
-            found[key] = LimitingSample(z, _classical_jacobian(F, z, key), key)
-    return list(found.values())
+    profiles, first = _distinct_profiles(_strict_profiles(F, pts))
+    return [
+        LimitingSample(pts[k], _classical_jacobian(F, pts[k], p), tuple(zip(p[0::2], p[1::2])))
+        for p, k in zip(profiles, first.tolist())
+    ]
 
 
-def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> list[tuple | None]:
-    """Per row of ``pts``, the strictly largest piece of each max term as
-    ((g piece, h piece) per component), or None where some max term has no
-    strictly largest finite piece: the one test of "F is differentiable"."""
+def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> np.ndarray:
+    """Per row of ``pts`` and max term (g_1, h_1, g_2, ...), the strictly
+    largest piece, else -1: a row free of -1 is the one test of "F is
+    differentiable"."""
     values, fault = F.term_values(pts)
     if fault is not None:
         raise fault[2]
-    # a row per point and max term; the -inf padding never wins or ties a finite max
-    choices = _strict_argmax_rows(values.reshape(-1, values.shape[2])).reshape(len(pts), -1)
-    return [tuple(zip(c[0::2], c[1::2])) if min(c) >= 0 else None for c in choices.tolist()]
+    return _strict_argmax_rows(values)  # the -inf padding never wins or ties a finite max
 
 
-def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile: tuple) -> np.ndarray:
+def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile) -> np.ndarray:
     """The Jacobian of F at z from the gradients of the pieces ``profile``
-    names, the strictly largest ones there."""
+    names (one per max term), the strictly largest ones there."""
     grads = F.term_grads(z, np.arange(2 * F.m), np.ravel(profile))
     return grads[0::2] - grads[1::2]
 
@@ -264,25 +262,32 @@ def is_affine(F: DCMaxFn) -> bool:
 
 
 def _strict_argmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise argmax, or -1 where the maximum is tied or not finite."""
-    best = np.argmax(values, axis=1)
-    vmax = values[np.arange(values.shape[0]), best]
-    ties = (values == vmax[:, None]).sum(axis=1)
-    return np.where((ties == 1) & np.isfinite(vmax), best, -1)
+    """Argmax along the last axis, or -1 where the maximum is tied or not finite."""
+    rows = values.reshape(-1, values.shape[-1])  # a 2-D fancy index beats an N-D one
+    best = np.argmax(rows, axis=1)
+    vmax = rows[np.arange(rows.shape[0]), best]
+    ties = (rows == vmax[:, None]).sum(axis=1)
+    return np.where((ties == 1) & np.isfinite(vmax), best, -1).reshape(values.shape[:-1])
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of a 2-D array that equal no earlier
+    row.  Equality is numeric: -0.0 equals 0.0, inf equals inf, and a row
+    that holds a NaN equals no row."""
+    # a stable sort groups equal rows with their first occurrence leading
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    leads = np.ones(len(order), dtype=bool)
+    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[leads])
 
 
 def _distinct_profiles(choice_mat: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Distinct tie-free rows of a strict-argmax matrix (one column per max
     term) in order of first occurrence, with the index of that occurrence."""
     kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
-    rows = choice_mat[kept]
-    # a stable sort groups equal rows with their first occurrence leading
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    leads = np.ones(len(order), dtype=bool)
-    leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first = np.sort(order[leads])
-    return [tuple(row) for row in rows[first].tolist()], kept[first]
+    first = kept[_distinct_rows(choice_mat[kept])]
+    return [tuple(row) for row in choice_mat[first].tolist()], first
 
 
 def _cone_full_dimensional(rows: np.ndarray) -> bool:
@@ -321,6 +326,8 @@ def brute_force_subdifferential(
     active-piece combinations checked by a cone-feasibility program.  The
     convex hull of the returned matrices equals the Clarke generalized
     Jacobian at x for this function class.  Non-affine pieces are rejected.
+    Sorted by pattern; a Jacobian equal to an earlier one is dropped
+    (``_distinct_rows``), and no pattern gives an empty list.
     """
     _check_ball(probe_radius, probe_count)
     if not is_affine(F):
@@ -329,11 +336,10 @@ def brute_force_subdifferential(
     # one entry per max term, in profile order g_1, h_1, g_2, h_2, ...;
     # profiles hold positions in each term's ascending active list
     grads, vals = [], []
-    for i in range(F.m):
-        for fn in (F.g[i], F.h[i]):
-            act = active_set(fn, x, tol_act)
-            grads.append(np.array([fn.pieces[j].grad(x) for j in act.indices]))
-            vals.append(np.array([act.values[j] for j in act.indices]))
+    for fn in F.terms:
+        act = active_set(fn, x, tol_act)
+        grads.append(np.array([fn.pieces[j].grad(x) for j in act.indices]))
+        vals.append(np.array([act.values[j] for j in act.indices]))
 
     # dense sampling of strict-argmax patterns
     offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
@@ -345,7 +351,7 @@ def brute_force_subdifferential(
     with np.errstate(over="ignore", invalid="ignore"):
         for t, (rows, v) in enumerate(zip(grads, vals)):
             values[:, t, : len(v)] = offsets @ rows.T + v
-    choice_mat = _strict_argmax_rows(values.reshape(-1, widest)).reshape(probe_count, -1)
+    choice_mat = _strict_argmax_rows(values)
     samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
     profiles = set(_distinct_profiles(choice_mat)[0])
 
@@ -360,13 +366,10 @@ def brute_force_subdifferential(
                 if _cone_full_dimensional(cone):
                     profiles.add(combo)
 
-    matrices: list[np.ndarray] = []
-    for combo in sorted(profiles):
-        jac = np.array(
-            [grads[2 * i][combo[2 * i]] - grads[2 * i + 1][combo[2 * i + 1]] for i in range(F.m)]
-        )
-        if not any(np.max(np.abs(jac - seen)) <= 1e-10 for seen in matrices):
-            matrices.append(jac)
+    combos = np.array(sorted(profiles), dtype=np.intp).reshape(-1, 2 * F.m)
+    rows = np.stack([grads[t][combos[:, t]] for t in range(2 * F.m)], axis=1)
+    jacs = rows[:, 0::2] - rows[:, 1::2]
+    matrices = list(jacs[_distinct_rows(jacs.reshape(len(jacs), F.m * F.n))])
     return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
 
 
@@ -379,6 +382,7 @@ class FiniteDiffResult:
     value: np.ndarray  # one-sided quotient at the smallest step
     estimates: np.ndarray  # one row per schedule step
     convergence: float  # gap between the last two estimates
+    F_x: np.ndarray  # F at x, the first row of the sweep
 
 
 FD_T_SCHEDULE = (1e-3, 1e-5, 1e-7)
@@ -394,4 +398,4 @@ def finite_diff_dd(F: DCMaxFn, x, y) -> FiniteDiffResult:
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = (np.array(steps) - base) / ts
         convergence = float(np.max(np.abs(estimates[-1] - estimates[-2])))
-    return FiniteDiffResult(value=estimates[-1], estimates=estimates, convergence=convergence)
+    return FiniteDiffResult(estimates[-1], estimates, convergence, base)

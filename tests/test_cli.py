@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -7,7 +8,10 @@ import dcjac.cli
 import dcjac.jacobian
 from dcjac import load_problem
 from dcjac.cli import main
+from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, eval_F
 from dcjac.jacobian import (
+    DEFAULT_CONE_SAMPLES,
+    DEFAULT_TOL_TIE,
     check_witness,
     clarke_jacobian_element,
     selection_differences,
@@ -15,6 +19,8 @@ from dcjac.jacobian import (
     verify_limit_inclusion,
     witness_direction,
 )
+from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve
+from dcjac.oracle import DEFAULT_PROBE_RADIUS, DEFAULT_SEED, brute_force_subdifferential
 from util import ABS_DOC, assert_bits_equal
 
 
@@ -199,6 +205,26 @@ class TestJac:
         assert "the tie tolerance merged gradients that differ" in err
         assert "try a smaller --tol-tie" in err
         code, _, err = run(capsys, argv + ["--tol-tie", smaller])
+        assert (code, err) == (0, "")
+
+    def test_mismatch_at_zero_tie_tolerance_names_the_leading_entry_threshold(
+        self, capsys, tmp_path
+    ):
+        # the filtration rejects on the 1e-13 entry; the sign test reads it
+        # as zero and sees -1, which no --tol-tie can change
+        prob = write_problem(tmp_path, [{"g": ["1e-13*x1 - x2", "0"]}], n=2)
+        argv = ["jac", "-p", prob, "-x", "0,0", "--json"]
+        code, out, err = run(capsys, argv + ["--tol-tie", "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: difference vector [1e-13, -1.0] has leading component -1.0 under "
+            "convention 'min': the leading-sign test reads |entry| <= 1e-12*(1+max|entry|) "
+            "as zero\n"
+        )
+        code, _, err = run(capsys, argv + ["--tol-tie", "1e-20"])
+        assert code == 2
+        assert err.endswith("merged gradients that differ; try a smaller --tol-tie\n")
+        code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
 
     def test_no_problem_source_exits_2(self, capsys):
@@ -782,6 +808,28 @@ class TestDD:
         assert [key for key, value in figures.items() if value == [None]] == nulls
         assert payload["dd"] == [dd]
 
+    def test_one_dd_sweeps_twice_and_prints_F_at_x(self, capsys, tmp_path, monkeypatch):
+        # the active step and the finite-difference sweep; F(x) is the
+        # sweep's first row, bit for bit eval_F
+        components = [{"g": ["x1 - 0.1*x2", "2*x2*x2"], "h": ["0", "x1/3"]}, {"g": ["exp(x1)"]}]
+        prob = write_problem(tmp_path, components, n=2)
+        argv = ["dd", "-p", prob, "-x", "0.3,-0.7", "-y", "1,2", "--json"]
+        F = load_problem({"n": 2, "m": 2, "components": components})
+        term_values = DCMaxFn.term_values
+        calls = []
+
+        def counting(self, X):
+            calls.append(len(X))
+            return term_values(self, X)
+
+        monkeypatch.setattr(DCMaxFn, "term_values", counting)
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert calls == [1, 4]
+        want = eval_F(F, [0.3, -0.7]).tolist()
+        assert json.loads(out)["F"] == want
+        assert f'"F":{json.dumps(want, separators=(",", ":"))}' in out
+
     def test_direction_of_the_wrong_length_exits_2(self, capsys):
         argv = ["dd", "--random", "n=2,m=1,pieces=3,seed=5", "-x", "0,0", "-y", "1"]
         code, out, err = run(capsys, argv)
@@ -828,6 +876,27 @@ class TestParserBuiltOnce:
         # no option value carries over from an earlier call
         assert json.loads(first[tuple(calls[6])][1])["convention"] == "min"
         assert dcjac.cli._build_parser.cache_info().misses == 1
+
+
+class TestParserDefaults:
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = dcjac.cli._build_parser()
+        verify = parser.parse_args(["verify", "-x", "0"])
+        newton = parser.parse_args(["newton"])
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert verify.samples == DEFAULT_CONE_SAMPLES == default(verify_cone_linearity, "samples")
+        assert verify.seed == newton.seed == DEFAULT_SEED
+        assert DEFAULT_SEED == default(verify_cone_linearity, "seed")
+        assert DEFAULT_SEED == default(brute_force_subdifferential, "seed")
+        radius = default(brute_force_subdifferential, "probe_radius")
+        assert verify.radius == DEFAULT_PROBE_RADIUS == radius
+        assert newton.tol == DEFAULT_TOL == default(solve, "tol")
+        assert newton.max_iters == DEFAULT_MAX_ITERS == default(solve, "max_iters")
+        assert verify.tol_act == DEFAULT_TOL_ACT == default(solve, "tol_act")
+        assert verify.tol_tie == DEFAULT_TOL_TIE == default(solve, "tol_tie")
 
 
 class TestDeterminism:

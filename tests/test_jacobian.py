@@ -300,6 +300,16 @@ class TestSelectionDifferences:
         elem = clarke_jacobian_element(F, [0.0])
         assert selection_differences(elem).count == 1
 
+    def test_vectors_1e13_apart_are_both_kept(self):
+        # (1, 1) and (1, 1 + 1e-13) are unequal, however close
+        doc = {"n": 2, "m": 1, "components": [{"g": ["0", "x1 + x2", "x1 + (1 + 1e-13)*x2"]}]}
+        F = load_problem(doc)
+        elem = clarke_jacobian_element(F, [0.0, 0.0])
+        got = selection_differences(elem).vectors
+        assert got.tolist() == [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+        assert 0.0 < got[1, 1] - got[0, 1] < 1e-12
+        assert_bits_equal(got, reference_selection_differences(F, [0.0, 0.0], elem).vectors)
+
     def test_sign_property_both_conventions(self):
         for seed in range(40):
             F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed + 500)

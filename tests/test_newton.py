@@ -6,6 +6,7 @@ import pytest
 import dcjac.expr
 import dcjac.jacobian as jacobian
 from dcjac.dcmax import eval_F, load_problem
+from dcjac.expr import Const, SmoothFn, Unary, Var
 from dcjac.newton import build_ncp, ncp_residual, solve
 from util import ABS_DOC, assert_bits_equal, reference_eval_float, reference_eval_tangent
 
@@ -202,6 +203,30 @@ class TestBuildNCP:
                 for piece, value, grad in zip(F.stack.pieces, row, grads):
                     assert_bits_equal(value, reference_eval_float(piece.expr, x))
                     assert_bits_equal(grad, reference_eval_tangent(piece.expr, x, np.zeros(n))[1])
+
+    def test_zero_and_negated_variable_pieces_equal_their_walked_trees(self):
+        n = 5
+        F = build_ncp(np.eye(n), np.zeros(n))
+        made = [F.g[0].pieces[0], *(F.h[i].pieces[0] for i in range(n))]
+        walked = [SmoothFn(Const(0.0), n), *(SmoothFn(Unary("neg", Var(i)), n) for i in range(n))]
+        for got, want in zip(made, walked):
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want) and repr(got) == repr(want)
+            assert got.affine.negate is want.affine.negate
+            assert_bits_equal(got.affine.terms, want.affine.terms)
+        points = np.array([[0.0, -0.0, 1.5, -2.0, 3.0], [-0.0, 0.0, -0.0, 0.0, -1.0]])
+        for x in points:
+            for got, want in zip(made, walked):
+                assert_bits_equal(got.eval(x), want.eval(x))
+                assert_bits_equal(got.grad(x), want.grad(x))
+
+    def test_build_walks_no_piece(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("_affine_data called")
+
+        monkeypatch.setattr(dcjac.expr, "_affine_data", fail)
+        F = build_ncp(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-3.0, -3.0]))
+        assert solve(F, np.zeros(2)).status == "converged"
 
     def test_large_system_builds_no_tree(self, monkeypatch):
         # the pieces are coefficient data: solving builds no tree

@@ -12,8 +12,10 @@ from dcjac.expr import DomainError, SmoothFn
 from dcjac.oracle import (
     _ball_samples,
     _distinct_profiles,
+    _distinct_rows,
     _row_norms,
     _strict_argmax_rows,
+    BruteForceReport,
     brute_force_subdifferential,
     finite_diff_dd,
     hull_membership,
@@ -27,6 +29,7 @@ from util import (
     corpus_cases,
     reference_brute_force,
     reference_distinct_profiles,
+    reference_distinct_rows,
     reference_finite_diff,
     reference_limiting_samples,
 )
@@ -492,6 +495,60 @@ class TestProfiles:
             assert first.dtype == ref_first.dtype
             assert first.tolist() == ref_first.tolist()
             assert all(type(v) is int for p in profiles for v in p)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "rows, first",
+        [
+            ([[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0], [-0.0, 0.0]], [0, 2]),  # -0.0 equals 0.0
+            ([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [1.0, 2.0]], [0, 1]),
+            ([[5.0, -1.0]], [0]),  # one row
+            (np.zeros((0, 3)), []),  # no row
+            ([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], [0, 1]),  # unequal however close
+            ([[np.inf], [np.inf], [np.nan], [np.nan], [-np.inf]], [0, 2, 3, 4]),
+        ],
+    )
+    def test_first_occurrences_equal_the_frozen_reference(self, rows, first):
+        rows = np.array(rows, dtype=float)
+        got = _distinct_rows(rows)
+        assert got.tolist() == first == reference_distinct_rows(rows)
+        assert got.dtype == np.intp
+
+    def test_random_rows_with_signed_zeros_equal_the_reference(self):
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-13, np.inf, np.nan])
+        for _ in range(40):
+            rows = rng.choice(pool, size=(int(rng.integers(0, 30)), int(rng.integers(1, 4))))
+            assert _distinct_rows(rows).tolist() == reference_distinct_rows(rows)
+
+
+class TestExactCandidates:
+    def test_candidates_closer_than_the_old_tolerance_are_both_kept(self):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "(1 + 1e-11)*x1"]}]})
+        mats, _ = brute_force_subdifferential(F, [0.0])
+        assert [m.tolist() for m in mats] == [[[1.0]], [[1.0 + 1e-11]]]
+        ref_mats, _ = reference_brute_force(F, [0.0])
+        for a, b in zip(mats, ref_mats, strict=True):
+            assert_bits_equal(a, b)
+
+    def test_repeated_non_finite_candidate_is_kept_once(self):
+        # both patterns give 1.5e308 - (-1.5e308) = inf; inf - inf is NaN,
+        # so a tolerance test never merged them
+        doc = {"g": ["1.5e308*x1", "1.5e308*x1 + 0"], "h": ["-1.5e308*x1"]}
+        F = load_problem({"n": 1, "m": 1, "components": [doc]})
+        with np.errstate(over="ignore"):
+            mats, report = brute_force_subdifferential(F, [0.0])
+        assert report.enumerated
+        assert [m.tolist() for m in mats] == [[[np.inf]]]
+
+    def test_no_pattern_gives_an_empty_list(self):
+        # two identical pieces tie at every probe, and 2**14 patterns are
+        # past the enumeration cap
+        F = load_problem({"n": 1, "m": 14, "components": [{"g": ["x1", "x1"]}] * 14})
+        mats, report = brute_force_subdifferential(F, [0.0], probe_count=16)
+        assert report == BruteForceReport(samples_kept=0, enumerated=False)
+        assert mats == []
 
 
 class TestFiniteDiffDD:

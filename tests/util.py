@@ -282,8 +282,8 @@ def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
 
 def reference_selection_differences(F, x, elem) -> DifferenceVectors:
     """Rejected-minus-selected differences with every gradient evaluated
-    afresh from F at x, deduplicated one pair at a time: the reference for
-    ``selection_differences``."""
+    afresh from F at x, deduplicated one pair at a time by exact equality:
+    the reference for ``selection_differences``."""
     x = np.asarray(x, dtype=float)
     vectors: list[np.ndarray] = []
     for i, comp in enumerate(elem.components):
@@ -306,9 +306,8 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
                         )
                     if np.max(np.abs(alpha)) <= 1e-12:
                         continue
-                    with np.errstate(over="ignore"):
-                        if not any(np.max(np.abs(alpha - seen)) <= 1e-12 for seen in vectors):
-                            vectors.append(alpha)
+                    if not any(np.array_equal(alpha, seen) for seen in vectors):
+                        vectors.append(alpha)
     mat = np.array(vectors) if vectors else np.zeros((0, F.n))
     return DifferenceVectors(vectors=mat, convention=elem.convention)
 
@@ -560,6 +559,16 @@ def reference_distinct_profiles(choice_mat) -> tuple[list[tuple[int, ...]], np.n
     return [tuple(int(v) for v in row) for row in rows[order]], kept[first[order]]
 
 
+def reference_distinct_rows(rows) -> list[int]:
+    """Indices of the rows that equal no earlier row, by comparing each
+    row with every kept one: the reference for ``oracle._distinct_rows``."""
+    kept: list[int] = []
+    for r, row in enumerate(rows):
+        if not any(np.array_equal(row, rows[k]) for k in kept):
+            kept.append(r)
+    return kept
+
+
 def reference_brute_force(
     F,
     x,
@@ -569,9 +578,10 @@ def reference_brute_force(
     tol_act=DEFAULT_TOL_ACT,
 ):
     """Hull oracle that samples every piece, active at x or not, and takes
-    the active sets in a second pass for the enumeration: the reference
-    that ``brute_force_subdifferential`` must reproduce bit for bit when
-    no inactive piece wins inside the probe ball."""
+    the active sets in a second pass for the enumeration, and drops a
+    candidate equal to an earlier one: the reference that
+    ``brute_force_subdifferential`` must reproduce bit for bit when no
+    inactive piece wins inside the probe ball."""
     x = np.asarray(x, dtype=float)
     terms = [fn for i in range(F.m) for fn in (F.g[i], F.h[i])]
     data = [
@@ -607,7 +617,7 @@ def reference_brute_force(
         jac = np.array(
             [data[2 * i][0][combo[2 * i]] - data[2 * i + 1][0][combo[2 * i + 1]] for i in range(F.m)]
         )
-        if not any(np.max(np.abs(jac - seen)) <= 1e-10 for seen in matrices):
+        if not any(np.array_equal(jac, seen) for seen in matrices):
             matrices.append(jac)
     return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
 
