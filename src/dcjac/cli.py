@@ -407,7 +407,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConventionMismatchError as exc:
         hint = "the tie tolerance merged gradients that differ; try a smaller --tol-tie"
-        if args.tol_tie == 0:
+        if 0 <= args.tol_tie <= LEAD_ZERO:  # a smaller tolerance cannot help
             hint = f"the leading-sign test reads |entry| <= {LEAD_ZERO:g}*(1+max|entry|) as zero"
         print(f"error: {exc}: {hint}", file=sys.stderr)
         return EXIT_BAD_INPUT

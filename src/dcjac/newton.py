@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
 from .expr import Const, Unary, Var, _affine_rows, _premade
@@ -65,6 +64,21 @@ class NewtonTrace:
                 "residual": s.residual,
             }
             yield json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def lu_factor(*args, **kwargs):
+    """``scipy.linalg.lu_factor``, imported at the first call, so that only
+    a Newton solve loads scipy.linalg."""
+    from scipy.linalg import lu_factor
+
+    return lu_factor(*args, **kwargs)
+
+
+def lu_solve(*args, **kwargs):
+    """``scipy.linalg.lu_solve``, imported at the first call."""
+    from scipy.linalg import lu_solve
+
+    return lu_solve(*args, **kwargs)
 
 
 def _factor(xi: np.ndarray):

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _check_point, _values_at, active_set
 
@@ -290,6 +289,14 @@ def _distinct_profiles(choice_mat: np.ndarray) -> tuple[list[tuple[int, ...]], n
     return [tuple(row) for row in choice_mat[first].tolist()], first
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call: most oracle
+    calls solve no LP, and scipy.optimize is slow to import."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 def _cone_full_dimensional(rows: np.ndarray) -> bool:
     """Feasibility of a direction with all given inner products strictly
     positive, via a small linear program maximizing the common slack."""
@@ -368,7 +375,8 @@ def brute_force_subdifferential(
 
     combos = np.array(sorted(profiles), dtype=np.intp).reshape(-1, 2 * F.m)
     rows = np.stack([grads[t][combos[:, t]] for t in range(2 * F.m)], axis=1)
-    jacs = rows[:, 0::2] - rows[:, 1::2]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives an inf candidate
+        jacs = rows[:, 0::2] - rows[:, 1::2]
     matrices = list(jacs[_distinct_rows(jacs.reshape(len(jacs), F.m * F.n))])
     return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
 

@@ -207,23 +207,23 @@ class TestJac:
         code, _, err = run(capsys, argv + ["--tol-tie", smaller])
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize(
+        "coef, tol_tie", [("1e-13", "0"), ("1e-13", "1e-20"), ("1.5e-12", "1e-12")]
+    )
     def test_mismatch_at_zero_tie_tolerance_names_the_leading_entry_threshold(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, coef, tol_tie
     ):
-        # the filtration rejects on the 1e-13 entry; the sign test reads it
-        # as zero and sees -1, which no --tol-tie can change
-        prob = write_problem(tmp_path, [{"g": ["1e-13*x1 - x2", "0"]}], n=2)
+        # the filtration rejects on the coef entry; the sign test reads it as
+        # zero and sees -1, which no --tol-tie at or below LEAD_ZERO can change
+        prob = write_problem(tmp_path, [{"g": [f"{coef}*x1 - x2", "0"]}], n=2)
         argv = ["jac", "-p", prob, "-x", "0,0", "--json"]
-        code, out, err = run(capsys, argv + ["--tol-tie", "0"])
+        code, out, err = run(capsys, argv + ["--tol-tie", tol_tie])
         assert (code, out) == (2, "")
         assert err == (
-            "error: difference vector [1e-13, -1.0] has leading component -1.0 under "
+            f"error: difference vector [{coef}, -1.0] has leading component -1.0 under "
             "convention 'min': the leading-sign test reads |entry| <= 1e-12*(1+max|entry|) "
             "as zero\n"
         )
-        code, _, err = run(capsys, argv + ["--tol-tie", "1e-20"])
-        assert code == 2
-        assert err.endswith("merged gradients that differ; try a smaller --tol-tie\n")
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
 

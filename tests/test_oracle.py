@@ -542,6 +542,15 @@ class TestExactCandidates:
         assert report.enumerated
         assert [m.tolist() for m in mats] == [[[np.inf]]]
 
+    def test_overflowing_candidate_warns_nothing(self):
+        # 1.5e308 - (-1.5e308) overflows in the g-minus-h subtraction
+        doc = {"g": ["1.5e308*x1", "1.5e308*x1 + 0"], "h": ["-1.5e308*x1"]}
+        F = load_problem({"n": 1, "m": 1, "components": [doc]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mats, _ = brute_force_subdifferential(F, [0.0])
+        assert [m.tolist() for m in mats] == [[[np.inf]]]
+
     def test_no_pattern_gives_an_empty_list(self):
         # two identical pieces tie at every probe, and 2**14 patterns are
         # past the enumeration cap
