@@ -236,9 +236,12 @@ def cmd_verify(args) -> int:
             tol_act=args.tol_act,
         )
         cert = hull_membership(elem.xi, matrices)
+        # sampled candidates are limiting Jacobians, so a pass stands; a
+        # fail does not, since the probes can miss a thin cone
+        member = None if cert.member is False and not report.enumerated else cert.member
         checks["hull_membership"] = {
-            "status": _status(cert.member),
-            "member": cert.member,
+            "status": _status(member),
+            "member": member,
             "weights": cert.weights.tolist(),
             "violation": cert.violation,
             "profiles_found": len(matrices),
@@ -289,8 +292,10 @@ def cmd_newton(args) -> int:
     if ncp is not None:
         summary["complementarity_residual"] = ncp_residual(*ncp, trace.solution)
     if args.json:
-        for line in trace.iter_json_lines():
-            print(line)
+        for k, s in enumerate(trace.steps):
+            arrays = {"x": s.x, "F": s.F_x, "xi": s.xi, "step": s.step}
+            record = {key: None if a is None else a.tolist() for key, a in arrays.items()}
+            print(_dump({**record, "iter": k, "residual": s.residual}))
         print(_dump(summary))
     else:
         for k, s in enumerate(trace.steps):
@@ -406,9 +411,11 @@ def main(argv=None) -> int:
                 raise _UsageError(f"--{option} must be nonnegative, got {getattr(args, option)}")
         return args.func(args)
     except ConventionMismatchError as exc:
-        hint = "the tie tolerance merged gradients that differ; try a smaller --tol-tie"
-        if 0 <= args.tol_tie <= LEAD_ZERO:  # a smaller tolerance cannot help
-            hint = f"the leading-sign test reads |entry| <= {LEAD_ZERO:g}*(1+max|entry|) as zero"
+        hint = (
+            "either --tol-tie merged gradients that differ (a smaller --tol-tie helps) or the "
+            f"leading-sign test read |entry| <= {LEAD_ZERO:g}*(1+max|entry|) as zero "
+            "(no --tol-tie helps)"
+        )
         print(f"error: {exc}: {hint}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, OSError) as exc:

@@ -50,15 +50,16 @@ __all__ = [
 
 DEFAULT_TOL_TIE = 1e-9
 DEFAULT_CONE_SAMPLES = 200
-LEAD_ZERO = 1e-12  # witness_direction reads |entry| <= LEAD_ZERO*(1+max|entry|) as zero
+LEAD_ZERO = 1e-12  # a difference vector's entry is zero when |entry| <= LEAD_ZERO*(1+max|entry|)
 
 _CONVENTIONS = ("min", "max")
 
 
 class ConventionMismatchError(ValueError):
-    """A difference vector's leading sign contradicts the convention used:
-    a tolerance merged gradients that differ (tol_tie, or the LEAD_ZERO
-    threshold of the leading-sign test), so valid input can reach it."""
+    """A difference vector's leading sign contradicts the convention used,
+    so valid input can reach it: tol_tie merged gradients that differ (a
+    smaller tol_tie helps), or the filtration rejected on an entry that the
+    zero rule (``_leading_index``) reads as zero (no tol_tie helps)."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,10 @@ class JacobianElement:
 class DifferenceVectors:
     """Gradient differences (rejected minus selected) over all components.
 
-    Under the "min" convention every vector's first nonzero component is
-    positive; under "max" it is negative.  No two vectors are equal.  Empty
-    (shape (0, n)) when all active gradients already coincide.
+    Every vector has a nonzero entry by ``_leading_index``'s zero rule.
+    Under the "min" convention the first one is positive; under "max" it
+    is negative.  No two vectors are equal.  Empty (shape (0, n)) when all
+    active gradients already coincide.
     """
 
     vectors: np.ndarray  # shape (count, n)
@@ -153,6 +155,13 @@ class WitnessDirection:
     epsilon: float
     m_bound: float
     leading: np.ndarray  # per vector of diffs, the index of its leading component
+
+
+def _leading_index(A: np.ndarray) -> np.ndarray:
+    """Per row of A, the index of its first entry above LEAD_ZERO*(1+max|row|)
+    in magnitude, or -1 where there is none: the one zero rule."""
+    nonzero = np.abs(A) > LEAD_ZERO * (1.0 + np.max(np.abs(A), axis=1, initial=0.0))[:, None]
+    return np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), -1)
 
 
 def _check_convention(convention: str) -> None:
@@ -238,10 +247,10 @@ def selection_differences(elem: JacobianElement) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for an element,
     taken from the active-gradient rows it stores, under its convention.
 
-    A vector within 1e-12 componentwise of zero, or equal to an earlier
-    one (``oracle._distinct_rows``), is dropped.  Empty when every active
-    gradient survived (e.g. smooth F).  OverflowError when a difference is
-    not finite.
+    A vector with no nonzero entry (``_leading_index`` gives -1), or equal
+    to an earlier one (``oracle._distinct_rows``), is dropped.  Empty when
+    every active gradient survived (e.g. smooth F).  OverflowError when a
+    difference is not finite.
     """
     blocks = []
     for i, comp in enumerate(elem.components):
@@ -254,7 +263,7 @@ def selection_differences(elem: JacobianElement) -> DifferenceVectors:
             _refuse_non_finite(alphas, lambda _: what)
             blocks.append(alphas)
     alphas = np.concatenate(blocks)
-    alphas = alphas[np.max(np.abs(alphas), axis=1) > 1e-12]
+    alphas = alphas[_leading_index(alphas) >= 0]
     return DifferenceVectors(vectors=alphas[_distinct_rows(alphas)], convention=elem.convention)
 
 
@@ -262,8 +271,7 @@ def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     """Build a direction in R^n (n the width of ``diffs.vectors``) with
     every difference vector strictly descending.
 
-    Each leading sign (of the first entry above LEAD_ZERO*(1+max|alpha|) in
-    magnitude) must match ``diffs.convention``, else
+    Each leading sign (``_leading_index``) must match ``diffs.convention``, else
     ConventionMismatchError.  The weights decay geometrically fast enough
     that the leading component of each difference vector dominates the
     tail:  epsilon is half the smallest leading magnitude, the bound is
@@ -274,14 +282,12 @@ def witness_direction(diffs: DifferenceVectors) -> WitnessDirection:
     convention = diffs.convention
     _check_convention(convention)
     A = diffs.vectors
-    nonzero = np.abs(A) > LEAD_ZERO * (1.0 + np.max(np.abs(A), axis=1))[:, None]
-    leading = np.argmax(nonzero, axis=1)
+    leading = _leading_index(A)
     lead = A[np.arange(len(A)), leading]
-    zero = ~nonzero.any(axis=1)
-    wrong = zero | ((lead <= 0) if convention == "min" else (lead >= 0))
+    wrong = (leading < 0) | ((lead <= 0) if convention == "min" else (lead >= 0))
     if wrong.any():
         i = int(np.argmax(wrong))
-        if zero[i]:
+        if leading[i] < 0:
             raise ValueError("difference vector is numerically zero")
         raise ConventionMismatchError(
             f"difference vector {A[i].tolist()} has leading component {float(lead[i])} "

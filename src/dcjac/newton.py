@@ -7,7 +7,6 @@ is reported, not repaired.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -51,19 +50,6 @@ class NewtonTrace:
     @property
     def residual(self) -> float:
         return self.steps[-1].residual
-
-    def iter_json_lines(self):
-        """One JSON object per iterate, byte-stable across runs."""
-        for k, s in enumerate(self.steps):
-            record = {
-                "iter": k,
-                "x": s.x.tolist(),
-                "F": s.F_x.tolist(),
-                "xi": s.xi.tolist(),
-                "step": None if s.step is None else s.step.tolist(),
-                "residual": s.residual,
-            }
-            yield json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def lu_factor(*args, **kwargs):

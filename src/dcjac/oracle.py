@@ -299,7 +299,11 @@ def linprog(*args, **kwargs):
 
 def _cone_full_dimensional(rows: np.ndarray) -> bool:
     """Feasibility of a direction with all given inner products strictly
-    positive, via a small linear program maximizing the common slack."""
+    positive, via a small linear program maximizing the common slack.
+
+    Rows within 1e-12 of zero are dropped by this function's own absolute
+    test, not by ``jacobian._leading_index``: the oracle is the
+    independent reference the selection's zero rule is checked against."""
     norms = np.max(np.abs(rows), axis=1, initial=0.0)
     rows = rows[norms > 1e-12]  # identical-gradient pairs impose nothing
     if rows.shape[0] == 0:

@@ -6,6 +6,7 @@ import pytest
 
 import dcjac.cli
 import dcjac.jacobian
+import dcjac.oracle
 from dcjac import load_problem
 from dcjac.cli import main
 from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, eval_F
@@ -44,6 +45,13 @@ def _reject(token):
 def strict_loads(text: str):
     """``json.loads`` that refuses the NaN and Infinity tokens."""
     return json.loads(text, parse_constant=_reject)
+
+
+# the one hint for ConventionMismatchError, which names both causes
+MISMATCH_HINT = (
+    "either --tol-tie merged gradients that differ (a smaller --tol-tie helps) or the "
+    "leading-sign test read |entry| <= 1e-12*(1+max|entry|) as zero (no --tol-tie helps)\n"
+)
 
 
 def write_problem(tmp_path, components, n=1):
@@ -187,45 +195,65 @@ class TestJac:
         assert codes == {0, 2, 3}
 
     @pytest.mark.parametrize(
-        "pieces, tol_tie, smaller",
+        "pieces, tol_tie, smaller, vector, lead",
         [
-            (["5e-10*x1", "x2"], None, "0"),
-            (["0", "0.5*x1 + x2", "0.4*x1 + 5*x2"], "1.0", "0.01"),
+            (["5e-10*x1", "x2"], None, "0", "[-5e-10, 1.0]", "-5e-10"),
+            (
+                ["0", "0.5*x1 + x2", "0.4*x1 + 5*x2"],
+                "1.0",
+                "0.01",
+                "[-0.09999999999999998, 4.0]",
+                "-0.09999999999999998",
+            ),
         ],
     )
     def test_tie_tolerance_merging_distinct_gradients_exits_2(
-        self, capsys, tmp_path, pieces, tol_tie, smaller
+        self, capsys, tmp_path, pieces, tol_tie, smaller, vector, lead
     ):
         prob = tmp_path / "merged.json"
         prob.write_text(json.dumps({"n": 2, "m": 1, "components": [{"g": pieces}]}))
         argv = ["jac", "-p", str(prob), "-x", "0,0", "--json"]
         code, out, err = run(capsys, argv + (["--tol-tie", tol_tie] if tol_tie else []))
         assert (code, out) == (2, "")
-        assert err.startswith("error:")
-        assert "the tie tolerance merged gradients that differ" in err
-        assert "try a smaller --tol-tie" in err
+        assert err == (
+            f"error: difference vector {vector} has leading component {lead} under "
+            f"convention 'min': {MISMATCH_HINT}"
+        )
         code, _, err = run(capsys, argv + ["--tol-tie", smaller])
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
-        "coef, tol_tie", [("1e-13", "0"), ("1e-13", "1e-20"), ("1.5e-12", "1e-12")]
+        "coef, tol_tie",
+        [("1e-13", "0"), ("1e-13", "1e-20"), ("1.5e-12", "1e-12"), ("1.5e-12", "1.2e-12")],
     )
     def test_mismatch_at_zero_tie_tolerance_names_the_leading_entry_threshold(
         self, capsys, tmp_path, coef, tol_tie
     ):
         # the filtration rejects on the coef entry; the sign test reads it as
-        # zero and sees -1, which no --tol-tie at or below LEAD_ZERO can change
+        # zero and sees -1, which no smaller --tol-tie can change
         prob = write_problem(tmp_path, [{"g": [f"{coef}*x1 - x2", "0"]}], n=2)
         argv = ["jac", "-p", prob, "-x", "0,0", "--json"]
         code, out, err = run(capsys, argv + ["--tol-tie", tol_tie])
         assert (code, out) == (2, "")
         assert err == (
             f"error: difference vector [{coef}, -1.0] has leading component -1.0 under "
-            "convention 'min': the leading-sign test reads |entry| <= 1e-12*(1+max|entry|) "
-            "as zero\n"
+            f"convention 'min': {MISMATCH_HINT}"
         )
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "coef, gamma_count", [("0.9e-12", 0), ("1.0000000000005e-12", 0), ("2e-12", 1)]
+    )
+    def test_sliver_difference_follows_the_one_zero_rule(
+        self, capsys, tmp_path, coef, gamma_count
+    ):
+        # the difference (coef,) is dropped exactly when the witness would
+        # read it as zero: |coef| <= 1e-12*(1+|coef|)
+        prob = write_problem(tmp_path, [{"g": [f"{coef}*x1", "0"]}])
+        code, out, err = run(capsys, ["jac", "-p", prob, "-x", "0", "--tol-tie", "0", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["gamma_count"] == gamma_count
 
     def test_no_problem_source_exits_2(self, capsys):
         code, _, err = run(capsys, ["jac", "-x", "0"])
@@ -254,6 +282,30 @@ class TestVerify:
         assert code == 0
         hull = json.loads(out)["checks"]["hull_membership"]
         assert (hull["profiles_found"], hull["weights"]) == (1, [1.0])
+
+    def test_sampled_hull_miss_is_inconclusive(self, capsys, tmp_path):
+        # 3*4**6 patterns exceed ENUMERATION_CAP, and the probes miss piece
+        # 0's cone, whose half-angle is about 1e-5
+        quad = {"g": ["x1", "-x1", "x2", "-x2"]}
+        thin = {"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}
+        prob = write_problem(tmp_path, [thin] + [quad] * 6, n=2)
+        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["inconclusive"] == ["hull_membership"]
+        assert payload["checks"]["hull_membership"]["status"] == "inconclusive"
+        assert payload["checks"]["hull_membership"]["member"] is None
+
+    @pytest.mark.parametrize("cap, status", [(0, "inconclusive"), (None, "pass")])
+    def test_hull_fail_needs_enumeration(self, capsys, tmp_path, monkeypatch, cap, status):
+        if cap is not None:
+            monkeypatch.setattr(dcjac.oracle, "ENUMERATION_CAP", cap)
+        prob = write_problem(tmp_path, [{"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}], n=2)
+        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
+        assert code == 0
+        hull = json.loads(out)["checks"]["hull_membership"]
+        assert hull["status"] == status
+        assert hull["member"] is (None if cap is not None else True)
 
     def test_no_cone_sample_reports_null(self, capsys, abs_problem):
         argv = ["verify", "-p", abs_problem, "-x", "0", "--samples", "0", "--json"]
@@ -638,6 +690,20 @@ class TestNewton:
         assert summary["status"] == "converged"
         assert abs(summary["solution"][0]) <= 1e-10
         assert all(json.loads(line)["iter"] == k for k, line in enumerate(lines[:-1]))
+
+    def test_json_lines_roundtrip(self, capsys, tmp_path):
+        doc = {"n": 1, "m": 1, "components": [{"g": ["x1 - 1", "2*x1 - 2"]}]}
+        prob = tmp_path / "root.json"
+        prob.write_text(json.dumps(doc))
+        trace = solve(load_problem(doc), [5.0])
+        code, out, _ = run(capsys, ["newton", "-p", str(prob), "--x0", "5", "--json"])
+        assert code == 0
+        lines = out.splitlines()[:-1]  # the last line is the summary
+        assert len(lines) == len(trace.steps)
+        for k, line in enumerate(lines):
+            record = json.loads(line)
+            assert record["iter"] == k
+            assert record["residual"] == trace.steps[k].residual
 
     def test_singular_exit_4(self, capsys, tmp_path):
         prob = tmp_path / "flat.json"

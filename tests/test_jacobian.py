@@ -31,6 +31,7 @@ from util import (
     full_lexicographic_chain,
     reference_cone_linearity,
     reference_element,
+    reference_leading,
     reference_limit_inclusion,
     reference_selection_differences,
     reference_witness,
@@ -677,6 +678,29 @@ class TestWitnessDirection:
         assert_bits_equal([w.epsilon, w.m_bound], [epsilon, m_bound])
         assert_bits_equal(report.margins, margins)
         assert_bits_equal(report.required, required)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.0, 0.0],
+            [1.0000000000005e-12, 0.0],  # above 1e-12, not above 1e-12*(1+itself)
+            [np.nextafter(2e-12, 0.0), 1.0],  # just below 1e-12*(1+1)
+            [2e-12, 1.0],  # at it
+            [np.nextafter(2e-12, 1.0), 1.0],  # just above it
+            [-0.0, -3.0],
+            [float("nan"), 1.0],
+            [float("inf"), 1.0],
+        ],
+    )
+    def test_leading_index_equals_the_scan(self, row):
+        try:
+            want = reference_leading(np.array(row))[0]
+        except ValueError:  # no entry counts as nonzero
+            want = -1
+        assert jacobian._leading_index(np.array([row])).tolist() == [want]
+
+    def test_leading_index_of_no_rows_is_empty(self):
+        assert jacobian._leading_index(np.zeros((0, 3))).shape == (0,)
 
     def test_check_reads_the_leading_entries_from_the_witness(self):
         diffs = DifferenceVectors(np.array([[1.0, 1.0]]), "min")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -110,15 +108,6 @@ class TestSolve:
         monkeypatch.setattr(jacobian.TermSelection, "piece_chain", property(fail))
         M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
         assert solve(build_ncp(M, np.array([-3.0, -3.0, 0.0])), np.zeros(3)).status == "converged"
-
-    def test_json_lines_roundtrip(self):
-        trace = solve(load_problem(ROOT_DOC), [5.0])
-        lines = list(trace.iter_json_lines())
-        assert len(lines) == len(trace.steps)
-        for k, line in enumerate(lines):
-            record = json.loads(line)
-            assert record["iter"] == k
-            assert record["residual"] == trace.steps[k].residual
 
 
 class TestBuildNCP:

@@ -304,7 +304,9 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
                             f"difference of active gradients of {name} in component {i} "
                             f"is {alpha.tolist()}"
                         )
-                    if np.max(np.abs(alpha)) <= 1e-12:
+                    try:
+                        reference_leading(alpha)
+                    except ValueError:  # no entry counts as nonzero
                         continue
                     if not any(np.array_equal(alpha, seen) for seen in vectors):
                         vectors.append(alpha)
@@ -314,7 +316,9 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
 
 def reference_leading(alpha) -> tuple[int, float]:
     """Index and value of the first entry above 1e-12*(1+max|alpha|) in
-    magnitude, by a scan: the reference for ``WitnessDirection.leading``."""
+    magnitude, by a scan: the reference for ``jacobian._leading_index``, so
+    for ``WitnessDirection.leading`` and the zero rule of
+    ``selection_differences``."""
     scale = 1e-12 * (1.0 + float(np.max(np.abs(alpha), initial=0.0)))
     for k, v in enumerate(alpha):
         if abs(v) > scale:
