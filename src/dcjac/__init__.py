@@ -31,7 +31,9 @@ from .newton import NewtonTrace, build_ncp, ncp_residual, solve
 from .oracle import (
     HullCertificate,
     LimitingSample,
+    RegionCertificate,
     brute_force_subdifferential,
+    certify_claimed_region,
     finite_diff_dd,
     hull_membership,
     is_affine,
@@ -52,12 +54,14 @@ __all__ = [
     "MaxFn",
     "NewtonTrace",
     "ParseError",
+    "RegionCertificate",
     "SchemaError",
     "SmoothFn",
     "WitnessDirection",
     "active_set",
     "brute_force_subdifferential",
     "build_ncp",
+    "certify_claimed_region",
     "check_witness",
     "clarke_jacobian_element",
     "dd_F",

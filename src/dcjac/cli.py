@@ -35,9 +35,12 @@ from .jacobian import (
 )
 from .newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, build_ncp, ncp_residual, solve
 from .oracle import (
+    DEFAULT_PROBE_COUNT,
     DEFAULT_PROBE_RADIUS,
     DEFAULT_SEED,
+    _check_ball,
     brute_force_subdifferential,
+    certify_claimed_region,
     finite_diff_dd,
     hull_membership,
     is_affine,
@@ -196,7 +199,42 @@ def _status(passed: bool | None) -> str:
     return "inconclusive" if passed is None else ("pass" if passed else "fail")
 
 
+def _hull_check(F, x, elem, witness, args) -> dict:
+    """Hull membership for affine F: the selection's claimed region first,
+    the brute-force oracle only when that check declines."""
+    region = certify_claimed_region(F, x, elem, witness.y_bar, args.tol_act)
+    if region is not None:
+        return {
+            "status": "pass",
+            "member": True,
+            "method": "claimed_region",
+            "direction": region.source,
+            "margin": _finite_or_none(region.margin),
+        }
+    matrices, report = brute_force_subdifferential(
+        F,
+        x,
+        probe_radius=args.radius,
+        seed=args.seed,
+        tol_act=args.tol_act,
+    )
+    cert = hull_membership(elem.xi, matrices)
+    # sampled candidates are limiting Jacobians, so a pass stands; a
+    # fail does not, since the probes can miss a thin cone
+    member = None if cert.member is False and not report.enumerated else cert.member
+    return {
+        "status": _status(member),
+        "member": member,
+        "method": "oracle",
+        "weights": cert.weights.tolist(),
+        "violation": cert.violation,
+        "profiles_found": len(matrices),
+        "samples_kept": report.samples_kept,
+    }
+
+
 def cmd_verify(args) -> int:
+    _check_ball(args.radius, DEFAULT_PROBE_COUNT)  # whether or not the oracle runs
     F, x, elem, witness = _select(args)
     checks: dict[str, dict] = {}
 
@@ -228,25 +266,7 @@ def cmd_verify(args) -> int:
     }
 
     if is_affine(F):
-        matrices, report = brute_force_subdifferential(
-            F,
-            x,
-            probe_radius=args.radius,
-            seed=args.seed,
-            tol_act=args.tol_act,
-        )
-        cert = hull_membership(elem.xi, matrices)
-        # sampled candidates are limiting Jacobians, so a pass stands; a
-        # fail does not, since the probes can miss a thin cone
-        member = None if cert.member is False and not report.enumerated else cert.member
-        checks["hull_membership"] = {
-            "status": _status(member),
-            "member": member,
-            "weights": cert.weights.tolist(),
-            "violation": cert.violation,
-            "profiles_found": len(matrices),
-            "samples_kept": report.samples_kept,
-        }
+        checks["hull_membership"] = _hull_check(F, x, elem, witness, args)
     else:
         checks["hull_membership"] = {"status": "skipped", "reason": "non-affine"}
 

@@ -427,7 +427,10 @@ def _eval_float(order: list[Expr], x) -> float:
                 raise DomainError(f"sqrt of negative value {v!r}", node)
             if node.op in _PERIODIC and math.isinf(v):
                 raise DomainError(f"{node.op} of infinite value {v!r}", node)
-            stack[-1] = -v if node.op == "neg" else _MATH_UNARY[node.op](v)
+            try:
+                stack[-1] = -v if node.op == "neg" else _MATH_UNARY[node.op](v)
+            except OverflowError:  # math.exp, the one that raises it
+                raise _overflow(f"{node.op} of {v!r}", node) from None
         elif node.op == "^":
             stack[-1] = _pow_value(stack[-1], node.right.value, node)
         else:
@@ -438,16 +441,24 @@ def _eval_float(order: list[Expr], x) -> float:
     return stack[0]
 
 
+def _overflow(what: str, node: Expr) -> OverflowError:
+    """The error for an operation whose result is too large for a float,
+    naming the subexpression as ``DomainError`` does."""
+    return OverflowError(f"{what} in subexpression '{unparse(node)}'")
+
+
 def _pow_value(base: float, c: float, node: Expr) -> float:
     if float(c).is_integer():
         if base == 0.0 and c < 0.0:
             raise DomainError("zero raised to a negative power", node)
-        return base**c
-    if base <= 0.0:
+    elif base <= 0.0:
         raise DomainError(
             f"non-integer power of non-positive base {base!r}", node
         )
-    return base**c
+    try:
+        return base**c
+    except OverflowError:
+        raise _overflow(f"{base!r} raised to the power {c!r}", node) from None
 
 
 def _eval_tangent(order: list[Expr], x, zero: np.ndarray) -> tuple[float, np.ndarray]:
@@ -479,7 +490,10 @@ def _eval_tangent(order: list[Expr], x, zero: np.ndarray) -> tuple[float, np.nda
             elif op == "cos":
                 stack[-1] = math.cos(v), -math.sin(v) * d
             elif op == "exp":
-                e = math.exp(v)
+                try:
+                    e = math.exp(v)
+                except OverflowError:
+                    raise _overflow(f"exp of {v!r}", node) from None
                 stack[-1] = e, e * d
             elif op == "log":
                 if v <= 0.0:
@@ -495,8 +509,11 @@ def _eval_tangent(order: list[Expr], x, zero: np.ndarray) -> tuple[float, np.nda
         elif node.op == "^":
             lv, ld = stack[-1]
             c = node.right.value
-            _pow_value(lv, c, node)  # domain check
-            stack[-1] = (1.0, zero) if c == 0.0 else (lv**c, c * lv ** (c - 1.0) * ld)
+            v = _pow_value(lv, c, node)  # with the domain and overflow checks
+            try:
+                stack[-1] = (1.0, zero) if c == 0.0 else (v, c * lv ** (c - 1.0) * ld)
+            except OverflowError:
+                raise _overflow(f"derivative of {lv!r} raised to the power {c!r}", node) from None
         else:
             rv, rd = stack.pop()
             lv, ld = stack[-1]

@@ -5,12 +5,25 @@ The generalized Jacobian at x is the convex hull of all limits of
 classical Jacobians taken over differentiability points approaching x.
 Only pieces active at x can appear in those limits.  For piecewise-affine
 functions the hull is spanned by the Jacobians of the patterns of active
-pieces that win on full-dimensional regions near x, which this module
-recovers from one evaluation of the active pieces at x: dense sampling of
-that local model plus (when the pattern count is small enough) exhaustive
-enumeration with a feasibility program per pattern.  Membership in the
-hull is decided by a minimum-norm-point computation, which yields convex
-weights or a separation margin.
+pieces that win on full-dimensional regions near x.  Both checks here
+read one local model of F at x (``_local_model``): the active pieces of
+every max term, their values and their gradients, evaluated by the
+oracle itself.
+
+``certify_claimed_region`` checks the selection's own claim: the pieces
+it chose are active, their Jacobian is the element bit for bit, and they
+strictly win on an open cone of directions, which the witness direction
+ȳ or a max-margin cone program (``_cone_direction``) exhibits.  Such a
+pattern's Jacobian is a limit of classical Jacobians, so a pass proves
+membership.  The test of ȳ is a floating-point comparison, not an exact
+one.
+
+``brute_force_subdifferential`` recovers the candidate Jacobians instead:
+dense sampling of the local model plus (when the pattern count is small
+enough) exhaustive enumeration with a feasibility program per pattern.
+Membership in their hull is decided by a minimum-norm-point computation
+(``hull_membership``), which yields convex weights or a separation
+margin.
 
 ``_strict_profiles`` decides where F is differentiable, for the sampler
 and for ``jacobian.verify_limit_inclusion`` alike.
@@ -18,7 +31,9 @@ and for ``jacobian.verify_limit_inclusion`` alike.
 The oracle evaluates the active pieces at x itself instead of reading the
 rows a ``ComponentSelection`` stores.  It is the reference the selected
 element is checked against, so a fault in those stored rows must not
-reach the reference as well.
+reach the reference as well.  From the selection the claimed-region
+check reads only what it claims: the chosen piece of every term, the
+element and ȳ.
 """
 
 from __future__ import annotations
@@ -36,9 +51,11 @@ __all__ = [
     "HullCertificate",
     "FiniteDiffResult",
     "BruteForceReport",
+    "RegionCertificate",
     "sample_limiting_jacobians",
     "hull_membership",
     "brute_force_subdifferential",
+    "certify_claimed_region",
     "finite_diff_dd",
     "is_affine",
 ]
@@ -297,18 +314,21 @@ def linprog(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 
-def _cone_full_dimensional(rows: np.ndarray) -> bool:
-    """Feasibility of a direction with all given inner products strictly
-    positive, via a small linear program maximizing the common slack.
+def _cone_direction(rows: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """A direction d with ``rows @ d`` strictly positive, found by a small
+    linear program that maximizes the common slack over |d| <= 1, with
+    that slack; None when the slack is not above 1e-9.
 
     Rows within 1e-12 of zero are dropped by this function's own absolute
     test, not by ``jacobian._leading_index``: the oracle is the
-    independent reference the selection's zero rule is checked against."""
+    independent reference the selection's zero rule is checked against.
+    With no row left every direction qualifies: the zero direction, at an
+    infinite slack."""
     norms = np.max(np.abs(rows), axis=1, initial=0.0)
     rows = rows[norms > 1e-12]  # identical-gradient pairs impose nothing
-    if rows.shape[0] == 0:
-        return True
     n = rows.shape[1]
+    if rows.shape[0] == 0:
+        return np.zeros(n), math.inf
     # variables: d (n), delta; maximize delta s.t. rows @ d >= delta, |d| <= 1
     c = np.zeros(n + 1)
     c[n] = -1.0
@@ -316,7 +336,27 @@ def _cone_full_dimensional(rows: np.ndarray) -> bool:
     b_ub = np.zeros(rows.shape[0])
     bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    return bool(res.status == 0 and res.x is not None and res.x[n] > 1e-9)
+    if res.status == 0 and res.x is not None and res.x[n] > 1e-9:
+        return res.x[:n], float(res.x[n])
+    return None
+
+
+def _cone_full_dimensional(rows: np.ndarray) -> bool:
+    """Whether some direction has all given inner products strictly
+    positive (``_cone_direction`` finds one)."""
+    return _cone_direction(rows) is not None
+
+
+def _local_model(F: DCMaxFn, x: np.ndarray, tol_act: float):
+    """Per max term (g_1, h_1, g_2, ...): its pieces active at x
+    (``active_set``, ascending), their values and their gradients, a row
+    each, from the pieces' own tree walks."""
+    model = []
+    for fn in F.terms:
+        act = active_set(fn, x, tol_act)
+        grads = np.array([fn.pieces[j].grad(x) for j in act.indices])
+        model.append((act.indices, np.array([act.values[j] for j in act.indices]), grads))
+    return model
 
 
 def brute_force_subdifferential(
@@ -346,11 +386,7 @@ def brute_force_subdifferential(
     x = np.asarray(x, dtype=float)
     # one entry per max term, in profile order g_1, h_1, g_2, h_2, ...;
     # profiles hold positions in each term's ascending active list
-    grads, vals = [], []
-    for fn in F.terms:
-        act = active_set(fn, x, tol_act)
-        grads.append(np.array([fn.pieces[j].grad(x) for j in act.indices]))
-        vals.append(np.array([act.values[j] for j in act.indices]))
+    _, vals, grads = zip(*_local_model(F, x, tol_act))
 
     # dense sampling of strict-argmax patterns
     offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
@@ -383,6 +419,65 @@ def brute_force_subdifferential(
         jacs = rows[:, 0::2] - rows[:, 1::2]
     matrices = list(jacs[_distinct_rows(jacs.reshape(len(jacs), F.m * F.n))])
     return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
+
+
+# ---------------------------------------------------------------------------
+# Hull membership from the region the selection claims
+
+
+@dataclass(frozen=True)
+class RegionCertificate:
+    """The selection's pieces strictly win on an open cone of directions
+    at x: every nonzero cone row has a positive product with
+    ``direction``, and ``margin`` is the smallest such product (None when
+    no row is nonzero)."""
+
+    direction: np.ndarray
+    source: str  # "y_bar" (the witness direction) or "cone_lp" (``_cone_direction``)
+    margin: float | None
+
+
+def certify_claimed_region(
+    F: DCMaxFn, x, elem, y_bar, tol_act: float = DEFAULT_TOL_ACT
+) -> RegionCertificate | None:
+    """Certify that the element ``elem`` (a ``jacobian.JacobianElement``)
+    is the Jacobian of a pattern of pieces that wins on a full-dimensional
+    region near x, for piecewise-affine F; None when that claim cannot be
+    checked, and then ``brute_force_subdifferential`` decides.
+
+    The local model is the oracle's own (``_local_model``).  It passes when
+    every term's ``TermSelection.chosen`` piece is active there, the chosen
+    g rows minus h rows equal ``elem.xi`` bit for bit, and every nonzero
+    cone row (the chosen gradient minus each other active gradient, per
+    term) has a positive product with ``y_bar``, or failing that, the
+    cone program finds an interior direction.  Such a pattern's Jacobian
+    lies in the B-subdifferential, hence in the generalized Jacobian.
+    """
+    model = _local_model(F, np.asarray(x, dtype=float), tol_act)
+    y_bar = np.asarray(y_bar, dtype=float)
+    chosen = [term.chosen for comp in elem.components for term in (comp.g, comp.h)]
+    rows, cone = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows declines
+        for piece, (active, _, grads) in zip(chosen, model):
+            if piece not in active:
+                return None
+            p = active.index(piece)
+            rows.append(grads[p])
+            cone.append(grads[p] - np.delete(grads, p, axis=0))
+        claimed = np.array(rows[0::2]) - np.array(rows[1::2])
+        xi = elem.xi
+        if claimed.shape != xi.shape or claimed.tobytes() != xi.tobytes():
+            return None
+        cone = np.concatenate(cone)
+        if not np.isfinite(cone).all():
+            return None
+        cone = cone[np.any(cone != 0.0, axis=1)]
+        products = cone @ y_bar
+    if np.all(products > 0.0):
+        margin = float(products.min()) if len(products) else None
+        return RegionCertificate(y_bar, "y_bar", margin)
+    found = _cone_direction(cone)
+    return None if found is None else RegionCertificate(found[0], "cone_lp", found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dcjac.jacobian import (
 )
 from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve
 from dcjac.oracle import DEFAULT_PROBE_RADIUS, DEFAULT_SEED, brute_force_subdifferential
-from util import ABS_DOC, assert_bits_equal
+from util import ABS_DOC, assert_bits_equal, bench_workloads
 
 
 @pytest.fixture
@@ -30,6 +30,13 @@ def abs_problem(tmp_path):
     path = tmp_path / "abs.json"
     path.write_text(json.dumps(ABS_DOC))
     return str(path)
+
+
+@pytest.fixture
+def oracle_only(monkeypatch):
+    """``verify`` with the claimed-region check declining, so that hull
+    membership comes from the brute-force oracle."""
+    monkeypatch.setattr(dcjac.cli, "certify_claimed_region", lambda *args: None)
 
 
 def run(capsys, argv):
@@ -58,6 +65,11 @@ def write_problem(tmp_path, components, n=1):
     prob = tmp_path / "p.json"
     prob.write_text(json.dumps({"n": n, "m": len(components), "components": components}))
     return str(prob)
+
+
+# piece 0 of the first component wins on a cone whose half-angle is about
+# 1e-5; with six four-way ties after it there are 3*4**6 joint patterns
+THIN7 = [{"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}] + [{"g": ["x1", "-x1", "x2", "-x2"]}] * 6
 
 
 class TestJac:
@@ -262,19 +274,36 @@ class TestJac:
 
 
 class TestVerify:
-    def test_abs_passes_with_hull(self, capsys, abs_problem):
+    def test_abs_passes_with_hull(self, capsys, abs_problem, oracle_only):
         code, out, _ = run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
         hull = payload["checks"]["hull_membership"]
         assert hull["member"] is True
+        assert hull["method"] == "oracle"
         assert hull["profiles_found"] == 2
         for name in ("witness_validity", "cone_linearity", "limit_inclusion"):
             assert payload["checks"][name]["status"] == "pass"
 
+    def test_abs_passes_on_the_claimed_region(self, capsys, abs_problem):
+        code, out, _ = run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--json"])
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["passed"] is True
+        # ybar = -1 and the one cone row is x1's slope minus -x1's, 2
+        assert payload["checks"]["hull_membership"] == {
+            "direction": "y_bar",
+            "margin": 2.0,
+            "member": True,
+            "method": "claimed_region",
+            "status": "pass",
+        }
+
     @pytest.mark.parametrize("radius", ["1e-3", "0.5"])
-    def test_hull_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path, radius):
+    def test_hull_ignores_pieces_inactive_at_the_point(
+        self, capsys, tmp_path, radius, oracle_only
+    ):
         prob = tmp_path / "ramp.json"
         prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]}))
         argv = ["verify", "-p", str(prob), "-x", "0.0001", "--radius", radius, "--json"]
@@ -283,12 +312,20 @@ class TestVerify:
         hull = json.loads(out)["checks"]["hull_membership"]
         assert (hull["profiles_found"], hull["weights"]) == (1, [1.0])
 
-    def test_sampled_hull_miss_is_inconclusive(self, capsys, tmp_path):
+    @pytest.mark.parametrize("radius", ["1e-3", "0.5"])
+    def test_claimed_region_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path, radius):
+        # "0" is inactive at 1e-4: no cone row, so no margin
+        prob = write_problem(tmp_path, [{"g": ["x1", "0"]}])
+        argv = ["verify", "-p", prob, "-x", "0.0001", "--radius", radius, "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        hull = strict_loads(out)["checks"]["hull_membership"]
+        assert (hull["method"], hull["member"], hull["margin"]) == ("claimed_region", True, None)
+
+    def test_sampled_hull_miss_is_inconclusive(self, capsys, tmp_path, oracle_only):
         # 3*4**6 patterns exceed ENUMERATION_CAP, and the probes miss piece
         # 0's cone, whose half-angle is about 1e-5
-        quad = {"g": ["x1", "-x1", "x2", "-x2"]}
-        thin = {"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}
-        prob = write_problem(tmp_path, [thin] + [quad] * 6, n=2)
+        prob = write_problem(tmp_path, THIN7, n=2)
         code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
         assert code == 0
         payload = strict_loads(out)
@@ -296,8 +333,50 @@ class TestVerify:
         assert payload["checks"]["hull_membership"]["status"] == "inconclusive"
         assert payload["checks"]["hull_membership"]["member"] is None
 
+    def test_thin_region_passes_on_the_claimed_region(self, capsys, tmp_path):
+        # ybar lies in piece 0's thin cone, which the probes miss
+        prob = write_problem(tmp_path, THIN7, n=2)
+        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
+        assert code == 0
+        payload = strict_loads(out)
+        assert (payload["passed"], payload["inconclusive"]) == (True, [])
+        hull = payload["checks"]["hull_membership"]
+        assert (hull["method"], hull["direction"], hull["member"]) == (
+            "claimed_region",
+            "y_bar",
+            True,
+        )
+        assert hull["margin"] == payload["checks"]["witness_validity"]["min_margin"]
+
+    def test_declined_claim_falls_back_to_the_oracle(self, capsys, tmp_path):
+        # the default tie band merges slopes 1e-10 apart and the larger is
+        # chosen: ybar = -1 misses its cone and the LP's slack, 1e-10, is
+        # below 1e-9, so the oracle decides, and finds xi among its matrices
+        prob = write_problem(tmp_path, [{"g": ["1.0000000001*x1", "x1"]}])
+        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0", "--json"])
+        assert code == 0
+        hull = strict_loads(out)["checks"]["hull_membership"]
+        assert (hull["method"], hull["member"], hull["weights"]) == ("oracle", True, [1.0, 0.0])
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_highdim_instance_is_a_hull_member(self, capsys, tmp_path, n, convention):
+        # the benchmark's affine-highdim shape: constants 0 or -1, sparse
+        # coefficients in [-2, 2], up to 10 pieces per max term; the
+        # probes alone find no verdict here
+        inst = next(i for i in bench_workloads().affine_highdim(1, per_size=1) if i.n == n)
+        prob = tmp_path / "highdim.json"
+        prob.write_text(json.dumps(inst.document()))
+        argv = ["verify", "-p", str(prob), "-x", ",".join(["0"] * n), "--convention", convention]
+        code, out, _ = run(capsys, [*argv, "--json"])
+        assert code == 0
+        hull = strict_loads(out)["checks"]["hull_membership"]
+        assert (hull["member"], hull["method"]) == (True, "claimed_region")
+
     @pytest.mark.parametrize("cap, status", [(0, "inconclusive"), (None, "pass")])
-    def test_hull_fail_needs_enumeration(self, capsys, tmp_path, monkeypatch, cap, status):
+    def test_hull_fail_needs_enumeration(
+        self, capsys, tmp_path, monkeypatch, cap, status, oracle_only
+    ):
         if cap is not None:
             monkeypatch.setattr(dcjac.oracle, "ENUMERATION_CAP", cap)
         prob = write_problem(tmp_path, [{"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}], n=2)
@@ -406,7 +485,7 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
-    def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path):
+    def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path, oracle_only):
         # the hull scale was inf, so the violation was NaN and the check failed
         prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
         argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--json"]
@@ -414,6 +493,15 @@ class TestVerify:
         assert (code, err) == (0, "")
         hull = strict_loads(out)["checks"]["hull_membership"]
         assert (hull["status"], hull["violation"], hull["weights"]) == ("pass", 0.0, [0.0, 1.0])
+
+    def test_claimed_region_of_a_huge_slope_passes(self, capsys, tmp_path):
+        # ybar = -1 and the cone row is 0 - 1e308: the margin is 1e308
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
+        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        hull = strict_loads(out)["checks"]["hull_membership"]
+        assert (hull["status"], hull["method"], hull["margin"]) == ("pass", "claimed_region", 1e308)
 
     def test_random_affine_instance(self, capsys):
         code, out, _ = run(
@@ -564,6 +652,26 @@ class TestBadNumericOptions:
         assert err.startswith("error:")
         assert message in err
         assert err.count("\n") == 1
+
+
+class TestOverflowNamesTheSubexpression:
+    @pytest.mark.parametrize(
+        "piece, at, want",
+        [
+            ("exp(x1)", "1000", "exp of 1000.0 in subexpression 'exp(x1)'"),
+            ("x1^3", "1e200", "1e+200 raised to the power 3.0 in subexpression 'x1^3.0'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["jac", "-x"], ["verify", "-x"], ["dd", "-y", "1", "-x"], ["newton", "--x0"]]
+    )
+    def test_exits_3_with_the_operation_and_its_operand(
+        self, capsys, tmp_path, piece, at, want, argv
+    ):
+        prob = write_problem(tmp_path, [{"g": [piece, "x1"]}])
+        code, out, err = run(capsys, [argv[0], "-p", prob, *argv[1:], at, "--json"])
+        assert (code, out) == (3, "")
+        assert err == f"error: numeric overflow: {want}\n"
 
 
 class TestNonFiniteElement:

@@ -65,7 +65,7 @@ def test_import_loads_no_scipy():
         ["jac", "--random", "n=3,m=2,pieces=4,seed=7", "-x", "0,0,0", "--json"],
         ["dd", "--random", "n=3,m=2,pieces=4,seed=7", "-x", "0,0,0", "-y", "1,-1,0", "--json"],
         ["verify", "--random", "n=3,m=2,pieces=4,seed=7", "-x", "0,0,0", "--json"],
-        ["verify", "-p", "ABS", "-x", "0", "--json"],  # sampling finds both patterns
+        ["verify", "-p", "ABS", "-x", "0", "--json"],  # ybar lies in the claimed cone
     ],
 )
 def test_commands_without_lp_or_solve_load_no_scipy(tmp_path, argv):
@@ -86,14 +86,17 @@ def test_newton_loads_scipy_linalg_only(tmp_path):
 
 
 def test_verify_with_an_lp_prints_the_same_bytes_as_in_process(tmp_path, capsys):
-    # 2*x1 wins on no region near 0, so sampling never finds its pattern and
-    # the enumeration runs a cone LP for it
-    doc = {"n": 1, "m": 1, "components": [{"g": ["x1", "2*x1", "3*x1"]}]}
-    argv = ["verify", "-p", write(tmp_path, "lp.json", doc), "-x", "0", "--json"]
-    (code, out), modules = fresh(_CLI, *argv)
+    # --tol-tie merges the two slopes and the smaller index, the larger
+    # slope, is chosen: ybar = -1 misses its cone, so the claimed-region
+    # check runs the cone LP, which finds d = 1 at a margin of 5e-9
+    doc = {"n": 1, "m": 1, "components": [{"g": ["1.000000005*x1", "x1"]}]}
+    argv = ["verify", "-p", write(tmp_path, "lp.json", doc), "-x", "0", "--tol-tie", "1e-8"]
+    (code, out), modules = fresh(_CLI, *argv, "--json")
     assert "scipy.optimize" in modules
-    assert (code, out) == (main(argv), capsys.readouterr().out)
+    assert (code, out) == (main([*argv, "--json"]), capsys.readouterr().out)
     assert code == 0
+    hull = json.loads(out)["checks"]["hull_membership"]
+    assert (hull["method"], hull["direction"]) == ("claimed_region", "cone_lp")
 
 
 def test_deferred_bindings_are_plain_module_functions():

@@ -735,6 +735,39 @@ class TestAgainstTheRecursiveReferences:
         ]
 
 
+class TestOverflowNamesTheSubexpression:
+    """math.exp and a float power raise OverflowError past the largest
+    float; both walks name the operation, its operand and the
+    subexpression, as a DomainError does."""
+
+    @pytest.mark.parametrize(
+        "text, x, message",
+        [
+            ("1 + exp(2*x1)", 400.0, r"^exp of 800.0 in subexpression 'exp\(2.0\*x1\)'$"),
+            ("x1^3 - 1", -1e200, r"^-1e\+200 raised to the power 3.0 in subexpression 'x1\^3.0'$"),
+        ],
+        ids=["exp", "power"],
+    )
+    def test_both_walks_raise_it(self, text, x, message):
+        fn = SmoothFn.from_text(text, 1)
+        with pytest.raises(OverflowError, match=message):
+            fn.eval([x])
+        with pytest.raises(OverflowError, match=message):
+            fn.grad([x])
+
+    def test_derivative_of_a_power_that_overflows(self):
+        # 1e-120^-2 is 1e240, but the derivative's 1e-120^-3 is not a float
+        fn = SmoothFn.from_text("x1^-2", 1)
+        assert fn.eval([1e-120]) == 1e-120**-2.0
+        message = r"^derivative of 1e-120 raised to the power -2.0 in subexpression 'x1\^-2.0'$"
+        with pytest.raises(OverflowError, match=message):
+            fn.grad([1e-120])
+
+    def test_exponent_folding_names_it_too(self):
+        with pytest.raises(OverflowError, match=r"^1e\+308 raised to the power 2.0 in"):
+            parse("x1^1e308^2", 1)
+
+
 class TestPeriodicOfInfinity:
     """math.sin and math.cos refuse an infinite argument; both walks turn
     that into a DomainError that names the subexpression."""

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import dcjac.cli
 from dcjac.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,9 +42,11 @@ _NCP = ["--ncp", str(GOLDEN / "ncp_M.csv"), str(GOLDEN / "ncp_q.csv")]
 # the origin), and a step of the NCP ncp10-3 from its x0 prints -0.0.
 _OC105 = ["-p", str(GOLDEN / "oc105.json"), "-x", "0,0"]
 # Multi-piece terms, all active at (1, -2), and a g piece that wins only on
-# a cone about 1e-5 wide: the 4096 probes miss it and the enumeration's
-# LP finds it.  The wide radius and the nonzero point keep the probe
-# offsets away from the plain draw.
+# a cone about 1e-5 wide.  The witness direction lies in the region the
+# selection claims, so verify prints no oracle output; with that check
+# declined (test_fallback_agrees_outside_the_hull_check) the 4096 probes
+# miss the thin cone and the enumeration's LP finds it.  The wide radius
+# and the nonzero point keep the probe offsets away from the plain draw.
 _THIN = ["-p", str(GOLDEN / "thin.json"), "-x", "1,-2", "--radius", "0.5"]
 _NCP10_3 = [
     "--ncp",
@@ -114,6 +117,30 @@ def test_json_golden_is_strict_json(name):
     assert lines
     for line in lines:  # newton prints one document per line
         json.loads(line, parse_constant=_reject)
+
+
+VERIFY_CASES = sorted(name for name in CASES if name.startswith("verify_"))
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_fallback_agrees_outside_the_hull_check(name, monkeypatch):
+    # with the claimed-region check declined, the brute-force oracle
+    # decides hull membership; every other byte of the output is the same,
+    # and so is the verdict
+    argv, expected_code = CASES[name]
+    claimed = json.loads(_run(argv)[1])
+    monkeypatch.setattr(dcjac.cli, "certify_claimed_region", lambda *args: None)
+    code, out = _run(argv)
+    assert code == expected_code
+    oracle = json.loads(out)
+    hull = claimed["checks"].pop("hull_membership")
+    fallback = oracle["checks"].pop("hull_membership")
+    assert claimed == oracle
+    if hull["status"] == "skipped":  # non-affine: neither check runs
+        assert fallback == hull
+    else:
+        assert (hull["method"], fallback["method"]) == ("claimed_region", "oracle")
+        assert hull["member"] is fallback["member"] is True
 
 
 def _run_demo(path: Path) -> str:

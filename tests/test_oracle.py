@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,16 +9,19 @@ import warnings
 
 from dcjac.dcmax import DCMaxFn, load_problem
 from dcjac.instances import random_affine_problem
-from dcjac.jacobian import clarke_jacobian_element
+from dcjac.jacobian import clarke_jacobian_element, selection_differences, witness_direction
 from dcjac.expr import DomainError, SmoothFn
 from dcjac.oracle import (
     _ball_samples,
+    _cone_direction,
+    _cone_full_dimensional,
     _distinct_profiles,
     _distinct_rows,
     _row_norms,
     _strict_argmax_rows,
     BruteForceReport,
     brute_force_subdifferential,
+    certify_claimed_region,
     finite_diff_dd,
     hull_membership,
     is_affine,
@@ -26,6 +31,7 @@ from dcjac.dcmax import dd_F
 from util import (
     ABS_DOC,
     assert_bits_equal,
+    bench_workloads,
     corpus_cases,
     reference_brute_force,
     reference_distinct_profiles,
@@ -647,3 +653,142 @@ class TestTheoremOnRandomInstances:
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 cert = hull_membership(elem.xi, mats)
                 assert cert.member is True, (seed, conv, cert.violation)
+
+
+def _selected(F, x, convention="min", **tols):
+    """The element at x and its witness direction."""
+    elem = clarke_jacobian_element(F, x, convention=convention, **tols)
+    return elem, witness_direction(selection_differences(elem)).y_bar
+
+
+def _assert_passes_are_oracle_candidates(F, x):
+    """Every claimed-region pass, under either convention, has an element
+    equal bit for bit to one of the oracle's matrices."""
+    mats = brute_force_subdifferential(F, x)[0]
+    sources = []
+    for conv in ("min", "max"):
+        elem, y_bar = _selected(F, x, conv)
+        region = certify_claimed_region(F, x, elem, y_bar)
+        if region is not None:
+            assert any(m.tobytes() == elem.xi.tobytes() for m in mats)
+        sources.append(None if region is None else region.source)
+    return sources
+
+
+class TestConeDirection:
+    def test_direction_has_the_common_slack(self):
+        rows = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        d, margin = _cone_direction(rows)
+        assert np.all(np.abs(d) <= 1.0 + 1e-12)
+        assert margin == pytest.approx(1.0)
+        assert np.all(rows @ d >= margin - 1e-9)
+
+    def test_opposite_rows_have_no_interior(self):
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert _cone_direction(rows) is None
+        assert not _cone_full_dimensional(rows)
+
+    def test_rows_within_the_zero_filter_impose_nothing(self):
+        d, margin = _cone_direction(np.array([[1e-12, 0.0], [-1e-13, 0.0]]))
+        assert (d.tolist(), margin) == ([0.0, 0.0], math.inf)
+
+    def test_slack_at_or_below_1e_9_is_no_interior(self):
+        assert _cone_direction(np.array([[5e-10]])) is None
+        d, margin = _cone_direction(np.array([[2e-9]]))
+        assert d.tolist() == [1.0] and margin == pytest.approx(2e-9)
+
+
+class TestClaimedRegion:
+    def test_abs_passes_on_the_witness(self):
+        F = load_problem(ABS_DOC)
+        elem, y_bar = _selected(F, [0.0])
+        region = certify_claimed_region(F, [0.0], elem, y_bar)
+        assert (region.source, region.margin, region.direction.tolist()) == ("y_bar", 2.0, [-1.0])
+
+    def test_acceptance_corpus_passes_are_oracle_candidates(self):
+        sources = []
+        for F in acceptance_corpus():
+            sources += _assert_passes_are_oracle_candidates(F, np.zeros(F.n))
+        assert sources.count("y_bar") == len(sources)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_oracle_corpus_passes_are_oracle_candidates(self, seed):
+        sources = []
+        for inst in bench_workloads().oracle_corpus(seed):
+            sources += _assert_passes_are_oracle_candidates(
+                load_problem(inst.document()), np.zeros(inst.n)
+            )
+        assert sources.count("y_bar") == len(sources) == 400
+
+    def test_chosen_piece_with_another_gradient_declines(self):
+        # the claim names piece 1 (-x1) while the element is piece 0's row
+        F = load_problem(ABS_DOC)
+        elem, y_bar = _selected(F, [0.0], "max")
+        assert (elem.components[0].g.chosen, elem.xi.tolist()) == (0, [[1.0]])
+        g = elem.components[0].g
+        swapped = replace(elem.components[0], g=replace(g, active=g.active[::-1]))
+        claim = SimpleNamespace(components=(swapped,), xi=elem.xi)
+        assert swapped.g.chosen == 1
+        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+
+    def test_element_one_ulp_off_declines(self):
+        F = load_problem(ABS_DOC)
+        elem, y_bar = _selected(F, [0.0])
+        assert certify_claimed_region(F, [0.0], elem, y_bar) is not None
+        for toward in (-np.inf, np.inf):
+            claim = SimpleNamespace(components=elem.components, xi=np.nextafter(elem.xi, toward))
+            assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+
+    def test_midpoint_of_two_region_jacobians_declines(self):
+        # 0 lies in the hull of -1 and 1, which only the oracle can show
+        F = load_problem(ABS_DOC)
+        elem, y_bar = _selected(F, [0.0])
+        claim = SimpleNamespace(components=elem.components, xi=np.zeros((1, 1)))
+        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+        assert hull_membership(claim.xi, brute_force_subdifferential(F, [0.0])[0]).member
+
+    def test_chosen_piece_inactive_at_the_point_declines(self):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]})
+        elem, y_bar = _selected(F, [1e-4])
+        assert certify_claimed_region(F, [1e-4], elem, y_bar).margin is None  # no cone row
+        assert certify_claimed_region(F, [-1e-4], elem, y_bar) is None
+
+    def test_chosen_piece_with_no_region_declines(self):
+        # 2*x1 wins nowhere near 0: neither ybar nor the LP finds its cone
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "2*x1", "3*x1"]}]})
+        elem, y_bar = _selected(F, [0.0])
+        g = elem.components[0].g
+        middle = replace(g, chain=g.chain[:-1] + ((1,),))
+        comp = replace(elem.components[0], g=middle)
+        claim = SimpleNamespace(components=(comp,), xi=np.array([[2.0]]))
+        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+
+    def test_merged_survivors_are_certified_by_the_lp(self):
+        # the tie band at |slope| = 1000 merges slopes 5e-7 apart, and the
+        # smaller index, the larger slope, is chosen against ybar = -1
+        doc = {"n": 1, "m": 1, "components": [{"g": ["1000.0000005*x1", "1000*x1"]}]}
+        F = load_problem(doc)
+        elem, y_bar = _selected(F, [0.0])
+        assert (elem.xi.tolist(), y_bar.tolist()) == ([[1000.0000005]], [-1.0])
+        region = certify_claimed_region(F, [0.0], elem, y_bar)
+        assert region.source == "cone_lp"
+        assert region.direction[0] > 0.0
+        assert region.margin == pytest.approx(5e-7, rel=1e-6)
+        mats = brute_force_subdifferential(F, [0.0])[0]
+        assert any(m.tobytes() == elem.xi.tobytes() for m in mats)
+
+    def test_overflowing_cone_row_declines(self):
+        # 1e308 - (-1e308) is not finite: no verdict from this check
+        doc = {"n": 1, "m": 1, "components": [{"g": ["1e308*x1", "-1e308*x1"], "h": ["0"]}]}
+        F = load_problem(doc)
+        x = [0.0]
+        elem = clarke_jacobian_element(F, x, convention="max")
+        assert certify_claimed_region(F, x, elem, np.array([1.0])) is None
+
+    def test_highdim_selections_pass(self):
+        workloads = bench_workloads()
+        for inst in workloads.affine_highdim(1, per_size=2):
+            F, x = load_problem(inst.document()), np.zeros(inst.n)
+            for conv in ("min", "max"):
+                elem, y_bar = _selected(F, x, conv)
+                assert certify_claimed_region(F, x, elem, y_bar) is not None, (inst.name, conv)

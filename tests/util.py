@@ -3,8 +3,11 @@ generation, and reference implementations the library must reproduce."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,18 @@ from dcjac.oracle import (
 )
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
+
+
+@functools.cache
+def bench_workloads():
+    """The benchmark's instance generators, ``bench/workloads.py``, loaded
+    from its file without putting ``bench/`` on the import path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 NEG_ABS_DOC = {
     "n": 1,
     "m": 1,
@@ -826,6 +841,10 @@ def reference_number_end(text: str, i: int) -> int:
     return i
 
 
+def _reference_overflow(what: str, node: Expr) -> OverflowError:
+    return OverflowError(f"{what} in subexpression '{reference_unparse(node)}'")
+
+
 def reference_eval_float(node: Expr, x) -> float:
     if isinstance(node, Const):
         return node.value
@@ -841,7 +860,10 @@ def reference_eval_float(node: Expr, x) -> float:
             raise DomainError(f"sqrt of negative value {v!r}", node)
         if node.op in ("sin", "cos") and math.isinf(v):
             raise DomainError(f"{node.op} of infinite value {v!r}", node)
-        return _MATH_UNARY[node.op](v)
+        try:
+            return _MATH_UNARY[node.op](v)
+        except OverflowError:
+            raise _reference_overflow(f"{node.op} of {v!r}", node) from None
     lv = reference_eval_float(node.left, x)
     if node.op == "^":
         c = node.right.value
@@ -884,7 +906,10 @@ def reference_eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.n
         if op == "cos":
             return math.cos(v), -math.sin(v) * d
         if op == "exp":
-            e = math.exp(v)
+            try:
+                e = math.exp(v)
+            except OverflowError:
+                raise _reference_overflow(f"exp of {v!r}", node) from None
             return e, e * d
         if op == "log":
             if v <= 0.0:
@@ -900,10 +925,14 @@ def reference_eval_tangent(node: Expr, x, zero: np.ndarray) -> tuple[float, np.n
     lv, ld = reference_eval_tangent(node.left, x, zero)
     if node.op == "^":
         c = node.right.value
-        _pow_value(lv, c, node)  # domain check
+        _pow_value(lv, c, node)  # domain and overflow checks
         if c == 0.0:
             return 1.0, zero
-        return lv**c, c * lv ** (c - 1.0) * ld
+        try:
+            return lv**c, c * lv ** (c - 1.0) * ld
+        except OverflowError:
+            what = f"derivative of {lv!r} raised to the power {c!r}"
+            raise _reference_overflow(what, node) from None
     rv, rd = reference_eval_tangent(node.right, x, zero)
     if node.op == "+":
         return lv + rv, ld + rd
