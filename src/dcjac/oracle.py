@@ -341,12 +341,6 @@ def _cone_direction(rows: np.ndarray) -> tuple[np.ndarray, float] | None:
     return None
 
 
-def _cone_full_dimensional(rows: np.ndarray) -> bool:
-    """Whether some direction has all given inner products strictly
-    positive (``_cone_direction`` finds one)."""
-    return _cone_direction(rows) is not None
-
-
 def _local_model(F: DCMaxFn, x: np.ndarray, tol_act: float):
     """Per max term (g_1, h_1, g_2, ...): its pieces active at x
     (``active_set``, ascending), their values and their gradients, a row
@@ -410,7 +404,7 @@ def brute_force_subdifferential(
                 cone = np.concatenate(
                     [rows[p] - np.delete(rows, p, axis=0) for p, rows in zip(combo, grads)]
                 )
-                if _cone_full_dimensional(cone):
+                if _cone_direction(cone) is not None:
                     profiles.add(combo)
 
     combos = np.array(sorted(profiles), dtype=np.intp).reshape(-1, 2 * F.m)
@@ -429,8 +423,9 @@ def brute_force_subdifferential(
 class RegionCertificate:
     """The selection's pieces strictly win on an open cone of directions
     at x: every nonzero cone row has a positive product with
-    ``direction``, and ``margin`` is the smallest such product (None when
-    no row is nonzero)."""
+    ``direction``.  ``margin`` is the smallest such product for
+    ``y_bar`` (any positive value passes) and the program's slack, above
+    1e-9, for ``cone_lp``; None when no row is nonzero."""
 
     direction: np.ndarray
     source: str  # "y_bar" (the witness direction) or "cone_lp" (``_cone_direction``)
@@ -452,6 +447,12 @@ def certify_claimed_region(
     term) has a positive product with ``y_bar``, or failing that, the
     cone program finds an interior direction.  Such a pattern's Jacobian
     lies in the B-subdifferential, hence in the generalized Jacobian.
+
+    The two routes have different bars.  ``y_bar`` weights coordinate k
+    by a ratio to the power k, so a correct claim's products can be far
+    below any fixed floor; any positive float product passes.  The cone
+    program's slack is a solver's output, so ``_cone_direction`` asks for
+    more than 1e-9.  Both are floating-point comparisons.
     """
     model = _local_model(F, np.asarray(x, dtype=float), tol_act)
     y_bar = np.asarray(y_bar, dtype=float)

@@ -14,7 +14,6 @@ from dcjac.expr import DomainError, SmoothFn
 from dcjac.oracle import (
     _ball_samples,
     _cone_direction,
-    _cone_full_dimensional,
     _distinct_profiles,
     _distinct_rows,
     _row_norms,
@@ -686,7 +685,6 @@ class TestConeDirection:
     def test_opposite_rows_have_no_interior(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert _cone_direction(rows) is None
-        assert not _cone_full_dimensional(rows)
 
     def test_rows_within_the_zero_filter_impose_nothing(self):
         d, margin = _cone_direction(np.array([[1e-12, 0.0], [-1e-13, 0.0]]))

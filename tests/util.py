@@ -49,11 +49,17 @@ from dcjac.oracle import (
     BruteForceReport,
     LimitingSample,
     _ball_samples,
-    _cone_full_dimensional,
+    _cone_direction,
     _strict_argmax_rows,
 )
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
+
+NEG_ABS_DOC = {
+    "n": 1,
+    "m": 1,
+    "components": [{"g": ["x1", "-x1"], "h": ["2*x1", "-2*x1"]}],
+}
 
 
 @functools.cache
@@ -66,11 +72,6 @@ def bench_workloads():
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
-NEG_ABS_DOC = {
-    "n": 1,
-    "m": 1,
-    "components": [{"g": ["x1", "-x1"], "h": ["2*x1", "-2*x1"]}],
-}
 
 
 def central_diff(fn: SmoothFn, x, h: float = 1e-6) -> np.ndarray:
@@ -628,7 +629,7 @@ def reference_brute_force(
                 if j != picked
             ]
             cone = np.array(rows) if rows else np.zeros((0, F.n))
-            if _cone_full_dimensional(cone):
+            if _cone_direction(cone) is not None:
                 profiles.add(combo)
 
     matrices: list[np.ndarray] = []
