@@ -3,11 +3,9 @@ representable as a difference of max-type functions, with independent
 verification oracles and a local semismooth Newton solver."""
 
 from .dcmax import (
-    ActiveSet,
     DCMaxFn,
     MaxFn,
     SchemaError,
-    active_set,
     dd_F,
     eval_F,
     load_problem,
@@ -43,7 +41,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet",
     "ConventionMismatchError",
     "DCMaxFn",
     "DifferenceVectors",
@@ -58,7 +55,6 @@ __all__ = [
     "SchemaError",
     "SmoothFn",
     "WitnessDirection",
-    "active_set",
     "brute_force_subdifferential",
     "build_ncp",
     "certify_claimed_region",

@@ -54,6 +54,7 @@ EXIT_BAD_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_SINGULAR = 4
 EXIT_NOT_CONVERGED = 5
+EXIT_OUT_OF_MEMORY = 6
 
 
 class _UsageError(ValueError):
@@ -448,6 +449,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:  # e.g. numpy refusing --samples 100000000000 points
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def console_main() -> None:

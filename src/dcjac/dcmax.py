@@ -2,7 +2,8 @@
 
 Each component of F is a pointwise maximum of finitely many smooth pieces
 minus another such maximum.  This module carries the data model, component
-evaluation, active index sets, and directional derivatives.
+evaluation, the active step (active pieces, values and gradients at a
+point, for every max term at once) and directional derivatives.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from .expr import PieceStack, SmoothFn
 __all__ = [
     "MaxFn",
     "DCMaxFn",
-    "ActiveSet",
     "SchemaError",
     "DEFAULT_TOL_ACT",
     "load_problem",
     "load_problem_file",
     "eval_F",
-    "active_set",
     "dd_F",
 ]
 
@@ -132,21 +131,6 @@ class DCMaxFn:
         return self.stack.grads(x, self._layout[2][terms] + pieces)
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices of pieces attaining the maximum, up to an absolute cutoff.
-
-    ``tolerance_used`` is the absolute band below ``max_value`` that was
-    accepted; ``indices`` holds exactly the pieces within that band.
-    ``values`` holds every piece's value at the point, in piece order.
-    """
-
-    indices: tuple[int, ...]
-    max_value: float
-    tolerance_used: float
-    values: tuple[float, ...]
-
-
 def load_problem(document: dict) -> DCMaxFn:
     """Build a validated DCMaxFn from a problem document.
 
@@ -215,39 +199,13 @@ def _first_max(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, np.argmax(values, axis=-1)[..., None], -1)[..., 0]
 
 
-def active_set(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT) -> ActiveSet:
-    """Pieces within tol_act*(1+|max|) of the maximum at x; OverflowError
-    when that maximum is infinite or NaN."""
-    if not tol_act >= 0:
-        raise ValueError("tol_act must be nonnegative")
-    values = tuple(p.eval(x) for p in f.pieces)
-    vals = np.array(values)
-    vmax = float(vals.max())
-    if not math.isfinite(vmax):
-        raise OverflowError(f"largest piece value is {vmax!r}")
-    active, cutoff = _within_cutoff(vals, vmax, tol_act)
-    indices = tuple(int(j) for j in np.flatnonzero(active))
-    return ActiveSet(indices=indices, max_value=vmax, tolerance_used=float(cutoff), values=values)
-
-
-def _within_cutoff(values: np.ndarray, vmax, tol_act: float):
-    """The active rule for one max term (``values`` 1-D, ``vmax`` its
-    finite maximum) or a stack of them (a row each, ``vmax`` per row):
-    the pieces within tol_act*(1+|max|) of the maximum, and that cutoff.
-    Near the largest floats the cutoff or the bound overflows to inf,
-    silently, as Python floats do."""
-    with np.errstate(over="ignore"):
-        cutoff = tol_act * (1.0 + np.abs(vmax))
-        return values >= np.expand_dims(vmax - cutoff, -1), cutoff
-
-
 def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
     """Per max term (g_1, h_1, g_2, ...) from one sweep: its active pieces
-    (the rule of ``active_set``) in ascending order, its value at x and
-    the active gradients, a row each.  Faults surface in the order a
-    term-by-term step meets them: a piece that cannot be evaluated, a
-    non-finite maximum (OverflowError), a gradient that cannot be taken
-    and then one that is not finite (OverflowError)."""
+    (those within tol_act*(1+|max|) of its finite maximum) in ascending
+    order, its value at x and the active gradients, a row each.  Faults
+    surface in the order a term-by-term step meets them: a piece that
+    cannot be evaluated, a non-finite maximum (OverflowError), a gradient
+    that cannot be taken and then one that is not finite (OverflowError)."""
     if not tol_act >= 0:
         raise ValueError("tol_act must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -259,9 +217,12 @@ def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], f
         stop = int(np.argmin(finite))
         fault = (0, stop, OverflowError(f"largest piece value is {float(tops[stop])!r}"))
         values, tops = values[:stop], tops[:stop]
-    # the -inf padding passes a cutoff that is itself -inf (tol_act = inf,
-    # or a maximum near -DBL_MAX), so mask it out
-    active = _within_cutoff(values, tops, tol_act)[0] & F.slots[: len(values)]
+    # near the largest floats the cutoff or the bound overflows to inf,
+    # silently, as Python floats do; the -inf padding passes a bound that
+    # is itself -inf (tol_act = inf, or a maximum near -DBL_MAX), so mask it out
+    with np.errstate(over="ignore"):
+        bound = tops - tol_act * (1.0 + np.abs(tops))
+    active = (values >= bound[:, None]) & F.slots[: len(values)]
     terms, pieces = np.nonzero(active)
     grads = F.term_grads(x, terms, pieces)  # before the fault: earlier terms come first
     # a NaN or infinite row would leave the filtration with no survivor

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# active_set stays bound here, unused: bench/spans.py traces it at this binding too
-from .dcmax import active_set  # noqa: F401
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
 from .oracle import DEFAULT_SEED, _ball_samples, _classical_jacobian, _distinct_rows
 from .oracle import _row_norms, _strict_profiles
@@ -231,9 +229,8 @@ def clarke_jacobian_element(
     ``lexicographic_chain``.
     """
     _check_convention(convention)
-    for name, tol in (("tol_act", tol_act), ("tol_tie", tol_tie)):
-        if not tol >= 0:
-            raise ValueError(f"{name} must be nonnegative")
+    if not tol_tie >= 0:  # tol_act is checked by the step
+        raise ValueError("tol_tie must be nonnegative")
     lone = ((0,),) * (F.n + 1)
     terms = []
     for active, value, grads in _active_step(F, x, tol_act):

@@ -7,8 +7,7 @@ Only pieces active at x can appear in those limits.  For piecewise-affine
 functions the hull is spanned by the Jacobians of the patterns of active
 pieces that win on full-dimensional regions near x.  Both checks here
 read one local model of F at x (``_local_model``): the active pieces of
-every max term, their values and their gradients, evaluated by the
-oracle itself.
+every max term, their values and their gradients.
 
 ``certify_claimed_region`` checks the selection's own claim: the pieces
 it chose are active, their Jacobian is the element bit for bit, and they
@@ -28,12 +27,15 @@ margin.
 ``_strict_profiles`` decides where F is differentiable, for the sampler
 and for ``jacobian.verify_limit_inclusion`` alike.
 
-The oracle evaluates the active pieces at x itself instead of reading the
-rows a ``ComponentSelection`` stores.  It is the reference the selected
-element is checked against, so a fault in those stored rows must not
-reach the reference as well.  From the selection the claimed-region
-check reads only what it claims: the chosen piece of every term, the
-element and ȳ.
+The local model comes from the active step that the selection runs too
+(``dcmax._active_step``, one ``PieceStack`` sweep), with the active
+pieces' values from that point's ``DCMaxFn.term_values`` row; no
+expression tree is walked.  So the oracle is not independent of
+``PieceStack``: the parity tests against the tree-walk references in
+``tests/util.py`` carry that guarantee.  It stays independent of the
+selection: it reads no ``TermSelection`` rows and runs no filtration.
+From the selection the claimed-region check reads only what it claims:
+the chosen piece of every term, the element and ȳ.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _check_point, _values_at, active_set
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _check_point, _values_at
 
 __all__ = [
     "LimitingSample",
@@ -343,14 +345,12 @@ def _cone_direction(rows: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 def _local_model(F: DCMaxFn, x: np.ndarray, tol_act: float):
     """Per max term (g_1, h_1, g_2, ...): its pieces active at x
-    (``active_set``, ascending), their values and their gradients, a row
-    each, from the pieces' own tree walks."""
-    model = []
-    for fn in F.terms:
-        act = active_set(fn, x, tol_act)
-        grads = np.array([fn.pieces[j].grad(x) for j in act.indices])
-        model.append((act.indices, np.array([act.values[j] for j in act.indices]), grads))
-    return model
+    (``dcmax._active_step``, ascending, with its faults), their values
+    from the same point's ``term_values`` row and their gradients, a row
+    each.  No selection row and no filtration is read."""
+    steps = _active_step(F, x, tol_act)
+    values = F.term_values(x[None])[0][0]
+    return [(active, values[t][list(active)], grads) for t, (active, _, grads) in enumerate(steps)]
 
 
 def brute_force_subdifferential(
@@ -440,12 +440,14 @@ def certify_claimed_region(
     region near x, for piecewise-affine F; None when that claim cannot be
     checked, and then ``brute_force_subdifferential`` decides.
 
-    The local model is the oracle's own (``_local_model``).  It passes when
-    every term's ``TermSelection.chosen`` piece is active there, the chosen
-    g rows minus h rows equal ``elem.xi`` bit for bit, and every nonzero
-    cone row (the chosen gradient minus each other active gradient, per
-    term) has a positive product with ``y_bar``, or failing that, the
-    cone program finds an interior direction.  Such a pattern's Jacobian
+    The local model is ``_local_model``: it shares the ``PieceStack``
+    sweep with the selection, but reads none of the rows the selection
+    stores and runs no filtration.  It passes when every term's
+    ``TermSelection.chosen`` piece is active there, the chosen g rows
+    minus h rows equal ``elem.xi`` bit for bit, and every nonzero cone row
+    (the chosen gradient minus each other active gradient, per term) has
+    a positive product with ``y_bar``, or failing that, the cone program
+    finds an interior direction.  Such a pattern's Jacobian
     lies in the B-subdifferential, hence in the generalized Jacobian.
 
     The two routes have different bars.  ``y_bar`` weights coordinate k

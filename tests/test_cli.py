@@ -560,6 +560,23 @@ class TestVerify:
         assert payload["passed"] is False
         assert payload["checks"]["cone_linearity"]["status"] == "fail"
 
+    def test_out_of_memory_exits_6_with_one_error_line(self, capsys, tmp_path, monkeypatch):
+        # numpy refuses 1e11 cone samples before it allocates anything; the
+        # stub raises that refusal at once, so nothing large is requested
+        def refuse(rng, center, radius, count):
+            raise MemoryError(f"Unable to allocate 1.46 TiB for an array with shape ({count}, 2)")
+
+        for module in (dcjac.oracle, dcjac.jacobian):  # the sampler and its cone binding
+            monkeypatch.setattr(module, "_ball_samples", refuse)
+        prob = write_problem(tmp_path, [{"g": ["x1", "x2"]}], n=2)
+        argv = ["verify", "-p", prob, "-x", "0,0", "--samples", "100000000000"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (dcjac.cli.EXIT_OUT_OF_MEMORY, "") and code not in (0, 1)
+        assert err == (
+            "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
+            "(100000000000, 2)\n"
+        )
+
     def test_point_dimension_mismatch_is_error(self, capsys, abs_problem):
         code = main(["verify", "-p", abs_problem, "-x", "0,0"])
         assert code != 0

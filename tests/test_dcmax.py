@@ -6,7 +6,7 @@ from dcjac.dcmax import (
     DCMaxFn,
     MaxFn,
     SchemaError,
-    active_set,
+    _active_step,
     dd_F,
     eval_F,
     load_problem,
@@ -37,6 +37,11 @@ def dd_one(F, x, y) -> float:
     return float(dd_F(F, x, y)[0])
 
 
+def step(F, x, tol_act=DEFAULT_TOL_ACT):
+    """``_active_step`` at a point given as a list: (active, value) per term."""
+    return [(active, value) for active, value, _ in _active_step(F, np.array(x), tol_act)]
+
+
 class TestLoadProblem:
     def test_abs(self):
         F = load_problem(ABS_DOC)
@@ -64,9 +69,7 @@ class TestLoadProblem:
             ],
         }
         F = load_problem(doc)
-        for i in range(2):
-            assert len(active_set(F.g[i], [0.3, -0.7]).indices) == 1
-            assert len(active_set(F.h[i], [0.3, -0.7]).indices) == 1
+        assert [len(active) for active, _ in step(F, [0.3, -0.7])] == [1, 1, 1, 1]
 
     def test_empty_piece_list_rejected(self):
         doc = {"n": 1, "m": 1, "components": [{"g": []}]}
@@ -138,49 +141,50 @@ class TestEvalF:
             eval_F(load_problem(ABS_DOC), [1.0, 2.0])
 
 
-class TestActiveSet:
+class TestActiveStep:
     def test_tie_at_origin(self):
-        f = max_fn("x1", "-x1")
-        assert active_set(f, [0.0]).indices == (0, 1)
+        assert step(one_component("x1", "-x1"), [0.0])[0] == ((0, 1), 0.0)
 
     def test_clear_maximum(self):
-        f = max_fn("x1", "-x1")
-        act = active_set(f, [1.0], tol_act=1e-9)
-        assert act.indices == (0,)
-        assert act.max_value == 1.0
+        assert step(one_component("x1", "-x1"), [1.0], 1e-9)[0] == ((0,), 1.0)
 
     def test_near_tie_captured_by_hybrid_rule(self):
-        f = max_fn("x1 + 0.000000000001", "x1")
-        assert active_set(f, [0.0], tol_act=1e-9).indices == (0, 1)
+        F = one_component("x1 + 0.000000000001", "x1")
+        assert step(F, [0.0], 1e-9)[0][0] == (0, 1)
+        # the band is 1e-9*(1 + 1e6) wide at a maximum of 1e6
+        F = one_component("x1", "x1 - 0.0005", "x1 - 0.002")
+        assert step(F, [1e6], 1e-9)[0][0] == (0, 1)
+        assert step(F, [1e6], 0.0)[0][0] == (0,)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            active_set(max_fn("x1"), [0.0], tol_act=-1.0)
-        with pytest.raises(ValueError, match="tol_act must be nonnegative"):
-            active_set(max_fn("x1"), [0.0], tol_act=float("nan"))
+        F = one_component("x1")
+        with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
+            _active_step(F, np.zeros(1), -1.0)
+        with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
+            _active_step(F, np.zeros(1), float("nan"))
 
     @pytest.mark.parametrize(
-        "texts, x",
+        "texts, x, value",
         [
-            (("x1*x1*x1", "x1"), 1e200),  # float multiplication overflows silently
-            (("-x1*x1*x1", "x1"), -1e200),
-            (("x1*x1*x1 - x1*x1*x1", "0"), 1e200),  # inf - inf is NaN
+            (("x1*x1*x1", "x1"), 1e200, "inf"),  # float multiplication overflows silently
+            (("-x1*x1*x1", "x1"), -1e200, "inf"),
+            (("x1*x1*x1 - x1*x1*x1", "0"), 1e200, "nan"),  # inf - inf is NaN
         ],
     )
-    def test_non_finite_maximum_raises_overflow(self, texts, x):
-        with pytest.raises(OverflowError, match="largest piece value"):
-            active_set(max_fn(*texts), [x])
+    def test_non_finite_maximum_raises_overflow(self, texts, x, value):
+        with pytest.raises(OverflowError, match=f"^largest piece value is {value}$"):
+            step(one_component(*texts), [x])
 
     def test_infinite_value_below_a_finite_maximum_is_inactive(self):
-        act = active_set(max_fn("x1*x1*x1", "0"), [-1e200])
-        assert act.indices == (1,)
-        assert act.values == (-np.inf, 0.0)
+        F = one_component("x1*x1*x1", "0")
+        assert step(F, [-1e200])[0] == ((1,), 0.0)
+        assert F.term_values(np.array([[-1e200]]))[0][0, 0].tolist() == [-np.inf, 0.0]
 
     def test_always_nonempty(self):
         rng = np.random.default_rng(5)
-        f = max_fn("x1", "2*x1 - 1", "-3*x1 + 2")
+        F = one_component("x1", "2*x1 - 1", "-3*x1 + 2")
         for _ in range(50):
-            assert len(active_set(f, rng.uniform(-5, 5, 1)).indices) >= 1
+            assert len(step(F, rng.uniform(-5, 5, 1))[0][0]) >= 1
 
 
 class TestDirectionalDerivative:

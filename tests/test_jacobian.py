@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import DCMaxFn, MaxFn, active_set, load_problem
+from dcjac.dcmax import DCMaxFn, MaxFn, load_problem
 from dcjac.expr import DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
@@ -29,6 +29,7 @@ from util import (
     assert_element_equal,
     corpus_cases,
     full_lexicographic_chain,
+    reference_active,
     reference_cone_linearity,
     reference_element,
     reference_leading,
@@ -219,7 +220,7 @@ class TestOneFiltration:
         assert calls["elements"] >= len(trace.steps)
         assert calls["chains"] == 0  # no iterate ties two pieces
         F = random_affine_problem(4, 3, 5, seed=11)
-        tied = sum(len(active_set(f, np.zeros(4)).indices) > 1 for f in F.terms)
+        tied = sum(len(reference_active(f, np.zeros(4))[0]) > 1 for f in F.terms)
         assert 0 < tied < len(F.terms)
         clarke_jacobian_element(F, np.zeros(4))
         assert calls["chains"] == tied
@@ -230,6 +231,18 @@ class TestClarkeElement:
         F = load_problem(ABS_DOC)
         assert clarke_jacobian_element(F, [0.0], convention="min").xi.tolist() == [[-1.0]]
         assert clarke_jacobian_element(F, [0.0], convention="max").xi.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_bad_tolerances_rejected(self, bad):
+        # the active step checks tol_act, before it reads the point
+        F = load_problem(ABS_DOC)
+        for x in ([0.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
+                clarke_jacobian_element(F, x, tol_act=bad)
+        with pytest.raises(ValueError, match="^tol_tie must be nonnegative$"):
+            clarke_jacobian_element(F, [0.0], tol_tie=bad)
+        with pytest.raises(ValueError, match="^convention must be one of"):
+            clarke_jacobian_element(F, [0.0], tol_act=bad, convention="median")
 
     def test_difference_of_abs_functions(self):
         F = load_problem(NEG_ABS_DOC)
@@ -531,7 +544,7 @@ class TestSelectionRecord:
                 elem = clarke_jacobian_element(F, x, convention=conv)
                 for i, comp in enumerate(elem.components):
                     for f, term in ((F.g[i], comp.g), (F.h[i], comp.h)):
-                        assert term.active == active_set(f, x).indices
+                        assert term.active == reference_active(f, x)[0]
                         want = full_lexicographic_chain(term.grads, conv, jacobian.DEFAULT_TOL_TIE)
                         assert term.chain == tuple(want)
                         pieces = [[term.active[k] for k in level] for level in want]

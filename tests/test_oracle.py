@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import warnings
+from pathlib import Path
 
-from dcjac.dcmax import DCMaxFn, load_problem
+from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, load_problem, load_problem_file
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import clarke_jacobian_element, selection_differences, witness_direction
-from dcjac.expr import DomainError, SmoothFn
+from dcjac.expr import DomainError, PieceStack, SmoothFn
 from dcjac.oracle import (
     _ball_samples,
     _cone_direction,
     _distinct_profiles,
     _distinct_rows,
+    _local_model,
     _row_norms,
     _strict_argmax_rows,
     BruteForceReport,
@@ -30,6 +32,7 @@ from dcjac.dcmax import dd_F
 from util import (
     ABS_DOC,
     assert_bits_equal,
+    assert_local_model_equal,
     bench_workloads,
     corpus_cases,
     reference_brute_force,
@@ -37,7 +40,10 @@ from util import (
     reference_distinct_rows,
     reference_finite_diff,
     reference_limiting_samples,
+    reference_local_model,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def acceptance_corpus():
@@ -790,3 +796,103 @@ class TestClaimedRegion:
             for conv in ("min", "max"):
                 elem, y_bar = _selected(F, x, conv)
                 assert certify_claimed_region(F, x, elem, y_bar) is not None, (inst.name, conv)
+
+
+# The hull oracle's local model comes from the active step's one sweep
+# (``dcmax._active_step`` over ``PieceStack``); the tree walks of
+# ``tests/util.py`` are what keep a fault in that sweep from reaching the
+# reference unseen.
+GOLDEN_POINTS = {"curved": [0.0, 0.0], "oc105": [0.0, 0.0], "thin": [1.0, -2.0], "ties": [0.0] * 8}
+
+
+def _assert_model_is_the_tree_walk(F, x):
+    x = np.asarray(x, dtype=float)
+    assert_local_model_equal(_local_model(F, x, DEFAULT_TOL_ACT), reference_local_model(F, x))
+
+
+class TestLocalModelParity:
+    def test_acceptance_corpus(self):
+        for F in acceptance_corpus():
+            _assert_model_is_the_tree_walk(F, np.zeros(F.n))
+
+    def test_golden_problems(self):
+        paths = sorted(GOLDEN.glob("*.json"))
+        assert [p.stem for p in paths] == sorted(GOLDEN_POINTS)
+        for path in paths:
+            _assert_model_is_the_tree_walk(load_problem_file(path), GOLDEN_POINTS[path.stem])
+
+    @pytest.mark.parametrize("workload, seed", [("oracle_corpus", s) for s in (1, 2, 3)] + [
+        ("affine_highdim", 1)
+    ])
+    def test_benchmark_generators(self, workload, seed):
+        for inst in getattr(bench_workloads(), workload)(seed):
+            _assert_model_is_the_tree_walk(load_problem(inst.document()), np.zeros(inst.n))
+
+    def test_a_flipped_gradient_sign_fails_the_check(self, monkeypatch):
+        grads = PieceStack.grads
+
+        def flipped(self, x, pieces):
+            out = grads(self, x, pieces)
+            out[0, 0] = -out[0, 0]
+            return out
+
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2"], "h": ["0*x1"]}]})
+        _assert_model_is_the_tree_walk(F, [0.0, 0.0])
+        monkeypatch.setattr(PieceStack, "grads", flipped)
+        with pytest.raises(AssertionError):
+            _assert_model_is_the_tree_walk(F, [0.0, 0.0])
+
+
+def _oracle_calls(F, x, **kw):
+    """``brute_force_subdifferential`` and ``certify_claimed_region`` on F
+    at x, the latter with the selection of |x_1| per component: the local
+    model is built before the element is read."""
+    abs_F = load_problem({"n": F.n, "m": F.m, "components": [{"g": ["x1", "-x1"]}] * F.m})
+    elem, y_bar = _selected(abs_F, np.zeros(F.n))
+    return (
+        lambda: brute_force_subdifferential(F, x, **kw),
+        lambda: certify_claimed_region(F, x, elem, y_bar, **kw),
+    )
+
+
+class TestDirectCallFaults:
+    """Bad input to a direct oracle call fails with a fixed exception type
+    and message: the point's length, the largest piece value, the tolerance."""
+
+    XY = {"n": 2, "m": 1, "components": [{"g": ["x1", "x2"]}]}
+
+    @pytest.mark.parametrize(
+        "x, length", [([0.0], 1), ([0.0, 0.0, 0.0], 3), ([[0.0, 0.0]], 1), ([], 0)]
+    )
+    def test_point_of_the_wrong_shape(self, x, length):
+        for call in _oracle_calls(load_problem(self.XY), x):
+            with pytest.raises(ValueError, match=rf"^point has length {length}, expected 2$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "components, x, value",
+        [
+            ([{"g": ["1e309*x1", "x1"]}], 0.0, "nan"),  # inf*0
+            ([{"g": ["x1", "1e309*x1"]}], 1.0, "inf"),
+            ([{"g": ["x1"], "h": ["1e309*x1"]}], -1.0, "-inf"),
+            ([{"g": ["x1"]}, {"g": ["1e309*x1 + x2"]}], 0.0, "nan"),
+        ],
+    )
+    def test_non_finite_largest_piece_value(self, components, x, value):
+        F = load_problem({"n": 2, "m": len(components), "components": components})
+        for call in _oracle_calls(F, [x, x]):
+            with pytest.raises(OverflowError, match=f"^largest piece value is {value}$"):
+                call()
+
+    def test_infinite_piece_below_a_finite_maximum_is_inactive(self):
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e309*x1", "x1"]}]})
+        mats, report = brute_force_subdifferential(F, [-1.0], probe_count=64)
+        assert [m.tolist() for m in mats] == [[[1.0]]] and report.enumerated
+
+    @pytest.mark.parametrize("tol_act", [-1.0, float("nan")])
+    def test_bad_tol_act(self, tol_act):
+        F = load_problem(self.XY)
+        for x in ([0.0, 0.0], [0.0]):  # checked before the point is read
+            for call in _oracle_calls(F, x, tol_act=tol_act):
+                with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
+                    call()

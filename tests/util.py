@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, active_set, load_problem_file
+from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, load_problem_file
 from dcjac.expr import (
     FUNC_NAMES,
     _MATH_UNARY,
@@ -252,25 +252,66 @@ def full_lexicographic_chain(grads, convention: str, tol_tie: float):
     return chain
 
 
+def reference_active(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT):
+    """The active rule walked piece by piece: the pieces of the max term
+    ``f`` within tol_act*(1+|max|) of its maximum at x, ascending, and
+    every piece's value there by ``SmoothFn.eval``.  ValueError for a
+    negative or NaN tol_act, OverflowError when the maximum is infinite
+    or NaN.  It calls neither ``PieceStack`` nor ``dcmax._active_step``,
+    so it is the reference for both."""
+    if not tol_act >= 0:
+        raise ValueError("tol_act must be nonnegative")
+    values = [p.eval(x) for p in f.pieces]
+    vmax = _reference_first_max(values)
+    if not math.isfinite(vmax):
+        raise OverflowError(f"largest piece value is {vmax!r}")
+    bound = vmax - tol_act * (1.0 + abs(vmax))  # Python floats overflow to inf silently
+    return tuple(j for j, v in enumerate(values) if v >= bound), values
+
+
+def reference_local_model(F, x, tol_act=DEFAULT_TOL_ACT):
+    """Per max term (g_1, h_1, g_2, ...): its active pieces by
+    ``reference_active``, their values, and their gradients by
+    ``SmoothFn.grad``, a row each, every piece a tree walk: the reference
+    for ``oracle._local_model``."""
+    model = []
+    for f in F.terms:
+        active, values = reference_active(f, x, tol_act)
+        grads = np.array([f.pieces[j].grad(x) for j in active])
+        model.append((active, np.array([values[j] for j in active]), grads))
+    return model
+
+
+def assert_local_model_equal(got, want) -> None:
+    """Per max term the same active pieces, and the same value and
+    gradient bytes (signed zeros and NaN payloads included)."""
+    assert len(got) == len(want)
+    for (active, values, grads), (ref_active, ref_values, ref_grads) in zip(got, want):
+        assert active == ref_active
+        for a, b in ((values, ref_values), (grads, ref_grads)):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (a, b)
+
+
 def reference_element(
     F, x, tol_act=DEFAULT_TOL_ACT, tol_tie=DEFAULT_TOL_TIE, convention="min"
 ) -> JacobianElement:
-    """The Huang-Ma step run term by term: ``active_set`` on each max term,
-    each active gradient by ``SmoothFn.grad`` (OverflowError for the
+    """The Huang-Ma step run term by term: ``reference_active`` on each max
+    term, each active gradient by ``SmoothFn.grad`` (OverflowError for the
     first one that is not finite) and the full ``lexicographic_chain``.
     The reference for ``clarke_jacobian_element``."""
     x = np.asarray(x, dtype=float)
 
     def select_term(f, name: str, i: int) -> TermSelection:
-        act = active_set(f, x, tol_act)
-        grads = np.array([f.pieces[j].grad(x) for j in act.indices])
-        for j, row in zip(act.indices, grads):
+        active, values = reference_active(f, x, tol_act)
+        grads = np.array([f.pieces[j].grad(x) for j in active])
+        for j, row in zip(active, grads):
             if not np.isfinite(row).all():
                 raise OverflowError(
                     f"gradient of active piece {j} of {name} in component {i} is {row.tolist()}"
                 )
         chain = tuple(lexicographic_chain(grads, convention, tol_tie))
-        return TermSelection(act.indices, chain, max(act.values), grads)
+        return TermSelection(active, chain, max(values), grads)
 
     comps = tuple(
         ComponentSelection(select_term(g, "g", i), select_term(h, "h", i))
@@ -293,7 +334,7 @@ def assert_element_equal(got, want) -> None:
 
 
 def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
-    return np.array([f.pieces[j].grad(x) for j in active_set(f, x, tol_act).indices])
+    return np.array([f.pieces[j].grad(x) for j in reference_active(f, x, tol_act)[0]])
 
 
 def reference_selection_differences(F, x, elem) -> DifferenceVectors:
@@ -391,7 +432,7 @@ def reference_eval_F(F, x) -> np.ndarray:
 
 def reference_dd_F(F, x, y, tol_act=DEFAULT_TOL_ACT) -> np.ndarray:
     """The largest slope over the active gradients of each max term, from
-    ``reference_element`` (``active_set`` and ``SmoothFn.grad`` term by
+    ``reference_element`` (``reference_active`` and ``SmoothFn.grad`` term by
     term, a non-finite active gradient refused), g minus h, and a result
     that is not finite refused: the reference for ``dd_F``."""
     y = np.asarray(y, dtype=float)
@@ -465,7 +506,7 @@ def reference_cone_linearity(
 
 def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionReport:
     """Ray walk that takes the active sets at each point x + t*y_bar with
-    ``active_set`` at ``tol_act``, a non-finite maximum counting as a tie:
+    ``reference_active`` at ``tol_act``, a non-finite maximum counting as a tie:
     at ``tol_act=0.0`` the reference for ``verify_limit_inclusion``."""
     x = np.asarray(x, dtype=float)
     points = []
@@ -476,8 +517,8 @@ def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionR
             rows = []
             for i in range(F.m):
                 try:
-                    act_g = active_set(F.g[i], z, tol_act).indices
-                    act_h = active_set(F.h[i], z, tol_act).indices
+                    act_g = reference_active(F.g[i], z, tol_act)[0]
+                    act_h = reference_active(F.h[i], z, tol_act)[0]
                 except OverflowError:
                     act_g = act_h = ()
                 if len(act_g) != 1 or len(act_h) != 1:
@@ -551,8 +592,8 @@ def reference_limiting_samples(F, x, radius, count, seed) -> list[LimitingSample
         profile = []
         for i in range(F.m):
             try:
-                act_g = active_set(F.g[i], z, 0.0).indices
-                act_h = active_set(F.h[i], z, 0.0).indices
+                act_g = reference_active(F.g[i], z, 0.0)[0]
+                act_h = reference_active(F.h[i], z, 0.0)[0]
             except OverflowError:
                 act_g = act_h = ()
             if len(act_g) != 1 or len(act_h) != 1:
@@ -616,7 +657,7 @@ def reference_brute_force(
     samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
     profiles = set(reference_distinct_profiles(choice_mat)[0])
 
-    active = [active_set(fn, x, tol_act).indices for fn in terms]
+    active = [reference_active(fn, x, tol_act)[0] for fn in terms]
     enumerated = math.prod(len(idx) for idx in active) <= ENUMERATION_CAP
     if enumerated:
         for combo in itertools.product(*active):
