@@ -5,8 +5,9 @@ For piecewise-affine functions the generalized Jacobian is exactly the
 convex hull of the Jacobians active on full-dimensional regions nearby.
 Only the pieces active at x can win there.  The oracle recovers those
 regions from the active pieces alone, independently of the selection
-(dense sampling plus exhaustive pattern enumeration), and decides hull
-membership with a minimum-norm-point computation.
+(a depth-first search that prunes every pattern whose cone has no
+interior), and decides hull membership with a minimum-norm-point
+computation.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"]}
 regions, report = brute_force_subdifferential(F, [0.0, 0.0])
 for mat in regions:
     print("  region gradient:", mat.tolist())
-print("  probes inside a single region:", report.samples_kept)
+print("  search finished:", report.enumerated)
 
 print()
 print("== membership certificates ==")

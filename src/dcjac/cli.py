@@ -35,10 +35,7 @@ from .jacobian import (
 )
 from .newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, build_ncp, ncp_residual, solve
 from .oracle import (
-    DEFAULT_PROBE_COUNT,
-    DEFAULT_PROBE_RADIUS,
     DEFAULT_SEED,
-    _check_ball,
     brute_force_subdifferential,
     certify_claimed_region,
     finite_diff_dd,
@@ -212,30 +209,25 @@ def _hull_check(F, x, elem, witness, args) -> dict:
             "direction": region.source,
             "margin": _finite_or_none(region.margin),
         }
-    matrices, report = brute_force_subdifferential(
-        F,
-        x,
-        probe_radius=args.radius,
-        seed=args.seed,
-        tol_act=args.tol_act,
-    )
-    cert = hull_membership(elem.xi, matrices)
-    # sampled candidates are limiting Jacobians, so a pass stands; a
-    # fail does not, since the probes can miss a thin cone
-    member = None if cert.member is False and not report.enumerated else cert.member
+    matrices, report = brute_force_subdifferential(F, x, args.tol_act)
+    member, weights, violation = None, [], None  # no region found: no verdict
+    if matrices:
+        cert = hull_membership(elem.xi, matrices)
+        # every candidate is a limiting Jacobian, so a pass stands; a fail
+        # stands only when the search finished, as it can miss a region
+        member = None if cert.member is False and not report.enumerated else cert.member
+        weights, violation = cert.weights.tolist(), cert.violation
     return {
         "status": _status(member),
         "member": member,
         "method": "oracle",
-        "weights": cert.weights.tolist(),
-        "violation": cert.violation,
+        "weights": weights,
+        "violation": violation,
         "profiles_found": len(matrices),
-        "samples_kept": report.samples_kept,
     }
 
 
 def cmd_verify(args) -> int:
-    _check_ball(args.radius, DEFAULT_PROBE_COUNT)  # whether or not the oracle runs
     F, x, elem, witness = _select(args)
     checks: dict[str, dict] = {}
 
@@ -381,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
     _add_random(p_verify)
     p_verify.add_argument("-x", "--point", required=True)
-    p_verify.add_argument("--radius", type=float, default=DEFAULT_PROBE_RADIUS)
     p_verify.add_argument("--samples", type=int, default=DEFAULT_CONE_SAMPLES)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -205,10 +205,14 @@ def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], f
     order, its value at x and the active gradients, a row each.  Faults
     surface in the order a term-by-term step meets them: a piece that
     cannot be evaluated, a non-finite maximum (OverflowError), a gradient
-    that cannot be taken and then one that is not finite (OverflowError)."""
+    that cannot be taken and then one that is not finite (OverflowError).
+    A point that is not 1-D is a ValueError naming its shape; a 1-D point
+    of the wrong length is one from ``PieceStack.values``."""
     if not tol_act >= 0:
         raise ValueError("tol_act must be nonnegative")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"point has shape {x.shape}, expected ({F.n},)")
     values, fault = F.term_values(x[None])
     values = values[0, : None if fault is None else fault[1]]
     tops = _first_max(values)

@@ -6,8 +6,8 @@ classical Jacobians taken over differentiability points approaching x.
 Only pieces active at x can appear in those limits.  For piecewise-affine
 functions the hull is spanned by the Jacobians of the patterns of active
 pieces that win on full-dimensional regions near x.  Both checks here
-read one local model of F at x (``_local_model``): the active pieces of
-every max term, their values and their gradients.
+read the active step (``dcmax._active_step``): the active pieces of every
+max term and their gradients at x.
 
 ``certify_claimed_region`` checks the selection's own claim: the pieces
 it chose are active, their Jacobian is the element bit for bit, and they
@@ -17,21 +17,19 @@ pattern's Jacobian is a limit of classical Jacobians, so a pass proves
 membership.  The test of ȳ is a floating-point comparison, not an exact
 one.
 
-``brute_force_subdifferential`` recovers the candidate Jacobians instead:
-dense sampling of the local model plus (when the pattern count is small
-enough) exhaustive enumeration with a feasibility program per pattern.
-Membership in their hull is decided by a minimum-norm-point computation
-(``hull_membership``), which yields convex weights or a separation
-margin.
+``brute_force_subdifferential`` recovers the candidate Jacobians instead,
+by a depth-first search over the max terms that prunes every partial
+pattern whose cone has no interior.  Membership in their hull is decided
+by a minimum-norm-point computation (``hull_membership``), which yields
+convex weights or a separation margin.
 
-``_strict_profiles`` decides where F is differentiable, for the sampler
-and for ``jacobian.verify_limit_inclusion`` alike.
+``_strict_profiles`` decides where F is differentiable, for
+``sample_limiting_jacobians`` and ``jacobian.verify_limit_inclusion``
+alike.
 
-The local model comes from the active step that the selection runs too
-(``dcmax._active_step``, one ``PieceStack`` sweep), with the active
-pieces' values from that point's ``DCMaxFn.term_values`` row; no
-expression tree is walked.  So the oracle is not independent of
-``PieceStack``: the parity tests against the tree-walk references in
+The active step is the one the selection runs too (one ``PieceStack``
+sweep); no expression tree is walked.  So the oracle is not independent
+of ``PieceStack``: the parity tests against the tree-walk references in
 ``tests/util.py`` carry that guarantee.  It stays independent of the
 selection: it reads no ``TermSelection`` rows and runs no filtration.
 From the selection the claimed-region check reads only what it claims:
@@ -40,7 +38,6 @@ the chosen piece of every term, the element and ȳ.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,13 +60,14 @@ __all__ = [
 ]
 
 DEFAULT_PROBE_RADIUS = 1e-3
-DEFAULT_PROBE_COUNT = 4096
 DEFAULT_SEED = 42
 
-# Joint active patterns are enumerated exhaustively only while their count
-# stays below this cap; beyond it (possible only under massive ties) the
-# oracle falls back to sampling alone.
-ENUMERATION_CAP = 8192
+# The region search visits at most this many nodes, each a choice of one
+# of a max term's two or more active pieces (a term with one active piece
+# costs nothing); past it (possible only under massive ties) the report
+# says the search is incomplete.  All 120 seed-1 affine-highdim benchmark
+# instances reach 1024 at the origin, after 2.3-7.5 s (2-CPU Xeon).
+SEARCH_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -270,8 +268,7 @@ def hull_membership(query, candidates, tol: float = 1e-8) -> HullCertificate:
 
 @dataclass(frozen=True)
 class BruteForceReport:
-    samples_kept: int
-    enumerated: bool
+    enumerated: bool  # False when the search hit SEARCH_BUDGET
 
 
 def is_affine(F: DCMaxFn) -> bool:
@@ -343,76 +340,76 @@ def _cone_direction(rows: np.ndarray) -> tuple[np.ndarray, float] | None:
     return None
 
 
-def _local_model(F: DCMaxFn, x: np.ndarray, tol_act: float):
-    """Per max term (g_1, h_1, g_2, ...): its pieces active at x
-    (``dcmax._active_step``, ascending, with its faults), their values
-    from the same point's ``term_values`` row and their gradients, a row
-    each.  No selection row and no filtration is read."""
-    steps = _active_step(F, x, tol_act)
-    values = F.term_values(x[None])[0][0]
-    return [(active, values[t][list(active)], grads) for t, (active, _, grads) in enumerate(steps)]
+def _cone_rows(grads: np.ndarray, p: int) -> np.ndarray:
+    """The rows active piece ``p`` of a term adds to a cone: its gradient
+    minus each other active gradient.  Rows at or below 1e-12 are dropped,
+    as ``_cone_direction`` drops them; the rest are divided by their
+    largest magnitude, so that its 1e-9 slack bar reads every row at one
+    scale.  Halves are subtracted, so no difference of finite gradients
+    overflows, and the scaling takes the factor out again."""
+    rows = grads[p] / 2 - np.delete(grads, p, axis=0) / 2
+    norms = np.max(np.abs(rows), axis=1, initial=0.0)
+    keep = norms > 0.5e-12
+    return rows[keep] / norms[keep, None]
+
+
+def _region_patterns(grads: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bool]:
+    """Depth-first search over the max terms for the patterns (one active
+    position per term) whose pieces strictly win on an open cone: a node
+    survives when its cone rows, its own and its ancestors', have an
+    interior (``_cone_direction``).  With whether the search finished
+    within ``SEARCH_BUDGET`` choices."""
+    cones = [[_cone_rows(rows, p) for p in range(len(rows))] for rows in grads]
+    found, visited = [], 0
+    stack = [((), np.zeros((0, grads[0].shape[1])))]  # a pattern and its parent's cone
+    while stack:
+        pattern, cone = stack.pop()
+        depth = len(pattern)
+        if depth and len(cones[depth - 1]) > 1:
+            if visited == SEARCH_BUDGET:
+                return found, False
+            visited += 1
+            rows = cones[depth - 1][pattern[-1]]
+            if len(rows):
+                cone = np.concatenate([cone, rows])
+                if _cone_direction(cone) is None:
+                    continue
+        if depth == len(cones):
+            found.append(pattern)
+        else:
+            stack += [((*pattern, p), cone) for p in reversed(range(len(cones[depth])))]
+    return found, True
 
 
 def brute_force_subdifferential(
-    F: DCMaxFn,
-    x,
-    probe_radius: float = DEFAULT_PROBE_RADIUS,
-    probe_count: int = DEFAULT_PROBE_COUNT,
-    seed: int = DEFAULT_SEED,
-    tol_act: float = DEFAULT_TOL_ACT,
+    F: DCMaxFn, x, tol_act: float = DEFAULT_TOL_ACT
 ) -> tuple[list[np.ndarray], BruteForceReport]:
     """Jacobians of the selection patterns active on full-dimensional
     regions near x, for piecewise-affine F, with a report on the search.
 
     Only the pieces active at x (within ``tol_act``) can appear in the
-    generalized Jacobian, so their values and gradients at x are the whole
-    local model.  Dense sampling of that model in a ball around x is
-    combined, for moderate pattern counts, with exhaustive enumeration of
-    active-piece combinations checked by a cone-feasibility program.  The
-    convex hull of the returned matrices equals the Clarke generalized
-    Jacobian at x for this function class.  Non-affine pieces are rejected.
+    generalized Jacobian, so their gradients at x are the whole local
+    model (``dcmax._active_step``).  ``_region_patterns`` finds the
+    patterns that win on an open cone.  When it finishes, the convex hull
+    of the returned matrices equals the Clarke generalized Jacobian at x
+    for this function class; when it stops at ``SEARCH_BUDGET``
+    (``enumerated`` False) every matrix is still a limiting Jacobian, but
+    some can be missing, possibly all.  Non-affine pieces are rejected.
     Sorted by pattern; a Jacobian equal to an earlier one is dropped
-    (``_distinct_rows``), and no pattern gives an empty list.
+    (``_distinct_rows``).
     """
-    _check_ball(probe_radius, probe_count)
     if not is_affine(F):
         raise ValueError("brute_force_subdifferential requires affine pieces")
-    x = np.asarray(x, dtype=float)
-    # one entry per max term, in profile order g_1, h_1, g_2, h_2, ...;
-    # profiles hold positions in each term's ascending active list
-    _, vals, grads = zip(*_local_model(F, x, tol_act))
-
-    # dense sampling of strict-argmax patterns
-    offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
-    # one row per probe and max term, padded with -inf, which never wins or
-    # ties a finite max: a single strict-argmax pass covers every term.
-    # A value that overflows is not finite and so never a strict maximum.
-    widest = max(len(v) for v in vals)
-    values = np.full((probe_count, len(vals), widest), -np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, (rows, v) in enumerate(zip(grads, vals)):
-            values[:, t, : len(v)] = offsets @ rows.T + v
-    choice_mat = _strict_argmax_rows(values)
-    samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
-    profiles = set(_distinct_profiles(choice_mat)[0])
-
-    # exhaustive enumeration over active patterns while tractable
-    enumerated = math.prod(len(v) for v in vals) <= ENUMERATION_CAP
-    if enumerated:
-        for combo in itertools.product(*(range(len(v)) for v in vals)):
-            if combo not in profiles:
-                cone = np.concatenate(
-                    [rows[p] - np.delete(rows, p, axis=0) for p, rows in zip(combo, grads)]
-                )
-                if _cone_direction(cone) is not None:
-                    profiles.add(combo)
-
-    combos = np.array(sorted(profiles), dtype=np.intp).reshape(-1, 2 * F.m)
+    # one entry per max term, in pattern order g_1, h_1, g_2, h_2, ...;
+    # patterns hold positions in each term's ascending active list
+    grads = [rows for *_, rows in _active_step(F, x, tol_act)]
+    patterns, enumerated = _region_patterns(grads)
+    combos = np.array(sorted(patterns), dtype=np.intp).reshape(-1, 2 * F.m)
     rows = np.stack([grads[t][combos[:, t]] for t in range(2 * F.m)], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives an inf candidate
         jacs = rows[:, 0::2] - rows[:, 1::2]
     matrices = list(jacs[_distinct_rows(jacs.reshape(len(jacs), F.m * F.n))])
-    return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
+    return matrices, BruteForceReport(enumerated=enumerated)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +437,9 @@ def certify_claimed_region(
     region near x, for piecewise-affine F; None when that claim cannot be
     checked, and then ``brute_force_subdifferential`` decides.
 
-    The local model is ``_local_model``: it shares the ``PieceStack``
-    sweep with the selection, but reads none of the rows the selection
-    stores and runs no filtration.  It passes when every term's
+    The active sets and gradients come from ``dcmax._active_step``: it
+    shares the ``PieceStack`` sweep with the selection, but reads none of
+    the rows the selection stores and runs no filtration.  It passes when every term's
     ``TermSelection.chosen`` piece is active there, the chosen g rows
     minus h rows equal ``elem.xi`` bit for bit, and every nonzero cone row
     (the chosen gradient minus each other active gradient, per term) has
@@ -456,7 +453,7 @@ def certify_claimed_region(
     program's slack is a solver's output, so ``_cone_direction`` asks for
     more than 1e-9.  Both are floating-point comparisons.
     """
-    model = _local_model(F, np.asarray(x, dtype=float), tol_act)
+    model = _active_step(F, x, tol_act)
     y_bar = np.asarray(y_bar, dtype=float)
     chosen = [term.chosen for comp in elem.components for term in (comp.g, comp.h)]
     rows, cone = [], []

@@ -21,7 +21,7 @@ from dcjac.jacobian import (
     witness_direction,
 )
 from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve
-from dcjac.oracle import DEFAULT_PROBE_RADIUS, DEFAULT_SEED, brute_force_subdifferential
+from dcjac.oracle import DEFAULT_SEED
 from util import ABS_DOC, assert_bits_equal, bench_workloads
 
 
@@ -300,41 +300,41 @@ class TestVerify:
             "status": "pass",
         }
 
-    @pytest.mark.parametrize("radius", ["1e-3", "0.5"])
-    def test_hull_ignores_pieces_inactive_at_the_point(
-        self, capsys, tmp_path, radius, oracle_only
-    ):
+    def test_hull_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path, oracle_only):
         prob = tmp_path / "ramp.json"
         prob.write_text(json.dumps({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]}))
-        argv = ["verify", "-p", str(prob), "-x", "0.0001", "--radius", radius, "--json"]
+        argv = ["verify", "-p", str(prob), "-x", "0.0001", "--json"]
         code, out, _ = run(capsys, argv)
         assert code == 0
         hull = json.loads(out)["checks"]["hull_membership"]
         assert (hull["profiles_found"], hull["weights"]) == (1, [1.0])
 
-    @pytest.mark.parametrize("radius", ["1e-3", "0.5"])
-    def test_claimed_region_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path, radius):
+    def test_claimed_region_ignores_pieces_inactive_at_the_point(self, capsys, tmp_path):
         # "0" is inactive at 1e-4: no cone row, so no margin
         prob = write_problem(tmp_path, [{"g": ["x1", "0"]}])
-        argv = ["verify", "-p", prob, "-x", "0.0001", "--radius", radius, "--json"]
+        argv = ["verify", "-p", prob, "-x", "0.0001", "--json"]
         code, out, _ = run(capsys, argv)
         assert code == 0
         hull = strict_loads(out)["checks"]["hull_membership"]
         assert (hull["method"], hull["member"], hull["margin"]) == ("claimed_region", True, None)
 
-    def test_sampled_hull_miss_is_inconclusive(self, capsys, tmp_path, oracle_only):
-        # 3*4**6 patterns exceed ENUMERATION_CAP, and the probes miss piece
-        # 0's cone, whose half-angle is about 1e-5
+    def test_oracle_search_finds_the_thin_region(self, capsys, tmp_path, oracle_only):
+        # of the 3*4**6 patterns the search keeps 7, piece 0's thin cone
+        # (half-angle about 1e-5) among them, and xi is one of them
         prob = write_problem(tmp_path, THIN7, n=2)
         code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
         assert code == 0
         payload = strict_loads(out)
-        assert payload["inconclusive"] == ["hull_membership"]
-        assert payload["checks"]["hull_membership"]["status"] == "inconclusive"
-        assert payload["checks"]["hull_membership"]["member"] is None
+        assert (payload["passed"], payload["inconclusive"]) == (True, [])
+        hull = payload["checks"]["hull_membership"]
+        assert (hull["status"], hull["profiles_found"], sorted(hull["weights"])) == (
+            "pass",
+            7,
+            [0.0] * 6 + [1.0],
+        )
 
     def test_thin_region_passes_on_the_claimed_region(self, capsys, tmp_path):
-        # ybar lies in piece 0's thin cone, which the probes miss
+        # ybar lies in piece 0's thin cone
         prob = write_problem(tmp_path, THIN7, n=2)
         code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
         assert code == 0
@@ -363,7 +363,7 @@ class TestVerify:
     def test_highdim_instance_is_a_hull_member(self, capsys, tmp_path, n, convention):
         # the benchmark's affine-highdim shape: constants 0 or -1, sparse
         # coefficients in [-2, 2], up to 10 pieces per max term; the
-        # probes alone find no verdict here
+        # oracle's region search stops at its budget here
         inst = next(i for i in bench_workloads().affine_highdim(1, per_size=1) if i.n == n)
         prob = tmp_path / "highdim.json"
         prob.write_text(json.dumps(inst.document()))
@@ -373,18 +373,42 @@ class TestVerify:
         hull = strict_loads(out)["checks"]["hull_membership"]
         assert (hull["member"], hull["method"]) == (True, "claimed_region")
 
-    @pytest.mark.parametrize("cap, status", [(0, "inconclusive"), (None, "pass")])
-    def test_hull_fail_needs_enumeration(
-        self, capsys, tmp_path, monkeypatch, cap, status, oracle_only
+    @pytest.mark.parametrize("budget, status", [(1, "inconclusive"), (None, "pass")])
+    def test_hull_fail_needs_a_finished_search(
+        self, capsys, abs_problem, monkeypatch, budget, status, oracle_only
     ):
-        if cap is not None:
-            monkeypatch.setattr(dcjac.oracle, "ENUMERATION_CAP", cap)
-        prob = write_problem(tmp_path, [{"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}], n=2)
-        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0,0", "--json"])
+        # with one choice the search finds only x1's region, and xi is -1
+        if budget is not None:
+            monkeypatch.setattr(dcjac.oracle, "SEARCH_BUDGET", budget)
+        code, out, _ = run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--json"])
         assert code == 0
         hull = json.loads(out)["checks"]["hull_membership"]
-        assert hull["status"] == status
-        assert hull["member"] is (None if cap is not None else True)
+        assert (hull["status"], hull["profiles_found"]) == (status, 1 if budget else 2)
+        assert hull["member"] is (None if budget is not None else True)
+
+    def test_search_with_no_region_is_inconclusive(
+        self, capsys, abs_problem, monkeypatch, oracle_only
+    ):
+        monkeypatch.setattr(dcjac.oracle, "SEARCH_BUDGET", 0)
+        code, out, err = run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--json"])
+        assert (code, err) == (0, "")
+        payload = strict_loads(out)
+        assert (payload["passed"], payload["inconclusive"]) == (True, ["hull_membership"])
+        assert payload["checks"]["hull_membership"] == {
+            "member": None,
+            "method": "oracle",
+            "profiles_found": 0,
+            "status": "inconclusive",
+            "violation": None,
+            "weights": [],
+        }
+
+    def test_radius_is_no_option(self, capsys, abs_problem):
+        # the oracle samples no ball, so there is no radius to give
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-p", abs_problem, "-x", "0", "--radius", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radius 1e-3" in capsys.readouterr().err
 
     def test_no_cone_sample_reports_null(self, capsys, abs_problem):
         argv = ["verify", "-p", abs_problem, "-x", "0", "--samples", "0", "--json"]
@@ -450,7 +474,7 @@ class TestVerify:
         # the norm of [[1e308]] is taken without squaring, so the tolerance
         # is finite
         prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
-        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--convention", "max", "--json"]
+        argv = ["verify", "-p", prob, "-x", "0", "--convention", "max", "--json"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         payload = strict_loads(out)
@@ -488,7 +512,7 @@ class TestVerify:
     def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path, oracle_only):
         # the hull scale was inf, so the violation was NaN and the check failed
         prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
-        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--json"]
+        argv = ["verify", "-p", prob, "-x", "0", "--json"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         hull = strict_loads(out)["checks"]["hull_membership"]
@@ -497,7 +521,7 @@ class TestVerify:
     def test_claimed_region_of_a_huge_slope_passes(self, capsys, tmp_path):
         # ybar = -1 and the cone row is 0 - 1e308: the margin is 1e308
         prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])
-        argv = ["verify", "-p", prob, "-x", "0", "--radius", "4", "--json"]
+        argv = ["verify", "-p", prob, "-x", "0", "--json"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         hull = strict_loads(out)["checks"]["hull_membership"]
@@ -566,8 +590,7 @@ class TestVerify:
         def refuse(rng, center, radius, count):
             raise MemoryError(f"Unable to allocate 1.46 TiB for an array with shape ({count}, 2)")
 
-        for module in (dcjac.oracle, dcjac.jacobian):  # the sampler and its cone binding
-            monkeypatch.setattr(module, "_ball_samples", refuse)
+        monkeypatch.setattr(dcjac.jacobian, "_ball_samples", refuse)  # the cone sampler
         prob = write_problem(tmp_path, [{"g": ["x1", "x2"]}], n=2)
         argv = ["verify", "-p", prob, "-x", "0,0", "--samples", "100000000000"]
         code, out, err = run(capsys, argv)
@@ -630,10 +653,6 @@ class TestBadNumericOptions:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["verify", *_SPEC3, "--radius", "-1"], "radius must be positive"),
-            (["verify", *_SPEC3, "--radius", "0"], "radius must be positive"),
-            (["verify", *_SPEC3, "--radius", "nan"], "radius must be positive"),
-            (["verify", *_SPEC3, "--radius", "inf"], "radius must be positive"),
             (["jac", *_SPEC3, "--tol-act", "nan"], "tol_act must be nonnegative"),
             (["jac", *_SPEC3, "--tol-tie", "nan"], "tol_tie must be nonnegative"),
             (["newton", *_SPEC2, "--tol", "nan"], "tol must be positive"),
@@ -1081,9 +1100,6 @@ class TestParserDefaults:
         assert verify.samples == DEFAULT_CONE_SAMPLES == default(verify_cone_linearity, "samples")
         assert verify.seed == newton.seed == DEFAULT_SEED
         assert DEFAULT_SEED == default(verify_cone_linearity, "seed")
-        assert DEFAULT_SEED == default(brute_force_subdifferential, "seed")
-        radius = default(brute_force_subdifferential, "probe_radius")
-        assert verify.radius == DEFAULT_PROBE_RADIUS == radius
         assert newton.tol == DEFAULT_TOL == default(solve, "tol")
         assert newton.max_iters == DEFAULT_MAX_ITERS == default(solve, "max_iters")
         assert verify.tol_act == DEFAULT_TOL_ACT == default(solve, "tol_act")

@@ -44,10 +44,9 @@ _OC105 = ["-p", str(GOLDEN / "oc105.json"), "-x", "0,0"]
 # Multi-piece terms, all active at (1, -2), and a g piece that wins only on
 # a cone about 1e-5 wide.  The witness direction lies in the region the
 # selection claims, so verify prints no oracle output; with that check
-# declined (test_fallback_agrees_outside_the_hull_check) the 4096 probes
-# miss the thin cone and the enumeration's LP finds it.  The wide radius
-# and the nonzero point keep the probe offsets away from the plain draw.
-_THIN = ["-p", str(GOLDEN / "thin.json"), "-x", "1,-2", "--radius", "0.5"]
+# declined (test_fallback_agrees_outside_the_hull_check) the oracle's
+# region search finds the thin cone by its LP.
+_THIN = ["-p", str(GOLDEN / "thin.json"), "-x", "1,-2"]
 _NCP10_3 = [
     "--ncp",
     str(GOLDEN / "ncp10-3_M.csv"),

@@ -8,16 +8,15 @@ import pytest
 import warnings
 from pathlib import Path
 
-from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, load_problem, load_problem_file
+import dcjac.oracle
+from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, load_problem, load_problem_file
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import clarke_jacobian_element, selection_differences, witness_direction
 from dcjac.expr import DomainError, PieceStack, SmoothFn
 from dcjac.oracle import (
-    _ball_samples,
     _cone_direction,
     _distinct_profiles,
     _distinct_rows,
-    _local_model,
     _row_norms,
     _strict_argmax_rows,
     BruteForceReport,
@@ -31,8 +30,8 @@ from dcjac.oracle import (
 from dcjac.dcmax import dd_F
 from util import (
     ABS_DOC,
+    assert_active_rows_equal,
     assert_bits_equal,
-    assert_local_model_equal,
     bench_workloads,
     corpus_cases,
     reference_brute_force,
@@ -40,7 +39,7 @@ from util import (
     reference_distinct_rows,
     reference_finite_diff,
     reference_limiting_samples,
-    reference_local_model,
+    reference_active_rows,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -238,26 +237,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="affine"):
             brute_force_subdifferential(F, [0.0])
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"probe_radius": 0.0}, "radius must be positive"),
-            ({"probe_radius": -1.0}, "radius must be positive"),
-            ({"probe_radius": float("nan")}, "radius must be positive"),
-            ({"probe_radius": float("inf")}, "radius must be positive"),
-            ({"probe_count": 0}, "count must be at least 1"),
-        ],
-    )
-    def test_bad_sample_ball_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            brute_force_subdifferential(load_problem(ABS_DOC), [0.0], **kwargs)
-
     def test_report_fields(self):
         F = load_problem(ABS_DOC)
         mats, report = brute_force_subdifferential(F, [0.0])
         assert len(mats) == 2
-        assert report.samples_kept > 0
-        assert report.enumerated
+        assert report == BruteForceReport(enumerated=True)
 
     def test_zero_measure_region_excluded(self):
         # the "0" piece only wins on the line x1 = x2, which has empty
@@ -267,89 +251,20 @@ class TestBruteForce:
         mats = brute_force_subdifferential(F, [0.0, 0.0])[0]
         assert sorted(m.tolist() for m in mats) == [[[-5.0, 5.0]], [[5.0, -5.0]]]
 
-    def test_enumeration_supplements_starved_sampling(self):
-        # with almost no probes the sampler cannot see all three regions;
-        # the exhaustive pattern enumeration must still find them
-        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"]}]})
-        mats = brute_force_subdifferential(F, [0.0, 0.0], probe_count=2)[0]
-        assert sorted(m.tolist() for m in mats) == [
-            [[0.0, 0.0]],
-            [[1.0, 1.0]],
-            [[2.0, 0.0]],
-        ]
 
-
-class TestBruteForceReadsActivePieces:
-    def test_bitwise_equal_to_reference_at_default_radius(self):
-        for k, F in enumerate(acceptance_corpus()):
-            x = np.zeros(F.n)
-            mats, report = brute_force_subdifferential(F, x)
-            ref_mats, ref_report = reference_brute_force(F, x)
-            assert report == ref_report, k
-            assert len(mats) == len(ref_mats), k
-            for a, b in zip(mats, ref_mats):
-                assert_bits_equal(a, b)
-
-    def test_subset_of_reference_at_wide_radius(self):
-        # inside a ball of radius 0.5 inactive pieces win for the reference
-        # sampler; leaving them out can only drop candidates
-        shrunk = 0
-        for k, F in enumerate(acceptance_corpus()):
-            x = np.zeros(F.n)
-            mats, _ = brute_force_subdifferential(F, x, probe_radius=0.5)
-            ref_mats, _ = reference_brute_force(F, x, probe_radius=0.5)
-            for a in mats:
-                assert any(np.array_equal(a, b) for b in ref_mats), k
-            shrunk += len(mats) < len(ref_mats)
-        assert shrunk > 0
-
-    def test_inactive_piece_winning_in_the_ball_is_ignored(self):
-        # at x = 1e-4 only "x1" is active, but "0" wins on part of the
-        # probe ball of radius 1e-3
-        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]})
-        mats, report = brute_force_subdifferential(F, [1e-4])
-        assert [m.tolist() for m in mats] == [[[1.0]]]
-        assert report.samples_kept == 4096
-        assert hull_membership(np.array([[0.0]]), mats).member is False
-        assert hull_membership(np.array([[0.5]]), mats).member is False
-        assert hull_membership(np.array([[1.0]]), mats).member is True
-
-    def test_radius_only_sizes_the_sample_ball(self):
-        # "2*x1 - 0.1" is inactive at 0 but wins for x1 > 0.1
-        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "-x1", "2*x1 - 0.1"]}]})
-        mats, _ = brute_force_subdifferential(F, [0.0], probe_radius=0.5)
-        assert sorted(m.tolist() for m in mats) == [[[-1.0]], [[1.0]]]
-        ref_mats, _ = reference_brute_force(F, [0.0], probe_radius=0.5)
-        assert sorted(m.tolist() for m in ref_mats) == [[[-1.0]], [[1.0]], [[2.0]]]
-
-    def test_gradients_of_inactive_pieces_are_not_taken(self, monkeypatch):
-        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2", "x1 - 1"]}]})
-        inactive = F.g[0].pieces[2]
-        grad = SmoothFn.grad
-
-        def guarded(self, x):
-            assert self is not inactive, "gradient of an inactive piece"
-            return grad(self, x)
-
-        monkeypatch.setattr(SmoothFn, "grad", guarded)
-        mats, _ = brute_force_subdifferential(F, [0.0, 0.0])
-        assert sorted(m.tolist() for m in mats) == [[[0.0, 1.0]], [[1.0, 0.0]]]
-
-
-def _assert_equals_reference(F, x, **kwargs):
-    mats, report = brute_force_subdifferential(F, x, **kwargs)
-    ref_mats, ref_report = reference_brute_force(F, x, **kwargs)
-    assert report == ref_report
+def _assert_equals_reference(F, x):
+    mats, report = brute_force_subdifferential(F, x)
+    ref_mats = reference_brute_force(F, x)
+    assert report.enumerated
     assert len(mats) == len(ref_mats)
     for a, b in zip(mats, ref_mats):
         assert_bits_equal(a, b)
-    return mats, report
+    return mats
 
 
 def _all_active_problem(rng, x) -> dict:
     """Random affine terms of 1 to 4 integer-coefficient pieces, each 0 at
-    the dyadic point x exactly, so every piece is active there and the
-    reference, which samples every piece, applies."""
+    the dyadic point x exactly, so every piece is active there."""
     x = [float(v) for v in x]
     n = len(x)
 
@@ -365,71 +280,156 @@ def _all_active_problem(rng, x) -> dict:
     return {"n": n, "m": m, "components": [{"g": term(), "h": term()} for _ in range(m)]}
 
 
-class TestPaddedSampler:
-    """The hull oracle writes every term into one -inf padded array and
-    takes one strict-argmax pass; the reference takes one pass per term."""
+THIN7 = {
+    "n": 2,
+    "m": 7,
+    "components": [{"g": ["0", "1e-5*x1 + x2", "1e-5*x1 - x2"]}]
+    + [{"g": ["x1", "-x1", "x2", "-x2"]}] * 6,
+}
 
-    @pytest.mark.parametrize("radius", [1e-3, 0.5])
-    def test_shifted_points(self, radius):
-        rng = np.random.default_rng(12)
-        for x in ([0.5], [0.5, -1.25], [0.5, -1.25, 3.0], [0.5, -1.25, 3.0, -0.375]):
-            x = np.array(x)
-            # the probe offsets are not the raw draws: center + d - x rounds
-            plain = _ball_samples(np.random.default_rng(42), np.zeros(len(x)), radius, 4096)
-            shifted = _ball_samples(np.random.default_rng(42), x, radius, 4096) - x
-            assert not np.array_equal(plain, shifted)
-            for _ in range(3):
-                F = load_problem(_all_active_problem(rng, x))
-                _assert_equals_reference(F, x, probe_radius=radius)
 
-    @pytest.mark.parametrize("count", [1, 2, 7])
-    def test_few_probes(self, count):
-        rng = np.random.default_rng(count)
-        x = np.array([0.5, -1.25])
-        for seed in range(6):
-            F = load_problem(_all_active_problem(rng, x))
-            _assert_equals_reference(F, x, probe_count=count, seed=seed)
+class TestRegionSearch:
+    """The depth-first search over the max terms finds every pattern that
+    the full-product enumeration of ``reference_brute_force`` finds."""
 
-    def test_duplicated_pieces(self):
-        doc = {
-            "n": 2,
-            "m": 2,
-            "components": [
-                {"g": ["x1 + x2", "x1 + x2", "-x1", "2*x2"], "h": ["0", "0"]},
-                {"g": ["x1", "-x1", "x1"], "h": ["x2", "-x2"]},
-            ],
-        }
-        _, report = _assert_equals_reference(load_problem(doc), [0.0, 0.0])
-        assert report.samples_kept == 0  # the two h pieces of component 0 always tie
+    def test_bitwise_equal_to_reference_on_acceptance_corpus(self):
+        for F in acceptance_corpus():
+            _assert_equals_reference(F, np.zeros(F.n))
 
-    def test_widths_one_and_five_in_one_problem(self):
-        doc = {
-            "n": 2,
-            "m": 2,
-            "components": [
-                {"g": ["x1", "-x1", "x2", "-x2", "x1 + x2"]},
-                {"g": ["3*x1 - x2"], "h": ["x1", "x2", "-x1", "-x2", "0"]},
-            ],
-        }
-        for x in ([0.0, 0.0], [1e-300, -0.0]):
-            mats, report = _assert_equals_reference(load_problem(doc), x)
-            assert report.samples_kept > 0 and len(mats) > 1
+    def test_bitwise_equal_to_reference_on_affine_goldens(self):
+        for path in sorted(GOLDEN.glob("*.json")):
+            F = load_problem_file(path)
+            if is_affine(F):
+                for x in (np.zeros(F.n), GOLDEN_POINTS[path.stem]):
+                    _assert_equals_reference(F, x)
 
-    def test_values_overflowing_inside_the_ball(self):
-        # every piece is 0 at the origin; at radius 4 the products reach
-        # +-inf and sums of opposite infinities give nan, so some probes
-        # have no finite strict maximum.  Gradient differences stay finite.
-        doc = {
-            "n": 2,
-            "m": 2,
-            "components": [
-                {"g": ["1e308*x1", "-5e307*x1", "1e308*x1 + 1e308*x2"], "h": ["0", "-5e307*x2"]},
-                {"g": ["x1", "-x2"], "h": ["1e308*x2", "x1"]},
-            ],
-        }
-        F = load_problem(doc)
-        _, report = _assert_equals_reference(F, [0.0, 0.0], probe_radius=4.0)
-        assert 0 < report.samples_kept < 4096
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("coordinate", [0.0, 0.3])
+    def test_bitwise_equal_to_reference_on_oracle_corpus(self, seed, coordinate):
+        for inst in bench_workloads().oracle_corpus(seed):
+            _assert_equals_reference(load_problem(inst.document()), np.full(inst.n, coordinate))
+
+    @pytest.mark.parametrize(
+        "x", [[0.5], [0.5, -1.25], [0.5, -1.25, 3.0], [0.5, -1.25, 3.0, -0.375]]
+    )
+    def test_bitwise_equal_to_reference_when_every_piece_is_active(self, x):
+        rng = np.random.default_rng(len(x) + 11)
+        for _ in range(4):
+            _assert_equals_reference(load_problem(_all_active_problem(rng, x)), x)
+
+    @pytest.mark.parametrize("slope, count", [("1e-12", 3), ("2e-12", 2)])
+    def test_cone_rows_at_or_below_1e_12_are_dropped(self, slope, count):
+        # "0" wins only at x1 = 0; its rows, -slope and slope, impose
+        # nothing at 1e-12, so it survives there, and is pruned above it
+        term = {"g": [f"{slope}*x1", "0", f"-{slope}*x1"]}
+        F = load_problem({"n": 1, "m": 1, "components": [term]})
+        assert len(_assert_equals_reference(F, [0.0])) == count
+
+    @pytest.mark.parametrize(
+        "components, x",
+        [
+            # duplicated pieces: the two h pieces of component 0 tie everywhere
+            (
+                [
+                    {"g": ["x1 + x2", "x1 + x2", "-x1", "2*x2"], "h": ["0", "0"]},
+                    {"g": ["x1", "-x1", "x1"], "h": ["x2", "-x2"]},
+                ],
+                [0.0, 0.0],
+            ),
+            # terms of one and five active pieces in one problem
+            (
+                [
+                    {"g": ["x1", "-x1", "x2", "-x2", "x1 + x2"]},
+                    {"g": ["3*x1 - x2"], "h": ["x1", "x2", "-x1", "-x2", "0"]},
+                ],
+                [1e-300, -0.0],
+            ),
+            # gradients near the largest float: 1e308 - (-5e307) is finite
+            (
+                [
+                    {
+                        "g": ["1e308*x1", "-5e307*x1", "1e308*x1 + 1e308*x2"],
+                        "h": ["0", "-5e307*x2"],
+                    },
+                    {"g": ["x1", "-x2"], "h": ["1e308*x2", "x1"]},
+                ],
+                [0.0, 0.0],
+            ),
+        ],
+    )
+    def test_bitwise_equal_to_reference_on_edge_cases(self, components, x):
+        F = load_problem({"n": 2, "m": len(components), "components": components})
+        assert len(_assert_equals_reference(F, x)) > 1
+
+    def test_inactive_piece_is_ignored(self):
+        # at x = 1e-4 only "x1" is active, though "0" wins 2e-4 away
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]})
+        mats, report = brute_force_subdifferential(F, [1e-4])
+        assert [m.tolist() for m in mats] == [[[1.0]]] and report.enumerated
+        assert hull_membership(np.array([[0.0]]), mats).member is False
+        assert hull_membership(np.array([[0.5]]), mats).member is False
+        assert hull_membership(np.array([[1.0]]), mats).member is True
+
+    def test_gradients_of_inactive_pieces_are_not_taken(self, monkeypatch):
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2", "x1 - 1"]}]})
+        inactive = F.g[0].pieces[2]
+        grad = SmoothFn.grad
+
+        def guarded(self, x):
+            assert self is not inactive, "gradient of an inactive piece"
+            return grad(self, x)
+
+        monkeypatch.setattr(SmoothFn, "grad", guarded)
+        mats, _ = brute_force_subdifferential(F, [0.0, 0.0])
+        assert sorted(m.tolist() for m in mats) == [[[0.0, 1.0]], [[1.0, 0.0]]]
+
+    def test_thin7_finishes_with_seven_matrices(self, monkeypatch):
+        # 3*4**6 patterns, of which the search tests 155 prefixes by an LP;
+        # piece 0 of the first term wins on a cone about 1e-5 wide
+        calls = []
+        linprog = dcjac.oracle.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(dcjac.oracle, "linprog", counted)
+        mats, report = brute_force_subdifferential(load_problem(THIN7), [0.0, 0.0])
+        assert (len(mats), report.enumerated, len(calls)) == (7, True, 155)
+        assert sum(m[0].tolist() == [0.0, 0.0] for m in mats) == 1  # piece 0's region
+
+    def test_rows_near_1e_10_are_scaled_before_the_slack_bar(self):
+        # the cone rows are +-1e-10: unscaled, the LP's slack is below 1e-9
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1.0000000001*x1", "x1"]}]})
+        mats = _assert_equals_reference(F, [0.0])
+        assert [m.tolist() for m in mats] == [[[1.0000000001]], [[1.0]]]
+
+    def test_cone_row_that_overflows_is_halved(self):
+        # 1e308 - (-1e308) is not finite; its halves point the same way
+        doc = {"n": 1, "m": 1, "components": [{"g": ["1e308*x1", "-1e308*x1"], "h": ["0"]}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mats = _assert_equals_reference(load_problem(doc), [0.0])
+        assert [m.tolist() for m in mats] == [[[1e308]], [[-1e308]]]
+
+    def test_budget_stops_the_search_with_a_subset(self, monkeypatch):
+        F = load_problem(THIN7)
+        full, _ = brute_force_subdifferential(F, [0.0, 0.0])
+        monkeypatch.setattr(dcjac.oracle, "SEARCH_BUDGET", 40)
+        mats, report = brute_force_subdifferential(F, [0.0, 0.0])
+        assert not report.enumerated and 0 < len(mats) < len(full)
+        assert all(any(np.array_equal(m, f) for f in full) for m in mats)
+
+    def test_budget_zero_finds_nothing(self, monkeypatch):
+        monkeypatch.setattr(dcjac.oracle, "SEARCH_BUDGET", 0)
+        mats, report = brute_force_subdifferential(load_problem(ABS_DOC), [0.0])
+        assert (mats, report) == ([], BruteForceReport(enumerated=False))
+
+    def test_terms_with_one_active_piece_cost_nothing(self, monkeypatch):
+        monkeypatch.setattr(dcjac.oracle, "SEARCH_BUDGET", 0)
+        F = load_problem({"n": 1, "m": 600, "components": [{"g": ["x1", "0"]}] * 600})
+        mats, report = brute_force_subdifferential(F, [1.0])
+        assert [m.tolist() for m in mats] == [[[1.0]] * 600] and report.enumerated
 
 
 class TestIsAffine:
@@ -539,7 +539,7 @@ class TestExactCandidates:
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "(1 + 1e-11)*x1"]}]})
         mats, _ = brute_force_subdifferential(F, [0.0])
         assert [m.tolist() for m in mats] == [[[1.0]], [[1.0 + 1e-11]]]
-        ref_mats, _ = reference_brute_force(F, [0.0])
+        ref_mats = reference_brute_force(F, [0.0])
         for a, b in zip(mats, ref_mats, strict=True):
             assert_bits_equal(a, b)
 
@@ -562,13 +562,13 @@ class TestExactCandidates:
             mats, _ = brute_force_subdifferential(F, [0.0])
         assert [m.tolist() for m in mats] == [[[np.inf]]]
 
-    def test_no_pattern_gives_an_empty_list(self):
-        # two identical pieces tie at every probe, and 2**14 patterns are
-        # past the enumeration cap
+    def test_identical_pieces_give_one_matrix(self):
+        # two identical pieces impose no cone row, so every one of the 2**14
+        # patterns survives, past the search budget, with one Jacobian
         F = load_problem({"n": 1, "m": 14, "components": [{"g": ["x1", "x1"]}] * 14})
-        mats, report = brute_force_subdifferential(F, [0.0], probe_count=16)
-        assert report == BruteForceReport(samples_kept=0, enumerated=False)
-        assert mats == []
+        mats, report = brute_force_subdifferential(F, [0.0])
+        assert report == BruteForceReport(enumerated=False)
+        assert [m.tolist() for m in mats] == [[[1.0]] * 14]
 
 
 class TestFiniteDiffDD:
@@ -798,19 +798,18 @@ class TestClaimedRegion:
                 assert certify_claimed_region(F, x, elem, y_bar) is not None, (inst.name, conv)
 
 
-# The hull oracle's local model comes from the active step's one sweep
-# (``dcmax._active_step`` over ``PieceStack``); the tree walks of
-# ``tests/util.py`` are what keep a fault in that sweep from reaching the
-# reference unseen.
+# The hull oracle reads the active step's one sweep (``dcmax._active_step``
+# over ``PieceStack``); the tree walks of ``tests/util.py`` are what keep a
+# fault in that sweep from reaching the reference unseen.
 GOLDEN_POINTS = {"curved": [0.0, 0.0], "oc105": [0.0, 0.0], "thin": [1.0, -2.0], "ties": [0.0] * 8}
 
 
 def _assert_model_is_the_tree_walk(F, x):
-    x = np.asarray(x, dtype=float)
-    assert_local_model_equal(_local_model(F, x, DEFAULT_TOL_ACT), reference_local_model(F, x))
+    got = [(active, grads) for active, _, grads in _active_step(F, x, DEFAULT_TOL_ACT)]
+    assert_active_rows_equal(got, reference_active_rows(F, x))
 
 
-class TestLocalModelParity:
+class TestActiveRowsParity:
     def test_acceptance_corpus(self):
         for F in acceptance_corpus():
             _assert_model_is_the_tree_walk(F, np.zeros(F.n))
@@ -861,12 +860,19 @@ class TestDirectCallFaults:
 
     XY = {"n": 2, "m": 1, "components": [{"g": ["x1", "x2"]}]}
 
-    @pytest.mark.parametrize(
-        "x, length", [([0.0], 1), ([0.0, 0.0, 0.0], 3), ([[0.0, 0.0]], 1), ([], 0)]
-    )
+    @pytest.mark.parametrize("x, length", [([0.0], 1), ([0.0, 0.0, 0.0], 3), ([], 0)])
     def test_point_of_the_wrong_shape(self, x, length):
         for call in _oracle_calls(load_problem(self.XY), x):
             with pytest.raises(ValueError, match=rf"^point has length {length}, expected 2$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "x, shape", [(0.0, r"\(\)"), ([[0.0], [0.0]], r"\(2, 1\)"), ([[0.0, 0.0]], r"\(1, 2\)")]
+    )
+    def test_point_that_is_not_1d(self, x, shape):
+        F = load_problem(self.XY)
+        for call in (*_oracle_calls(F, x), lambda: clarke_jacobian_element(F, x)):
+            with pytest.raises(ValueError, match=rf"^point has shape {shape}, expected \(2,\)$"):
                 call()
 
     @pytest.mark.parametrize(
@@ -886,7 +892,7 @@ class TestDirectCallFaults:
 
     def test_infinite_piece_below_a_finite_maximum_is_inactive(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e309*x1", "x1"]}]})
-        mats, report = brute_force_subdifferential(F, [-1.0], probe_count=64)
+        mats, report = brute_force_subdifferential(F, [-1.0])
         assert [m.tolist() for m in mats] == [[[1.0]]] and report.enumerated
 
     @pytest.mark.parametrize("tol_act", [-1.0, float("nan")])

@@ -41,17 +41,7 @@ from dcjac.jacobian import (
     TermSelection,
     lexicographic_chain,
 )
-from dcjac.oracle import (
-    DEFAULT_PROBE_COUNT,
-    DEFAULT_PROBE_RADIUS,
-    DEFAULT_SEED,
-    ENUMERATION_CAP,
-    BruteForceReport,
-    LimitingSample,
-    _ball_samples,
-    _cone_direction,
-    _strict_argmax_rows,
-)
+from dcjac.oracle import LimitingSample, _cone_direction
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 
@@ -269,28 +259,26 @@ def reference_active(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT):
     return tuple(j for j, v in enumerate(values) if v >= bound), values
 
 
-def reference_local_model(F, x, tol_act=DEFAULT_TOL_ACT):
+def reference_active_rows(F, x, tol_act=DEFAULT_TOL_ACT):
     """Per max term (g_1, h_1, g_2, ...): its active pieces by
-    ``reference_active``, their values, and their gradients by
-    ``SmoothFn.grad``, a row each, every piece a tree walk: the reference
-    for ``oracle._local_model``."""
+    ``reference_active`` and their gradients by ``SmoothFn.grad``, a row
+    each, every piece a tree walk: the reference for what the hull
+    oracle reads of ``dcmax._active_step``."""
     model = []
     for f in F.terms:
-        active, values = reference_active(f, x, tol_act)
-        grads = np.array([f.pieces[j].grad(x) for j in active])
-        model.append((active, np.array([values[j] for j in active]), grads))
+        active = reference_active(f, x, tol_act)[0]
+        model.append((active, np.array([f.pieces[j].grad(x) for j in active])))
     return model
 
 
-def assert_local_model_equal(got, want) -> None:
-    """Per max term the same active pieces, and the same value and
-    gradient bytes (signed zeros and NaN payloads included)."""
+def assert_active_rows_equal(got, want) -> None:
+    """Per max term the same active pieces and the same gradient bytes
+    (signed zeros and NaN payloads included)."""
     assert len(got) == len(want)
-    for (active, values, grads), (ref_active, ref_values, ref_grads) in zip(got, want):
+    for (active, grads), (ref_active, ref_grads) in zip(got, want):
         assert active == ref_active
-        for a, b in ((values, ref_values), (grads, ref_grads)):
-            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (a, b)
+        a, b = np.asarray(grads, dtype=float), np.asarray(ref_grads, dtype=float)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (a, b)
 
 
 def reference_element(
@@ -630,57 +618,38 @@ def reference_distinct_rows(rows) -> list[int]:
     return kept
 
 
-def reference_brute_force(
-    F,
-    x,
-    probe_radius=DEFAULT_PROBE_RADIUS,
-    probe_count=DEFAULT_PROBE_COUNT,
-    seed=DEFAULT_SEED,
-    tol_act=DEFAULT_TOL_ACT,
-):
-    """Hull oracle that samples every piece, active at x or not, and takes
-    the active sets in a second pass for the enumeration, and drops a
-    candidate equal to an earlier one: the reference that
-    ``brute_force_subdifferential`` must reproduce bit for bit when no
-    inactive piece wins inside the probe ball."""
+def reference_brute_force(F, x, tol_act=DEFAULT_TOL_ACT) -> list[np.ndarray]:
+    """Every pattern of active pieces (``reference_active``, one per max
+    term, gradients by ``SmoothFn.grad``) in turn, its whole cone in one
+    ``_cone_direction`` program: the rows "chosen gradient minus another
+    active gradient", those at or below 1e-12 dropped and the rest divided
+    by their largest magnitude (a difference that overflows is taken of
+    halves).  A Jacobian equal to an earlier one is dropped.  No cap: the
+    reference ``brute_force_subdifferential`` must reproduce bit for bit
+    when its search finishes."""
     x = np.asarray(x, dtype=float)
-    terms = [fn for i in range(F.m) for fn in (F.g[i], F.h[i])]
-    data = [
-        (np.array([p.grad(x) for p in fn.pieces]), np.array([p.eval(x) for p in fn.pieces]))
-        for fn in terms
-    ]
-    offsets = _ball_samples(np.random.default_rng(seed), x, probe_radius, probe_count) - x
-    with np.errstate(over="ignore", invalid="ignore"):
-        choice_mat = np.stack(
-            [_strict_argmax_rows(offsets @ grads.T + vals) for grads, vals in data], axis=1
-        )
-    samples_kept = int(np.all(choice_mat >= 0, axis=1).sum())
-    profiles = set(reference_distinct_profiles(choice_mat)[0])
-
-    active = [reference_active(fn, x, tol_act)[0] for fn in terms]
-    enumerated = math.prod(len(idx) for idx in active) <= ENUMERATION_CAP
-    if enumerated:
-        for combo in itertools.product(*active):
-            if combo in profiles:
-                continue
-            rows = [
-                grads[picked] - grads[j]
-                for picked, others, (grads, _) in zip(combo, active, data)
-                for j in others
-                if j != picked
-            ]
-            cone = np.array(rows) if rows else np.zeros((0, F.n))
-            if _cone_direction(cone) is not None:
-                profiles.add(combo)
-
+    active = [reference_active(fn, x, tol_act)[0] for fn in F.terms]
+    grads = [{j: fn.pieces[j].grad(x) for j in idx} for fn, idx in zip(F.terms, active)]
     matrices: list[np.ndarray] = []
-    for combo in sorted(profiles):
-        jac = np.array(
-            [data[2 * i][0][combo[2 * i]] - data[2 * i + 1][0][combo[2 * i + 1]] for i in range(F.m)]
-        )
+    for combo in itertools.product(*active):
+        cone = []
+        for picked, others, grad in zip(combo, active, grads):
+            for j in others:
+                with np.errstate(over="ignore"):
+                    row = grad[picked] - grad[j]
+                if not np.isfinite(row).all():  # its halves point the same way
+                    row = grad[picked] / 2 - grad[j] / 2
+                top = float(np.max(np.abs(row)))
+                if top > 1e-12:  # a zero row, j being the picked piece, among them
+                    cone.append(row / top)
+        if _cone_direction(np.array(cone).reshape(-1, F.n)) is None:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = np.array([grads[2 * i][combo[2 * i]] - grads[2 * i + 1][combo[2 * i + 1]]
+                            for i in range(F.m)])
         if not any(np.array_equal(jac, seen) for seen in matrices):
             matrices.append(jac)
-    return matrices, BruteForceReport(samples_kept=samples_kept, enumerated=enumerated)
+    return matrices
 
 
 # ---------------------------------------------------------------------------
