@@ -58,8 +58,25 @@ class _UsageError(ValueError):
     pass
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), with one encoder
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _matrix_texts(matrices):
+    """``_dump(xi.tolist())`` of each float matrix in turn, all of one
+    shape.  The text of a float depends only on its bits, so each row whose
+    bits equal the same row of the previous matrix keeps that row's text;
+    only changed rows are formatted."""
+    bits, rows = None, []
+    for xi in matrices:
+        now = xi.view(np.uint64)
+        if bits is None:
+            rows = [_dump(row) for row in xi.tolist()]
+        else:
+            for i in np.flatnonzero((now != bits).any(axis=1)).tolist():
+                rows[i] = _dump(xi[i].tolist())
+        bits = now
+        yield f"[{','.join(rows)}]"
 
 
 def _parse_entry(part: str, text: str) -> float:
@@ -305,10 +322,13 @@ def cmd_newton(args) -> int:
     if ncp is not None:
         summary["complementarity_residual"] = ncp_residual(*ncp, trace.solution)
     if args.json:
-        for k, s in enumerate(trace.steps):
-            arrays = {"x": s.x, "F": s.F_x, "xi": s.xi, "step": s.step}
+        xi_texts = _matrix_texts(s.xi for s in trace.steps)
+        for k, (s, xi_text) in enumerate(zip(trace.steps, xi_texts)):
+            arrays = {"x": s.x, "F": s.F_x, "step": s.step}
             record = {key: None if a is None else a.tolist() for key, a in arrays.items()}
-            print(_dump({**record, "iter": k, "residual": s.residual}))
+            # "xi" sorts last of the record's keys
+            head = _dump({**record, "iter": k, "residual": s.residual})
+            print(f'{head[:-1]},"xi":{xi_text}}}')
         print(_dump(summary))
     else:
         for k, s in enumerate(trace.steps):

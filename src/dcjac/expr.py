@@ -10,7 +10,8 @@ recurses, so no depth of nesting reaches the Python stack.
 
 An affine piece also carries its coefficient data (``Affine``), from
 which ``PieceStack`` evaluates many pieces at once with the tree's own
-IEEE operations, bit for bit.
+IEEE operations, bit for bit.  ``SmoothFn.from_text`` reads the text of
+such a piece with one scanner and parses it only when its tree is read.
 """
 
 from __future__ import annotations
@@ -607,24 +608,98 @@ def _zero_flags(product, c_signbit, neg_c, flip):
     return flip ^ (neg_c & zero_flips), zero_flips
 
 
+# One term of an affine piece, with the tokenizer's blanks and number
+# lexeme (one with a digit, so that float() reads it): a binary '+' or '-'
+# (none before the first term), a run of unary minus signs, then
+# number*variable, a number or a variable
+_BLANK = "[ \t\r\n]*"
+_SCAN_NUMBER = rf"(?=\.?[0-9]){_NUMBER.pattern}"
+_AFFINE_TERM = re.compile(
+    rf"{_BLANK}([+-]?){_BLANK}((?:-{_BLANK})*)"
+    rf"(?:({_SCAN_NUMBER}){_BLANK}\*{_BLANK}x([0-9]+)|({_SCAN_NUMBER})|x([0-9]+)){_BLANK}"
+)
+
+
+def _scan_affine(text: str, dim: int) -> tuple[np.ndarray, bool] | None:
+    """The fields (terms, negate) of ``_affine_data(parse(text, dim), dim)``
+    when ``text`` is an affine piece in the grammar ``Affine`` describes,
+    read term by term without a tree.  None for any other text:
+    parentheses, '^', '/', other identifiers, a variable out of range or
+    repeated, a constant that is not finite, and every malformed text, so
+    that ``parse`` decides them.
+
+    The minus signs before a product negate its constant; those before a
+    number or a variable flip the term, or, when that term is the whole
+    text, the piece (``-x1`` parses as neg(x1) at the root).
+    """
+    if dim < 0:
+        return None
+    rows, seen, pos = [], set(), 0
+    while pos < len(text) or not rows:
+        match = _AFFINE_TERM.match(text, pos)
+        if match is None:
+            return None
+        pos = match.end()
+        op, minus, c_text, j_text, const, var = match.groups()
+        if rows:
+            if not op:
+                return None
+            flip, minus = op == "-", minus.count("-") % 2 == 1
+        elif op == "+":
+            return None
+        else:  # the first term's '-' is a unary minus
+            flip, minus = False, (op + minus).count("-") % 2 == 1
+        if c_text is not None:  # c*x_j
+            product, neg_c = True, minus
+            c = -float(c_text) if minus else float(c_text)
+        else:
+            product, neg_c, flip, j_text = False, False, flip ^ minus, var
+            c = 1.0 if const is None else float(const)
+        if j_text is None:
+            j = dim
+        elif len(j_text) > 18:  # out of range for any dimension; int() refuses 4300 digits
+            return None
+        else:
+            j = int(j_text) - 1
+            if not 0 <= j < dim or j in seen:
+                return None
+            seen.add(j)
+        if not math.isfinite(c):
+            return None
+        zero_sign, zero_flips = _zero_flags(product, math.copysign(1.0, c) < 0.0, neg_c, flip)
+        rows.append((-c if flip else c, j, zero_sign, zero_flips))
+    negate = len(rows) == 1 and not product and flip
+    if negate:  # a lone number or variable: its minus signs negate the root
+        rows[0] = (c, j, False, False)
+    return np.array(rows, dtype=float).T, negate
+
+
 class SmoothFn:
     """A C1 function of ``dim`` real variables with exact gradient.
 
     ``affine`` holds the coefficient data of an affine piece (see
-    ``Affine``), else None.  A piece made by ``from_affine`` builds its
-    tree only when ``expr``, ``==``, ``hash``, ``repr`` or ``str`` reads it.
-    Instances are immutable.
+    ``Affine``), else None.  A piece made by ``from_affine``, or read by
+    ``from_text`` without a tree, builds its tree only when ``expr``,
+    ``==``, ``hash``, ``repr`` or ``str`` reads it.  Instances are
+    immutable.
     """
 
     def __init__(self, expr: Expr, dim: int):
-        self.__dict__.update(_expr=expr, dim=dim, affine=_affine_data(expr, dim))
+        self.__dict__.update(_expr=expr, _text=None, dim=dim, affine=_affine_data(expr, dim))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to '{name}': SmoothFn is immutable")
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "SmoothFn":
-        return cls(parse(text, dim), dim)
+        """The piece ``text`` over x1..x{dim}.  An affine piece in the
+        grammar ``Affine`` describes is read by one scanner
+        (``_scan_affine``) and parsed only when its tree is read; any other
+        text is parsed, with its errors and their offsets."""
+        scanned = _scan_affine(text, dim)
+        if scanned is None:
+            return cls(parse(text, dim), dim)
+        return _premade(None, dim, *scanned, text=text)
 
     @classmethod
     def from_affine(cls, coeffs, constant, negate: bool = False) -> "SmoothFn":
@@ -636,10 +711,14 @@ class SmoothFn:
 
     @property
     def expr(self) -> Expr:
-        if self._expr is None:  # made by from_affine
-            coefs = self.affine.terms[0]
-            tree = affine_expr(coefs[:-1], coefs[-1])
-            self.__dict__["_expr"] = Unary("neg", tree) if self.affine.negate else tree
+        if self._expr is None:  # read by from_text's scanner, or made by from_affine
+            if self._text is not None:
+                tree = parse(self._text, self.dim)
+            else:
+                coefs = self.affine.terms[0]
+                tree = affine_expr(coefs[:-1], coefs[-1])
+                tree = Unary("neg", tree) if self.affine.negate else tree
+            self.__dict__["_expr"] = tree
         return self._expr
 
     def __eq__(self, other):
@@ -703,11 +782,14 @@ def _affine_rows(coeffs, constants, negate: bool = False) -> list[SmoothFn]:
     return [_premade(None, dim, row, negate) for row in terms]
 
 
-def _premade(tree: Expr | None, dim: int, terms: np.ndarray, negate: bool) -> SmoothFn:
-    """The piece ``tree`` (built when read if None) with the data
-    ``Affine(terms, negate)`` that ``_affine_data`` would derive from it."""
+def _premade(
+    tree: Expr | None, dim: int, terms: np.ndarray, negate: bool, text: str | None = None
+) -> SmoothFn:
+    """The piece ``tree`` with the data ``Affine(terms, negate)`` that
+    ``_affine_data`` would derive from it.  A tree given as None is built
+    when read: parsed from ``text``, or without one from the data."""
     fn = SmoothFn.__new__(SmoothFn)
-    fn.__dict__.update(_expr=tree, dim=dim, affine=Affine(terms, negate))
+    fn.__dict__.update(_expr=tree, _text=text, dim=dim, affine=Affine(terms, negate))
     return fn
 
 

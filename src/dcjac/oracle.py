@@ -63,7 +63,7 @@ DEFAULT_PROBE_RADIUS = 1e-3
 DEFAULT_SEED = 42
 
 # The region search visits at most this many nodes, each a choice of one
-# of a max term's two or more active pieces (a term with one active piece
+# of a max term's two or more distinct active gradients (a term with one
 # costs nothing); past it (possible only under massive ties) the report
 # says the search is incomplete.  All 120 seed-1 affine-highdim benchmark
 # instances reach 1024 at the origin, after 2.3-7.5 s (2-CPU Xeon).
@@ -358,8 +358,13 @@ def _region_patterns(grads: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bo
     position per term) whose pieces strictly win on an open cone: a node
     survives when its cone rows, its own and its ancestors', have an
     interior (``_cone_direction``).  With whether the search finished
-    within ``SEARCH_BUDGET`` choices."""
-    cones = [[_cone_rows(rows, p) for p in range(len(rows))] for rows in grads]
+    within ``SEARCH_BUDGET`` choices.
+
+    Of each group of numerically equal active gradients of a term only the
+    first is a choice (``_distinct_rows``): the others have the same cone
+    rows and the same Jacobian, whose pattern sorts after it."""
+    choices = [_distinct_rows(rows).tolist() for rows in grads]
+    cones = [{p: _cone_rows(rows, p) for p in ps} for rows, ps in zip(grads, choices)]
     found, visited = [], 0
     stack = [((), np.zeros((0, grads[0].shape[1])))]  # a pattern and its parent's cone
     while stack:
@@ -377,7 +382,7 @@ def _region_patterns(grads: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bo
         if depth == len(cones):
             found.append(pattern)
         else:
-            stack += [((*pattern, p), cone) for p in reversed(range(len(cones[depth])))]
+            stack += [((*pattern, p), cone) for p in reversed(choices[depth])]
     return found, True
 
 

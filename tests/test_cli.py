@@ -1,10 +1,12 @@
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcjac.cli
+import dcjac.expr
 import dcjac.jacobian
 import dcjac.oracle
 from dcjac import load_problem
@@ -20,7 +22,7 @@ from dcjac.jacobian import (
     verify_limit_inclusion,
     witness_direction,
 )
-from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, solve
+from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, NewtonStep, NewtonTrace, solve
 from dcjac.oracle import DEFAULT_SEED
 from util import ABS_DOC, assert_bits_equal, bench_workloads
 
@@ -183,19 +185,22 @@ class TestJac:
         assert (code, out) == (2, "")
         assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
-    def test_piece_text_fuzz_exits_cleanly(self, capsys, tmp_path):
+    def test_piece_text_fuzz_exits_cleanly(self, capsys, tmp_path, monkeypatch):
         # seeded random piece texts: every outcome is a result, an input
-        # error or a domain error, never a traceback
+        # error or a domain error, never a traceback; and the same outcome
+        # when the affine scanner declines every piece, so that parse reads it
         rng = np.random.default_rng(314)
         vocabulary = [
             "x1", "x2", "x3", "0", "2", "0.5", "1e308", "1e-320", "+", "-", "*", "/", "^",
             "(", ")", "sin", "cos", "exp", "log", "sqrt", "y", " ", ".", "e", ",", "1e",
+            "3*x1", "- -", "1e400", "x0",
         ]
-        codes = set()
+        codes, scanned = set(), 0
         for _ in range(300):
             piece = "".join(rng.choice(vocabulary, size=int(rng.integers(1, 10))))
             prob = write_problem(tmp_path, [{"g": [piece, "x2"]}], n=2)
-            code, out, err = run(capsys, ["jac", "-p", prob, "-x", "0.5,-1", "--json"])
+            argv = ["jac", "-p", prob, "-x", "0.5,-1", "--json"]
+            code, out, err = run(capsys, argv)
             codes.add(code)
             assert code in (0, 2, 3), (piece, err)
             if code == 0:
@@ -204,7 +209,12 @@ class TestJac:
             else:
                 assert out == "" and err.startswith("error: "), (piece, err)
                 assert err.count("\n") == 1 and "Traceback" not in err, (piece, err)
+            scanned += dcjac.expr._scan_affine(piece, 2) is not None
+            with monkeypatch.context() as patch:
+                patch.setattr(dcjac.expr, "_scan_affine", lambda text, dim: None)
+                assert run(capsys, argv) == (code, out, err), piece
         assert codes == {0, 2, 3}
+        assert scanned >= 10  # pieces the scanner reads, of the seeded 300
 
     @pytest.mark.parametrize(
         "pieces, tol_tie, smaller, vector, lead",
@@ -823,6 +833,86 @@ class TestPaddedTerms:
         code, out, err = run(capsys, ["dd", "-p", str(prob), "-x", "0", "-y", "1", "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["dd"] == [-1.0]
+
+
+def _record_lines(trace) -> list[str]:
+    """The iterate records of ``newton --json``, one ``json.dumps`` of the
+    whole record each, as they were printed before rows were reused."""
+    lines = []
+    for k, s in enumerate(trace.steps):
+        arrays = {"x": s.x, "F": s.F_x, "xi": s.xi, "step": s.step}
+        record = {key: None if a is None else a.tolist() for key, a in arrays.items()}
+        record.update(iter=k, residual=s.residual)
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _ncp_newton_argvs(tmp_path):
+    """``newton --json`` on the golden NCP data and on the first instance
+    at each size of the benchmark's ncp-newton generator, seeds 1-3."""
+    ncp = ["--ncp", str(GOLDEN / "ncp_M.csv"), str(GOLDEN / "ncp_q.csv")]
+    ncp10 = ["--ncp", str(GOLDEN / "ncp10-3_M.csv"), str(GOLDEN / "ncp10-3_q.csv")]
+    for conv in ("min", "max"):
+        yield [*ncp, "--convention", conv]
+        yield [*ncp, "--x0", "-1,2,0,0.5", "--convention", conv]
+    yield ncp10
+    for seed in (1, 2, 3):
+        for inst in bench_workloads().ncp_newton(seed, per_size=1):
+            m_csv, q_csv = (tmp_path / f"{inst.name}-{seed}-{x}.csv" for x in "Mq")
+            np.savetxt(m_csv, inst.M, delimiter=",", fmt="%.17g")
+            np.savetxt(q_csv, inst.q, delimiter=",", fmt="%.17g")
+            yield ["--ncp", str(m_csv), str(q_csv), "--x0=" + ",".join(map(repr, inst.x0.tolist()))]
+
+
+class TestNewtonJsonRows:
+    """``newton --json`` formats only the rows of xi whose bits changed
+    since the previous iterate; every line must be the one ``json.dumps``
+    of the whole record gives."""
+
+    def _check(self, capsys, monkeypatch, argv) -> NewtonTrace:
+        traces = []
+
+        def keep(*args, **kwargs):
+            traces.append(solve(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(dcjac.cli, "solve", keep)
+        code, out, err = run(capsys, ["newton", *argv, "--json"])
+        assert err == "" and code in (0, 4, 5), argv
+        assert out.splitlines()[:-1] == _record_lines(traces[-1]), argv
+        return traces[-1]
+
+    def test_golden_and_benchmark_problems(self, capsys, monkeypatch, tmp_path):
+        reused = 0
+        for argv in _ncp_newton_argvs(tmp_path):
+            trace = self._check(capsys, monkeypatch, argv)
+            for a, b in zip(trace.steps, trace.steps[1:]):
+                reused += int((a.xi.view(np.uint64) == b.xi.view(np.uint64)).all(axis=1).sum())
+        assert reused > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("conv", ["min", "max"])
+    def test_random_problems(self, capsys, monkeypatch, seed, conv):
+        problem = ["--random", f"n=3,m=3,pieces=4,seed={seed}"]
+        self._check(capsys, monkeypatch, [*problem, "--x0", "1,-2,0.5", "--convention", conv])
+
+    def test_a_row_that_changes_only_in_the_sign_of_a_zero(self, capsys, monkeypatch):
+        xis = [[[1.0, 0.0], [2.0, 0.5]], [[1.0, -0.0], [2.0, 0.5]], [[1.0, -0.0], [2.0, 0.5]]]
+        steps = tuple(
+            NewtonStep(np.zeros(2), np.ones(2), np.array(xi), None if k == 2 else np.zeros(2), 1.0)
+            for k, xi in enumerate(xis)
+        )
+        trace = NewtonTrace(steps, "max_iters")
+        monkeypatch.setattr(dcjac.cli, "solve", lambda *args, **kwargs: trace)
+        code, out, _ = run(capsys, ["newton", "--random", "n=2,m=2,pieces=2", "--json"])
+        lines = out.splitlines()
+        assert (code, lines[:-1]) == (5, _record_lines(trace))
+        assert [line.endswith('"xi":[[1.0,-0.0],[2.0,0.5]]}') for line in lines[:-1]] == [
+            False, True, True
+        ]
 
 
 class TestNewton:

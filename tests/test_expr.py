@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dcjac.expr import (
     _eval_float,
     _eval_tangent,
     _postorder,
+    _scan_affine,
     _structure,
     affine_expr,
     parse,
@@ -26,6 +29,7 @@ from dcjac.expr import (
 )
 from util import (
     assert_bits_equal,
+    bench_workloads,
     central_diff,
     dual_grad,
     random_expr,
@@ -34,6 +38,7 @@ from util import (
     reference_eval_tangent,
     reference_number_end,
     reference_parse,
+    reference_random_affine_document,
     reference_structure,
     reference_unparse,
 )
@@ -582,6 +587,138 @@ class TestAffineData:
         for name in ("expr", "dim", "affine"):
             with pytest.raises(AttributeError):
                 setattr(fn, name, None)
+
+
+def _scanned_as_parsed(text: str, dim: int) -> bool:
+    """Whether the scanner reads ``text``; when it does, its data must be
+    that of the parsed tree, field for field."""
+    scanned = _scan_affine(text, dim)
+    if scanned is None:
+        return False
+    want = _affine_data(parse(text, dim), dim)
+    assert want is not None, text
+    terms, negate = scanned
+    assert negate == want.negate, text
+    assert terms.shape == want.terms.shape and terms.tobytes() == want.terms.tobytes(), text
+    return True
+
+
+# Fragments of scanner fuzz texts: minus runs, each blank, number lexemes,
+# variables out of range or written with a zero, and what the scanner
+# leaves to parse
+SCANNER_FRAGMENTS = [
+    "x1", "x2", "x3", "x0", "x01", "x4", "0", "2", "5.", ".5", "7E+2", "1e400", "-0", "1e-320",
+    "-", "- -", "--", "+", "*", " ", "\t", "\r", "\n", " + ", " - ", "3*x1", "-2*x2",
+    "\u00a0", "x\u0661", "(", ")", "^", "/", "e", ".",
+]
+
+
+class TestAffineScanner:
+    """``SmoothFn.from_text`` reads affine pieces with ``_scan_affine``, and
+    that data must be ``_affine_data`` of the parsed tree, bit for bit."""
+
+    def test_acceptance_corpus_texts(self):
+        for seed in range(200):
+            doc = reference_random_affine_document(seed % 4 + 1, seed % 3 + 1, 5, seed)
+            for comp in doc["components"]:
+                for text in comp["g"] + comp.get("h", ["0"]):
+                    assert _scanned_as_parsed(text, doc["n"]), text
+
+    def test_golden_problem_texts(self):
+        scanned = 0
+        for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+            doc = json.loads(path.read_text())
+            for comp in doc["components"]:
+                for text in comp["g"] + comp.get("h", []):
+                    scanned += _scanned_as_parsed(text, doc["n"])
+        assert scanned >= 10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_generator_texts(self, seed):
+        work = bench_workloads()
+        for inst in work.oracle_corpus(seed) + work.affine_highdim(seed):
+            for term in inst.g + inst.h:
+                for text in term.texts:
+                    assert _scanned_as_parsed(text, inst.n), text
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(2718)
+        scanned = declined = 0
+        for _ in range(20000):
+            text = "".join(rng.choice(SCANNER_FRAGMENTS, size=int(rng.integers(1, 9))))
+            dim = int(rng.integers(0, 4))
+            if _scanned_as_parsed(text, dim):
+                scanned += 1
+            else:
+                declined += 1
+        assert scanned >= 1000 and declined >= 1000
+
+    @pytest.mark.parametrize(
+        "text, dim",
+        [
+            ("x1 + (x2)", 2),
+            ("x1^1", 1),
+            ("x1/2", 1),
+            ("2*sin(x1)", 1),
+            ("x1 + x1", 1),
+            ("x0", 1),
+            ("x2", 1),
+            ("1e400*x1", 1),
+            ("-1e400", 1),
+            ("x1\u00a0+ 1", 1),
+            ("x\u0661", 1),
+            ("3*-x1", 1),
+            ("x1*3", 1),
+            ("2*3*x1", 1),
+            ("+x1", 1),
+            ("x1 2", 1),
+            ("3x1", 1),
+            ("x1a", 1),
+            (".", 1),
+            ("", 1),
+            ("x1", -1),
+            ("x" + "0" * 30 + "1", 1),
+        ],
+    )
+    def test_declines_what_parse_decides(self, text, dim):
+        assert _scan_affine(text, dim) is None
+
+    @pytest.mark.parametrize(
+        "text, negate, coefs",
+        [
+            ("-x1", True, [1.0]),
+            ("- -3", False, [3.0]),
+            ("-3*x1", False, [-3.0]),
+            ("--3 * x1", False, [3.0]),
+            ("-x1 + 2", False, [-1.0, 2.0]),
+            ("x1 - -3*x2\t-\n-5.", False, [1.0, 3.0, 5.0]),
+            ("x01 + 7E+2 + .5", False, [1.0, 700.0, 0.5]),
+        ],
+    )
+    def test_minus_signs(self, text, negate, coefs):
+        terms, got = _scan_affine(text, 2)
+        assert (got, terms[0].tolist()) == (negate, coefs)
+        assert _scanned_as_parsed(text, 2)
+
+    def test_tree_is_parsed_only_when_read(self, monkeypatch):
+        import dcjac.expr
+
+        def fail(*args):
+            raise AssertionError("parsed")
+
+        texts = ["-5*x1 + -2", "x1 - x2 + 3", "-x2", "-0.0*x2 + -0.0", "- - 3"]
+        monkeypatch.setattr(dcjac.expr, "parse", fail)
+        fns = [SmoothFn.from_text(text, 2) for text in texts]
+        stack = PieceStack(fns, 2)
+        stack.values(AFFINE_POINTS)
+        stack.grads([1.0, -0.0], np.arange(len(fns)))
+        assert all(fn.is_affine and fn.__dict__["_expr"] is None for fn in fns)
+        monkeypatch.undo()
+        for fn, text in zip(fns, texts):
+            parsed = SmoothFn(parse(text, 2), 2)
+            assert fn.expr == parsed.expr and fn == parsed and hash(fn) == hash(parsed)
+            assert repr(fn) == repr(parsed) and str(fn) == str(parsed)
+            assert fn.expr is fn.expr  # parsed once
 
 
 # Tokens that random texts are drawn from, malformed pieces included

@@ -563,11 +563,12 @@ class TestExactCandidates:
         assert [m.tolist() for m in mats] == [[[np.inf]]]
 
     def test_identical_pieces_give_one_matrix(self):
-        # two identical pieces impose no cone row, so every one of the 2**14
-        # patterns survives, past the search budget, with one Jacobian
+        # two identical pieces impose no cone row and give one Jacobian; the
+        # search branches on the first of them only, so it ends at once
+        # instead of meeting the budget among 2**14 equal patterns
         F = load_problem({"n": 1, "m": 14, "components": [{"g": ["x1", "x1"]}] * 14})
         mats, report = brute_force_subdifferential(F, [0.0])
-        assert report == BruteForceReport(enumerated=False)
+        assert report == BruteForceReport(enumerated=True)
         assert [m.tolist() for m in mats] == [[[1.0]] * 14]
 
 
