@@ -18,7 +18,6 @@ from dcjac import (
     hull_membership,
     load_problem,
     random_affine_problem,
-    sample_limiting_jacobians,
 )
 
 print("== regions of max(x1+x2, 2*x1, 0) ==")
@@ -48,9 +47,3 @@ for seed in (1, 5, 9):
         print(f"seed {seed} ({conv}): {len(mats)} candidate Jacobians, "
               f"member = {cert.member}")
 
-print()
-print("== sampled limiting Jacobians agree ==")
-A = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]})
-for s in sample_limiting_jacobians(A, [0.0], radius=0.5, count=64):
-    print(f"  profile {s.active_profile} near x = {s.point.round(3)}: "
-          f"Jacobian {s.jacobian.tolist()}")

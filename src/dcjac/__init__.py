@@ -20,6 +20,7 @@ from .jacobian import (
     WitnessDirection,
     check_witness,
     clarke_jacobian_element,
+    decide_cone_linearity,
     selection_differences,
     verify_cone_linearity,
     verify_limit_inclusion,
@@ -28,14 +29,12 @@ from .jacobian import (
 from .newton import NewtonTrace, build_ncp, ncp_residual, solve
 from .oracle import (
     HullCertificate,
-    LimitingSample,
     RegionCertificate,
     brute_force_subdifferential,
     certify_claimed_region,
     finite_diff_dd,
     hull_membership,
     is_affine,
-    sample_limiting_jacobians,
 )
 
 __version__ = "0.1.0"
@@ -47,7 +46,6 @@ __all__ = [
     "DomainError",
     "HullCertificate",
     "JacobianElement",
-    "LimitingSample",
     "MaxFn",
     "NewtonTrace",
     "ParseError",
@@ -61,6 +59,7 @@ __all__ = [
     "check_witness",
     "clarke_jacobian_element",
     "dd_F",
+    "decide_cone_linearity",
     "eval_F",
     "finite_diff_dd",
     "hull_membership",
@@ -70,7 +69,6 @@ __all__ = [
     "ncp_residual",
     "parse",
     "random_affine_problem",
-    "sample_limiting_jacobians",
     "selection_differences",
     "solve",
     "unparse",

@@ -289,7 +289,8 @@ def _atom(tok: _Token, dim: int) -> Expr:
     if tok.kind != "ident":
         raise ParseError(f"expected a value, found '{name or 'end of input'}'", tok.offset)
     if name.startswith("x") and name[1:].isascii() and name[1:].isdigit():
-        index = int(name[1:]) - 1
+        digits = name[1:].lstrip("0")  # counted before int(), which refuses over 4300
+        index = int(digits or "0") - 1 if len(digits) <= len(str(dim)) else dim
         if index < 0 or index >= dim:
             raise ParseError(f"variable '{name}' out of range for dimension {dim}", tok.offset)
         return Var(index)

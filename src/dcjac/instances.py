@@ -10,6 +10,8 @@ from .oracle import _distinct_rows
 
 __all__ = ["random_affine_problem"]
 
+DEFAULT_SEED = 42  # the seed of --random when neither seed= nor --seed gives one
+
 
 def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:
     """Problem with integer-coefficient affine pieces.

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
-from .oracle import DEFAULT_SEED, _ball_samples, _classical_jacobian, _distinct_rows
-from .oracle import _row_norms, _strict_profiles
+from .instances import DEFAULT_SEED
+from .oracle import _classical_jacobian, _distinct_rows, _row_norms, _strict_profiles
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -33,6 +33,7 @@ __all__ = [
     "DifferenceVectors",
     "WitnessDirection",
     "WitnessReport",
+    "ConeDecision",
     "ConeLinearityReport",
     "LimitPoint",
     "LimitInclusionReport",
@@ -42,12 +43,13 @@ __all__ = [
     "selection_differences",
     "witness_direction",
     "check_witness",
+    "decide_cone_linearity",
     "verify_cone_linearity",
     "verify_limit_inclusion",
 ]
 
 DEFAULT_TOL_TIE = 1e-9
-DEFAULT_CONE_SAMPLES = 200
+CONE_RESIDUAL_BAR = 1e-8  # the sampled check's bound on the discrepancy per unit direction
 LEAD_ZERO = 1e-12  # a difference vector's entry is zero when |entry| <= LEAD_ZERO*(1+max|entry|)
 
 _CONVENTIONS = ("min", "max")
@@ -321,6 +323,57 @@ def check_witness(witness: WitnessDirection) -> WitnessReport:
 
 
 @dataclass(frozen=True)
+class ConeDecision:
+    zero: int  # active rows equal to their term's chosen row, the chosen rows included
+    difference: int  # rows apart from it by a difference vector
+    solved: int  # rows left to the nonnegative least-squares solve
+    max_residual: float | None  # the solve's largest; None when no row reached it
+    passed: bool | None  # None (inconclusive): a gap or a residual that is not finite
+
+
+def decide_cone_linearity(elem: JacobianElement, witness: WitnessDirection) -> ConeDecision:
+    """Decide whether F'(x; y) = xi*y on the open descent cone
+    C = {y : alpha'y < 0 for every vector alpha of ``witness.diffs``}.
+
+    It holds when xi is the chosen g rows minus h rows bit for bit and, in
+    every max term, (G_j - G_c)'y <= 0 on C for each active row G_j and the
+    chosen row G_c: by Farkas' lemma, when G_j - G_c is a nonnegative
+    combination of difference vectors.  A row settles by the first route
+    that applies: its gap is zero; it is a difference vector; a nonnegative
+    least-squares residual r has |r| <= CONE_RESIDUAL_BAR, so (G_j - G_c)'y
+    <= |r||y| on C.  A figure that is not finite makes it inconclusive.
+    """
+    A = witness.diffs.vectors
+    known = {row.tobytes() for row in A + 0.0}  # + 0.0 turns -0.0 into 0.0
+    zero = difference = 0
+    residuals = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap that overflows is not finite
+        claimed = np.array([comp.row for comp in elem.components])
+        for term in (term for comp in elem.components for term in (comp.g, comp.h)):
+            gaps = term.grads - term.row + 0.0
+            exact = ~gaps.any(axis=1)
+            zero += int(exact.sum())
+            for gap in gaps[~exact]:
+                if gap.tobytes() in known:
+                    difference += 1
+                elif not len(A) or not np.isfinite(gap).all():  # nnls crashes on no column
+                    residuals.append(float(np.hypot.reduce(gap)))  # its norm, without overflow
+                else:
+                    from scipy.optimize import nnls  # at the first solve: it is slow to import
+                    try:
+                        residuals.append(float(nnls(A.T, gap)[1]))
+                    except RuntimeError:  # the solve stopped at its iteration cap
+                        residuals.append(np.nan)
+    worst = passed = None
+    if np.isfinite(residuals).all():
+        worst = max(residuals, default=None)
+        passed = worst is None or worst <= CONE_RESIDUAL_BAR
+    if claimed.tobytes() != elem.xi.tobytes():  # elem.xi: OverflowError on a non-finite row
+        passed = False
+    return ConeDecision(zero, difference, len(residuals), worst, passed)
+
+
+@dataclass(frozen=True)
 class ConeLinearityReport:
     samples: int
     kept: int
@@ -329,14 +382,23 @@ class ConeLinearityReport:
     passed: bool | None  # None (inconclusive): no direction kept, or a non-finite figure
 
 
+def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float, count: int):
+    n = center.shape[0]
+    direc = rng.standard_normal((count, n))
+    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+    radii = radius * rng.random((count, 1)) ** (1.0 / n)
+    return center + direc * radii
+
+
 def verify_cone_linearity(
     elem: JacobianElement,
     witness: WitnessDirection,
-    samples: int = DEFAULT_CONE_SAMPLES,
+    samples: int = 200,
     seed: int = DEFAULT_SEED,
 ) -> ConeLinearityReport:
     """Sample directions near the witness and compare the directional
-    derivative of F against the linear map given by the selected element.
+    derivative of F against the linear map given by the selected element:
+    the sampled cross-check of ``decide_cone_linearity``.
 
     Directions are kept only when every vector of ``witness.diffs`` has
     strictly negative slope along them (membership in the open descent
@@ -417,8 +479,9 @@ def verify_limit_inclusion(
     """Walk x + t*y_bar (``witness.y_bar``) down ``LIMIT_T_SCHEDULE`` and
     compare classical Jacobians against the selected element.
 
-    Points where some max term has no strictly largest finite piece (the
-    sampler's rule; tol_act plays no part) are skipped as degenerate.
+    Points where some max term has no strictly largest finite piece
+    (``oracle._strict_profiles``; tol_act plays no part) are skipped as
+    degenerate.
     Passes when the distance decreases (within tolerance) along the
     schedule and the last usable point is within 1e-6*(1+scale) of the
     element, where scale is the largest classical Jacobian norm seen.  The

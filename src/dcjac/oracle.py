@@ -23,9 +23,9 @@ pattern whose cone has no interior.  Membership in their hull is decided
 by a minimum-norm-point computation (``hull_membership``), which yields
 convex weights or a separation margin.
 
-``_strict_profiles`` decides where F is differentiable, for
-``sample_limiting_jacobians`` and ``jacobian.verify_limit_inclusion``
-alike.
+``_strict_profiles`` decides where F is differentiable, and
+``_classical_jacobian`` gives F's Jacobian there: the ray walk of
+``jacobian.verify_limit_inclusion`` reads both.
 
 The active step is the one the selection runs too (one ``PieceStack``
 sweep); no expression tree is walked.  So the oracle is not independent
@@ -46,12 +46,10 @@ import numpy as np
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _check_point, _values_at
 
 __all__ = [
-    "LimitingSample",
     "HullCertificate",
     "FiniteDiffResult",
     "BruteForceReport",
     "RegionCertificate",
-    "sample_limiting_jacobians",
     "hull_membership",
     "brute_force_subdifferential",
     "certify_claimed_region",
@@ -59,25 +57,12 @@ __all__ = [
     "is_affine",
 ]
 
-DEFAULT_PROBE_RADIUS = 1e-3
-DEFAULT_SEED = 42
-
 # The region search visits at most this many nodes, each a choice of one
 # of a max term's two or more distinct active gradients (a term with one
 # costs nothing); past it (possible only under massive ties) the report
 # says the search is incomplete.  All 120 seed-1 affine-highdim benchmark
 # instances reach 1024 at the origin, after 2.3-7.5 s (2-CPU Xeon).
 SEARCH_BUDGET = 1024
-
-
-@dataclass(frozen=True)
-class LimitingSample:
-    """A differentiability point near x with its classical Jacobian and the
-    per-component singleton active indices that produced it."""
-
-    point: np.ndarray
-    jacobian: np.ndarray
-    active_profile: tuple[tuple[int, int], ...]  # (g piece, h piece) per component
 
 
 @dataclass(frozen=True)
@@ -98,47 +83,12 @@ class HullCertificate:
     converged: bool
 
 
-def _check_ball(radius: float, count: int) -> None:
-    """ValueError unless the sample ball has a finite positive radius and
-    at least one sample."""
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a finite 2-D array, by ``np.hypot``
     where the squares overflow."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rows, axis=1)
         return np.where(np.isinf(norms), np.hypot.reduce(np.abs(rows), axis=1), norms)
-
-
-def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float, count: int):
-    n = center.shape[0]
-    direc = rng.standard_normal((count, n))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    radii = radius * rng.random((count, 1)) ** (1.0 / n)
-    return center + direc * radii
-
-
-def sample_limiting_jacobians(
-    F: DCMaxFn,
-    x,
-    radius: float = DEFAULT_PROBE_RADIUS,
-    count: int = 512,
-    seed: int = DEFAULT_SEED,
-) -> list[LimitingSample]:
-    """One classical Jacobian per distinct active profile, at the first of
-    ``count`` points sampled in the ball around x that shows it."""
-    _check_ball(radius, count)
-    pts = _ball_samples(np.random.default_rng(seed), np.asarray(x, dtype=float), radius, count)
-    profiles, first = _distinct_profiles(_strict_profiles(F, pts))
-    return [
-        LimitingSample(pts[k], _classical_jacobian(F, pts[k], p), tuple(zip(p[0::2], p[1::2])))
-        for p, k in zip(profiles, first.tolist())
-    ]
 
 
 def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> np.ndarray:
@@ -295,14 +245,6 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     leads = np.ones(len(order), dtype=bool)
     leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     return np.sort(order[leads])
-
-
-def _distinct_profiles(choice_mat: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Distinct tie-free rows of a strict-argmax matrix (one column per max
-    term) in order of first occurrence, with the index of that occurrence."""
-    kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
-    first = kept[_distinct_rows(choice_mat[kept])]
-    return [tuple(row) for row in choice_mat[first].tolist()], first
 
 
 def linprog(*args, **kwargs):

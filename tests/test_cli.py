@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +13,18 @@ import dcjac.oracle
 from dcjac import load_problem
 from dcjac.cli import main
 from dcjac.dcmax import DEFAULT_TOL_ACT, DCMaxFn, eval_F
+from dcjac.instances import DEFAULT_SEED
 from dcjac.jacobian import (
-    DEFAULT_CONE_SAMPLES,
     DEFAULT_TOL_TIE,
     check_witness,
     clarke_jacobian_element,
+    decide_cone_linearity,
     selection_differences,
     verify_cone_linearity,
     verify_limit_inclusion,
     witness_direction,
 )
 from dcjac.newton import DEFAULT_MAX_ITERS, DEFAULT_TOL, NewtonStep, NewtonTrace, solve
-from dcjac.oracle import DEFAULT_SEED
 from util import ABS_DOC, assert_bits_equal, bench_workloads
 
 
@@ -131,6 +132,18 @@ class TestJac:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "offset 0" in err
+
+    @pytest.mark.parametrize("piece", ["x" + "1" * 5000, "2*x" + "1" * 5000 + " + x1"])
+    def test_variable_of_5000_digits_exits_2_naming_its_offset(self, capsys, tmp_path, piece):
+        # past 4300 digits int() refuses them; the digit count is compared first
+        prob = write_problem(tmp_path, [{"g": [piece]}])
+        code, out, err = run(capsys, ["jac", "-p", prob, "-x", "0"])
+        assert (code, out) == (2, "")
+        offset = piece.index("x")
+        assert err == (
+            f"error: variable '{piece[offset:offset + 5001]}' out of range for dimension 1 "
+            f"(at offset {offset})\n"
+        )
 
     def test_domain_error_exits_3(self, capsys, tmp_path):
         prob = tmp_path / "log.json"
@@ -420,41 +433,87 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --radius 1e-3" in capsys.readouterr().err
 
-    def test_no_cone_sample_reports_null(self, capsys, abs_problem):
-        argv = ["verify", "-p", abs_problem, "-x", "0", "--samples", "0", "--json"]
-        code, out, _ = run(capsys, argv)
+    def test_cone_linearity_reports_its_routes(self, capsys, abs_problem):
+        # the chosen rows of g and h are zero gaps; -x1's gap to x1 is the
+        # one difference vector; nothing reaches the solve
+        code, out, _ = run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--json"])
         assert code == 0
         assert (
-            '"cone_linearity":{"kept":0,"max_discrepancy":null,"samples":0,'
-            '"status":"inconclusive","tolerance_at_max":null}'
+            '"cone_linearity":{"max_residual":null,'
+            '"routes":{"difference":1,"solved":0,"zero":2},"status":"pass"}'
         ) in out
-        assert json.loads(out)["inconclusive"] == ["cone_linearity"]
+
+    @pytest.mark.parametrize("samples", ["5", "-5"])
+    def test_samples_is_no_option(self, capsys, abs_problem, samples):
+        # cone linearity is decided from the active rows: nothing is sampled
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-p", abs_problem, "-x", "0", "--samples", samples])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --samples {samples}" in capsys.readouterr().err
+
+    def test_seed_does_not_change_verify_output(self, capsys, abs_problem):
+        outs = {
+            seed: run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--seed", seed, "--json"])
+            for seed in ("0", "7")
+        }
+        assert outs["0"] == outs["7"]
+        assert outs["0"][0] == 0
 
     @pytest.mark.parametrize(
-        "doc, samples, name",
+        "doc, options, name",
         [
-            (ABS_DOC, 0, "cone_linearity"),
-            ({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]}, 200, "limit_inclusion"),
+            # tol_tie inf keeps both slopes, and -1e308 - 1e308 overflows
+            (
+                {"n": 1, "m": 1, "components": [{"g": ["1e308*x1 + 0*sin(x1)", "-1e308*x1"]}]},
+                {"tol_tie": math.inf, "convention": "max"},
+                "cone_linearity",
+            ),
+            ({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]}, {}, "limit_inclusion"),
         ],
     )
     def test_inconclusive_lists_the_checks_whose_passed_is_none(
-        self, capsys, tmp_path, doc, samples, name
+        self, capsys, tmp_path, doc, options, name
     ):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
-        argv = ["verify", "-p", str(path), "-x", "0", "--samples", str(samples), "--json"]
+        argv = ["verify", "-p", str(path), "-x", "0", "--json"]
+        for key, value in options.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.loads(out)["inconclusive"] == [name]
         F = load_problem(doc)
-        elem = clarke_jacobian_element(F, [0.0])
+        elem = clarke_jacobian_element(F, [0.0], **options)
         w = witness_direction(selection_differences(elem))
         passed = {
             "witness_validity": check_witness(w).passed,
-            "cone_linearity": verify_cone_linearity(elem, w, samples=samples).passed,
+            "cone_linearity": decide_cone_linearity(elem, w).passed,
             "limit_inclusion": verify_limit_inclusion(F, [0.0], elem, w).passed,
         }
         assert [k for k, v in passed.items() if v is None] == [name]
+
+    @pytest.mark.parametrize(
+        "g, options",
+        [
+            (["x1", "-x1", "0.5*x1"], []),
+            (["x1", "-x1", "0.5*x1"], ["--convention", "max"]),
+            (["1.0000000000005e-12*x1", "0"], ["--tol-tie", "0"]),
+            (["1000.0000005*x1", "1000*x1"], []),
+        ],
+    )
+    def test_cone_linearity_payload_is_the_library_decision(self, capsys, tmp_path, g, options):
+        prob = write_problem(tmp_path, [{"g": g}])
+        code, out, _ = run(capsys, ["verify", "-p", prob, "-x", "0", *options, "--json"])
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": g}]})
+        args = dcjac.cli._build_parser().parse_args(["verify", "-x", "0", *options])
+        elem = clarke_jacobian_element(F, [0.0], args.tol_act, args.tol_tie, args.convention)
+        cone = decide_cone_linearity(elem, witness_direction(selection_differences(elem)))
+        assert strict_loads(out)["checks"]["cone_linearity"] == {
+            "status": {True: "pass", False: "fail"}[cone.passed],
+            "routes": {"zero": cone.zero, "difference": cone.difference, "solved": cone.solved},
+            "max_residual": cone.max_residual,
+        }
+        assert code == (0 if cone.passed else 1)
 
     def test_infinite_tolerance_is_inconclusive(self, capsys, tmp_path):
         # the classical Jacobian's norm, 1.9e308, is beyond the largest
@@ -469,16 +528,20 @@ class TestVerify:
         assert payload["inconclusive"] == ["limit_inclusion"]
         assert payload["checks"]["limit_inclusion"]["tolerance"] is None
 
-    def test_overflowing_cone_linearity_is_inconclusive(self, capsys, tmp_path):
-        # 1.5e308*y overflows on sampled directions, and inf - inf is NaN
+    def test_huge_slope_passes_cone_linearity(self, capsys, tmp_path):
+        # only 1.5e308*x1 is active at 1, so every gap is zero; the sampled
+        # check multiplied 1.5e308 by directions longer than 1.2, which
+        # overflows, and was inconclusive here
         prob = write_problem(tmp_path, [{"g": ["1.5e308*x1", "0"]}])
         code, out, err = run(capsys, ["verify", "-p", prob, "-x", "1", "--json"])
         assert (code, err) == (0, "")
         payload = strict_loads(out)
-        cone = payload["checks"]["cone_linearity"]
-        assert (payload["passed"], payload["inconclusive"]) == (True, ["cone_linearity"])
-        assert cone["status"] == "inconclusive"
-        assert cone["max_discrepancy"] is None and cone["tolerance_at_max"] is None
+        assert (payload["passed"], payload["inconclusive"]) == (True, [])
+        assert payload["checks"]["cone_linearity"] == {
+            "status": "pass",
+            "routes": {"zero": 2, "difference": 0, "solved": 0},
+            "max_residual": None,
+        }
 
     def test_jacobian_whose_squares_overflow_passes_limit_inclusion(self, capsys, tmp_path):
         # the norm of [[1e308]] is taken without squaring, so the tolerance
@@ -595,19 +658,18 @@ class TestVerify:
         assert payload["checks"]["cone_linearity"]["status"] == "fail"
 
     def test_out_of_memory_exits_6_with_one_error_line(self, capsys, tmp_path, monkeypatch):
-        # numpy refuses 1e11 cone samples before it allocates anything; the
-        # stub raises that refusal at once, so nothing large is requested
-        def refuse(rng, center, radius, count):
-            raise MemoryError(f"Unable to allocate 1.46 TiB for an array with shape ({count}, 2)")
+        # the stub raises numpy's refusal at once, in the sweep over the
+        # limit walk's ray points, so nothing large is requested
+        def refuse(F, pts):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (5, 2, 10**11)")
 
-        monkeypatch.setattr(dcjac.jacobian, "_ball_samples", refuse)  # the cone sampler
+        monkeypatch.setattr(dcjac.jacobian, "_strict_profiles", refuse)
         prob = write_problem(tmp_path, [{"g": ["x1", "x2"]}], n=2)
-        argv = ["verify", "-p", prob, "-x", "0,0", "--samples", "100000000000"]
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, ["verify", "-p", prob, "-x", "0,0"])
         assert (code, out) == (dcjac.cli.EXIT_OUT_OF_MEMORY, "") and code not in (0, 1)
         assert err == (
             "error: out of memory: Unable to allocate 1.46 TiB for an array with shape "
-            "(100000000000, 2)\n"
+            "(5, 2, 10**11)\n"
         )
 
     def test_point_dimension_mismatch_is_error(self, capsys, abs_problem):
@@ -667,7 +729,7 @@ class TestBadNumericOptions:
             (["jac", *_SPEC3, "--tol-tie", "nan"], "tol_tie must be nonnegative"),
             (["newton", *_SPEC2, "--tol", "nan"], "tol must be positive"),
             (["newton", *_SPEC2, "--max-iters", "-1"], "max_iters must be nonnegative"),
-            (["verify", *_SPEC3, "--samples", "-5"], "--samples must be nonnegative"),
+            (["newton", *_SPEC2, "--seed", "-1"], "--seed must be nonnegative"),
             (["verify", *_SPEC3, "--seed", "-1"], "--seed must be nonnegative"),
             (
                 ["jac", "--random", "n=3,m=3,pieces=4", "-x", "0,0,0", "--seed", "-1"],
@@ -1187,7 +1249,7 @@ class TestParserDefaults:
         def default(fn, name):
             return inspect.signature(fn).parameters[name].default
 
-        assert verify.samples == DEFAULT_CONE_SAMPLES == default(verify_cone_linearity, "samples")
+        assert not hasattr(verify, "samples")  # cone linearity is decided, not sampled
         assert verify.seed == newton.seed == DEFAULT_SEED
         assert DEFAULT_SEED == default(verify_cone_linearity, "seed")
         assert newton.tol == DEFAULT_TOL == default(solve, "tol")

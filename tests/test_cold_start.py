@@ -2,7 +2,8 @@
 
 ``import dcjac`` loads no scipy module: ``oracle.linprog`` and
 ``newton.lu_factor``/``lu_solve`` import their scipy function at the first
-call.  Each test here runs in a fresh interpreter and reads ``sys.modules``
+call, and ``jacobian.decide_cone_linearity`` imports ``scipy.optimize.nnls``
+at its first solve.  Each test here runs in a fresh interpreter and reads ``sys.modules``
 there, since the test process has loaded scipy long before.
 """
 
@@ -97,6 +98,34 @@ def test_verify_with_an_lp_prints_the_same_bytes_as_in_process(tmp_path, capsys)
     assert code == 0
     hull = json.loads(out)["checks"]["hull_membership"]
     assert (hull["method"], hull["direction"]) == ("claimed_region", "cone_lp")
+
+
+_SOLVE = textwrap.dedent(
+    """
+    import json, sys
+    from dcjac import load_problem
+    from dcjac.jacobian import *
+    F = load_problem(json.loads(sys.argv[1]))
+    x = [0.0, 0.0]
+    elem = clarke_jacobian_element(F, x, tol_tie=0.0)
+    w = witness_direction(selection_differences(elem))
+    check_witness(w), verify_limit_inclusion(F, x, elem, w)
+    loaded = ["scipy.optimize" in sys.modules]
+    decided = decide_cone_linearity(elem, w)
+    loaded.append("scipy.optimize" in sys.modules)
+    print(json.dumps([loaded, decided.solved, decided.passed]))
+    """
+)
+
+
+def test_cone_linearity_loads_scipy_optimize_at_its_solve_route():
+    # the gap (0, 1e-13) is no difference vector (the zero rule drops it),
+    # so nnls measures its distance to the cone of (1, 0); the pieces are
+    # not affine, so no hull LP runs
+    doc = {"n": 2, "m": 1, "components": [{"g": ["sin(x1)", "sin(x1) + 1e-13*x2", "2*x1"]}]}
+    (loaded, solved, passed), modules = fresh(_SOLVE, json.dumps(doc))
+    assert (loaded, solved, passed) == ([False, True], 1, True)
+    assert "scipy.optimize" in modules
 
 
 def test_deferred_bindings_are_plain_module_functions():

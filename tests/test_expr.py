@@ -103,6 +103,17 @@ class TestParse:
         with pytest.raises(ParseError, match="out of range"):
             parse("x3", 2)
 
+    @pytest.mark.parametrize("digits", ["1" * 5000, "0" * 5000 + "10", "1" * 4301, "10"])
+    def test_variable_with_more_digits_than_the_dimension_is_out_of_range(self, digits):
+        # int() refuses more than 4300 digits; the digit count decides first
+        with pytest.raises(ParseError) as err:
+            parse("2 + x" + digits, 9)
+        assert err.value.offset == 4
+        assert str(err.value) == f"variable 'x{digits}' out of range for dimension 9 (at offset 4)"
+
+    def test_leading_zeros_of_a_variable_do_not_count(self):
+        assert parse("x" + "0" * 5000 + "9", 9) == Var(8)
+
     def test_function_requires_parentheses(self):
         with pytest.raises(ParseError, match="expected '\\('"):
             parse("sin x1", 1)

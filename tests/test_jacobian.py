@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import DCMaxFn, MaxFn, load_problem
+from dcjac.dcmax import DCMaxFn, MaxFn, load_problem, load_problem_file
 from dcjac.expr import DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
@@ -14,6 +15,7 @@ from dcjac.jacobian import (
     DifferenceVectors,
     check_witness,
     clarke_jacobian_element,
+    decide_cone_linearity,
     lexicographic_chain,
     selection_differences,
     verify_cone_linearity,
@@ -27,6 +29,7 @@ from util import (
     NEG_ABS_DOC,
     assert_bits_equal,
     assert_element_equal,
+    bench_workloads,
     corpus_cases,
     full_lexicographic_chain,
     reference_active,
@@ -799,17 +802,173 @@ class TestConeLinearity:
         assert report.passed is False
 
 
+def _one_term(g):
+    return load_problem({"n": 1, "m": 1, "components": [{"g": g}]})
+
+
+def _decide(F, x, **kw):
+    elem = clarke_jacobian_element(F, x, **kw)
+    w = witness_direction(selection_differences(elem))
+    return elem, w, decide_cone_linearity(elem, w)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = (
+    [("ties", [0.0] * 8), ("curved", [0.0, 0.0]), ("oc105", [0.0, 0.0]), ("thin", [1.0, -2.0])],
+    [
+        ((4, 3, 5, 11), [0.0] * 4),
+        ((5, 3, 5, 2), [1.0, -1.0, 0.0, 0.5, 2.0]),
+        ((8, 4, 8, 6), [0.0] * 8),
+    ],
+)
+
+
+def _cross_check_cases(corpus):
+    """(F, x) pairs of one corpus of the decided-against-sampled check."""
+    if corpus == "acceptance":
+        for seed in range(200):
+            F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+            yield F, np.zeros(F.n)
+    elif corpus == "golden":
+        files, specs = GOLDEN_CASES
+        for name, x in files:
+            yield load_problem_file(GOLDEN / f"{name}.json"), np.array(x)
+        for (n, m, pieces, seed), x in specs:  # the --random problems of the goldens
+            yield random_affine_problem(n, m, pieces, seed=seed), np.array(x)
+    else:  # a benchmark generator and its seed, as "oracle_corpus-1"
+        workload, seed = corpus.split("-")
+        for inst in getattr(bench_workloads(), workload)(int(seed)):
+            yield load_problem(inst.document()), np.zeros(inst.n)
+
+
+class TestDecidedConeLinearity:
+    @pytest.mark.parametrize(
+        "corpus",
+        ["acceptance", "golden"]
+        + [f"{w}-{s}" for w in ("oracle_corpus", "smooth_certify") for s in (1, 2, 3)]
+        + ["affine_highdim-1"],
+    )
+    def test_verdict_equals_the_sampled_check(self, corpus):
+        routes = np.zeros(3, dtype=int)
+        for F, x in _cross_check_cases(corpus):
+            for conv in ("min", "max"):
+                elem, w, decided = _decide(F, x, convention=conv)
+                assert decided.passed is verify_cone_linearity(elem, w, samples=200).passed
+                routes += (decided.zero, decided.difference, decided.solved)
+        print(f"{corpus}: rows by route (zero, difference, solved) {routes.tolist()}")
+        assert routes[0] > 0
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize(
+        "g, tol_tie, residual",
+        [
+            # a gap of 1e-12 that the zero rule drops from the difference vectors
+            (["1.0000000000005e-12*x1", "0"], 0.0, 1.0000000000005e-12),
+            # slopes 5e-9 apart, merged by the tie band
+            (["1.000000005*x1", "x1"], 1e-8, 5e-9),
+        ],
+    )
+    def test_solve_route_passes_within_the_bar(self, g, tol_tie, residual, convention):
+        elem, w, decided = _decide(_one_term(g), [0.0], tol_tie=tol_tie, convention=convention)
+        assert (decided.solved, decided.passed) == (1, True)
+        assert decided.max_residual == pytest.approx(residual, rel=1e-6)
+        assert verify_cone_linearity(elem, w).passed is True
+
+    def test_solve_route_over_difference_vectors(self):
+        # the gap (0, 1e-13) is dropped by the zero rule; nnls finds no
+        # nonnegative multiple of (1, 0) closer to it than 1e-13
+        F = load_problem(
+            {"n": 2, "m": 1, "components": [{"g": ["sin(x1)", "sin(x1) + 1e-13*x2", "2*x1"]}]}
+        )
+        _, w, decided = _decide(F, [0.0, 0.0], tol_tie=0.0)
+        assert w.diffs.vectors.tolist() == [[1.0, 0.0]]
+        assert (decided.zero, decided.difference, decided.solved) == (2, 1, 1)
+        assert decided.passed is True and decided.max_residual == pytest.approx(1e-13)
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_merged_survivors_fail_under_both_conventions(self, convention):
+        # the tie band 1e-9*(1+1000) merges slopes 5e-7 apart, and there is
+        # no difference vector: the cone is all of R, on which F is not
+        # linear.  The sampled check's ball sees only y > 0 under "max",
+        # where the chosen (larger) slope is the maximum, and passes there.
+        F = _one_term(["1000.0000005*x1", "1000*x1"])
+        elem, w, decided = _decide(F, [0.0], convention=convention)
+        assert (decided.solved, decided.passed) == (1, False)
+        assert decided.max_residual == pytest.approx(5e-7, rel=1e-6)
+        assert verify_cone_linearity(elem, w).passed is (convention == "max")
+
+    def test_dropped_difference_vector_fails(self):
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2", "0"]}]})
+        elem, w, decided = _decide(F, [0.0, 0.0])
+        assert w.diffs.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert (decided.difference, decided.passed) == (2, True)
+        for k in range(2):
+            kept = DifferenceVectors(np.delete(w.diffs.vectors, k, axis=0), elem.convention)
+            dropped = decide_cone_linearity(elem, witness_direction(kept))
+            assert (dropped.difference, dropped.solved, dropped.passed) == (1, 1, False)
+            assert dropped.max_residual == 1.0
+
+    @pytest.mark.parametrize("doc", [ABS_DOC, NEG_ABS_DOC])
+    def test_swapped_chosen_row_fails(self, doc):
+        F = load_problem(doc)
+        elem, w, decided = _decide(F, [0.0])
+        assert decided.passed is True
+        comp = elem.components[0]
+        rejected = next(k for k in range(len(comp.g.active)) if k not in comp.g.chain[-1])
+        g = dataclasses.replace(comp.g, chain=(*comp.g.chain[:-1], (rejected,)))
+        swapped = dataclasses.replace(elem, components=(dataclasses.replace(comp, g=g),))
+        report = decide_cone_linearity(swapped, w)
+        assert (report.solved, report.passed) == (1, False)
+        assert verify_cone_linearity(swapped, w).passed is False
+
+    def test_perturbed_xi_fails(self):
+        for F, x in _record_cases():
+            elem, w, decided = _decide(F, x)
+            assert decided.passed is True
+            vars(elem)["xi"] = elem.xi + 1e-3  # the cached element, off its rows
+            assert decide_cone_linearity(elem, w).passed is False
+            assert verify_cone_linearity(elem, w).passed is False
+
+    def test_gap_that_is_not_finite_is_inconclusive(self):
+        # tol_tie inf keeps both slopes, and -1e308 - 1e308 overflows
+        _, _, decided = _decide(_one_term(["1e308*x1", "-1e308*x1"]), [0.0], tol_tie=math.inf)
+        assert (decided.solved, decided.max_residual, decided.passed) == (1, None, None)
+
+    def test_solve_at_its_iteration_cap_is_inconclusive(self, monkeypatch):
+        def capped(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr("scipy.optimize.nnls", capped)
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x1 + 1e-13*x2", "2*x1"]}]})
+        _, _, decided = _decide(F, [0.0, 0.0], tol_tie=0.0)
+        assert (decided.solved, decided.max_residual, decided.passed) == (1, None, None)
+
+    def test_one_active_piece_per_term_is_all_zero_gaps(self):
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["sin(x1) + x2"]}]})
+        _, _, decided = _decide(F, [0.3, 0.1])
+        assert decided == jacobian.ConeDecision(2, 0, 0, None, True)
+
+    def test_reads_no_difference_vectors_itself(self, monkeypatch):
+        monkeypatch.setattr(jacobian, "selection_differences", None)
+        for F, x in _record_cases():
+            elem = clarke_jacobian_element(F, x)
+            w = witness_direction(selection_differences(elem))
+            assert decide_cone_linearity(elem, w).passed is True
+
+
 class TestVerdicts:
     def test_reports_store_one_verdict(self):
         names = {
             cls: [f.name for f in dataclasses.fields(cls)]
             for cls in (
+                jacobian.ConeDecision,
                 jacobian.ConeLinearityReport,
                 jacobian.LimitPoint,
                 jacobian.LimitInclusionReport,
             )
         }
         assert names == {
+            jacobian.ConeDecision: ["zero", "difference", "solved", "max_residual", "passed"],
             jacobian.ConeLinearityReport: [
                 "samples",
                 "kept",

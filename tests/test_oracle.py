@@ -15,7 +15,6 @@ from dcjac.jacobian import clarke_jacobian_element, selection_differences, witne
 from dcjac.expr import DomainError, PieceStack, SmoothFn
 from dcjac.oracle import (
     _cone_direction,
-    _distinct_profiles,
     _distinct_rows,
     _row_norms,
     _strict_argmax_rows,
@@ -25,7 +24,6 @@ from dcjac.oracle import (
     finite_diff_dd,
     hull_membership,
     is_affine,
-    sample_limiting_jacobians,
 )
 from dcjac.dcmax import dd_F
 from util import (
@@ -35,10 +33,8 @@ from util import (
     bench_workloads,
     corpus_cases,
     reference_brute_force,
-    reference_distinct_profiles,
     reference_distinct_rows,
     reference_finite_diff,
-    reference_limiting_samples,
     reference_active_rows,
 )
 
@@ -49,88 +45,6 @@ def acceptance_corpus():
     """The 200 instances of the acceptance gate's hull criterion."""
     for seed in range(200):
         yield random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
-
-
-class TestSampleLimitingJacobians:
-    def test_smooth_instance_one_profile(self):
-        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1 + 2*x2"]}]})
-        samples = sample_limiting_jacobians(F, [0.0, 0.0], radius=0.5, count=32)
-        assert len(samples) == 1
-        np.testing.assert_allclose(samples[0].jacobian, [[1.0, 2.0]])
-
-    def test_abs_two_profiles(self):
-        F = load_problem(ABS_DOC)
-        samples = sample_limiting_jacobians(F, [0.0], radius=1.0, count=64)
-        assert sorted(s.jacobian.tolist() for s in samples) == [[[-1.0]], [[1.0]]]
-        for s in samples:
-            assert len(s.active_profile) == 1
-
-    def test_max_of_coordinates(self):
-        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["x1", "x2"]}]})
-        samples = sample_limiting_jacobians(F, [0.0, 0.0], radius=1.0, count=128)
-        assert sorted(s.jacobian.tolist() for s in samples) == [[[0.0, 1.0]], [[1.0, 0.0]]]
-
-    def test_every_sampled_jacobian_in_brute_force_output(self):
-        for seed in (1, 12, 31):
-            F = random_affine_problem(seed % 3 + 1, seed % 2 + 1, 4, seed=seed)
-            x = np.zeros(F.n)
-            mats = brute_force_subdifferential(F, x)[0]
-            for s in sample_limiting_jacobians(F, x, radius=1e-3, count=400, seed=seed):
-                assert any(np.max(np.abs(s.jacobian - m)) <= 1e-10 for m in mats)
-
-    @pytest.mark.parametrize(
-        "doc, x, radius",
-        [
-            (ABS_DOC, [0.0], 1.0),
-            # identical pieces tie everywhere: no sample is kept
-            ({"n": 1, "m": 1, "components": [{"g": ["x1", "x1", "0"]}]}, [0.0], 0.5),
-            # the largest value is inf for x1 > ~0.18: such points count as ties
-            ({"n": 1, "m": 1, "components": [{"g": ["x1*1e308*10", "0", "-x1"]}]}, [0.0], 0.5),
-            (
-                {
-                    "n": 2,
-                    "m": 2,
-                    "components": [
-                        {"g": ["sin(x1)", "cos(x2)", "x1*x2"], "h": ["exp(x1)", "x2"]},
-                        {"g": ["x1", "-x1"]},
-                    ],
-                },
-                [0.3, 0.7],
-                0.5,
-            ),
-        ],
-    )
-    def test_bitwise_equal_to_point_by_point_reference(self, doc, x, radius):
-        F = load_problem(doc)
-        got = sample_limiting_jacobians(F, x, radius=radius, count=400, seed=3)
-        expected = reference_limiting_samples(F, x, radius, 400, 3)
-        assert [s.active_profile for s in got] == [s.active_profile for s in expected]
-        for a, b in zip(got, expected):
-            assert_bits_equal(a.point, b.point)
-            assert_bits_equal(a.jacobian, b.jacobian)
-
-    def test_bitwise_equal_to_reference_on_random_instances(self):
-        for seed in range(40):
-            F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
-            x = np.zeros(F.n)
-            got = sample_limiting_jacobians(F, x, radius=0.5, count=300, seed=seed)
-            expected = reference_limiting_samples(F, x, 0.5, 300, seed)
-            assert [s.active_profile for s in got] == [s.active_profile for s in expected]
-            for a, b in zip(got, expected):
-                assert_bits_equal(a.point, b.point)
-                assert_bits_equal(a.jacobian, b.jacobian)
-
-    def test_bad_arguments(self):
-        F = load_problem(ABS_DOC)
-        with pytest.raises(ValueError):
-            sample_limiting_jacobians(F, [0.0], radius=0.0)
-        with pytest.raises(ValueError):
-            sample_limiting_jacobians(F, [0.0], count=0)
-        for radius in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="radius must be positive"):
-                sample_limiting_jacobians(F, [0.0], radius=radius)
-        with pytest.raises(ValueError, match="count must be at least 1"):
-            sample_limiting_jacobians(F, [0.0], count=-3)
 
 
 class TestHullMembership:
@@ -465,47 +379,6 @@ class TestProfiles:
             ]
         )
         assert _strict_argmax_rows(values).tolist() == [1, -1, -1, -1, -1, -1]
-
-    def test_distinct_profiles_in_first_occurrence_order(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            mat = rng.integers(-1, 3, size=(int(rng.integers(1, 60)), 4))
-            first: dict[tuple, int] = {}
-            for r, row in enumerate(mat):
-                key = tuple(int(v) for v in row)
-                if min(key) >= 0:
-                    first.setdefault(key, r)
-            profiles, rows = _distinct_profiles(mat)
-            assert profiles == list(first)
-            assert rows.tolist() == list(first.values())
-            assert all(type(v) is int for p in profiles for v in p)
-
-    @pytest.mark.parametrize(
-        "rows, cols, low, high, pool, holes",
-        [
-            (0, 3, 0, 3, 5, 0.0),  # no row at all
-            (50, 3, -1, 0, 5, 0.0),  # no kept row: every row holds a -1
-            (200, 1, 0, 5, 5, 0.05),  # one column
-            (300, 48, 0, 3, 300, 0.0),  # 48 columns, as m = 24 gives
-            (300, 48, 0, 3, 7, 0.01),
-            (100, 6, 0, 4, 1, 0.0),  # every row equal
-            (4096, 6, 0, 4, 40, 0.02),  # -1 entries mixed with valid ones
-            (400, 6, -1, 4, 400, 0.0),
-        ],
-    )
-    def test_distinct_profiles_equal_the_unique_reference(self, rows, cols, low, high, pool, holes):
-        rng = np.random.default_rng(rows * 100 + cols + pool)
-        for _ in range(10):
-            # rows drawn from a pool of candidates, so that rows repeat
-            candidates = rng.integers(low, high, size=(pool, cols))
-            mat = candidates[rng.integers(0, pool, size=rows)]
-            mat[rng.random(mat.shape) < holes] = -1
-            profiles, first = _distinct_profiles(mat)
-            ref_profiles, ref_first = reference_distinct_profiles(mat)
-            assert profiles == ref_profiles
-            assert first.dtype == ref_first.dtype
-            assert first.tolist() == ref_first.tolist()
-            assert all(type(v) is int for p in profiles for v in p)
 
 
 class TestDistinctRows:

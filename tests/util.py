@@ -41,7 +41,7 @@ from dcjac.jacobian import (
     TermSelection,
     lexicographic_chain,
 )
-from dcjac.oracle import LimitingSample, _cone_direction
+from dcjac.oracle import _cone_direction
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 
@@ -564,48 +564,6 @@ def reference_random_affine_document(n: int, m: int, pieces: int, seed: int) -> 
             comp["h"] = draw_term()
         components.append(comp)
     return {"n": n, "m": m, "components": components}
-
-
-def reference_limiting_samples(F, x, radius, count, seed) -> list[LimitingSample]:
-    """Point-by-point sampler with a zero-tolerance active set per max term
-    (a non-finite maximum counts as no unique piece): the reference for
-    ``sample_limiting_jacobians``."""
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    direc = rng.standard_normal((count, F.n))
-    direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-    pts = x + direc * (radius * rng.random((count, 1)) ** (1.0 / F.n))
-    found: dict[tuple, LimitingSample] = {}
-    for z in pts:
-        profile = []
-        for i in range(F.m):
-            try:
-                act_g = reference_active(F.g[i], z, 0.0)[0]
-                act_h = reference_active(F.h[i], z, 0.0)[0]
-            except OverflowError:
-                act_g = act_h = ()
-            if len(act_g) != 1 or len(act_h) != 1:
-                profile = None
-                break
-            profile.append((act_g[0], act_h[0]))
-        if profile is None or tuple(profile) in found:
-            continue
-        key = tuple(profile)
-        jac = np.array(
-            [F.g[i].pieces[j].grad(z) - F.h[i].pieces[k].grad(z) for i, (j, k) in enumerate(key)]
-        )
-        found[key] = LimitingSample(point=z, jacobian=jac, active_profile=key)
-    return list(found.values())
-
-
-def reference_distinct_profiles(choice_mat) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Distinct tie-free rows by ``np.unique`` over rows, put back in order
-    of first occurrence: the reference for ``oracle._distinct_profiles``."""
-    choice_mat = np.asarray(choice_mat)
-    kept = np.flatnonzero(np.all(choice_mat >= 0, axis=1))
-    rows, first = np.unique(choice_mat[kept], axis=0, return_index=True)
-    order = np.argsort(first)
-    return [tuple(int(v) for v in row) for row in rows[order]], kept[first[order]]
 
 
 def reference_distinct_rows(rows) -> list[int]:
