@@ -231,7 +231,7 @@ def _hull_check(F, x, elem, witness, args) -> dict:
         # every candidate is a limiting Jacobian, so a pass stands; a fail
         # stands only when the search finished, as it can miss a region
         member = None if cert.member is False and not report.enumerated else cert.member
-        weights, violation = cert.weights.tolist(), cert.violation
+        weights, violation = cert.weights.tolist(), _finite_or_none(cert.violation)
     return {
         "status": _status(member),
         "member": member,

@@ -199,10 +199,15 @@ def _first_max(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, np.argmax(values, axis=-1)[..., None], -1)[..., 0]
 
 
-def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
-    """Per max term (g_1, h_1, g_2, ...) from one sweep: its active pieces
-    (those within tol_act*(1+|max|) of its finite maximum) in ascending
-    order, its value at x and the active gradients, a row each.  Faults
+def _active_step(
+    F: DCMaxFn, x, tol_act: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every max term's (g_1, h_1, g_2, ...) active pieces at x, from one
+    sweep, as four arrays: ``rows``, the active gradients term by term;
+    ``pieces``, each row's piece index in its term, ascending within a
+    term; ``tops``, each term's value at x; and ``bounds``, term t's rows
+    being ``rows[bounds[t]:bounds[t + 1]]``.  A piece is active when it is
+    within tol_act*(1+|max|) of its term's finite maximum.  Faults
     surface in the order a term-by-term step meets them: a piece that
     cannot be evaluated, a non-finite maximum (OverflowError), a gradient
     that cannot be taken and then one that is not finite (OverflowError).
@@ -237,12 +242,7 @@ def _active_step(F: DCMaxFn, x, tol_act: float) -> list[tuple[tuple[int, ...], f
     )
     if fault is not None:
         raise fault[2]
-    bounds = np.searchsorted(terms, np.arange(len(values) + 1)).tolist()
-    pieces, tops = pieces.tolist(), tops.tolist()
-    return [
-        (tuple(pieces[lo:hi]), tops[t], grads[lo:hi])
-        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    return grads, pieces, tops, np.searchsorted(terms, np.arange(len(values) + 1))
 
 
 def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
@@ -250,9 +250,11 @@ def dd_F(F: DCMaxFn, x, y, tol_act: float = DEFAULT_TOL_ACT) -> np.ndarray:
     a max term its largest slope grad_j(x)'y over the active pieces j.
     OverflowError when an active gradient or a result is not finite."""
     x, y = _check_point(F, x), _check_point(F, y, "direction")
-    steps = _active_step(F, x, tol_act)
+    rows, _, _, bounds = _active_step(F, x, tol_act)
+    bounds = bounds.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        slopes = [_first_max(np.array([row @ y for row in grads])) for *_, grads in steps]
+        slopes = np.array([row @ y for row in rows])
+        slopes = [_first_max(slopes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         dd = np.subtract(slopes[0::2], slopes[1::2])
     _refuse_non_finite(dd, lambda i: f"directional derivative of component {i}")
     return dd

@@ -106,25 +106,56 @@ class ComponentSelection:
         return self.g.max_value - self.h.max_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianElement:
     """An m-by-n element of the Clarke generalized Jacobian: the step on
-    every component under one convention and one pair of tolerances."""
+    every max term under one convention and one pair of tolerances.
 
-    components: tuple[ComponentSelection, ...]
+    It holds the active step's arrays (``dcmax._active_step``) and each
+    term's filtration; ``xi`` and ``values`` are gathered from them, and
+    the per-term records (``components``) are built only when read."""
+
+    rows: np.ndarray = field(repr=False)  # active gradients, term by term (g_1, h_1, g_2, ...)
+    pieces: np.ndarray = field(repr=False)  # each row's piece index in its term
+    tops: np.ndarray = field(repr=False)  # each term's value at x, as eval_F reduces it
+    bounds: np.ndarray = field(repr=False)  # term t's rows: rows[bounds[t]:bounds[t + 1]]
+    chains: tuple[tuple[tuple[int, ...], ...], ...]  # per term, in positions into its rows
     convention: str
     tol_act: float
     tol_tie: float
 
     @functools.cached_property
+    def chosen(self) -> np.ndarray:
+        """Per term, the index into ``rows`` of its chosen piece: the first
+        survivor of its filtration."""
+        return self.bounds[:-1] + [chain[-1][0] for chain in self.chains]
+
+    @functools.cached_property
     def xi(self) -> np.ndarray:
-        """The element, row i being ``components[i].row``; built once.
-        OverflowError when a row is not finite (the rows it subtracts are
-        huge or not finite)."""
+        """The element, the chosen g rows minus the chosen h rows in one
+        gather; built once.  OverflowError when a row is not finite (the
+        rows it subtracts are huge or not finite)."""
+        chosen = self.chosen
         with np.errstate(over="ignore", invalid="ignore"):
-            xi = np.array([c.row for c in self.components])
+            xi = self.rows[chosen[0::2]] - self.rows[chosen[1::2]]
         _refuse_non_finite(xi, lambda i: f"row {i} of the Jacobian element")
         return xi
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """F(x), each g term's value minus its h term's: bitwise eval_F."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.tops[0::2] - self.tops[1::2]
+
+    @functools.cached_property
+    def components(self) -> tuple[ComponentSelection, ...]:
+        """The step as one record per component, built at the first read."""
+        pieces, tops, bounds = self.pieces.tolist(), self.tops.tolist(), self.bounds.tolist()
+        terms = [
+            TermSelection(tuple(pieces[lo:hi]), chain, top, self.rows[lo:hi])
+            for lo, hi, chain, top in zip(bounds, bounds[1:], self.chains, tops)
+        ]
+        return tuple(ComponentSelection(g, h) for g, h in zip(terms[0::2], terms[1::2]))
 
 
 @dataclass(frozen=True)
@@ -228,39 +259,42 @@ def clarke_jacobian_element(
     ``dcmax._active_step``, which also fixes the order of faults.  A term
     with one active piece is its own filtration (its row is finite, or
     the step would have refused it); every other term goes through
-    ``lexicographic_chain``.
+    ``lexicographic_chain``.  No per-term record is built here.
     """
     _check_convention(convention)
     if not tol_tie >= 0:  # tol_act is checked by the step
         raise ValueError("tol_tie must be nonnegative")
-    lone = ((0,),) * (F.n + 1)
-    terms = []
-    for active, value, grads in _active_step(F, x, tol_act):
-        chain = lone if len(active) == 1 else tuple(lexicographic_chain(grads, convention, tol_tie))
-        terms.append(TermSelection(active, chain, value, grads))
-    comps = tuple(ComponentSelection(g, h) for g, h in zip(terms[0::2], terms[1::2]))
-    return JacobianElement(comps, convention, tol_act, tol_tie)
+    rows, pieces, tops, bounds = _active_step(F, x, tol_act)
+    chains = [((0,),) * (F.n + 1)] * len(tops)
+    for t in np.flatnonzero(bounds[1:] - bounds[:-1] > 1).tolist():
+        chains[t] = tuple(lexicographic_chain(rows[bounds[t] : bounds[t + 1]], convention, tol_tie))
+    return JacobianElement(rows, pieces, tops, bounds, tuple(chains), convention, tol_act, tol_tie)
 
 
 def selection_differences(elem: JacobianElement) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for an element,
     taken from the active-gradient rows it stores, under its convention.
+    A term whose filtration keeps every active piece rejects nothing and
+    is skipped.
 
     A vector with no nonzero entry (``_leading_index`` gives -1), or equal
     to an earlier one (``oracle._distinct_rows``), is dropped.  Empty when
     every active gradient survived (e.g. smooth F).  OverflowError when a
     difference is not finite.
     """
-    blocks = []
-    for i, comp in enumerate(elem.components):
-        for name, term in (("g", comp.g), ("h", comp.h)):
-            survivors = list(term.chain[-1])
-            with np.errstate(over="ignore"):
-                alphas = np.delete(term.grads, survivors, axis=0)[:, None] - term.grads[survivors]
-            alphas = alphas.reshape(-1, term.grads.shape[1])
-            what = f"difference of active gradients of {name} in component {i}"
-            _refuse_non_finite(alphas, lambda _: what)
-            blocks.append(alphas)
+    blocks = [np.zeros((0, elem.rows.shape[1]))]
+    bounds = elem.bounds.tolist()
+    for t, (lo, hi, chain) in enumerate(zip(bounds, bounds[1:], elem.chains)):
+        survivors = list(chain[-1])
+        if len(survivors) == hi - lo:
+            continue  # the term rejects nothing
+        grads = elem.rows[lo:hi]
+        with np.errstate(over="ignore"):
+            alphas = np.delete(grads, survivors, axis=0)[:, None] - grads[survivors]
+        alphas = alphas.reshape(-1, grads.shape[1])
+        what = f"difference of active gradients of {'gh'[t % 2]} in component {t // 2}"
+        _refuse_non_finite(alphas, lambda _: what)
+        blocks.append(alphas)
     alphas = np.concatenate(blocks)
     alphas = alphas[_leading_index(alphas) >= 0]
     return DifferenceVectors(vectors=alphas[_distinct_rows(alphas)], convention=elem.convention)
@@ -345,25 +379,26 @@ def decide_cone_linearity(elem: JacobianElement, witness: WitnessDirection) -> C
     """
     A = witness.diffs.vectors
     known = {row.tobytes() for row in A + 0.0}  # + 0.0 turns -0.0 into 0.0
-    zero = difference = 0
+    difference = 0
     residuals = []
+    rows, chosen = elem.rows, elem.chosen
     with np.errstate(over="ignore", invalid="ignore"):  # a gap that overflows is not finite
-        claimed = np.array([comp.row for comp in elem.components])
-        for term in (term for comp in elem.components for term in (comp.g, comp.h)):
-            gaps = term.grads - term.row + 0.0
-            exact = ~gaps.any(axis=1)
-            zero += int(exact.sum())
-            for gap in gaps[~exact]:
-                if gap.tobytes() in known:
-                    difference += 1
-                elif not len(A) or not np.isfinite(gap).all():  # nnls crashes on no column
-                    residuals.append(float(np.hypot.reduce(gap)))  # its norm, without overflow
-                else:
-                    from scipy.optimize import nnls  # at the first solve: it is slow to import
-                    try:
-                        residuals.append(float(nnls(A.T, gap)[1]))
-                    except RuntimeError:  # the solve stopped at its iteration cap
-                        residuals.append(np.nan)
+        claimed = rows[chosen[0::2]] - rows[chosen[1::2]]
+        # every active row minus its term's chosen row, term by term
+        gaps = rows - rows[np.repeat(chosen, np.diff(elem.bounds))] + 0.0
+        exact = ~gaps.any(axis=1)
+        zero = int(exact.sum())
+        for gap in gaps[~exact]:
+            if gap.tobytes() in known:
+                difference += 1
+            elif not len(A) or not np.isfinite(gap).all():  # nnls crashes on no column
+                residuals.append(float(np.hypot.reduce(gap)))  # its norm, without overflow
+            else:
+                from scipy.optimize import nnls  # at the first solve: it is slow to import
+                try:
+                    residuals.append(float(nnls(A.T, gap)[1]))
+                except RuntimeError:  # the solve stopped at its iteration cap
+                    residuals.append(np.nan)
     worst = passed = None
     if np.isfinite(residuals).all():
         worst = max(residuals, default=None)

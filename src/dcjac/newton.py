@@ -117,9 +117,8 @@ def solve(
     for _ in range(max_iters + 1):
         elem = clarke_jacobian_element(F, x, tol_act, tol_tie, convention)
         # bitwise eval_F(F, x): the selection already reduced every max term
-        F_x = np.array([c.value for c in elem.components])
+        F_x, xi = elem.values, elem.xi
         residual = float(np.max(np.abs(F_x)))
-        xi = elem.xi
         if res0 is None:
             res0 = residual
         grow_streak = grow_streak + 1 if residual > 10.0 * res0 else 0

@@ -70,10 +70,12 @@ class HullCertificate:
     """Outcome of a convex-hull membership query.
 
     ``member`` is None when the solver hit its iteration cap without
-    certifying either answer (inconclusive, never reported as False).
-    ``violation`` is the Frobenius distance from the query to the hull;
-    ``weights`` are convex coefficients over the candidates realizing the
-    closest hull point (the query itself when member).
+    certifying either answer, or when a candidate minus the query is not
+    finite and no solve ran (inconclusive, never reported as False).
+    ``violation`` is the Frobenius distance from the query to the hull
+    (NaN when no solve ran); ``weights`` are convex coefficients over the
+    candidates realizing the closest hull point (the query itself when
+    member), empty when no solve ran.
     """
 
     member: bool | None
@@ -194,7 +196,10 @@ def hull_membership(query, candidates, tol: float = 1e-8) -> HullCertificate:
         raise ValueError("candidates must be nonempty")
     q = np.asarray(query, dtype=float)
     shape = q.shape
-    pts = np.array([c.reshape(-1) - q.reshape(-1) for c in cands])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.array([c.reshape(-1) - q.reshape(-1) for c in cands])
+    if not np.isfinite(pts).all():  # a difference overflows: no distance to measure
+        return HullCertificate(None, np.zeros(0), math.nan, 0, False)
     # normalize so the minor-cycle systems stay well conditioned at any scale
     scale = max(1.0, float(np.max(_row_norms(pts))))
     cap = 10 * len(cands) * int(np.prod(shape))
@@ -302,15 +307,19 @@ def _region_patterns(grads: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bo
     interior (``_cone_direction``).  With whether the search finished
     within ``SEARCH_BUDGET`` choices.
 
-    Of each group of numerically equal active gradients of a term only the
-    first is a choice (``_distinct_rows``): the others have the same cone
-    rows and the same Jacobian, whose pattern sorts after it."""
+    A node inherits its parent's interior direction d, and needs no
+    program when every row of its cone has a product above 1e-9 with d:
+    d then shows that the program's slack, over |d| <= 1, is above its
+    bar.  Of each group of numerically equal active gradients of a term
+    only the first is a choice (``_distinct_rows``): the others have the
+    same cone rows and the same Jacobian, whose pattern sorts after it."""
     choices = [_distinct_rows(rows).tolist() for rows in grads]
     cones = [{p: _cone_rows(rows, p) for p in ps} for rows, ps in zip(grads, choices)]
     found, visited = [], 0
-    stack = [((), np.zeros((0, grads[0].shape[1])))]  # a pattern and its parent's cone
+    # a pattern, its parent's cone and a direction interior to that cone
+    stack = [((), np.zeros((0, grads[0].shape[1])), None)]
     while stack:
-        pattern, cone = stack.pop()
+        pattern, cone, direction = stack.pop()
         depth = len(pattern)
         if depth and len(cones[depth - 1]) > 1:
             if visited == SEARCH_BUDGET:
@@ -319,12 +328,15 @@ def _region_patterns(grads: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bo
             rows = cones[depth - 1][pattern[-1]]
             if len(rows):
                 cone = np.concatenate([cone, rows])
-                if _cone_direction(cone) is None:
-                    continue
+                if direction is None or not np.all(cone @ direction > 1e-9):
+                    found_direction = _cone_direction(cone)
+                    if found_direction is None:
+                        continue
+                    direction = found_direction[0]
         if depth == len(cones):
             found.append(pattern)
         else:
-            stack += [((*pattern, p), cone) for p in reversed(choices[depth])]
+            stack += [((*pattern, p), cone, direction) for p in reversed(choices[depth])]
     return found, True
 
 
@@ -349,7 +361,9 @@ def brute_force_subdifferential(
         raise ValueError("brute_force_subdifferential requires affine pieces")
     # one entry per max term, in pattern order g_1, h_1, g_2, h_2, ...;
     # patterns hold positions in each term's ascending active list
-    grads = [rows for *_, rows in _active_step(F, x, tol_act)]
+    active_rows, _, _, bounds = _active_step(F, x, tol_act)
+    bounds = bounds.tolist()
+    grads = [active_rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     patterns, enumerated = _region_patterns(grads)
     combos = np.array(sorted(patterns), dtype=np.intp).reshape(-1, 2 * F.m)
     rows = np.stack([grads[t][combos[:, t]] for t in range(2 * F.m)], axis=1)
@@ -400,18 +414,19 @@ def certify_claimed_region(
     program's slack is a solver's output, so ``_cone_direction`` asks for
     more than 1e-9.  Both are floating-point comparisons.
     """
-    model = _active_step(F, x, tol_act)
+    rows, pieces, _, bounds = _active_step(F, x, tol_act)
+    bounds, pieces = bounds.tolist(), pieces.tolist()
     y_bar = np.asarray(y_bar, dtype=float)
     chosen = [term.chosen for comp in elem.components for term in (comp.g, comp.h)]
-    rows, cone = [], []
+    picked, cone = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows declines
-        for piece, (active, _, grads) in zip(chosen, model):
-            if piece not in active:
+        for piece, lo, hi in zip(chosen, bounds, bounds[1:]):
+            if piece not in pieces[lo:hi]:
                 return None
-            p = active.index(piece)
-            rows.append(grads[p])
-            cone.append(grads[p] - np.delete(grads, p, axis=0))
-        claimed = np.array(rows[0::2]) - np.array(rows[1::2])
+            p = lo + pieces[lo:hi].index(piece)
+            picked.append(p)
+            cone.append(rows[p] - np.delete(rows[lo:hi], p - lo, axis=0))
+        claimed = rows[picked[0::2]] - rows[picked[1::2]]
         xi = elem.xi
         if claimed.shape != xi.shape or claimed.tobytes() != xi.tobytes():
             return None

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,27 @@ class TestVerify:
             "max_residual": cone.max_residual,
         }
         assert code == (0 if cone.passed else 1)
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_hull_candidate_that_overflows_is_inconclusive(self, capsys, tmp_path, convention):
+        # the claimed region declines (its cone row 2e308 is not finite),
+        # and the oracle's candidates +-1e308 minus xi overflow: no solve runs
+        prob = write_problem(tmp_path, [{"g": ["1e308*x1", "-1e308*x1"]}])
+        argv = ["verify", "-p", prob, "-x", "0", "--tol-tie", "inf", "--convention", convention]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [*argv, "--json"])
+        assert (code, err) == (0, "")
+        payload = strict_loads(out)
+        assert "hull_membership" in payload["inconclusive"]
+        assert payload["checks"]["hull_membership"] == {
+            "status": "inconclusive",
+            "member": None,
+            "method": "oracle",
+            "weights": [],
+            "violation": None,
+            "profiles_found": 2,
+        }
 
     def test_infinite_tolerance_is_inconclusive(self, capsys, tmp_path):
         # the classical Jacobian's norm, 1.9e308, is beyond the largest

@@ -39,7 +39,9 @@ def dd_one(F, x, y) -> float:
 
 def step(F, x, tol_act=DEFAULT_TOL_ACT):
     """``_active_step`` at a point given as a list: (active, value) per term."""
-    return [(active, value) for active, value, _ in _active_step(F, np.array(x), tol_act)]
+    _, pieces, tops, bounds = _active_step(F, np.array(x), tol_act)
+    pieces, bounds = pieces.tolist(), bounds.tolist()
+    return [(tuple(pieces[lo:hi]), top) for lo, hi, top in zip(bounds, bounds[1:], tops.tolist())]
 
 
 class TestLoadProblem:

@@ -560,12 +560,17 @@ class TestSelectionRecord:
 
     def test_element_is_one_record_built_once(self):
         fields = [f.name for f in dataclasses.fields(jacobian.JacobianElement)]
-        assert fields == ["components", "convention", "tol_act", "tol_tie"]
+        assert fields == [
+            "rows", "pieces", "tops", "bounds", "chains", "convention", "tol_act", "tol_tie"
+        ]
         for F, x in _record_cases():
             elem = clarke_jacobian_element(F, x, tol_act=1e-8, tol_tie=1e-10, convention="max")
             assert (elem.convention, elem.tol_act, elem.tol_tie) == ("max", 1e-8, 1e-10)
-            assert elem.xi is elem.xi
+            assert elem.xi is elem.xi and elem.values is elem.values
+            assert "components" not in vars(elem)  # xi and values read no record
+            assert elem.components is elem.components
             assert_bits_equal(elem.xi, [comp.row for comp in elem.components])
+            assert_bits_equal(elem.values, [comp.value for comp in elem.components])
 
     def test_rows_stay_out_of_equality_and_repr(self):
         F = load_problem(ABS_DOC)
@@ -915,8 +920,9 @@ class TestDecidedConeLinearity:
         assert decided.passed is True
         comp = elem.components[0]
         rejected = next(k for k in range(len(comp.g.active)) if k not in comp.g.chain[-1])
-        g = dataclasses.replace(comp.g, chain=(*comp.g.chain[:-1], (rejected,)))
-        swapped = dataclasses.replace(elem, components=(dataclasses.replace(comp, g=g),))
+        g = (*comp.g.chain[:-1], (rejected,))
+        swapped = dataclasses.replace(elem, chains=(g, *elem.chains[1:]))
+        assert swapped.components[0].g.chosen == comp.g.active[rejected]
         report = decide_cone_linearity(swapped, w)
         assert (report.solved, report.passed) == (1, False)
         assert verify_cone_linearity(swapped, w).passed is False

@@ -3,10 +3,18 @@ import pytest
 
 import dcjac.expr
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import eval_F, load_problem
+from dcjac.dcmax import DCMaxFn, eval_F, load_problem
 from dcjac.expr import Const, SmoothFn, Unary, Var
 from dcjac.newton import build_ncp, ncp_residual, solve
-from util import ABS_DOC, assert_bits_equal, reference_eval_float, reference_eval_tangent
+from util import (
+    ABS_DOC,
+    assert_bits_equal,
+    assert_element_equal,
+    bench_workloads,
+    reference_element,
+    reference_eval_float,
+    reference_eval_tangent,
+)
 
 ROOT_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1 - 1", "2*x1 - 2"]}]}
 
@@ -108,6 +116,61 @@ class TestSolve:
         monkeypatch.setattr(jacobian.TermSelection, "piece_chain", property(fail))
         M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
         assert solve(build_ncp(M, np.array([-3.0, -3.0, 0.0])), np.zeros(3)).status == "converged"
+
+
+class TestSelectionArrays:
+    """A Newton iterate reads xi and F(x) from the element's arrays."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_iterate_equals_the_term_by_term_reference(self, seed):
+        # the benchmark's ncp-newton instances: n = 10, 20, 30
+        for inst in bench_workloads().ncp_newton(seed, per_size=2):
+            F = build_ncp(inst.M, inst.q)
+            trace = solve(F, inst.x0)
+            assert trace.status == "converged"
+            for s in trace.steps:
+                ref = reference_element(F, s.x)
+                assert (s.xi.tobytes(), s.F_x.tobytes()) == (ref.xi.tobytes(), ref.values.tobytes())
+                assert_element_equal(jacobian.clarke_jacobian_element(F, s.x), ref)
+
+    @pytest.mark.parametrize(
+        "convention, xi", [("min", [[2.0, 1.0], [1.0, 2.0]]), ("max", [[1.0, 0.0], [0.0, 1.0]])]
+    )
+    def test_tied_ncp_under_both_conventions(self, convention, xi):
+        # at the origin x_i and (Mx)_i tie in every component: the
+        # filtration picks -M_i under "min" and -e_i under "max"
+        F = build_ncp([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0])
+        trace = solve(F, [0.0, 0.0], convention=convention)
+        assert (trace.status, len(trace.steps)) == ("converged", 1)
+        assert trace.steps[0].xi.tolist() == xi
+        elem = jacobian.clarke_jacobian_element(F, [0.0, 0.0], convention=convention)
+        assert [len(chain[0]) for chain in elem.chains] == [1, 2, 1, 2]
+        assert_element_equal(elem, reference_element(F, [0.0, 0.0], convention=convention))
+
+    def test_solve_builds_no_record_and_sweeps_once_per_selection(self, monkeypatch):
+        calls = {"elements": 0, "sweeps": 0}
+
+        def no_record(*args):
+            raise AssertionError("a per-term record was built")
+
+        def count_elements(*args, **kwargs):
+            calls["elements"] += 1
+            return select(*args, **kwargs)
+
+        def count_sweeps(F, X):
+            calls["sweeps"] += 1
+            return term_values(F, X)
+
+        select, term_values = jacobian.clarke_jacobian_element, DCMaxFn.term_values
+        monkeypatch.setattr(jacobian, "TermSelection", no_record)
+        monkeypatch.setattr("dcjac.newton.clarke_jacobian_element", count_elements)
+        monkeypatch.setattr(DCMaxFn, "term_values", count_sweeps)
+        inst = bench_workloads().ncp_newton(1, per_size=1)[0]
+        trace = solve(build_ncp(inst.M, inst.q), inst.x0)
+        assert trace.status == "converged"
+        assert calls["sweeps"] == calls["elements"] >= len(trace.steps) > 1
+        with pytest.raises(AssertionError, match="per-term record"):
+            jacobian.clarke_jacobian_element(build_ncp(inst.M, inst.q), inst.x0).components
 
 
 class TestBuildNCP:

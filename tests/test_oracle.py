@@ -113,6 +113,18 @@ class TestHullMembership:
         assert cert.violation == 0.0
         assert cert.weights.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("query", [[[1e308]], [[-1e308]], [[math.inf]]])
+    def test_difference_that_is_not_finite_solves_nothing(self, monkeypatch, query):
+        # 1e308 - (-1e308) overflows: there is no finite distance to minimize
+        monkeypatch.setattr(dcjac.oracle, "_min_norm_point", None)  # never called
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = hull_membership(np.array(query), [np.array([[1e308]]), np.array([[-1e308]])])
+        assert (cert.member, cert.weights.shape, cert.iterations, cert.converged) == (
+            None, (0,), 0, False
+        )
+        assert math.isnan(cert.violation)
+
     def test_row_norms_keep_the_bits_of_norm_when_finite(self):
         rows = np.random.default_rng(4).standard_normal((50, 7))
         rows *= np.logspace(-150, 150, 50)[:, None]
@@ -298,7 +310,8 @@ class TestRegionSearch:
         assert sorted(m.tolist() for m in mats) == [[[0.0, 1.0]], [[1.0, 0.0]]]
 
     def test_thin7_finishes_with_seven_matrices(self, monkeypatch):
-        # 3*4**6 patterns, of which the search tests 155 prefixes by an LP;
+        # 3*4**6 patterns, of which the search tests 119 prefixes by an LP
+        # (a child whose cone the parent's direction clears runs none);
         # piece 0 of the first term wins on a cone about 1e-5 wide
         calls = []
         linprog = dcjac.oracle.linprog
@@ -309,7 +322,7 @@ class TestRegionSearch:
 
         monkeypatch.setattr(dcjac.oracle, "linprog", counted)
         mats, report = brute_force_subdifferential(load_problem(THIN7), [0.0, 0.0])
-        assert (len(mats), report.enumerated, len(calls)) == (7, True, 155)
+        assert (len(mats), report.enumerated, len(calls)) == (7, True, 119)
         assert sum(m[0].tolist() == [0.0, 0.0] for m in mats) == 1  # piece 0's region
 
     def test_rows_near_1e_10_are_scaled_before_the_slack_bar(self):
@@ -679,7 +692,9 @@ GOLDEN_POINTS = {"curved": [0.0, 0.0], "oc105": [0.0, 0.0], "thin": [1.0, -2.0],
 
 
 def _assert_model_is_the_tree_walk(F, x):
-    got = [(active, grads) for active, _, grads in _active_step(F, x, DEFAULT_TOL_ACT)]
+    rows, pieces, _, bounds = _active_step(F, x, DEFAULT_TOL_ACT)
+    pieces, bounds = pieces.tolist(), bounds.tolist()
+    got = [(tuple(pieces[lo:hi]), rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     assert_active_rows_equal(got, reference_active_rows(F, x))
 
 

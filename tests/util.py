@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,6 @@ from dcjac.jacobian import (
     ConventionMismatchError,
     ConeLinearityReport,
     DifferenceVectors,
-    JacobianElement,
     LimitInclusionReport,
     LimitPoint,
     TermSelection,
@@ -281,9 +281,36 @@ def assert_active_rows_equal(got, want) -> None:
         assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), (a, b)
 
 
+@dataclass(frozen=True)
+class ReferenceElement:
+    """What ``reference_element`` returns: one ``ComponentSelection`` per
+    component, built term by term, with the element and F(x) put
+    together row by row from those records."""
+
+    components: tuple[ComponentSelection, ...]
+    convention: str
+    tol_act: float
+    tol_tie: float
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Row i is ``components[i].row``; OverflowError for the first row
+        that is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi = np.array([comp.row for comp in self.components])
+        for i, row in enumerate(xi):
+            if not np.isfinite(row).all():
+                raise OverflowError(f"row {i} of the Jacobian element is {row.tolist()}")
+        return xi
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.array([comp.value for comp in self.components])
+
+
 def reference_element(
     F, x, tol_act=DEFAULT_TOL_ACT, tol_tie=DEFAULT_TOL_TIE, convention="min"
-) -> JacobianElement:
+) -> ReferenceElement:
     """The Huang-Ma step run term by term: ``reference_active`` on each max
     term, each active gradient by ``SmoothFn.grad`` (OverflowError for the
     first one that is not finite) and the full ``lexicographic_chain``.
@@ -305,12 +332,20 @@ def reference_element(
         ComponentSelection(select_term(g, "g", i), select_term(h, "h", i))
         for i, (g, h) in enumerate(zip(F.g, F.h))
     )
-    return JacobianElement(comps, convention, tol_act, tol_tie)
+    return ReferenceElement(comps, convention, tol_act, tol_tie)
+
+
+def _xi_or_refusal(elem):
+    try:
+        return elem.xi
+    except OverflowError as exc:
+        return str(exc)
 
 
 def assert_element_equal(got, want) -> None:
-    """Same active sets, filtrations and convention, and bitwise the same
-    values and active gradients, term by term."""
+    """Same active sets, filtrations and convention, bitwise the same
+    values and active gradients, term by term, and bitwise the same
+    ``xi`` (or the same refusal) and ``values``."""
     settings = ("convention", "tol_act", "tol_tie")
     assert [getattr(got, k) for k in settings] == [getattr(want, k) for k in settings]
     assert len(got.components) == len(want.components)
@@ -319,6 +354,12 @@ def assert_element_equal(got, want) -> None:
             assert (term.active, term.chain) == (ref_term.active, ref_term.chain)
             assert_bits_equal(term.max_value, ref_term.max_value)
             assert_bits_equal(term.grads, ref_term.grads)
+    xi, ref_xi = _xi_or_refusal(got), _xi_or_refusal(want)
+    if isinstance(ref_xi, str):
+        assert xi == ref_xi
+    else:
+        assert (xi.shape, xi.tobytes()) == (ref_xi.shape, ref_xi.tobytes()), (xi, ref_xi)
+    assert got.values.tobytes() == want.values.tobytes(), (got.values, want.values)
 
 
 def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
