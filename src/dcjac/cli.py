@@ -215,7 +215,7 @@ def _status(passed: bool | None) -> str:
 def _hull_check(F, x, elem, witness, args) -> dict:
     """Hull membership for affine F: the selection's claimed region first,
     the brute-force oracle only when that check declines."""
-    region = certify_claimed_region(F, x, elem, witness.y_bar, args.tol_act)
+    region = certify_claimed_region(elem, witness.y_bar)
     if region is not None:
         return {
             "status": "pass",

@@ -130,6 +130,11 @@ class DCMaxFn:
         row each; see ``PieceStack.grads``."""
         return self.stack.grads(x, self._layout[2][terms] + pieces)
 
+    def term_grads_keys(self, X, terms, pieces) -> list[tuple]:
+        """Per row k of X, what ``term_grads(X[k], terms, pieces[k])`` reads
+        of that point; see ``PieceStack.grads_keys``."""
+        return self.stack.grads_keys(X, self._layout[2][terms] + pieces)
+
 
 def load_problem(document: dict) -> DCMaxFn:
     """Build a validated DCMaxFn from a problem document.

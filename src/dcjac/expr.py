@@ -906,3 +906,19 @@ class PieceStack:
         for k in np.flatnonzero(walk):
             out[k] = self.pieces[pieces[k]].grad(x)
         return out
+
+    def grads_keys(self, X, pieces) -> list[tuple]:
+        """Per row k of X, what ``grads(X[k], pieces[k])`` reads of that
+        point: rows with equal keys get gradients equal bit for bit.  When
+        every piece is swept and the point is finite, the gradients are
+        ``table`` rows signed by the zero-sign rule above, so only the sign
+        bits that rule reads count; otherwise a tree walk reads the whole
+        point."""
+        X = np.asarray(X, dtype=float)
+        pieces = np.asarray(pieces, dtype=np.intp)
+        swept = self.swept[pieces].all(axis=1) & np.isfinite(X).all(axis=1)
+        signs = np.signbit(X)[:, self.flip_var]
+        return [
+            ("swept", p.tobytes(), s.tobytes()) if ok else ("walked", p.tobytes(), x.tobytes())
+            for ok, p, s, x in zip(swept.tolist(), pieces, signs, X)
+        ]

@@ -23,7 +23,13 @@ import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
 from .instances import DEFAULT_SEED
-from .oracle import _classical_jacobian, _distinct_rows, _row_norms, _strict_profiles
+from .oracle import (
+    _classical_jacobian,
+    _classical_jacobian_keys,
+    _distinct_rows,
+    _row_norms,
+    _strict_profiles,
+)
 
 __all__ = [
     "DEFAULT_TOL_TIE",
@@ -516,7 +522,10 @@ def verify_limit_inclusion(
 
     Points where some max term has no strictly largest finite piece
     (``oracle._strict_profiles``; tol_act plays no part) are skipped as
-    degenerate.
+    degenerate.  Points whose Jacobians read the same gradient rows
+    (``oracle._classical_jacobian_keys``: on affine pieces, the same
+    profile and the same sign bits) share one gather, its norm and its
+    distance to the element.
     Passes when the distance decreases (within tolerance) along the
     schedule and the last usable point is within 1e-6*(1+scale) of the
     element, where scale is the largest classical Jacobian norm seen.  The
@@ -526,16 +535,22 @@ def verify_limit_inclusion(
     zs = np.asarray(x, dtype=float) + np.outer(LIMIT_T_SCHEDULE, witness.y_bar)
     points: list[LimitPoint] = []
     scale = 0.0
+    figures = {}  # per gather key, the Jacobian's norm and its distance to xi
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is inconclusive
-        for t, z, profile in zip(LIMIT_T_SCHEDULE, zs, _strict_profiles(F, zs)):
+        profiles = _strict_profiles(F, zs)
+        usable = (profiles.min(axis=1) >= 0).tolist()
+        keys = _classical_jacobian_keys(F, zs, profiles)
+        for t, z, profile, key, ok in zip(LIMIT_T_SCHEDULE, zs, profiles, keys, usable):
             distance = None  # a degenerate point
-            if profile.min() >= 0:
-                jac = _classical_jacobian(F, z, profile)
-                norm = float(np.linalg.norm(jac))
-                if norm == np.inf:  # its squares overflow
-                    norm = float(np.hypot.reduce(np.abs(jac).ravel()))
+            if ok:
+                if key not in figures:
+                    jac = _classical_jacobian(F, z, profile)
+                    norm = float(np.linalg.norm(jac))
+                    if norm == np.inf:  # its squares overflow
+                        norm = float(np.hypot.reduce(np.abs(jac).ravel()))
+                    figures[key] = norm, float(np.linalg.norm(jac - elem.xi))
+                norm, distance = figures[key]
                 scale = max(scale, norm)
-                distance = float(np.linalg.norm(jac - elem.xi))
             points.append(LimitPoint(t, distance))
 
     tolerance = 1e-6 * (1.0 + scale)

@@ -9,10 +9,11 @@ pieces that win on full-dimensional regions near x.  Both checks here
 read the active step (``dcmax._active_step``): the active pieces of every
 max term and their gradients at x.
 
-``certify_claimed_region`` checks the selection's own claim: the pieces
-it chose are active, their Jacobian is the element bit for bit, and they
-strictly win on an open cone of directions, which the witness direction
-ȳ or a max-margin cone program (``_cone_direction``) exhibits.  Such a
+``certify_claimed_region`` checks the selection's own claim from the
+step the element stores: the rows it chose are active rows of their
+terms, their Jacobian is the element bit for bit, and they strictly win
+on an open cone of directions, which the witness direction ȳ or a
+max-margin cone program (``_cone_direction``) exhibits.  Such a
 pattern's Jacobian is a limit of classical Jacobians, so a pass proves
 membership.  The test of ȳ is a floating-point comparison, not an exact
 one.
@@ -25,15 +26,17 @@ convex weights or a separation margin.
 
 ``_strict_profiles`` decides where F is differentiable, and
 ``_classical_jacobian`` gives F's Jacobian there: the ray walk of
-``jacobian.verify_limit_inclusion`` reads both.
+``jacobian.verify_limit_inclusion`` reads both, and gathers once per
+key of ``_classical_jacobian_keys``.
 
-The active step is the one the selection runs too (one ``PieceStack``
-sweep); no expression tree is walked.  So the oracle is not independent
-of ``PieceStack``: the parity tests against the tree-walk references in
-``tests/util.py`` carry that guarantee.  It stays independent of the
-selection: it reads no ``TermSelection`` rows and runs no filtration.
-From the selection the claimed-region check reads only what it claims:
-the chosen piece of every term, the element and ȳ.
+The brute-force oracle runs its own active step, the one the selection
+runs too (one ``PieceStack`` sweep); no expression tree is walked.  So
+it is not independent of ``PieceStack``: the parity tests against the
+tree-walk references in ``tests/util.py`` carry that guarantee.  It
+stays independent of the selection: it reads no row the selection
+stores and runs no filtration.  The claimed-region check reads the
+selection's step instead of running its own, and checks what the
+selection claims: the chosen row of every term, the element and ȳ.
 """
 
 from __future__ import annotations
@@ -108,6 +111,16 @@ def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile) -> np.ndarray:
     names (one per max term), the strictly largest ones there."""
     grads = F.term_grads(z, np.arange(2 * F.m), np.ravel(profile))
     return grads[0::2] - grads[1::2]
+
+
+def _classical_jacobian_keys(F: DCMaxFn, zs: np.ndarray, profiles: np.ndarray) -> list[tuple]:
+    """Per row of ``zs``, what ``_classical_jacobian`` reads there with that
+    row's profile: two rows with equal keys have Jacobians equal bit for
+    bit.  On swept pieces that is the profile and a few sign bits, so a
+    ray walk that keeps its profile gathers once
+    (``DCMaxFn.term_grads_keys``).  A row whose profile holds a -1 has a
+    key but no Jacobian."""
+    return F.term_grads_keys(zs, np.arange(2 * F.m), profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +403,22 @@ class RegionCertificate:
     margin: float | None
 
 
-def certify_claimed_region(
-    F: DCMaxFn, x, elem, y_bar, tol_act: float = DEFAULT_TOL_ACT
-) -> RegionCertificate | None:
+def certify_claimed_region(elem, y_bar) -> RegionCertificate | None:
     """Certify that the element ``elem`` (a ``jacobian.JacobianElement``)
     is the Jacobian of a pattern of pieces that wins on a full-dimensional
-    region near x, for piecewise-affine F; None when that claim cannot be
-    checked, and then ``brute_force_subdifferential`` decides.
+    region near its point, for piecewise-affine F; None when that claim
+    cannot be checked, and then ``brute_force_subdifferential`` decides.
 
-    The active sets and gradients come from ``dcmax._active_step``: it
-    shares the ``PieceStack`` sweep with the selection, but reads none of
-    the rows the selection stores and runs no filtration.  It passes when every term's
-    ``TermSelection.chosen`` piece is active there, the chosen g rows
-    minus h rows equal ``elem.xi`` bit for bit, and every nonzero cone row
-    (the chosen gradient minus each other active gradient, per term) has
-    a positive product with ``y_bar``, or failing that, the cone program
-    finds an interior direction.  Such a pattern's Jacobian
-    lies in the B-subdifferential, hence in the generalized Jacobian.
+    It reads the active step the element stores (``rows``, ``bounds``),
+    its chosen rows (``chosen``) and ``xi``; no step runs again and no
+    filtration is read.  It passes when every chosen index lies within
+    its term's rows, the chosen g rows minus h rows equal ``elem.xi`` bit
+    for bit, and every nonzero cone row (the chosen gradient minus each
+    active gradient of its term, in one gather) has a positive product
+    with ``y_bar``, or failing that, the cone program finds an interior
+    direction.  A cone row that is not finite declines.  Such a pattern's
+    Jacobian lies in the B-subdifferential, hence in the generalized
+    Jacobian.
 
     The two routes have different bars.  ``y_bar`` weights coordinate k
     by a ratio to the power k, so a correct claim's products can be far
@@ -414,23 +426,16 @@ def certify_claimed_region(
     program's slack is a solver's output, so ``_cone_direction`` asks for
     more than 1e-9.  Both are floating-point comparisons.
     """
-    rows, pieces, _, bounds = _active_step(F, x, tol_act)
-    bounds, pieces = bounds.tolist(), pieces.tolist()
+    rows, bounds, chosen = elem.rows, elem.bounds, elem.chosen
+    if not np.all((bounds[:-1] <= chosen) & (chosen < bounds[1:])):
+        return None
     y_bar = np.asarray(y_bar, dtype=float)
-    chosen = [term.chosen for comp in elem.components for term in (comp.g, comp.h)]
-    picked, cone = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows declines
-        for piece, lo, hi in zip(chosen, bounds, bounds[1:]):
-            if piece not in pieces[lo:hi]:
-                return None
-            p = lo + pieces[lo:hi].index(piece)
-            picked.append(p)
-            cone.append(rows[p] - np.delete(rows[lo:hi], p - lo, axis=0))
-        claimed = rows[picked[0::2]] - rows[picked[1::2]]
+        claimed = rows[chosen[0::2]] - rows[chosen[1::2]]
         xi = elem.xi
         if claimed.shape != xi.shape or claimed.tobytes() != xi.tobytes():
             return None
-        cone = np.concatenate(cone)
+        cone = rows[np.repeat(chosen, np.diff(bounds))] - rows
         if not np.isfinite(cone).all():
             return None
         cone = cone[np.any(cone != 0.0, axis=1)]

@@ -604,6 +604,37 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("x, patterns", [("0", 1), ("1e-3", 2)])
+    def test_one_step_at_x_and_one_gather_per_walk_pattern(
+        self, capsys, abs_problem, monkeypatch, x, patterns
+    ):
+        # at 1e-3 the walk meets -x1 at t = 1e-2, a tie at 1e-3 and x1 after
+        calls = {"term_values": [], "grads": [], "TermSelection": 0}
+        term_values, grads = DCMaxFn.term_values, dcjac.expr.PieceStack.grads
+        init = dcjac.jacobian.TermSelection.__init__
+
+        def counting_values(self, X):
+            calls["term_values"].append(len(X))
+            return term_values(self, X)
+
+        def counting_grads(self, z, pieces):
+            calls["grads"].append(np.asarray(z).tolist())
+            return grads(self, z, pieces)
+
+        def counting_init(self, *args):
+            calls["TermSelection"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(DCMaxFn, "term_values", counting_values)
+        monkeypatch.setattr(dcjac.expr.PieceStack, "grads", counting_grads)
+        monkeypatch.setattr(dcjac.jacobian.TermSelection, "__init__", counting_init)
+        code, out, err = run(capsys, ["verify", "-p", abs_problem, "-x", x, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]["hull_membership"]["method"] == "claimed_region"
+        assert calls["term_values"] == [1, 5]  # x, then the walk's five points
+        assert len(calls["grads"]) == 1 + patterns and calls["grads"][0] == [float(x)]
+        assert calls["TermSelection"] == 0
+
     def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path, oracle_only):
         # the hull scale was inf, so the violation was NaN and the check failed
         prob = write_problem(tmp_path, [{"g": ["1e308*x1", "0"]}])

@@ -23,15 +23,23 @@ from dcjac.jacobian import (
     witness_direction,
 )
 from dcjac.newton import build_ncp, solve
-from dcjac.oracle import brute_force_subdifferential, hull_membership
+from dcjac.oracle import (
+    _classical_jacobian,
+    _classical_jacobian_keys,
+    _strict_profiles,
+    brute_force_subdifferential,
+    hull_membership,
+)
 from util import (
     ABS_DOC,
     NEG_ABS_DOC,
     assert_bits_equal,
     assert_element_equal,
+    assert_limit_reports_equal,
     bench_workloads,
     corpus_cases,
     full_lexicographic_chain,
+    pointwise_limit_inclusion,
     reference_active,
     reference_cone_linearity,
     reference_element,
@@ -1060,3 +1068,74 @@ class TestLimitInclusion:
         report = verify_limit_inclusion(F, [0.0], elem, w)
         assert report.passed is None and report.final_distance is None
         assert all(p.degenerate for p in report.points)
+
+
+def _walk(F, x, convention="min"):
+    """The element at x, its witness, and the walk's points and profiles."""
+    elem = clarke_jacobian_element(F, x, convention=convention)
+    w = witness_direction(selection_differences(elem))
+    zs = np.asarray(x, dtype=float) + np.outer(jacobian.LIMIT_T_SCHEDULE, w.y_bar)
+    return elem, w, zs, _strict_profiles(F, zs)
+
+
+def _assert_walk_parity(F, x, convention):
+    """The walk's report equals the point-by-point walk's bit for bit, and
+    every walk point whose gather key an earlier one had has that point's
+    Jacobian bit for bit.  Returns the numbers of distinct keys and of
+    usable points."""
+    elem, w, zs, profiles = _walk(F, x, convention)
+    got = verify_limit_inclusion(F, x, elem, w)
+    assert_limit_reports_equal(got, pointwise_limit_inclusion(F, x, elem, w))
+    first = {}  # per key, the first point that has it
+    keys = _classical_jacobian_keys(F, zs, profiles)
+    usable = [(z, p, key) for z, p, key in zip(zs, profiles, keys) if p.min() >= 0]
+    for z, profile, key in usable:
+        if key in first:
+            want = _classical_jacobian(F, *first[key])
+            assert _classical_jacobian(F, z, profile).tobytes() == want.tobytes()
+        first.setdefault(key, (z, profile))
+    return len(first), len(usable)
+
+
+class TestWalkParity:
+    """``verify_limit_inclusion`` gathers one Jacobian per gather key
+    (``oracle._classical_jacobian_keys``); its reports equal the walk that
+    gathers at every usable point."""
+
+    def test_acceptance_corpus(self):
+        counts = np.zeros(2, dtype=int)
+        for seed in range(200):
+            F = random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+            for conv in ("min", "max"):
+                counts += _assert_walk_parity(F, np.zeros(F.n), conv)
+        keys, usable = counts
+        assert keys < usable  # affine pieces along one pattern share a gather
+
+    @pytest.mark.parametrize(
+        "workload, seed", [(w, s) for w in ("oracle_corpus", "smooth_certify") for s in (1, 2, 3)]
+    )
+    def test_benchmark_generators(self, workload, seed):
+        for inst in getattr(bench_workloads(), workload)(seed):
+            F, x = load_problem(inst.document()), np.zeros(inst.n)
+            for conv in ("min", "max"):
+                try:
+                    _assert_walk_parity(F, x, conv)
+                except ConventionMismatchError:
+                    continue  # no witness, so no walk (verify exits 4)
+
+    def test_pattern_that_changes_along_the_walk(self):
+        # x1 = 1e-3 and ybar = -1: z1 < 0 at t = 1e-2, a tie at 1e-3, > 0 after
+        F = load_problem(ABS_DOC)
+        assert _assert_walk_parity(F, [1e-3], "min") == (2, 4)
+        elem, w, _, _ = _walk(F, [1e-3])
+        report = verify_limit_inclusion(F, [1e-3], elem, w)
+        assert [p.distance for p in report.points] == [2.0, None, 0.0, 0.0, 0.0]
+
+    def test_zero_flip_lane_splits_the_gather(self):
+        # the x2 lane of -2*x1's gradient is -2*0 + x1*0: its zero takes
+        # the sign of x1, which turns from - to + along the walk
+        F = load_problem({"n": 2, "m": 1, "components": [{"g": ["-2*x1"]}]})
+        assert _assert_walk_parity(F, [1e-3, 0.0], "min") == (2, 5)
+        _, _, zs, profiles = _walk(F, [1e-3, 0.0])
+        jacs = [_classical_jacobian(F, z, p) for z, p in zip(zs, profiles)]
+        assert [np.signbit(j[0, 1]) for j in jacs] == [False, True, True, True, True]

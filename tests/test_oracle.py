@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -553,6 +552,14 @@ def _selected(F, x, convention="min", **tols):
     return elem, witness_direction(selection_differences(elem)).y_bar
 
 
+def _tampered(elem, chains=None, **cached):
+    """``elem`` with its filtrations ``chains`` and cached fields (``xi``,
+    ``chosen``) replaced: what a faulty selection could return."""
+    claim = replace(elem, chains=elem.chains if chains is None else chains)
+    vars(claim).update(cached)
+    return claim
+
+
 def _assert_passes_are_oracle_candidates(F, x):
     """Every claimed-region pass, under either convention, has an element
     equal bit for bit to one of the oracle's matrices."""
@@ -560,7 +567,7 @@ def _assert_passes_are_oracle_candidates(F, x):
     sources = []
     for conv in ("min", "max"):
         elem, y_bar = _selected(F, x, conv)
-        region = certify_claimed_region(F, x, elem, y_bar)
+        region = certify_claimed_region(elem, y_bar)
         if region is not None:
             assert any(m.tobytes() == elem.xi.tobytes() for m in mats)
         sources.append(None if region is None else region.source)
@@ -593,7 +600,7 @@ class TestClaimedRegion:
     def test_abs_passes_on_the_witness(self):
         F = load_problem(ABS_DOC)
         elem, y_bar = _selected(F, [0.0])
-        region = certify_claimed_region(F, [0.0], elem, y_bar)
+        region = certify_claimed_region(elem, y_bar)
         assert (region.source, region.margin, region.direction.tolist()) == ("y_bar", 2.0, [-1.0])
 
     def test_acceptance_corpus_passes_are_oracle_candidates(self):
@@ -612,47 +619,50 @@ class TestClaimedRegion:
         assert sources.count("y_bar") == len(sources) == 400
 
     def test_chosen_piece_with_another_gradient_declines(self):
-        # the claim names piece 1 (-x1) while the element is piece 0's row
+        # the g chain's first survivor is piece 1 (-x1), xi is piece 0's row
         F = load_problem(ABS_DOC)
         elem, y_bar = _selected(F, [0.0], "max")
-        assert (elem.components[0].g.chosen, elem.xi.tolist()) == (0, [[1.0]])
-        g = elem.components[0].g
-        swapped = replace(elem.components[0], g=replace(g, active=g.active[::-1]))
-        claim = SimpleNamespace(components=(swapped,), xi=elem.xi)
-        assert swapped.g.chosen == 1
-        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+        assert (elem.chosen.tolist(), elem.xi.tolist()) == ([0, 2], [[1.0]])
+        g_chain = elem.chains[0][:-1] + ((1,),)
+        claim = _tampered(elem, chains=(g_chain, elem.chains[1]), xi=elem.xi)
+        assert claim.chosen.tolist() == [1, 2]
+        assert certify_claimed_region(claim, y_bar) is None
 
     def test_element_one_ulp_off_declines(self):
         F = load_problem(ABS_DOC)
         elem, y_bar = _selected(F, [0.0])
-        assert certify_claimed_region(F, [0.0], elem, y_bar) is not None
+        assert certify_claimed_region(elem, y_bar) is not None
         for toward in (-np.inf, np.inf):
-            claim = SimpleNamespace(components=elem.components, xi=np.nextafter(elem.xi, toward))
-            assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+            claim = _tampered(elem, xi=np.nextafter(elem.xi, toward))
+            assert certify_claimed_region(claim, y_bar) is None
 
     def test_midpoint_of_two_region_jacobians_declines(self):
         # 0 lies in the hull of -1 and 1, which only the oracle can show
         F = load_problem(ABS_DOC)
         elem, y_bar = _selected(F, [0.0])
-        claim = SimpleNamespace(components=elem.components, xi=np.zeros((1, 1)))
-        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+        claim = _tampered(elem, xi=np.zeros((1, 1)))
+        assert certify_claimed_region(claim, y_bar) is None
         assert hull_membership(claim.xi, brute_force_subdifferential(F, [0.0])[0]).member
 
     def test_chosen_piece_inactive_at_the_point_declines(self):
+        # at 1e-4 only x1 is active in g: a chosen index outside g's one
+        # row declines, though it reads a row with which xi checks out
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"]}]})
         elem, y_bar = _selected(F, [1e-4])
-        assert certify_claimed_region(F, [1e-4], elem, y_bar).margin is None  # no cone row
-        assert certify_claimed_region(F, [-1e-4], elem, y_bar) is None
+        assert certify_claimed_region(elem, y_bar).margin is None  # no cone row
+        assert (elem.bounds.tolist(), elem.rows.tolist()) == ([0, 1, 2], [[1.0], [0.0]])
+        for chosen, xi in (([1, 1], [[0.0]]), ([-2, 1], [[1.0]])):  # -2 wraps to row 0
+            claim = _tampered(elem, chosen=np.array(chosen), xi=np.array(xi))
+            assert certify_claimed_region(claim, y_bar) is None, chosen
 
     def test_chosen_piece_with_no_region_declines(self):
         # 2*x1 wins nowhere near 0: neither ybar nor the LP finds its cone
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "2*x1", "3*x1"]}]})
         elem, y_bar = _selected(F, [0.0])
-        g = elem.components[0].g
-        middle = replace(g, chain=g.chain[:-1] + ((1,),))
-        comp = replace(elem.components[0], g=middle)
-        claim = SimpleNamespace(components=(comp,), xi=np.array([[2.0]]))
-        assert certify_claimed_region(F, [0.0], claim, y_bar) is None
+        g_chain = elem.chains[0][:-1] + ((1,),)
+        claim = _tampered(elem, chains=(g_chain, elem.chains[1]))
+        assert claim.xi.tolist() == [[2.0]]
+        assert certify_claimed_region(claim, y_bar) is None
 
     def test_merged_survivors_are_certified_by_the_lp(self):
         # the tie band at |slope| = 1000 merges slopes 5e-7 apart, and the
@@ -661,7 +671,7 @@ class TestClaimedRegion:
         F = load_problem(doc)
         elem, y_bar = _selected(F, [0.0])
         assert (elem.xi.tolist(), y_bar.tolist()) == ([[1000.0000005]], [-1.0])
-        region = certify_claimed_region(F, [0.0], elem, y_bar)
+        region = certify_claimed_region(elem, y_bar)
         assert region.source == "cone_lp"
         assert region.direction[0] > 0.0
         assert region.margin == pytest.approx(5e-7, rel=1e-6)
@@ -674,7 +684,7 @@ class TestClaimedRegion:
         F = load_problem(doc)
         x = [0.0]
         elem = clarke_jacobian_element(F, x, convention="max")
-        assert certify_claimed_region(F, x, elem, np.array([1.0])) is None
+        assert certify_claimed_region(elem, np.array([1.0])) is None
 
     def test_highdim_selections_pass(self):
         workloads = bench_workloads()
@@ -682,7 +692,7 @@ class TestClaimedRegion:
             F, x = load_problem(inst.document()), np.zeros(inst.n)
             for conv in ("min", "max"):
                 elem, y_bar = _selected(F, x, conv)
-                assert certify_claimed_region(F, x, elem, y_bar) is not None, (inst.name, conv)
+                assert certify_claimed_region(elem, y_bar) is not None, (inst.name, conv)
 
 
 # The hull oracle reads the active step's one sweep (``dcmax._active_step``
@@ -731,18 +741,6 @@ class TestActiveRowsParity:
             _assert_model_is_the_tree_walk(F, [0.0, 0.0])
 
 
-def _oracle_calls(F, x, **kw):
-    """``brute_force_subdifferential`` and ``certify_claimed_region`` on F
-    at x, the latter with the selection of |x_1| per component: the local
-    model is built before the element is read."""
-    abs_F = load_problem({"n": F.n, "m": F.m, "components": [{"g": ["x1", "-x1"]}] * F.m})
-    elem, y_bar = _selected(abs_F, np.zeros(F.n))
-    return (
-        lambda: brute_force_subdifferential(F, x, **kw),
-        lambda: certify_claimed_region(F, x, elem, y_bar, **kw),
-    )
-
-
 class TestDirectCallFaults:
     """Bad input to a direct oracle call fails with a fixed exception type
     and message: the point's length, the largest piece value, the tolerance."""
@@ -751,18 +749,17 @@ class TestDirectCallFaults:
 
     @pytest.mark.parametrize("x, length", [([0.0], 1), ([0.0, 0.0, 0.0], 3), ([], 0)])
     def test_point_of_the_wrong_shape(self, x, length):
-        for call in _oracle_calls(load_problem(self.XY), x):
-            with pytest.raises(ValueError, match=rf"^point has length {length}, expected 2$"):
-                call()
+        with pytest.raises(ValueError, match=rf"^point has length {length}, expected 2$"):
+            brute_force_subdifferential(load_problem(self.XY), x)
 
     @pytest.mark.parametrize(
         "x, shape", [(0.0, r"\(\)"), ([[0.0], [0.0]], r"\(2, 1\)"), ([[0.0, 0.0]], r"\(1, 2\)")]
     )
     def test_point_that_is_not_1d(self, x, shape):
         F = load_problem(self.XY)
-        for call in (*_oracle_calls(F, x), lambda: clarke_jacobian_element(F, x)):
+        for call in (brute_force_subdifferential, clarke_jacobian_element):
             with pytest.raises(ValueError, match=rf"^point has shape {shape}, expected \(2,\)$"):
-                call()
+                call(F, x)
 
     @pytest.mark.parametrize(
         "components, x, value",
@@ -775,9 +772,8 @@ class TestDirectCallFaults:
     )
     def test_non_finite_largest_piece_value(self, components, x, value):
         F = load_problem({"n": 2, "m": len(components), "components": components})
-        for call in _oracle_calls(F, [x, x]):
-            with pytest.raises(OverflowError, match=f"^largest piece value is {value}$"):
-                call()
+        with pytest.raises(OverflowError, match=f"^largest piece value is {value}$"):
+            brute_force_subdifferential(F, [x, x])
 
     def test_infinite_piece_below_a_finite_maximum_is_inactive(self):
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["1e309*x1", "x1"]}]})
@@ -788,6 +784,5 @@ class TestDirectCallFaults:
     def test_bad_tol_act(self, tol_act):
         F = load_problem(self.XY)
         for x in ([0.0, 0.0], [0.0]):  # checked before the point is read
-            for call in _oracle_calls(F, x, tol_act=tol_act):
-                with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
-                    call()
+            with pytest.raises(ValueError, match="^tol_act must be nonnegative$"):
+                brute_force_subdifferential(F, x, tol_act=tol_act)

@@ -41,7 +41,7 @@ from dcjac.jacobian import (
     TermSelection,
     lexicographic_chain,
 )
-from dcjac.oracle import _cone_direction
+from dcjac.oracle import _classical_jacobian, _cone_direction, _strict_profiles
 
 ABS_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1", "-x1"]}]}
 
@@ -570,6 +570,45 @@ def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionR
         monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
         passed = bool(distances[-1] <= tolerance and monotone)
     return LimitInclusionReport(tuple(points), tolerance, passed)
+
+
+def pointwise_limit_inclusion(F, x, elem, witness) -> LimitInclusionReport:
+    """The ray walk of ``verify_limit_inclusion`` with no gather shared: a
+    classical Jacobian, its norm and its distance to xi at every usable
+    point.  Its report must equal the library's bit for bit."""
+    zs = np.asarray(x, dtype=float) + np.outer((1e-2, 1e-3, 1e-4, 1e-5, 1e-6), witness.y_bar)
+    points = []
+    scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, z, profile in zip((1e-2, 1e-3, 1e-4, 1e-5, 1e-6), zs, _strict_profiles(F, zs)):
+            distance = None
+            if profile.min() >= 0:
+                jac = _classical_jacobian(F, z, profile)
+                norm = float(np.linalg.norm(jac))
+                if norm == np.inf:
+                    norm = float(np.hypot.reduce(np.abs(jac).ravel()))
+                scale = max(scale, norm)
+                distance = float(np.linalg.norm(jac - elem.xi))
+            points.append(LimitPoint(t, distance))
+    tolerance = 1e-6 * (1.0 + scale)
+    distances = [p.distance for p in points if p.distance is not None]
+    passed = None
+    if distances and np.isfinite([tolerance, *distances]).all():
+        monotone = all(b <= a + tolerance for a, b in zip(distances, distances[1:]))
+        passed = bool(distances[-1] <= tolerance and monotone)
+    return LimitInclusionReport(tuple(points), tolerance, passed)
+
+
+def assert_limit_reports_equal(got, want) -> None:
+    """Every point's t and distance, the tolerance and the verdict, bit
+    for bit (a degenerate point's distance is None on both sides)."""
+    def figures(report):
+        distances = [math.nan if p.degenerate else p.distance for p in report.points]
+        return np.array([*distances, report.tolerance]).tobytes()
+
+    assert [(p.t, p.degenerate) for p in got.points] == [(p.t, p.degenerate) for p in want.points]
+    assert figures(got) == figures(want), (got, want)
+    assert got.passed is want.passed
 
 
 def _reference_affine_text(coeffs, constant) -> str:
