@@ -32,9 +32,12 @@ doc = {"n": 2, "m": 1, "components": [{"g": ["x1 + x2", "2*x1", "0"], "h": ["x1"
 F2 = load_problem(doc)
 x = np.zeros(2)
 elem = clarke_jacobian_element(F2, x)
-comp = elem.components[0]
-for name, term in (("g", comp.g), ("h", comp.h)):
-    print(f"active {name} pieces:", list(term.active), "filtration:", term.piece_chain)
+# term t's active pieces are a slice of elem.pieces, and each level of its
+# filtration holds positions into that slice
+for name, t in (("g", 0), ("h", 1)):
+    active = elem.pieces[elem.bounds[t] : elem.bounds[t + 1]]
+    filtration = [active[list(level)].tolist() for level in elem.chains[t]]
+    print(f"active {name} pieces:", active.tolist(), "filtration:", filtration)
 print("xi =", elem.xi.tolist())
 
 diffs = selection_differences(elem)

@@ -157,17 +157,27 @@ def _load_function(args, ncp=None):
     return load_problem_file(args.problem)
 
 
-def _selection_payload(elem) -> dict:
+def _piece_chains(elem) -> list[list[list[int]]]:
+    """Per max term (g_1, h_1, g_2, ...), its filtration in piece indices:
+    level 0 holds the active pieces, the last level the selected ones."""
+    pieces, bounds = elem.pieces.tolist(), elem.bounds.tolist()
+    return [
+        [[pieces[lo + k] for k in level] for level in chain]
+        for lo, chain in zip(bounds, elem.chains)
+    ]
+
+
+def _selection_payload(convention: str, chains) -> dict:
     components = []
-    for c in elem.components:
+    for pair in zip(chains[0::2], chains[1::2]):
         payload = {}
-        for name, term in (("g", c.g), ("h", c.h)):
-            payload[f"{name}_active"] = list(term.active)
-            payload[f"{name}_chain"] = term.piece_chain
-            payload[f"{name}_selected"] = list(term.selected)
-            payload[f"chosen_{name}"] = term.chosen
+        for name, chain in zip("gh", pair):
+            payload[f"{name}_active"] = chain[0]
+            payload[f"{name}_chain"] = chain
+            payload[f"{name}_selected"] = chain[-1]
+            payload[f"chosen_{name}"] = chain[-1][0]
         components.append(payload)
-    return {"convention": elem.convention, "components": components}
+    return {"convention": convention, "components": components}
 
 
 def _select(args):
@@ -181,12 +191,13 @@ def _select(args):
 
 def cmd_jac(args) -> int:
     _, x, elem, witness = _select(args)
+    chains = _piece_chains(elem)
     payload = {
         "command": "jac",
         "point": x.tolist(),
         "convention": args.convention,
         "xi": elem.xi.tolist(),
-        "selection": _selection_payload(elem),
+        "selection": _selection_payload(elem.convention, chains),
         "gamma_count": witness.diffs.count,
         "y_bar": witness.y_bar.tolist(),
     }
@@ -194,10 +205,9 @@ def cmd_jac(args) -> int:
         print(_dump(payload))
     else:
         print(f"xi = {elem.xi.tolist()}")
-        for i, c in enumerate(elem.components):
-            for name, term in (("g", c.g), ("h", c.h)):
-                chain = " > ".join(str(level) for level in term.piece_chain)
-                print(f"component {i}: {name} chain {chain} (chose {term.chosen})")
+        for t, chain in enumerate(chains):
+            levels = " > ".join(str(level) for level in chain)
+            print(f"component {t // 2}: {'gh'[t % 2]} chain {levels} (chose {chain[-1][0]})")
         print(f"difference vectors: {witness.diffs.count}")
         print(f"witness direction: {witness.y_bar.tolist()}")
     return EXIT_OK

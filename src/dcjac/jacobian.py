@@ -25,7 +25,6 @@ from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, _active_step, _refuse_non_finite
 from .instances import DEFAULT_SEED
 from .oracle import (
     _classical_jacobian,
-    _classical_jacobian_keys,
     _distinct_rows,
     _row_norms,
     _strict_profiles,
@@ -33,8 +32,6 @@ from .oracle import (
 
 __all__ = [
     "DEFAULT_TOL_TIE",
-    "TermSelection",
-    "ComponentSelection",
     "JacobianElement",
     "DifferenceVectors",
     "WitnessDirection",
@@ -68,58 +65,17 @@ class ConventionMismatchError(ValueError):
     zero rule (``_leading_index``) reads as zero (no tol_tie helps)."""
 
 
-@dataclass(frozen=True)
-class TermSelection:
-    """The Huang-Ma step on one max term at x.  ``chain`` is the filtration
-    as ``lexicographic_chain`` returns it, in positions into ``active``;
-    ``active`` ascends, so positions and piece indices order alike."""
-
-    active: tuple[int, ...]  # pieces within tol_act of the maximum
-    chain: tuple[tuple[int, ...], ...]
-    max_value: float  # the term's value at x, as eval_F reduces it
-    grads: np.ndarray = field(compare=False, repr=False)  # one row per active piece
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(self.active[k] for k in self.chain[-1])
-
-    @property
-    def chosen(self) -> int:  # smallest selected piece; any survivor gives the same row
-        return self.active[self.chain[-1][0]]
-
-    @property
-    def row(self) -> np.ndarray:
-        return self.grads[self.chain[-1][0]]
-
-    @property
-    def piece_chain(self) -> list[list[int]]:  # built only where it is printed
-        return [[self.active[k] for k in level] for level in self.chain]
-
-
-@dataclass(frozen=True)
-class ComponentSelection:
-    """Component i: the step on g_i and on h_i; its row and value subtract them."""
-
-    g: TermSelection
-    h: TermSelection
-
-    @property
-    def row(self) -> np.ndarray:
-        return self.g.row - self.h.row
-
-    @property
-    def value(self) -> float:  # bitwise eval_F
-        return self.g.max_value - self.h.max_value
-
-
 @dataclass(frozen=True, eq=False)
 class JacobianElement:
     """An m-by-n element of the Clarke generalized Jacobian: the step on
     every max term under one convention and one pair of tolerances.
 
     It holds the active step's arrays (``dcmax._active_step``) and each
-    term's filtration; ``xi`` and ``values`` are gathered from them, and
-    the per-term records (``components``) are built only when read."""
+    term's filtration, the one representation of the step; ``xi`` and
+    ``values`` are gathered from them.  Term t (g_1, h_1, g_2, ...) has
+    the active pieces ``pieces[lo:hi]`` with ``lo, hi = bounds[t:t + 2]``;
+    each level of ``chains[t]`` indexes that slice, so its last level
+    gives the selected pieces, and the first of those is the chosen one."""
 
     rows: np.ndarray = field(repr=False)  # active gradients, term by term (g_1, h_1, g_2, ...)
     pieces: np.ndarray = field(repr=False)  # each row's piece index in its term
@@ -152,16 +108,6 @@ class JacobianElement:
         """F(x), each g term's value minus its h term's: bitwise eval_F."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self.tops[0::2] - self.tops[1::2]
-
-    @functools.cached_property
-    def components(self) -> tuple[ComponentSelection, ...]:
-        """The step as one record per component, built at the first read."""
-        pieces, tops, bounds = self.pieces.tolist(), self.tops.tolist(), self.bounds.tolist()
-        terms = [
-            TermSelection(tuple(pieces[lo:hi]), chain, top, self.rows[lo:hi])
-            for lo, hi, chain, top in zip(bounds, bounds[1:], self.chains, tops)
-        ]
-        return tuple(ComponentSelection(g, h) for g, h in zip(terms[0::2], terms[1::2]))
 
 
 @dataclass(frozen=True)
@@ -470,10 +416,11 @@ def verify_cone_linearity(
         if kept == 0:
             return ConeLinearityReport(samples, 0, None, None, None)
 
-        dd = np.empty((kept, len(elem.components)))
-        for i, comp in enumerate(elem.components):
-            dd_g, dd_h = (np.max(term.grads @ ys.T, axis=0) for term in (comp.g, comp.h))
-            dd[:, i] = dd_g - dd_h
+        # each term's largest slope, one slice per term: one product over
+        # all rows would sum in another order and change the figures' bits
+        bounds = elem.bounds.tolist()
+        slopes = [np.max(elem.rows[lo:hi] @ ys.T, axis=0) for lo, hi in zip(bounds, bounds[1:])]
+        dd = np.subtract(slopes[0::2], slopes[1::2]).T
         lin = ys @ xi.T
         disc = np.abs(dd - lin)
         allowed = 1e-8 * (1.0 + np.linalg.norm(ys, axis=1))[:, None]
@@ -520,12 +467,12 @@ def verify_limit_inclusion(
     """Walk x + t*y_bar (``witness.y_bar``) down ``LIMIT_T_SCHEDULE`` and
     compare classical Jacobians against the selected element.
 
-    Points where some max term has no strictly largest finite piece
-    (``oracle._strict_profiles``; tol_act plays no part) are skipped as
-    degenerate.  Points whose Jacobians read the same gradient rows
-    (``oracle._classical_jacobian_keys``: on affine pieces, the same
-    profile and the same sign bits) share one gather, its norm and its
-    distance to the element.
+    Points where some max term has no strictly largest finite piece, or
+    some piece cannot be evaluated (``oracle._strict_profiles``; tol_act
+    plays no part), are skipped as degenerate.  Points whose Jacobians
+    read the same gradient rows (``DCMaxFn.term_grads_keys``: on affine
+    pieces, the same profile and the same sign bits) share one gather,
+    its norm and its distance to the element.
     Passes when the distance decreases (within tolerance) along the
     schedule and the last usable point is within 1e-6*(1+scale) of the
     element, where scale is the largest classical Jacobian norm seen.  The
@@ -539,7 +486,7 @@ def verify_limit_inclusion(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is inconclusive
         profiles = _strict_profiles(F, zs)
         usable = (profiles.min(axis=1) >= 0).tolist()
-        keys = _classical_jacobian_keys(F, zs, profiles)
+        keys = F.term_grads_keys(zs, np.arange(2 * F.m), profiles)
         for t, z, profile, key, ok in zip(LIMIT_T_SCHEDULE, zs, profiles, keys, usable):
             distance = None  # a degenerate point
             if ok:

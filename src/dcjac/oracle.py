@@ -27,7 +27,7 @@ convex weights or a separation margin.
 ``_strict_profiles`` decides where F is differentiable, and
 ``_classical_jacobian`` gives F's Jacobian there: the ray walk of
 ``jacobian.verify_limit_inclusion`` reads both, and gathers once per
-key of ``_classical_jacobian_keys``.
+key of ``DCMaxFn.term_grads_keys``.
 
 The brute-force oracle runs its own active step, the one the selection
 runs too (one ``PieceStack`` sweep); no expression tree is walked.  So
@@ -64,7 +64,7 @@ __all__ = [
 # of a max term's two or more distinct active gradients (a term with one
 # costs nothing); past it (possible only under massive ties) the report
 # says the search is incomplete.  All 120 seed-1 affine-highdim benchmark
-# instances reach 1024 at the origin, after 2.3-7.5 s (2-CPU Xeon).
+# instances reach 1024 at the origin, after 0.5-1.4 s (2-CPU AMD EPYC).
 SEARCH_BUDGET = 1024
 
 
@@ -99,10 +99,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _strict_profiles(F: DCMaxFn, pts: np.ndarray) -> np.ndarray:
     """Per row of ``pts`` and max term (g_1, h_1, g_2, ...), the strictly
     largest piece, else -1: a row free of -1 is the one test of "F is
-    differentiable"."""
+    differentiable".  A row where some piece cannot be evaluated is all
+    -1, as F is not defined there; a sweep stops at the first such row,
+    so the rows after it are swept again."""
     values, fault = F.term_values(pts)
-    if fault is not None:
-        raise fault[2]
+    start = 0  # the first row of the last sweep
+    while fault is not None:
+        start += fault[0]
+        values[start] = np.nan  # a maximum that is not finite: -1 in every term
+        start += 1
+        values[start:], fault = F.term_values(pts[start:])
     return _strict_argmax_rows(values)  # the -inf padding never wins or ties a finite max
 
 
@@ -111,16 +117,6 @@ def _classical_jacobian(F: DCMaxFn, z: np.ndarray, profile) -> np.ndarray:
     names (one per max term), the strictly largest ones there."""
     grads = F.term_grads(z, np.arange(2 * F.m), np.ravel(profile))
     return grads[0::2] - grads[1::2]
-
-
-def _classical_jacobian_keys(F: DCMaxFn, zs: np.ndarray, profiles: np.ndarray) -> list[tuple]:
-    """Per row of ``zs``, what ``_classical_jacobian`` reads there with that
-    row's profile: two rows with equal keys have Jacobians equal bit for
-    bit.  On swept pieces that is the profile and a few sign bits, so a
-    ray walk that keeps its profile gathers once
-    (``DCMaxFn.term_grads_keys``).  A row whose profile holds a -1 has a
-    key but no Jacobian."""
-    return F.term_grads_keys(zs, np.arange(2 * F.m), profiles)
 
 
 # ---------------------------------------------------------------------------

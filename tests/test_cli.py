@@ -590,6 +590,35 @@ class TestVerify:
         assert [p["degenerate"] for p in points] == [True, False, False, False, False]
         assert points[0]["t"] == 1e-2
 
+    @pytest.mark.parametrize(
+        "convention, degenerate",
+        # under "min" the walk goes down from 1e-3: x1 = -9e-3 at t = 1e-2 and
+        # 0 at 1e-3, where log is not defined; under "max" it goes up
+        [("min", [True, True, False, False, False]), ("max", [False] * 5)],
+    )
+    @pytest.mark.parametrize("piece", ["log(x1)", "sqrt(x1)"])
+    def test_ray_point_outside_a_domain_is_degenerate(
+        self, capsys, tmp_path, piece, convention, degenerate
+    ):
+        prob = write_problem(tmp_path, [{"g": [piece, "0.5*x1"]}])
+        argv = ["verify", "-p", prob, "-x", "0.001", "--convention", convention, "--json"]
+        code, out, err = run(capsys, argv)
+        limit = strict_loads(out)["checks"]["limit_inclusion"]
+        assert [p["degenerate"] for p in limit["points"]] == degenerate
+        assert err == ""
+        if piece == "log(x1)":  # 0.5*x1 is the largest piece, and smooth
+            assert (code, limit["status"], limit["final_distance"]) == (0, "pass", 0.0)
+        else:  # sqrt bends too fast near 0 for the last point to reach ξ
+            assert (code, limit["status"]) == (1, "fail")
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_piece_outside_its_domain_at_the_point_exits_3(self, capsys, tmp_path, convention):
+        prob = write_problem(tmp_path, [{"g": ["log(x1)", "0.5*x1"]}])
+        argv = ["verify", "-p", prob, "-x", "-0.001", "--convention", convention]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: log of non-positive value -0.001")
+
     def test_differences_computed_once(self, capsys, monkeypatch):
         calls = []
         original = dcjac.jacobian.selection_differences
@@ -609,9 +638,8 @@ class TestVerify:
         self, capsys, abs_problem, monkeypatch, x, patterns
     ):
         # at 1e-3 the walk meets -x1 at t = 1e-2, a tie at 1e-3 and x1 after
-        calls = {"term_values": [], "grads": [], "TermSelection": 0}
+        calls = {"term_values": [], "grads": []}
         term_values, grads = DCMaxFn.term_values, dcjac.expr.PieceStack.grads
-        init = dcjac.jacobian.TermSelection.__init__
 
         def counting_values(self, X):
             calls["term_values"].append(len(X))
@@ -621,19 +649,13 @@ class TestVerify:
             calls["grads"].append(np.asarray(z).tolist())
             return grads(self, z, pieces)
 
-        def counting_init(self, *args):
-            calls["TermSelection"] += 1
-            init(self, *args)
-
         monkeypatch.setattr(DCMaxFn, "term_values", counting_values)
         monkeypatch.setattr(dcjac.expr.PieceStack, "grads", counting_grads)
-        monkeypatch.setattr(dcjac.jacobian.TermSelection, "__init__", counting_init)
         code, out, err = run(capsys, ["verify", "-p", abs_problem, "-x", x, "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["checks"]["hull_membership"]["method"] == "claimed_region"
         assert calls["term_values"] == [1, 5]  # x, then the walk's five points
         assert len(calls["grads"]) == 1 + patterns and calls["grads"][0] == [float(x)]
-        assert calls["TermSelection"] == 0
 
     def test_candidate_whose_squares_overflow_passes(self, capsys, tmp_path, oracle_only):
         # the hull scale was inf, so the violation was NaN and the check failed

@@ -25,7 +25,6 @@ from dcjac.jacobian import (
 from dcjac.newton import build_ncp, solve
 from dcjac.oracle import (
     _classical_jacobian,
-    _classical_jacobian_keys,
     _strict_profiles,
     brute_force_subdifferential,
     hull_membership,
@@ -38,6 +37,7 @@ from util import (
     assert_limit_reports_equal,
     bench_workloads,
     corpus_cases,
+    element_terms,
     full_lexicographic_chain,
     pointwise_limit_inclusion,
     reference_active,
@@ -47,6 +47,7 @@ from util import (
     reference_limit_inclusion,
     reference_selection_differences,
     reference_witness,
+    selected_pieces,
 )
 
 # smooth pieces tied at the origin in both components, with distinct
@@ -207,8 +208,8 @@ class TestOneFiltration:
                 assert_element_equal(
                     elem, reference_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
                 )
-                for term in (t for comp in elem.components for t in (comp.g, comp.h)):
-                    assert list(term.chain) == full_lexicographic_chain(term.grads, conv, tol_tie)
+                for _, chain, _, grads in element_terms(elem):
+                    assert list(chain) == full_lexicographic_chain(grads, conv, tol_tie)
 
     def test_lexicographic_chain_runs_on_tied_terms_only(self, monkeypatch):
         calls = {"chains": 0, "elements": 0}
@@ -259,8 +260,7 @@ class TestClarkeElement:
         F = load_problem(NEG_ABS_DOC)
         elem = clarke_jacobian_element(F, [0.0], convention="min")
         assert elem.xi.tolist() == [[1.0]]
-        comp = elem.components[0]
-        assert comp.g.selected == (1,) and comp.h.selected == (1,)
+        assert selected_pieces(elem) == [(1,), (1,)]
         assert clarke_jacobian_element(F, [0.0], convention="max").xi.tolist() == [[-1.0]]
 
     def test_two_dimensional_instance_lies_in_brute_force_hull(self):
@@ -279,8 +279,8 @@ class TestClarkeElement:
         F = random_affine_problem(3, 2, 4, seed=101)
         x = np.zeros(3)
         elem = clarke_jacobian_element(F, x)
-        for i, comp in enumerate(elem.components):
-            row = F.g[i].pieces[comp.g.chosen].grad(x) - F.h[i].pieces[comp.h.chosen].grad(x)
+        for i, (g, h) in enumerate(elem.pieces[elem.chosen].reshape(-1, 2).tolist()):
+            row = F.g[i].pieces[g].grad(x) - F.h[i].pieces[h].grad(x)
             np.testing.assert_array_equal(elem.xi[i], row)
 
     def test_gradient_coincidence_on_random_instances(self):
@@ -289,11 +289,10 @@ class TestClarkeElement:
             x = np.zeros(F.n)
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                for i, comp in enumerate(elem.components):
-                    for fn, selected in ((F.g[i], comp.g.selected), (F.h[i], comp.h.selected)):
-                        grads = np.array([fn.pieces[j].grad(x) for j in selected])
-                        mag = np.max(np.abs(grads))
-                        assert np.max(grads.max(axis=0) - grads.min(axis=0)) <= 1e-9 * (1.0 + mag)
+                for fn, selected in zip(F.terms, selected_pieces(elem)):
+                    grads = np.array([fn.pieces[j].grad(x) for j in selected])
+                    mag = np.max(np.abs(grads))
+                    assert np.max(grads.max(axis=0) - grads.min(axis=0)) <= 1e-9 * (1.0 + mag)
 
     def test_per_row_membership_in_componentwise_hulls(self):
         for seed in (2, 7, 19):
@@ -535,36 +534,31 @@ class TestSelectionRecord:
         for F, x in _record_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                for i, comp in enumerate(elem.components):
-                    for f, active, rows in (
-                        (F.g[i], comp.g.active, comp.g.grads),
-                        (F.h[i], comp.h.active, comp.h.grads),
-                    ):
-                        assert rows.shape == (len(active), F.n)
-                        for j, row in zip(active, rows):
-                            assert_bits_equal(row, f.pieces[j].grad(x))
-
-    def test_record_stores_only_what_it_cannot_derive(self):
-        fields = [f.name for f in dataclasses.fields(jacobian.TermSelection)]
-        assert fields == ["active", "chain", "max_value", "grads"]
-        assert [f.name for f in dataclasses.fields(jacobian.ComponentSelection)] == ["g", "h"]
+                for f, (active, _, _, rows) in zip(F.terms, element_terms(elem)):
+                    assert rows.shape == (len(active), F.n)
+                    for j, row in zip(active, rows):
+                        assert_bits_equal(row, f.pieces[j].grad(x))
 
     def test_derived_values_follow_the_filtration(self):
+        # per term: the active set, the filtration, the selected and the
+        # chosen pieces, the chosen row and the value of the reference
         for F, x in _record_cases():
             for conv in ("min", "max"):
                 elem = clarke_jacobian_element(F, x, convention=conv)
-                for i, comp in enumerate(elem.components):
-                    for f, term in ((F.g[i], comp.g), (F.h[i], comp.h)):
-                        assert term.active == reference_active(f, x)[0]
-                        want = full_lexicographic_chain(term.grads, conv, jacobian.DEFAULT_TOL_TIE)
-                        assert term.chain == tuple(want)
-                        pieces = [[term.active[k] for k in level] for level in want]
-                        assert term.piece_chain == pieces
-                        assert term.selected == tuple(pieces[-1])
-                        assert term.chosen == min(term.selected)
-                        assert_bits_equal(term.row, f.pieces[term.chosen].grad(x))
-                        assert_bits_equal(term.max_value, max(p.eval(x) for p in f.pieces))
-                    assert_bits_equal(elem.xi[i], comp.g.row - comp.h.row)
+                ref = reference_element(F, x, convention=conv)
+                terms = [term for comp in ref.components for term in (comp.g, comp.h)]
+                selected = selected_pieces(elem)
+                for t, (f, want) in enumerate(zip(F.terms, terms)):
+                    lo, hi = elem.bounds[t : t + 2]
+                    assert tuple(elem.pieces[lo:hi].tolist()) == want.active
+                    assert elem.chains[t] == want.chain
+                    chain = full_lexicographic_chain(want.grads, conv, jacobian.DEFAULT_TOL_TIE)
+                    assert elem.chains[t] == tuple(chain)
+                    assert selected[t] == want.selected
+                    assert elem.pieces[elem.chosen[t]] == min(want.selected)
+                    assert_bits_equal(elem.rows[elem.chosen[t]], want.row)
+                    assert_bits_equal(elem.tops[t], max(p.eval(x) for p in f.pieces))
+                assert_bits_equal(elem.xi, ref.xi)
 
     def test_element_is_one_record_built_once(self):
         fields = [f.name for f in dataclasses.fields(jacobian.JacobianElement)]
@@ -575,17 +569,13 @@ class TestSelectionRecord:
             elem = clarke_jacobian_element(F, x, tol_act=1e-8, tol_tie=1e-10, convention="max")
             assert (elem.convention, elem.tol_act, elem.tol_tie) == ("max", 1e-8, 1e-10)
             assert elem.xi is elem.xi and elem.values is elem.values
-            assert "components" not in vars(elem)  # xi and values read no record
-            assert elem.components is elem.components
-            assert_bits_equal(elem.xi, [comp.row for comp in elem.components])
-            assert_bits_equal(elem.values, [comp.value for comp in elem.components])
 
-    def test_rows_stay_out_of_equality_and_repr(self):
-        F = load_problem(ABS_DOC)
-        a = clarke_jacobian_element(F, [0.0]).components[0]
-        b = clarke_jacobian_element(F, [0.0]).components[0]
-        assert a == b
-        assert "grads" not in repr(a)
+    def test_arrays_stay_out_of_repr(self):
+        elem = clarke_jacobian_element(load_problem(ABS_DOC), [0.0])
+        assert repr(elem) == (
+            "JacobianElement(chains=(((0, 1), (1,)), ((0,), (0,))), "
+            "convention='min', tol_act=1e-09, tol_tie=1e-09)"
+        )
 
     def test_differences_equal_reevaluated_reference(self):
         for F, x in _record_cases():
@@ -926,11 +916,10 @@ class TestDecidedConeLinearity:
         F = load_problem(doc)
         elem, w, decided = _decide(F, [0.0])
         assert decided.passed is True
-        comp = elem.components[0]
-        rejected = next(k for k in range(len(comp.g.active)) if k not in comp.g.chain[-1])
-        g = (*comp.g.chain[:-1], (rejected,))
-        swapped = dataclasses.replace(elem, chains=(g, *elem.chains[1:]))
-        assert swapped.components[0].g.chosen == comp.g.active[rejected]
+        chain = elem.chains[0]  # g_1's rows come first
+        rejected = next(k for k in chain[0] if k not in chain[-1])
+        swapped = dataclasses.replace(elem, chains=((*chain[:-1], (rejected,)), *elem.chains[1:]))
+        assert swapped.chosen[0] == rejected
         report = decide_cone_linearity(swapped, w)
         assert (report.solved, report.passed) == (1, False)
         assert verify_cone_linearity(swapped, w).passed is False
@@ -1060,6 +1049,29 @@ class TestLimitInclusion:
                 assert_bits_equal(got.tolerance, want.tolerance)
                 assert got.passed is want.passed
 
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize(
+        "g, h",
+        [(["log(x1)", "0.5*x1"], ["0"]), (["sqrt(x1)", "x1"], ["0"]), (["x1"], ["log(x1)", "x1"])],
+    )
+    def test_ray_point_outside_a_domain_is_degenerate(self, g, h, convention):
+        # from 1e-3 under "min" the walk reaches x1 = -9e-3 and then 0, where
+        # log or sqrt is not defined or pieces tie; under "max" it goes up
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": g, "h": h}]})
+        elem = clarke_jacobian_element(F, [1e-3], convention=convention)
+        w = witness_direction(selection_differences(elem))
+        got = verify_limit_inclusion(F, [1e-3], elem, w)
+        assert [p.degenerate for p in got.points] == [convention == "min"] * 2 + [False] * 3
+        assert_limit_reports_equal(got, reference_limit_inclusion(F, [1e-3], elem, w.y_bar))
+        assert_limit_reports_equal(got, pointwise_limit_inclusion(F, [1e-3], elem, w))
+
+    def test_profiles_sweep_past_each_fault(self):
+        # log(x1) cannot be evaluated at -1 or at 0, and 0.5*x1 wins elsewhere
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["log(x1)", "0.5*x1"]}]})
+        profiles = _strict_profiles(F, np.array([[-1.0], [1.0], [0.0], [2.0]]))
+        assert profiles.tolist() == [[-1, -1], [1, 0], [-1, -1], [1, 0]]
+        assert _strict_profiles(F, np.array([[-1.0]])).tolist() == [[-1, -1]]
+
     def test_all_points_degenerate_reported(self):
         # duplicate pieces are never uniquely active anywhere
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "x1"]}]})
@@ -1087,7 +1099,7 @@ def _assert_walk_parity(F, x, convention):
     got = verify_limit_inclusion(F, x, elem, w)
     assert_limit_reports_equal(got, pointwise_limit_inclusion(F, x, elem, w))
     first = {}  # per key, the first point that has it
-    keys = _classical_jacobian_keys(F, zs, profiles)
+    keys = F.term_grads_keys(zs, np.arange(2 * F.m), profiles)
     usable = [(z, p, key) for z, p, key in zip(zs, profiles, keys) if p.min() >= 0]
     for z, profile, key in usable:
         if key in first:
@@ -1099,7 +1111,7 @@ def _assert_walk_parity(F, x, convention):
 
 class TestWalkParity:
     """``verify_limit_inclusion`` gathers one Jacobian per gather key
-    (``oracle._classical_jacobian_keys``); its reports equal the walk that
+    (``DCMaxFn.term_grads_keys``); its reports equal the walk that
     gathers at every usable point."""
 
     def test_acceptance_corpus(self):

@@ -109,14 +109,6 @@ class TestSolve:
         for s in trace.steps:
             assert_bits_equal(s.F_x, eval_F(F, s.x))
 
-    def test_piece_index_levels_never_built(self, monkeypatch):
-        def fail(term):
-            raise AssertionError("piece-index levels built")
-
-        monkeypatch.setattr(jacobian.TermSelection, "piece_chain", property(fail))
-        M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        assert solve(build_ncp(M, np.array([-3.0, -3.0, 0.0])), np.zeros(3)).status == "converged"
-
 
 class TestSelectionArrays:
     """A Newton iterate reads xi and F(x) from the element's arrays."""
@@ -147,11 +139,8 @@ class TestSelectionArrays:
         assert [len(chain[0]) for chain in elem.chains] == [1, 2, 1, 2]
         assert_element_equal(elem, reference_element(F, [0.0, 0.0], convention=convention))
 
-    def test_solve_builds_no_record_and_sweeps_once_per_selection(self, monkeypatch):
+    def test_solve_sweeps_once_per_selection(self, monkeypatch):
         calls = {"elements": 0, "sweeps": 0}
-
-        def no_record(*args):
-            raise AssertionError("a per-term record was built")
 
         def count_elements(*args, **kwargs):
             calls["elements"] += 1
@@ -162,15 +151,12 @@ class TestSelectionArrays:
             return term_values(F, X)
 
         select, term_values = jacobian.clarke_jacobian_element, DCMaxFn.term_values
-        monkeypatch.setattr(jacobian, "TermSelection", no_record)
         monkeypatch.setattr("dcjac.newton.clarke_jacobian_element", count_elements)
         monkeypatch.setattr(DCMaxFn, "term_values", count_sweeps)
         inst = bench_workloads().ncp_newton(1, per_size=1)[0]
         trace = solve(build_ncp(inst.M, inst.q), inst.x0)
         assert trace.status == "converged"
         assert calls["sweeps"] == calls["elements"] >= len(trace.steps) > 1
-        with pytest.raises(AssertionError, match="per-term record"):
-            jacobian.clarke_jacobian_element(build_ncp(inst.M, inst.q), inst.x0).components
 
 
 class TestBuildNCP:

@@ -32,13 +32,11 @@ from dcjac.expr import (
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
     DEFAULT_TOL_TIE,
-    ComponentSelection,
     ConventionMismatchError,
     ConeLinearityReport,
     DifferenceVectors,
     LimitInclusionReport,
     LimitPoint,
-    TermSelection,
     lexicographic_chain,
 )
 from dcjac.oracle import _classical_jacobian, _cone_direction, _strict_profiles
@@ -282,12 +280,48 @@ def assert_active_rows_equal(got, want) -> None:
 
 
 @dataclass(frozen=True)
+class ReferenceTerm:
+    """The step on one max term, as ``reference_element`` takes it: a
+    record of its own, so the reference reads none of the element's
+    arrays.  ``chain`` holds positions into ``active``."""
+
+    active: tuple[int, ...]  # pieces within tol_act of the maximum
+    chain: tuple[tuple[int, ...], ...]
+    max_value: float  # the term's value at x
+    grads: np.ndarray  # one row per active piece
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(self.active[k] for k in self.chain[-1])
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.grads[self.chain[-1][0]]
+
+
+@dataclass(frozen=True)
+class ReferenceComponent:
+    """Component i: the step on g_i and on h_i."""
+
+    g: ReferenceTerm
+    h: ReferenceTerm
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.g.row - self.h.row
+
+    @property
+    def value(self) -> float:
+        return self.g.max_value - self.h.max_value
+
+
+@dataclass(frozen=True)
 class ReferenceElement:
-    """What ``reference_element`` returns: one ``ComponentSelection`` per
+    """What ``reference_element`` returns: one ``ReferenceComponent`` per
     component, built term by term, with the element and F(x) put
     together row by row from those records."""
 
-    components: tuple[ComponentSelection, ...]
+    components: tuple[ReferenceComponent, ...]
     convention: str
     tol_act: float
     tol_tie: float
@@ -317,7 +351,7 @@ def reference_element(
     The reference for ``clarke_jacobian_element``."""
     x = np.asarray(x, dtype=float)
 
-    def select_term(f, name: str, i: int) -> TermSelection:
+    def select_term(f, name: str, i: int) -> ReferenceTerm:
         active, values = reference_active(f, x, tol_act)
         grads = np.array([f.pieces[j].grad(x) for j in active])
         for j, row in zip(active, grads):
@@ -326,13 +360,29 @@ def reference_element(
                     f"gradient of active piece {j} of {name} in component {i} is {row.tolist()}"
                 )
         chain = tuple(lexicographic_chain(grads, convention, tol_tie))
-        return TermSelection(active, chain, max(values), grads)
+        return ReferenceTerm(active, chain, max(values), grads)
 
     comps = tuple(
-        ComponentSelection(select_term(g, "g", i), select_term(h, "h", i))
+        ReferenceComponent(select_term(g, "g", i), select_term(h, "h", i))
         for i, (g, h) in enumerate(zip(F.g, F.h))
     )
     return ReferenceElement(comps, convention, tol_act, tol_tie)
+
+
+def element_terms(elem) -> list[tuple]:
+    """Per max term (g_1, h_1, g_2, ...) of a library element, read from
+    its arrays: the active pieces, the filtration (positions into them),
+    the term's value at x and the active gradients."""
+    bounds = elem.bounds.tolist()
+    return [
+        (tuple(elem.pieces[lo:hi].tolist()), chain, elem.tops[t], elem.rows[lo:hi])
+        for t, (lo, hi, chain) in enumerate(zip(bounds, bounds[1:], elem.chains))
+    ]
+
+
+def selected_pieces(elem) -> list[tuple[int, ...]]:
+    """Per max term of a library element, the pieces its filtration keeps."""
+    return [tuple(active[k] for k in chain[-1]) for active, chain, _, _ in element_terms(elem)]
 
 
 def _xi_or_refusal(elem):
@@ -343,17 +393,18 @@ def _xi_or_refusal(elem):
 
 
 def assert_element_equal(got, want) -> None:
-    """Same active sets, filtrations and convention, bitwise the same
-    values and active gradients, term by term, and bitwise the same
-    ``xi`` (or the same refusal) and ``values``."""
+    """A library element ``got`` against a ``ReferenceElement``: same
+    active sets, filtrations and convention, bitwise the same values and
+    active gradients, term by term, and bitwise the same ``xi`` (or the
+    same refusal) and ``values``."""
     settings = ("convention", "tol_act", "tol_tie")
     assert [getattr(got, k) for k in settings] == [getattr(want, k) for k in settings]
-    assert len(got.components) == len(want.components)
-    for comp, ref in zip(got.components, want.components):
-        for term, ref_term in ((comp.g, ref.g), (comp.h, ref.h)):
-            assert (term.active, term.chain) == (ref_term.active, ref_term.chain)
-            assert_bits_equal(term.max_value, ref_term.max_value)
-            assert_bits_equal(term.grads, ref_term.grads)
+    ref_terms = [term for comp in want.components for term in (comp.g, comp.h)]
+    assert len(got.chains) == len(ref_terms)
+    for (active, chain, top, grads), ref in zip(element_terms(got), ref_terms):
+        assert (active, chain) == (ref.active, ref.chain)
+        assert_bits_equal(top, ref.max_value)
+        assert_bits_equal(grads, ref.grads)
     xi, ref_xi = _xi_or_refusal(got), _xi_or_refusal(want)
     if isinstance(ref_xi, str):
         assert xi == ref_xi
@@ -372,30 +423,28 @@ def reference_selection_differences(F, x, elem) -> DifferenceVectors:
     the reference for ``selection_differences``."""
     x = np.asarray(x, dtype=float)
     vectors: list[np.ndarray] = []
-    for i, comp in enumerate(elem.components):
-        for name, f, active, selected in (
-            ("g", F.g[i], comp.g.active, comp.g.selected),
-            ("h", F.h[i], comp.h.active, comp.h.selected),
-        ):
-            rejected = [j for j in active if j not in selected]
-            if not rejected:
-                continue
-            grads = {j: f.pieces[j].grad(x) for j in set(rejected) | set(selected)}
-            for j in rejected:
-                for t in selected:
-                    with np.errstate(over="ignore"):
-                        alpha = grads[j] - grads[t]
-                    if not np.isfinite(alpha).all():
-                        raise OverflowError(
-                            f"difference of active gradients of {name} in component {i} "
-                            f"is {alpha.tolist()}"
-                        )
-                    try:
-                        reference_leading(alpha)
-                    except ValueError:  # no entry counts as nonzero
-                        continue
-                    if not any(np.array_equal(alpha, seen) for seen in vectors):
-                        vectors.append(alpha)
+    actives = [active for active, _, _, _ in element_terms(elem)]
+    for term, (f, active, selected) in enumerate(zip(F.terms, actives, selected_pieces(elem))):
+        name, i = "gh"[term % 2], term // 2
+        rejected = [j for j in active if j not in selected]
+        if not rejected:
+            continue
+        grads = {j: f.pieces[j].grad(x) for j in set(rejected) | set(selected)}
+        for j in rejected:
+            for t in selected:
+                with np.errstate(over="ignore"):
+                    alpha = grads[j] - grads[t]
+                if not np.isfinite(alpha).all():
+                    raise OverflowError(
+                        f"difference of active gradients of {name} in component {i} "
+                        f"is {alpha.tolist()}"
+                    )
+                try:
+                    reference_leading(alpha)
+                except ValueError:  # no entry counts as nonzero
+                    continue
+                if not any(np.array_equal(alpha, seen) for seen in vectors):
+                    vectors.append(alpha)
     mat = np.array(vectors) if vectors else np.zeros((0, F.n))
     return DifferenceVectors(vectors=mat, convention=elem.convention)
 
@@ -535,7 +584,8 @@ def reference_cone_linearity(
 
 def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionReport:
     """Ray walk that takes the active sets at each point x + t*y_bar with
-    ``reference_active`` at ``tol_act``, a non-finite maximum counting as a tie:
+    ``reference_active`` at ``tol_act``, a non-finite maximum counting as a
+    tie and a piece that cannot be evaluated making the point degenerate:
     at ``tol_act=0.0`` the reference for ``verify_limit_inclusion``."""
     x = np.asarray(x, dtype=float)
     points = []
@@ -548,7 +598,7 @@ def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionR
                 try:
                     act_g = reference_active(F.g[i], z, tol_act)[0]
                     act_h = reference_active(F.h[i], z, tol_act)[0]
-                except OverflowError:
+                except (OverflowError, DomainError):  # F is not differentiable at z
                     act_g = act_h = ()
                 if len(act_g) != 1 or len(act_h) != 1:
                     rows = None
