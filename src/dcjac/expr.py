@@ -763,24 +763,36 @@ class SmoothFn:
         return unparse(self.expr)
 
 
-def _affine_rows(coeffs, constants, negate: bool = False) -> list[SmoothFn]:
-    """The pieces ``affine_expr(coeffs[r], constants[r])``, negated when
-    ``negate``, one per row of the matrix ``coeffs``, made straight from
-    their coefficient data in one pass over the whole matrix.  Each piece
-    builds its tree only when read."""
-    coefs = np.column_stack([np.asarray(coeffs, dtype=float), np.asarray(constants, dtype=float)])
-    if not np.isfinite(coefs).all():
+def _affine_layout(coeffs, constants) -> np.ndarray:
+    """The coefficient data of the pieces ``affine_expr(coeffs[r],
+    constants[r])``, one per row of the matrix ``coeffs``, in one array of
+    shape (4, rows, dim + 1): ``Affine.terms`` of row r is the view
+    ``layout[:, r]``, and ``layout[0]`` is ``[coeffs | constants]``."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, dim = coeffs.shape
+    layout = np.empty((4, rows, dim + 1))
+    layout[0, :, :dim] = coeffs
+    layout[0, :, dim] = constants
+    if not np.isfinite(layout[0]).all():
         raise ValueError("coefficients must be finite")
-    dim = coefs.shape[1] - 1
+    layout[1] = np.arange(dim + 1)
     # affine_expr writes a number with its sign bit set as neg(|number|):
     # in a product c*x_j a negated constant, as the last term a negated
     # |constant|
-    sign = np.signbit(coefs)
+    sign = np.signbit(layout[0])
     product = np.arange(dim + 1) < dim
-    flags = _zero_flags(product, sign, sign & product, sign & ~product)
-    index = np.broadcast_to(np.arange(dim + 1, dtype=float), coefs.shape)
-    terms = np.stack([coefs, index, *flags], axis=1)  # (rows, 4, dim + 1)
-    return [_premade(None, dim, row, negate) for row in terms]
+    layout[2], layout[3] = _zero_flags(product, sign, sign & product, sign & ~product)
+    return layout
+
+
+def _affine_rows(coeffs, constants, negate: bool = False) -> list[SmoothFn]:
+    """The pieces ``affine_expr(coeffs[r], constants[r])``, negated when
+    ``negate``, one per row of the matrix ``coeffs``, made straight from
+    their coefficient data (``_affine_layout``) in one pass over the whole
+    matrix.  Each piece builds its tree only when read."""
+    layout = _affine_layout(coeffs, constants)
+    dim = layout.shape[2] - 1
+    return [_premade(None, dim, layout[:, r], negate) for r in range(layout.shape[1])]
 
 
 def _premade(
@@ -798,6 +810,24 @@ def _premade(
 _SWEEP_CHUNK = 1 << 20
 
 
+def _bucket(width: int) -> int:
+    """The block of ``PieceStack`` that sweeps a piece of ``width`` terms:
+    up to 8 terms share block 0, then widths double."""
+    return max(0, (int(width) - 1).bit_length() - 3)
+
+
+def _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips):
+    """The zero-sign state of ``PieceStack`` from the flags of ``Affine``.
+    The arrays after ``zero_neg`` hold one entry per term, ``owner`` its
+    piece and ``index`` its variable.  Clears ``zero_neg`` for each piece
+    with a term that adds +0 at every point (neither flag set), and
+    returns ``flip_row``, ``flip_var`` and ``flip_sign``: per term with
+    zero_flips, its piece, its variable, and the sign bit of that
+    variable under which it adds +0."""
+    zero_neg[owner[~zero_flips & ~zero_sign]] = False
+    return owner[zero_flips], index[zero_flips], ~zero_sign[zero_flips]
+
+
 class PieceStack:
     """Pieces of one dimension ``dim``, evaluated together.  Every array
     is indexed by piece.
@@ -805,20 +835,23 @@ class PieceStack:
     The pieces with coefficient data are swept: their term products are
     summed left to right with ``np.add.accumulate`` (never ``@`` or
     ``sum``, which reassociate), over blocks of pieces with similar term
-    counts padded to a common width.  A swept piece's gradient is its row
-    of ``table``, the nonzero coefficients, with every other lane set to
-    the signed zero that ``Affine`` derives.  The other pieces go through
-    ``SmoothFn.eval`` and ``grad``, as every piece does at a point that is
-    not finite.  Values and gradients have the bits of those methods.
+    counts (``_bucket``) padded to a common width.  A swept piece's
+    gradient is its row of ``table``, the nonzero coefficients, with every
+    other lane set to the signed zero that ``Affine`` derives
+    (``_zero_lanes``).  The other pieces go through ``SmoothFn.eval`` and
+    ``grad``, as every piece does at a point that is not finite.  Values
+    and gradients have the bits of those methods.
+
+    ``PieceStack(pieces, dim)`` derives every array from the pieces'
+    ``Affine`` data.  ``newton.build_ncp`` holds that data as one matrix
+    and derives the arrays from it instead (``_of_ncp``).
     """
 
     def __init__(self, pieces, dim: int):
-        self.pieces = tuple(pieces)
-        self.dim = dim
-        data = [p.affine for p in self.pieces]
-        self.swept = np.array([a is not None for a in data], dtype=bool)
-        self.walked = np.flatnonzero(~self.swept).tolist()
-        self.negate = np.array([a is not None and a.negate for a in data], dtype=bool)
+        pieces = tuple(pieces)
+        data = [p.affine for p in pieces]
+        swept = np.array([a is not None for a in data], dtype=bool)
+        negate = np.array([a is not None and a.negate for a in data], dtype=bool)
         lengths = np.array([0 if a is None else a.terms.shape[1] for a in data], dtype=np.intp)
         coefs, index, zero_sign, zero_flips = np.concatenate(
             [np.empty((4, 0)), *(a.terms for a in data if a is not None)], axis=1
@@ -828,12 +861,12 @@ class PieceStack:
         owner = np.repeat(np.arange(len(data)), lengths)  # piece of each term
         col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
-        # Values: up to 8 terms share a block, then widths double.  A pad
-        # is the product -0.0*1.0 (column dim of a point reads 1.0), and
-        # adding -0.0 changes no sum, not even the sign of a zero.
-        bucket = np.array([max(0, (int(n) - 1).bit_length() - 3) if n else -1 for n in lengths])
-        self.blocks = []
-        for b in np.unique(bucket[self.swept]):
+        # Values.  A pad is the product -0.0*1.0 (column dim of a point
+        # reads 1.0), and adding -0.0 changes no sum, not even the sign of
+        # a zero.
+        bucket = np.array([_bucket(n) if n else -1 for n in lengths])
+        blocks = []
+        for b in np.unique(bucket[swept]):
             block = np.flatnonzero(bucket == b)
             terms = bucket[owner] == b
             at = (np.searchsorted(block, owner[terms]), col[terms])
@@ -842,7 +875,7 @@ class PieceStack:
             block_coefs[at] = coefs[terms]
             block_index = np.full(shape, dim, dtype=np.intp)
             block_index[at] = index[terms]
-            self.blocks.append((block, block_coefs, block_index))
+            blocks.append((block, block_coefs, block_index))
 
         # Gradients: each piece's nonzero coefficient lanes, negated with
         # it, and +0 elsewhere; grads makes those lanes -0 where zero_neg !=
@@ -850,13 +883,70 @@ class PieceStack:
         # always for a term without zero_flips whose zero_sign is set, and
         # for one with zero_flips when signbit(x[var]) equals flip_sign.
         lane = (index < dim) & (coefs != 0.0)  # the rule, not c, signs a zero lane
-        self.table = np.zeros((len(data), dim))
-        self.table[owner[lane], index[lane]] = np.where(self.negate[owner], -coefs, coefs)[lane]
-        self.zero_neg = np.ones(len(data), dtype=bool)
-        self.zero_neg[owner[~zero_flips & ~zero_sign]] = False
-        self.flip_row = owner[zero_flips]
-        self.flip_var = index[zero_flips]
-        self.flip_sign = ~zero_sign[zero_flips]
+        table = np.zeros((len(data), dim))
+        table[owner[lane], index[lane]] = np.where(negate[owner], -coefs, coefs)[lane]
+        zero_neg = np.ones(len(data), dtype=bool)
+        flips = _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips)
+        self._set(pieces, dim, swept, negate, blocks, table, zero_neg, flips)
+
+    @classmethod
+    def _of_ncp(cls, pieces, layout: np.ndarray) -> "PieceStack":
+        """The stack of ``newton.build_ncp``'s pieces (0, -x_i and
+        -(Mx+q)_i for each i), derived from ``layout = _affine_layout(M,
+        q)``, the data of the pieces -(Mx+q)_i: bit for bit the stack that
+        ``PieceStack(pieces, n)`` derives one piece at a time.
+
+        The rows of ``[M | q]`` (``layout[0]``) are a block as they stand,
+        indexed by a broadcast ``arange(n + 1)``, once they are wide enough
+        for a bucket of their own (n >= 8).  The gradient table holds -M
+        on its nonzero lanes, -1 on x_i's, and +0 elsewhere.  The flags
+        are ``layout[2:]``, read by ``_zero_lanes`` as ``__init__`` reads
+        the pieces' own.
+        """
+        n = layout.shape[1]
+        coefs = layout[0]
+        kind = np.arange(3 * n) % 3  # per piece: 0 for 0, 1 for -x_i, 2 for -(Mx+q)_i
+        rows = np.flatnonzero(kind == 2)
+        index = np.broadcast_to(np.arange(n + 1), coefs.shape)
+        # The one-term pieces 0 and -x_i (coefficient 0 of the constant, 1
+        # of x_i) form a block of width 1; while the rows of [M | q] are in
+        # their bucket (n <= 7) they join it, padded to width n + 1, in
+        # piece order.
+        merged = _bucket(1) == _bucket(n + 1)
+        kinds, width = (3, n + 1) if merged else (2, 1)
+        block_coefs = np.full((n, kinds, width), -0.0)
+        block_coefs[:, 0, 0] = 0.0
+        block_coefs[:, 1, 0] = 1.0
+        block_index = np.full((n, kinds, width), n, dtype=np.intp)
+        block_index[:, 1, 0] = np.arange(n)
+        if merged:
+            block_coefs[:, 2], block_index[:, 2] = coefs, index
+        block = np.flatnonzero(kind < kinds)
+        blocks = [(block, block_coefs.reshape(-1, width), block_index.reshape(-1, width))]
+        if not merged:
+            blocks.append((rows, coefs, index))
+        table = np.zeros((n, 3, n))
+        table[np.arange(n), 1, np.arange(n)] = -1.0
+        np.negative(coefs[:, :n], out=table[:, 2], where=coefs[:, :n] != 0.0)
+        zero_sign, zero_flips = layout[2:] != 0.0
+        zero_neg = kind == 2  # 0 and -x_i have one term each, which adds +0
+        owner = np.broadcast_to(rows[:, None], coefs.shape)
+        flips = _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips)
+        stack = cls.__new__(cls)
+        swept = np.ones(3 * n, dtype=bool)
+        stack._set(pieces, n, swept, kind != 0, blocks, table.reshape(3 * n, n), zero_neg, flips)
+        return stack
+
+    def _set(self, pieces, dim, swept, negate, blocks, table, zero_neg, flips):
+        self.pieces = tuple(pieces)
+        self.dim = dim
+        self.swept = swept
+        self.walked = np.flatnonzero(~swept).tolist()
+        self.negate = negate
+        self.blocks = blocks
+        self.table = table
+        self.zero_neg = zero_neg
+        self.flip_row, self.flip_var, self.flip_sign = flips
 
     def values(self, X) -> tuple[np.ndarray, tuple | None]:
         """Every piece's value at every row of X, shape (points, pieces).

@@ -216,8 +216,15 @@ def clarke_jacobian_element(
     _check_convention(convention)
     if not tol_tie >= 0:  # tol_act is checked by the step
         raise ValueError("tol_tie must be nonnegative")
-    rows, pieces, tops, bounds = _active_step(F, x, tol_act)
-    chains = [((0,),) * (F.n + 1)] * len(tops)
+    return _filtered(*_active_step(F, x, tol_act), convention, tol_act, tol_tie)
+
+
+def _filtered(rows, pieces, tops, bounds, convention, tol_act, tol_tie) -> JacobianElement:
+    """The element of an active step (``dcmax._active_step``'s four arrays)
+    under ``convention``: each term's filtration and nothing else, so an
+    element of one point under the other convention needs no second
+    sweep (``newton.solve`` retries so)."""
+    chains = [((0,),) * (rows.shape[1] + 1)] * len(tops)
     for t in np.flatnonzero(bounds[1:] - bounds[:-1] > 1).tolist():
         chains[t] = tuple(lexicographic_chain(rows[bounds[t] : bounds[t + 1]], convention, tol_tie))
     return JacobianElement(rows, pieces, tops, bounds, tuple(chains), convention, tol_act, tol_tie)
@@ -469,7 +476,9 @@ def verify_limit_inclusion(
 
     Points where some max term has no strictly largest finite piece, or
     some piece cannot be evaluated (``oracle._strict_profiles``; tol_act
-    plays no part), are skipped as degenerate.  Points whose Jacobians
+    plays no part), or a strictly largest piece has no gradient (a
+    ``DomainError`` or ``OverflowError``: F is not differentiable there),
+    are skipped as degenerate.  Points whose Jacobians
     read the same gradient rows (``DCMaxFn.term_grads_keys``: on affine
     pieces, the same profile and the same sign bits) share one gather,
     its norm and its distance to the element.
@@ -489,13 +498,17 @@ def verify_limit_inclusion(
         keys = F.term_grads_keys(zs, np.arange(2 * F.m), profiles)
         for t, z, profile, key, ok in zip(LIMIT_T_SCHEDULE, zs, profiles, keys, usable):
             distance = None  # a degenerate point
-            if ok:
-                if key not in figures:
+            if ok and key not in figures:
+                try:
                     jac = _classical_jacobian(F, z, profile)
+                except ArithmeticError:  # a strictly largest piece with no gradient at z
+                    figures[key] = None
+                else:
                     norm = float(np.linalg.norm(jac))
                     if norm == np.inf:  # its squares overflow
                         norm = float(np.hypot.reduce(np.abs(jac).ravel()))
                     figures[key] = norm, float(np.linalg.norm(jac - elem.xi))
+            if ok and figures[key] is not None:
                 norm, distance = figures[key]
                 scale = max(scale, norm)
             points.append(LimitPoint(t, distance))

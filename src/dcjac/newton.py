@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
-from .expr import Const, Unary, Var, _affine_rows, _premade
-from .jacobian import DEFAULT_TOL_TIE, clarke_jacobian_element
+from .expr import Const, PieceStack, Unary, Var, _affine_layout, _premade
+from .jacobian import DEFAULT_TOL_TIE, _filtered, clarke_jacobian_element
 
 __all__ = [
     "NewtonStep",
@@ -95,7 +95,8 @@ def solve(
     below tol, taking at most max_iters steps.
 
     A rank-deficient element triggers one retry with the opposite
-    selection convention before the solve fails as singular.  Divergence
+    selection convention, which filters the iterate's active step again
+    without a second sweep, before the solve fails as singular.  Divergence
     is declared after five consecutive residuals above ten times the
     initial one.
     """
@@ -132,7 +133,8 @@ def solve(
         else:
             factored = _factor(xi)
             if factored is None:
-                xi = clarke_jacobian_element(F, x, tol_act, tol_tie, other).xi
+                step = elem.rows, elem.pieces, elem.tops, elem.bounds  # x's, swept once
+                xi = _filtered(*step, other, tol_act, tol_tie).xi
                 factored = _factor(xi)
             if factored is None:
                 status = "singular"
@@ -150,10 +152,12 @@ def build_ncp(M, q) -> DCMaxFn:
     difference of max terms.
 
     Component i is 0 - max(-x_i, -(Mx+q)_i), which equals
-    min(x_i, (Mx+q)_i).  M and q must be finite.  The pieces -(Mx+q)_i
-    are made from (M, q) as coefficient data in one pass over the whole
-    matrix (``expr._affine_rows``, whose one-row case is
-    ``SmoothFn.from_affine``); their trees are built only when read.
+    min(x_i, (Mx+q)_i).  M and q must be finite.  The coefficient data of
+    the pieces -(Mx+q)_i is one array built from (M, q)
+    (``expr._affine_layout``, whose rows ``SmoothFn.from_affine`` also
+    makes); each piece's data is a view of it, and its tree is built only
+    when read.  The function's ``stack`` comes from the same array
+    (``PieceStack._of_ncp``), not from the pieces one by one.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -164,12 +168,20 @@ def build_ncp(M, q) -> DCMaxFn:
         raise ValueError(f"q has shape {q.shape}, expected ({n},)")
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
+    layout = _affine_layout(M, q)
     # 0 and -x_i get the one term _affine_data would find by a walk: coefficient, index, flags
-    zero = MaxFn((_premade(Const(0.0), n, np.array([[0.0], [n], [0.0], [0.0]]), False),))
+    zero = _premade(Const(0.0), n, np.array([[0.0], [n], [0.0], [0.0]]), False)
     neg_x = np.stack([np.ones(n), np.arange(n), np.zeros(n), np.zeros(n)], axis=1)[:, :, None]
-    rows = _affine_rows(M, q, negate=True)
-    h = tuple(MaxFn((_premade(Unary("neg", Var(i)), n, neg_x[i], True), rows[i])) for i in range(n))
-    return DCMaxFn(n=n, m=n, g=(zero,) * n, h=h)
+    pieces, h = [], []
+    for i in range(n):
+        neg = _premade(Unary("neg", Var(i)), n, neg_x[i], True)
+        row = _premade(None, n, layout[:, i], True)  # a view of the layout
+        pieces += (zero, neg, row)
+        h.append(MaxFn((neg, row)))
+    g = (MaxFn((zero,)),) * n
+    F = DCMaxFn(n=n, m=n, g=g, h=tuple(h))
+    F.__dict__["stack"] = PieceStack._of_ncp(pieces, layout)  # the cached DCMaxFn.stack
+    return F
 
 
 def ncp_residual(M, q, x) -> float:

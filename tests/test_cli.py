@@ -612,6 +612,29 @@ class TestVerify:
             assert (code, limit["status"]) == (1, "fail")
 
     @pytest.mark.parametrize("convention", ["min", "max"])
+    @pytest.mark.parametrize("piece, x", [("sqrt(x1)", "0.01"), ("sqrt(-x1)", "-0.01")])
+    def test_ray_point_without_a_gradient_is_degenerate(
+        self, capsys, tmp_path, piece, x, convention
+    ):
+        # the walk reaches x1 = 0 at t = 1e-2 when it heads for the kink
+        # ("min" from 0.01, "max" from -0.01), where sqrt wins but has no
+        # gradient; it fails on the rate either way (ROADMAP item 1 (iii))
+        prob = write_problem(tmp_path, [{"g": [piece, "-1"]}])
+        argv = ["verify", "-p", prob, f"--point={x}", "--convention", convention, "--json"]
+        code, out, err = run(capsys, argv)
+        limit = strict_loads(out)["checks"]["limit_inclusion"]
+        towards_zero = (convention == "min") == (x == "0.01")
+        assert [p["degenerate"] for p in limit["points"]] == [towards_zero] + [False] * 4
+        assert (code, err, limit["status"]) == (1, "", "fail")
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
+    def test_gradient_fault_at_the_point_exits_3(self, capsys, tmp_path, convention):
+        prob = write_problem(tmp_path, [{"g": ["sqrt(x1)", "-1"]}])
+        code, out, err = run(capsys, ["verify", "-p", prob, "-x", "0", "--convention", convention])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: sqrt not differentiable at 0")
+
+    @pytest.mark.parametrize("convention", ["min", "max"])
     def test_piece_outside_its_domain_at_the_point_exits_3(self, capsys, tmp_path, convention):
         prob = write_problem(tmp_path, [{"g": ["log(x1)", "0.5*x1"]}])
         argv = ["verify", "-p", prob, "-x", "-0.001", "--convention", convention]

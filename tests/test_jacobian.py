@@ -1065,6 +1065,33 @@ class TestLimitInclusion:
         assert_limit_reports_equal(got, reference_limit_inclusion(F, [1e-3], elem, w.y_bar))
         assert_limit_reports_equal(got, pointwise_limit_inclusion(F, [1e-3], elem, w))
 
+    @pytest.mark.parametrize(
+        "convention, piece, x", [("min", "sqrt(x1)", 1e-2), ("max", "sqrt(-x1)", -1e-2)]
+    )
+    def test_ray_point_without_a_gradient_is_degenerate(self, convention, piece, x):
+        # the walk reaches x1 = 0 at t = 1e-2, where the sqrt piece is
+        # strictly largest (0 > -1) but has no gradient
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": [piece, "-1"]}]})
+        elem, w, zs, profiles = _walk(F, [x], convention)
+        assert zs[0].tolist() == [0.0] and profiles[0].tolist() == [0, 0]
+        with pytest.raises(DomainError, match="not differentiable at 0"):
+            _classical_jacobian(F, zs[0], profiles[0])
+        got = verify_limit_inclusion(F, [x], elem, w)
+        assert [p.degenerate for p in got.points] == [True] + [False] * 4
+        assert got.passed is False  # sqrt bends too fast near 0 for the last point to reach ξ
+        assert_limit_reports_equal(got, reference_limit_inclusion(F, [x], elem, w.y_bar))
+        assert_limit_reports_equal(got, pointwise_limit_inclusion(F, [x], elem, w))
+
+    def test_memory_error_in_a_walk_gradient_propagates(self, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate")
+
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["sqrt(x1)", "-1"]}]})
+        elem, w, _, _ = _walk(F, [1e-2])
+        monkeypatch.setattr(jacobian, "_classical_jacobian", refuse)
+        with pytest.raises(MemoryError):
+            verify_limit_inclusion(F, [1e-2], elem, w)
+
     def test_profiles_sweep_past_each_fault(self):
         # log(x1) cannot be evaluated at -1 or at 0, and 0.5*x1 wins elsewhere
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["log(x1)", "0.5*x1"]}]})

@@ -158,6 +158,35 @@ class TestSelectionArrays:
         assert trace.status == "converged"
         assert calls["sweeps"] == calls["elements"] >= len(trace.steps) > 1
 
+    def test_convention_retry_filters_the_iterate_step_again(self, monkeypatch):
+        # max(x1, 0) - 1 from 0: x1 and 0 tie, "min" picks 0's zero row and
+        # the retry under "max" picks x1's; no second sweep of x0
+        sweeps = []
+
+        def count_sweeps(F, X):
+            sweeps.append(len(X))
+            return term_values(F, X)
+
+        term_values = DCMaxFn.term_values
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "0"], "h": ["1"]}]})
+        monkeypatch.setattr(DCMaxFn, "term_values", count_sweeps)
+        trace = solve(F, [0.0])
+        assert (trace.status, len(trace.steps), len(sweeps)) == ("converged", 2, 2)
+        monkeypatch.undo()
+        fresh = jacobian.clarke_jacobian_element(F, [0.0], convention="max")
+        assert trace.steps[0].xi.tobytes() == fresh.xi.tobytes()
+        assert trace.steps[0].xi.tolist() == [[1.0]]
+
+    def test_convention_retry_equals_a_fresh_element_on_tied_ncps(self):
+        # x_i and (Mx+q)_i tie at (1, 1), with residual 1: "min" picks the
+        # rows of the singular M and the retry under "max" the identity
+        F = build_ncp([[1.0, 1.0], [1.0, 1.0]], [-1.0, -1.0])
+        trace = solve(F, [1.0, 1.0])
+        assert trace.steps[0].step.tolist() == [-1.0, -1.0]
+        fresh = jacobian.clarke_jacobian_element(F, [1.0, 1.0], convention="max")
+        assert trace.steps[0].xi.tobytes() == fresh.xi.tobytes()
+        assert trace.steps[0].xi.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
 
 class TestBuildNCP:
     def test_identity_zero_shift(self):
@@ -295,6 +324,70 @@ class TestBuildNCP:
             build_ncp(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="shape"):
             build_ncp(np.eye(2), np.zeros(3))
+
+    @staticmethod
+    def _signed_data(rng, n):
+        """M and q with 0.0, -0.0 and negative entries in every row."""
+        M = rng.choice([0.0, -0.0, 1.5, -2.25, 1e-300, -7.0], size=(n, n))
+        M[:, 0], M[0] = -0.0, rng.standard_normal(n)
+        q = rng.choice([0.0, -0.0, -1.0, 2.5], size=n)
+        q[0] = -0.0
+        return M, q
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 33])
+    def test_stack_equals_the_per_piece_stack(self, n):
+        F = build_ncp(*self._signed_data(np.random.default_rng(n), n))
+        got = F.stack
+        want = dcjac.expr.PieceStack([p for fn in F.terms for p in fn.pieces], n)
+        assert len(got.pieces) == len(want.pieces) == 3 * n
+        assert all(a is b for a, b in zip(got.pieces, want.pieces))
+        assert (got.dim, got.walked) == (want.dim, want.walked)
+        names = ("swept", "negate", "table", "zero_neg", "flip_row", "flip_var", "flip_sign")
+        arrays = [(name, getattr(got, name), getattr(want, name)) for name in names]
+        assert len(got.blocks) == len(want.blocks) == (1 if n <= 7 else 2)
+        for k, (a, b) in enumerate(zip(got.blocks, want.blocks)):
+            parts = ("pieces", "coefs", "index")
+            arrays += [(f"block {k} {part}", a[i], b[i]) for i, part in enumerate(parts)]
+        for name, a, b in arrays:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 17])
+    def test_stack_values_and_grads_equal_the_tree_walkers_at_signed_zeros(self, n):
+        rng = np.random.default_rng(100 + n)
+        F = build_ncp(*self._signed_data(rng, n))
+        points = rng.choice([0.0, -0.0, 1.0, -2.5], size=(4, n))
+        values, fault = F.stack.values(points)
+        assert fault is None
+        every = np.arange(3 * n)
+        for x, row in zip(points, values):
+            for piece, value, grad in zip(F.stack.pieces, row, F.stack.grads(x, every)):
+                assert_bits_equal(value, reference_eval_float(piece.expr, x))
+                assert_bits_equal(grad, reference_eval_tangent(piece.expr, x, np.zeros(n))[1])
+
+    def test_build_runs_no_per_piece_stack_pass(self, monkeypatch):
+        # the stack comes from [M | q] whole: neither PieceStack's per-piece
+        # concatenation nor a bucket per piece runs
+        buckets = []
+
+        def fail(*args):
+            raise AssertionError("per-piece PieceStack built")
+
+        def count_buckets(width):
+            buckets.append(width)
+            return bucket(width)
+
+        bucket = dcjac.expr._bucket
+        monkeypatch.setattr(dcjac.expr.PieceStack, "__init__", fail)
+        monkeypatch.setattr(dcjac.expr, "_bucket", count_buckets)
+        n = 20
+        M, q = self._signed_data(np.random.default_rng(3), n)
+        M += 4.0 * n * np.eye(n)
+        F = build_ncp(M, q)
+        # one layout: the row block is the pieces' own data, not a copy
+        assert np.shares_memory(F.stack.blocks[1][1], F.h[0].pieces[1].affine.terms)
+        assert len(buckets) <= 2
+        assert solve(F, np.zeros(n)).status == "converged"
 
 
 def _ncp_text_document(M, q) -> dict:

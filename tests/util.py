@@ -585,7 +585,8 @@ def reference_cone_linearity(
 def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionReport:
     """Ray walk that takes the active sets at each point x + t*y_bar with
     ``reference_active`` at ``tol_act``, a non-finite maximum counting as a
-    tie and a piece that cannot be evaluated making the point degenerate:
+    tie and a piece that cannot be evaluated, or a strictly largest piece
+    without a gradient, making the point degenerate:
     at ``tol_act=0.0`` the reference for ``verify_limit_inclusion``."""
     x = np.asarray(x, dtype=float)
     points = []
@@ -595,15 +596,18 @@ def reference_limit_inclusion(F, x, elem, y_bar, tol_act=0.0) -> LimitInclusionR
             z = x + t * np.asarray(y_bar, dtype=float)
             rows = []
             for i in range(F.m):
+                row = None  # F is not differentiable at z
                 try:
                     act_g = reference_active(F.g[i], z, tol_act)[0]
                     act_h = reference_active(F.h[i], z, tol_act)[0]
-                except (OverflowError, DomainError):  # F is not differentiable at z
-                    act_g = act_h = ()
-                if len(act_g) != 1 or len(act_h) != 1:
+                    if len(act_g) == len(act_h) == 1:
+                        row = F.g[i].pieces[act_g[0]].grad(z) - F.h[i].pieces[act_h[0]].grad(z)
+                except (OverflowError, DomainError):
+                    pass
+                if row is None:
                     rows = None
                     break
-                rows.append(F.g[i].pieces[act_g[0]].grad(z) - F.h[i].pieces[act_h[0]].grad(z))
+                rows.append(row)
             if rows is None:
                 points.append(LimitPoint(t, None))
                 continue
@@ -632,8 +636,11 @@ def pointwise_limit_inclusion(F, x, elem, witness) -> LimitInclusionReport:
     with np.errstate(over="ignore", invalid="ignore"):
         for t, z, profile in zip((1e-2, 1e-3, 1e-4, 1e-5, 1e-6), zs, _strict_profiles(F, zs)):
             distance = None
-            if profile.min() >= 0:
-                jac = _classical_jacobian(F, z, profile)
+            try:
+                jac = _classical_jacobian(F, z, profile) if profile.min() >= 0 else None
+            except (OverflowError, DomainError):  # a winning piece with no gradient at z
+                jac = None
+            if jac is not None:
                 norm = float(np.linalg.norm(jac))
                 if norm == np.inf:
                     norm = float(np.hypot.reduce(np.abs(jac).ravel()))
