@@ -987,13 +987,17 @@ class PieceStack:
         raises propagates."""
         x = np.asarray(x, dtype=float)
         pieces = np.asarray(pieces, dtype=np.intp)
-        walk = ~self.swept[pieces] if np.isfinite(x).all() else np.ones(pieces.size, dtype=bool)
         out = self.table[pieces]
-        if not walk.all():
+        if not np.isfinite(x).all():
+            walk = range(pieces.size)  # every piece walks
+        else:
             zero_neg = self.zero_neg.copy()
             zero_neg[self.flip_row[np.signbit(x)[self.flip_var] != self.flip_sign]] = False
             out[(out == 0.0) & (zero_neg != self.negate)[pieces, None]] = -0.0
-        for k in np.flatnonzero(walk):
+            if not self.walked:
+                return out
+            walk = np.flatnonzero(~self.swept[pieces]).tolist()
+        for k in walk:
             out[k] = self.pieces[pieces[k]].grad(x)
         return out
 

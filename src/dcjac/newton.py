@@ -1,18 +1,20 @@
 """Local semismooth Newton iteration driven by selected Jacobian elements.
 
 Each step solves xi_k d = -F(x_k) with xi_k one element of the Clarke
-generalized Jacobian at the current iterate.  No globalization: divergence
-is reported, not repaired.
+generalized Jacobian at the current iterate, by LU with partial pivoting:
+LAPACK's ``dgetrf`` and ``dgetrs``, called without scipy.linalg's
+wrappers, since a finite xi_k and F(x_k) need none of their checks.  No
+globalization: divergence is reported, not repaired.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn
+from .dcmax import DEFAULT_TOL_ACT, DCMaxFn, MaxFn, _refuse_non_finite
 from .expr import Const, PieceStack, Unary, Var, _affine_layout, _premade
 from .jacobian import DEFAULT_TOL_TIE, _filtered, clarke_jacobian_element
 
@@ -52,34 +54,33 @@ class NewtonTrace:
         return self.steps[-1].residual
 
 
-def lu_factor(*args, **kwargs):
-    """``scipy.linalg.lu_factor``, imported at the first call, so that only
-    a Newton solve loads scipy.linalg."""
-    from scipy.linalg import lu_factor
+def lu_factor(a):
+    """LU with partial pivoting of the square matrix a, as (lu, piv):
+    LAPACK's ``dgetrf``, imported at the first call, so that only a
+    Newton solve loads scipy.linalg.  An exact zero pivot (``info > 0``)
+    is left in U, where ``_factor``'s pivot rule reads it."""
+    from scipy.linalg.lapack import dgetrf
 
-    return lu_factor(*args, **kwargs)
+    lu, piv, _ = dgetrf(a)
+    return lu, piv
 
 
-def lu_solve(*args, **kwargs):
-    """``scipy.linalg.lu_solve``, imported at the first call."""
-    from scipy.linalg import lu_solve
+def lu_solve(factored, b):
+    """The solution of a d = b from ``lu_factor(a)``: LAPACK's ``dgetrs``,
+    imported at the first call."""
+    from scipy.linalg.lapack import dgetrs
 
-    return lu_solve(*args, **kwargs)
+    return dgetrs(*factored, b)[0]
 
 
 def _factor(xi: np.ndarray):
     """LU with partial pivoting; None when a pivot falls below the
-    rank-deficiency threshold."""
-    scale = max(1.0, float(np.max(np.abs(xi), initial=0.0)))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # exact singularity is handled below
-            lu, piv = lu_factor(xi)
-    except ValueError:
+    rank-deficiency threshold (an exact zero pivot included)."""
+    scale = max(1.0, float(np.abs(xi).max(initial=0.0)))
+    factored = lu_factor(xi)
+    if np.abs(factored[0].diagonal()).min() < _PIVOT_REL_TOL * scale:
         return None
-    if np.min(np.abs(np.diag(lu))) < _PIVOT_REL_TOL * scale:
-        return None
-    return lu, piv
+    return factored
 
 
 def solve(
@@ -98,7 +99,9 @@ def solve(
     selection convention, which filters the iterate's active step again
     without a second sweep, before the solve fails as singular.  Divergence
     is declared after five consecutive residuals above ten times the
-    initial one.
+    initial one.  An iterate where F is not finite, its two maxima
+    finite but their difference not, is an OverflowError, as is one where
+    a row of the element is not finite.
     """
     if F.m != F.n:
         raise ValueError(f"newton requires m = n, got m={F.m}, n={F.n}")
@@ -119,7 +122,9 @@ def solve(
         elem = clarke_jacobian_element(F, x, tol_act, tol_tie, convention)
         # bitwise eval_F(F, x): the selection already reduced every max term
         F_x, xi = elem.values, elem.xi
-        residual = float(np.max(np.abs(F_x)))
+        residual = float(np.abs(F_x).max())
+        if not math.isfinite(residual):  # both maxima finite, their difference not
+            _refuse_non_finite(F_x, lambda i: f"value of component {i}")
         if res0 is None:
             res0 = residual
         grow_streak = grow_streak + 1 if residual > 10.0 * res0 else 0

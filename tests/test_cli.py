@@ -894,6 +894,17 @@ class TestNonFiniteElement:
         assert err == "error: numeric overflow: row 0 of the Jacobian element is [inf]\n"
 
 
+class TestNonFiniteNewtonValue:
+    @pytest.mark.parametrize("g", ["2*x1 + 1e308", "x1 + 1e308"])
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_exits_3_with_empty_stdout(self, capsys, tmp_path, g, form):
+        # both maxima are finite at the origin, F = max g - max h is not
+        prob = write_problem(tmp_path, [{"g": [g], "h": ["x1 - 1e308"]}])
+        code, out, err = run(capsys, ["newton", "-p", prob, *form])
+        assert (code, out) == (3, "")
+        assert err == "error: numeric overflow: value of component 0 is inf\n"
+
+
 class TestNonFiniteDifference:
     """Two finite active gradients whose difference overflows."""
 

@@ -1,10 +1,12 @@
 """Which parts of scipy a fresh process loads.
 
-``import dcjac`` loads no scipy module: ``oracle.linprog`` and
-``newton.lu_factor``/``lu_solve`` import their scipy function at the first
-call, and ``jacobian.decide_cone_linearity`` imports ``scipy.optimize.nnls``
-at its first solve.  Each test here runs in a fresh interpreter and reads ``sys.modules``
-there, since the test process has loaded scipy long before.
+``import dcjac`` loads no scipy module: ``oracle.linprog`` imports its
+scipy function at the first call, ``newton.lu_factor``/``lu_solve`` import
+LAPACK's ``dgetrf``/``dgetrs`` from ``scipy.linalg.lapack`` (which loads
+scipy.linalg) at theirs, and ``jacobian.decide_cone_linearity`` imports
+``scipy.optimize.nnls`` at its first solve.  Each test here runs in a
+fresh interpreter and reads ``sys.modules`` there, since the test process
+has loaded scipy long before.
 """
 
 import inspect

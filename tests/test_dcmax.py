@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dcjac.dcmax import (
     MaxFn,
     SchemaError,
     _active_step,
+    _first_max,
     dd_F,
     eval_F,
     load_problem,
@@ -20,6 +23,7 @@ from util import (
     corpus_cases,
     reference_dd_F,
     reference_eval_F,
+    reference_first_max,
 )
 
 
@@ -260,6 +264,39 @@ class TestDirectionalDerivative:
 
 def _component_problem(components, n=1) -> DCMaxFn:
     return load_problem({"n": n, "m": len(components), "components": components})
+
+
+class TestFirstMax:
+    """Along the last axis, the first maximal value or the first NaN: by
+    direct indexing on 2-D input, by ``take_along_axis`` otherwise."""
+
+    ROWS = [
+        [1.0, 3.0, -math.nan, math.nan],  # NaNs after a larger value: the first wins
+        [math.nan, 5.0, -math.nan, -math.inf],
+        [-0.0, 0.0, -math.inf, -math.inf],  # -inf padding past the pieces
+        [0.0, -0.0, -1.0, -math.inf],
+        [-2.0, -math.inf, -math.inf, -math.inf],
+        [-math.inf, -math.inf, -math.inf, -math.inf],
+        [-0.0, -0.0, 0.0, 0.0],
+        [7.0, 7.0, 6.0, 7.0],
+    ]
+
+    def test_two_dimensional_input_equals_the_reference_and_the_nd_path(self):
+        values = np.array(self.ROWS)
+        got = _first_max(values)
+        assert_bits_equal(got, [reference_first_max(row) for row in self.ROWS])
+        assert_bits_equal(got, _first_max(values[None])[0])  # through take_along_axis
+        assert_bits_equal(got, [_first_max(row) for row in values])  # 1-D rows
+        assert_bits_equal(_first_max(values[:0]), np.empty(0))
+
+    def test_three_dimensional_input_equals_its_two_dimensional_slices(self):
+        rng = np.random.default_rng(3)
+        values = np.array([rng.permutation(self.ROWS) for _ in range(3)])
+        got = _first_max(values)
+        assert got.shape == (3, len(self.ROWS))
+        for k, plane in enumerate(values):
+            assert_bits_equal(got[k], _first_max(plane))
+            assert_bits_equal(got[k], [reference_first_max(row) for row in plane])
 
 
 class TestSweptValuesEqualTheTreeWalk:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcjac.dcmax import load_problem_file
 from dcjac.expr import (
     _NUMBER,
     Binary,
@@ -27,6 +28,7 @@ from dcjac.expr import (
     parse,
     unparse,
 )
+from dcjac.instances import random_affine_problem
 from util import (
     assert_bits_equal,
     bench_workloads,
@@ -598,6 +600,64 @@ class TestAffineData:
         for name in ("expr", "dim", "affine"):
             with pytest.raises(AttributeError):
                 setattr(fn, name, None)
+
+
+class TestGradsOfAnAllSweptStack:
+    """A stack with no walked piece, at a finite point, takes its
+    gradients from ``table`` and the zero-sign rule alone."""
+
+    @staticmethod
+    def _problems():
+        golden = Path(__file__).parent / "golden"
+        for name in ("oc105", "thin", "ties"):
+            yield load_problem_file(golden / f"{name}.json")
+        for seed in range(12):
+            yield random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+
+    @staticmethod
+    def _count_walks(monkeypatch) -> list:
+        walks = []
+
+        def count(fn, x):
+            walks.append(fn)
+            return grad(fn, x)
+
+        grad = SmoothFn.grad
+        monkeypatch.setattr(SmoothFn, "grad", count)
+        return walks
+
+    def test_equal_the_tree_walkers_at_signed_zeros_without_a_walk(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        for F in self._problems():
+            stack = F.stack
+            assert stack.walked == []
+            points = rng.choice([0.0, -0.0, 1.5, -2.0, -1e-300], size=(6, F.n))
+            every = np.arange(len(stack.pieces))
+            for x in points:
+                subset = rng.permutation(every)[: int(rng.integers(1, every.size + 1))]
+                walks = self._count_walks(monkeypatch)
+                got = [stack.grads(x, every), stack.grads(x, subset)]
+                assert walks == []
+                monkeypatch.undo()
+                want = np.array([fn.grad(x) for fn in stack.pieces])
+                assert_bits_equal(got[0], want)  # signed zeros included
+                assert_bits_equal(got[1], want[subset])
+
+    def test_a_walked_piece_or_a_non_finite_point_takes_the_walk(self, monkeypatch):
+        texts = ["-(0*x1 + -0.0)", "x1*x2", "-2*x2 + 1", "x2 - 0.0*x1"]
+        fns = [SmoothFn.from_text(text, 2) for text in texts]
+        for pieces, x, walked in (
+            (fns, [-0.0, 2.0], [fns[1]]),
+            (fns[::2], [-0.0, 2.0], []),
+            (fns[::2], [math.inf, -0.0], fns[::2]),
+            (fns[::2], [math.nan, 0.0], fns[::2]),
+        ):
+            stack = PieceStack(pieces, 2)
+            walks = self._count_walks(monkeypatch)
+            got = stack.grads(x, np.arange(len(pieces)))
+            assert walks == walked
+            monkeypatch.undo()
+            assert_bits_equal(got, [fn.grad(x) for fn in pieces])
 
 
 def _scanned_as_parsed(text: str, dim: int) -> bool:

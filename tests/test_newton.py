@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dcjac.expr
 import dcjac.jacobian as jacobian
+from dcjac import newton
 from dcjac.dcmax import DCMaxFn, eval_F, load_problem
 from dcjac.expr import Const, SmoothFn, Unary, Var
 from dcjac.newton import build_ncp, ncp_residual, solve
@@ -14,7 +18,10 @@ from util import (
     reference_element,
     reference_eval_float,
     reference_eval_tangent,
+    reference_newton_step,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ROOT_DOC = {"n": 1, "m": 1, "components": [{"g": ["x1 - 1", "2*x1 - 2"]}]}
 
@@ -109,6 +116,15 @@ class TestSolve:
         for s in trace.steps:
             assert_bits_equal(s.F_x, eval_F(F, s.x))
 
+    @pytest.mark.parametrize("g", ["2*x1 + 1e308", "x1 + 1e308"])
+    def test_F_x_that_overflows_raises(self, g):
+        # both maxima are finite at the origin, their difference is not;
+        # the refusal comes before the LU, whether xi is regular (2 - 1)
+        # or singular (1 - 1)
+        F = load_problem({"n": 1, "m": 1, "components": [{"g": [g], "h": ["x1 - 1e308"]}]})
+        with pytest.raises(OverflowError, match=r"^value of component 0 is inf$"):
+            solve(F, [0.0])
+
 
 class TestSelectionArrays:
     """A Newton iterate reads xi and F(x) from the element's arrays."""
@@ -186,6 +202,82 @@ class TestSelectionArrays:
         fresh = jacobian.clarke_jacobian_element(F, [1.0, 1.0], convention="max")
         assert trace.steps[0].xi.tobytes() == fresh.xi.tobytes()
         assert trace.steps[0].xi.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def assert_step_equals_the_reference(xi, F_x) -> None:
+    """``newton._factor`` refuses xi exactly when the reference does, and
+    otherwise its factors and the step ``lu_solve`` takes equal the
+    reference's bit for bit."""
+    got, want = newton._factor(xi), reference_newton_step(xi, F_x)
+    assert (got is None) == (want is None)
+    if got is not None:
+        (lu, piv), (lu_ref, piv_ref, d_ref) = got, want
+        assert_bits_equal(lu, lu_ref)
+        assert (piv.dtype, piv.tolist()) == (piv_ref.dtype, piv_ref.tolist())
+        assert_bits_equal(newton.lu_solve(got, -F_x), d_ref)
+
+
+class TestLapackLU:
+    """``newton.lu_factor``/``lu_solve`` call LAPACK's ``dgetrf``/``dgetrs``
+    without scipy.linalg's wrappers, to the same bits."""
+
+    @pytest.mark.parametrize(
+        "xi, refused",
+        [
+            ([[1.0, 2.0], [2.0, 4.0]], True),  # an exact zero pivot: dgetrf's info is 2
+            ([[1.0, 0.0], [0.0, 1e-13]], True),  # under the 1e-12 bar
+            ([[1.0, 0.0], [0.0, 1e-12]], False),  # on it
+            ([[0.0, 0.0], [0.0, 0.0]], True),
+            ([[-0.0, 1.0], [1.0, -0.0]], False),
+            ([[0.0, -0.0], [-0.0, 0.0]], True),
+            ([[-0.0, 2.0, 0.0], [3.0, -0.0, -0.0], [0.0, 0.0, -1.0]], False),
+            ([[1e6, 0.0], [0.0, 1e-7]], True),  # the bar scales with max|xi|
+        ],
+    )
+    def test_edge_matrices(self, xi, refused):
+        xi = np.array(xi)
+        for F_x in (np.ones(len(xi)), np.array([0.0, -0.0, 1.5][: len(xi)])):
+            assert (newton._factor(xi) is None) == refused
+            assert_step_equals_the_reference(xi, F_x)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 30])
+    def test_random_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            xi = rng.standard_normal((n, n))
+            xi[rng.random((n, n)) < 0.3] = rng.choice([0.0, -0.0])
+            assert_step_equals_the_reference(xi, rng.standard_normal(n))
+            assert_step_equals_the_reference(np.asfortranarray(xi), rng.standard_normal(n))
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("newton_ncp_min_json", "ncp"),
+            ("newton_ncp_max_json", "ncp"),
+            ("newton_ncp_min_from_-1_json", "ncp"),
+            ("newton_ncp_max_from_-1_json", "ncp"),
+            ("newton_ncp10-3_json", "ncp10-3"),
+        ],
+    )
+    def test_every_iterate_of_the_golden_ncp_solves(self, name, data):
+        records = [json.loads(line) for line in (GOLDEN / "out" / f"{name}.txt").open()]
+        M, q = (np.loadtxt(GOLDEN / f"{data}_{part}.csv", delimiter=",") for part in "Mq")
+        convention = "max" if "_max_" in name else "min"
+        trace = solve(build_ncp(M, q), records[0]["x"], convention=convention)
+        assert len(trace.steps) == len(records) - 1  # the last record is the summary
+        for s, record in zip(trace.steps, records):
+            assert_step_equals_the_reference(s.xi, s.F_x)
+            if s.step is not None:
+                assert_bits_equal(s.step, reference_newton_step(s.xi, s.F_x)[2])
+                assert_bits_equal(s.step, record["step"])
+
+    def test_zero_ncp_ends_singular_under_both_conventions(self):
+        # M = 0, q = -1 at (1, 1): only -(Mx+q)_i is active, a zero row
+        # under either convention, so the retry is refused as well
+        F = build_ncp(np.zeros((2, 2)), [-1.0, -1.0])
+        trace = solve(F, [1.0, 1.0])
+        assert (trace.status, len(trace.steps)) == ("singular", 1)
+        assert reference_newton_step(trace.steps[0].xi, trace.steps[0].F_x) is None
 
 
 class TestBuildNCP:

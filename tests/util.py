@@ -8,6 +8,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -250,7 +251,7 @@ def reference_active(f: MaxFn, x, tol_act: float = DEFAULT_TOL_ACT):
     if not tol_act >= 0:
         raise ValueError("tol_act must be nonnegative")
     values = [p.eval(x) for p in f.pieces]
-    vmax = _reference_first_max(values)
+    vmax = reference_first_max(values)
     if not math.isfinite(vmax):
         raise OverflowError(f"largest piece value is {vmax!r}")
     bound = vmax - tol_act * (1.0 + abs(vmax))  # Python floats overflow to inf silently
@@ -413,6 +414,22 @@ def assert_element_equal(got, want) -> None:
     assert got.values.tobytes() == want.values.tobytes(), (got.values, want.values)
 
 
+def reference_newton_step(xi, F_x):
+    """The Newton step xi d = -F_x through ``scipy.linalg.lu_factor`` and
+    ``lu_solve``, the wrappers of LAPACK's ``dgetrf``/``dgetrs``, under the
+    pivot rule of ``newton._factor``: (lu, piv, d), or None when a pivot of
+    U falls below 1e-12*max(1, max|xi|), an exact zero included."""
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # an exact zero pivot
+        lu, piv = lu_factor(xi)
+    scale = max(1.0, float(np.max(np.abs(xi), initial=0.0)))
+    if np.min(np.abs(np.diag(lu))) < 1e-12 * scale:
+        return None
+    return lu, piv, lu_solve((lu, piv), -np.asarray(F_x))
+
+
 def _reference_active_gradients(f, x, tol_act: float) -> np.ndarray:
     return np.array([f.pieces[j].grad(x) for j in reference_active(f, x, tol_act)[0]])
 
@@ -491,7 +508,7 @@ def reference_witness(diffs: DifferenceVectors):
     return y_bar, epsilon, m_bound, indices, np.array(margins), np.array(required)
 
 
-def _reference_first_max(values) -> float:
+def reference_first_max(values) -> float:
     """Python's ``max``, except that a NaN anywhere gives the first NaN."""
     nans = [v for v in values if math.isnan(v)]
     return nans[0] if nans else max(values)
@@ -504,7 +521,7 @@ def reference_eval_F(F, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (F.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({F.n},)")
-    terms = [_reference_first_max([p.eval(x) for p in f.pieces]) for f in F.terms]
+    terms = [reference_first_max([p.eval(x) for p in f.pieces]) for f in F.terms]
     return np.array([g - h for g, h in zip(terms[0::2], terms[1::2])])
 
 
@@ -518,7 +535,7 @@ def reference_dd_F(F, x, y, tol_act=DEFAULT_TOL_ACT) -> np.ndarray:
 
     def slope(term) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _reference_first_max([float(row @ y) for row in term.grads])
+            return reference_first_max([float(row @ y) for row in term.grads])
 
     dd = [slope(comp.g) - slope(comp.h) for comp in elem.components]
     for i, value in enumerate(dd):
