@@ -99,7 +99,7 @@ def _parse_vector(text: str) -> np.ndarray:
     return vec
 
 
-def _parse_random_spec(text: str, default_seed: int) -> dict:
+def _parse_random_spec(text: str) -> dict:
     spec = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
@@ -111,7 +111,7 @@ def _parse_random_spec(text: str, default_seed: int) -> dict:
             spec[key] = int(value)
         except ValueError:
             raise _UsageError(f"bad --random entry {part!r}: expected an integer") from None
-    spec.setdefault("seed", default_seed)
+    spec.setdefault("seed", DEFAULT_SEED)
     if spec["seed"] < 0:
         raise _UsageError(f"--random seed must be nonnegative, got {spec['seed']}")
     for key in ("n", "m", "pieces"):
@@ -145,7 +145,7 @@ def _read_ncp(m_path: str, q_path: str) -> tuple[np.ndarray, np.ndarray]:
 def _load_function(args, ncp=None):
     """The problem from --random, else the NCP data (M, q), else -p."""
     if getattr(args, "random", None):
-        spec = _parse_random_spec(args.random, args.seed)
+        spec = _parse_random_spec(args.random)
         return random_affine_problem(**spec)
     if ncp is not None:
         try:
@@ -385,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-act", type=float, default=DEFAULT_TOL_ACT, dest="tol_act")
     common.add_argument("--tol-tie", type=float, default=DEFAULT_TOL_TIE, dest="tol_tie")
     common.add_argument("--convention", choices=("min", "max"), default="min")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of --random")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(prog="dcjac", description=__doc__)
@@ -443,8 +442,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(_attach_vector_values(argv))
     try:
-        if args.seed < 0:
-            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except ConventionMismatchError as exc:
         hint = (

@@ -10,7 +10,7 @@ from .oracle import _distinct_rows
 
 __all__ = ["random_affine_problem"]
 
-DEFAULT_SEED = 42  # the seed of --random when neither seed= nor --seed gives one
+DEFAULT_SEED = 42  # the seed of --random when its spec gives no seed=
 
 
 def random_affine_problem(n: int, m: int, pieces: int, seed: int) -> DCMaxFn:

@@ -1,11 +1,11 @@
 """Certified Clarke generalized Jacobian elements for F = G - H.
 
-The Huang-Ma step runs once per max term: coordinate by coordinate it keeps
-only the active gradients whose l-th component is extremal (minimal or
-maximal, by convention), and the survivors coincide; a term with one
-active piece has nothing to filter.  F = G - H takes this step on g_i and
-on h_i under one convention and subtracts the two selected rows, which
-gives an element of the Clarke generalized Jacobian of F.
+The Huang-Ma step, in one pass over the columns for every max term: column
+by column it keeps only the active gradients whose l-th component is
+extremal (minimal or maximal, by convention), and the survivors coincide;
+a term with one active piece has nothing to filter.  F = G - H takes this
+step on g_i and on h_i under one convention and subtracts the two
+selected rows, which gives an element of the Clarke generalized Jacobian.
 
 The module also exposes the constructions that certify this: the
 difference vectors between rejected and selected gradients, a witness
@@ -41,7 +41,6 @@ __all__ = [
     "LimitPoint",
     "LimitInclusionReport",
     "ConventionMismatchError",
-    "lexicographic_chain",
     "clarke_jacobian_element",
     "selection_differences",
     "witness_direction",
@@ -70,27 +69,36 @@ class JacobianElement:
     """An m-by-n element of the Clarke generalized Jacobian: the step on
     every max term under one convention and one pair of tolerances.
 
-    It holds the active step's arrays (``dcmax._active_step``) and each
-    term's filtration, the one representation of the step; ``xi`` and
-    ``values`` are gathered from them.  Term t (g_1, h_1, g_2, ...) has
-    the active pieces ``pieces[lo:hi]`` with ``lo, hi = bounds[t:t + 2]``;
-    each level of ``chains[t]`` indexes that slice, so its last level
-    gives the selected pieces, and the first of those is the chosen one."""
+    It holds the active step's arrays (``dcmax._active_step``) and every
+    term's filtration in one array, ``survived``: the one representation
+    of the step, from which ``chosen``, ``chains``, ``xi`` and ``values``
+    are read.  Term t (g_1, h_1, g_2, ...) has the active pieces
+    ``pieces[lo:hi]`` with ``lo, hi = bounds[t:t + 2]``; its rows that
+    survive all n columns are selected, and the first is the chosen one."""
 
     rows: np.ndarray = field(repr=False)  # active gradients, term by term (g_1, h_1, g_2, ...)
     pieces: np.ndarray = field(repr=False)  # each row's piece index in its term
     tops: np.ndarray = field(repr=False)  # each term's value at x, as eval_F reduces it
     bounds: np.ndarray = field(repr=False)  # term t's rows: rows[bounds[t]:bounds[t + 1]]
-    chains: tuple[tuple[tuple[int, ...], ...], ...]  # per term, in positions into its rows
+    survived: np.ndarray = field(repr=False)  # per row, the columns it survives, 0..n
     convention: str
     tol_act: float
     tol_tie: float
 
     @functools.cached_property
     def chosen(self) -> np.ndarray:
-        """Per term, the index into ``rows`` of its chosen piece: the first
-        survivor of its filtration."""
-        return self.bounds[:-1] + [chain[-1][0] for chain in self.chains]
+        """Per term, the index into ``rows`` of its chosen piece: its first
+        selected row (every term has one)."""
+        selected = np.flatnonzero(self.survived == self.rows.shape[1])
+        return selected[np.searchsorted(selected, self.bounds[:-1])]
+
+    @functools.cached_property
+    def chains(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per term, its filtration as n + 1 levels of positions into its
+        rows: level l holds the rows that survive l columns, so level 0
+        holds every active row and level n the selected ones."""
+        bounds, survived = self.bounds.tolist(), self.survived.tolist()
+        return tuple(_levels(survived[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @functools.cached_property
     def xi(self) -> np.ndarray:
@@ -108,6 +116,16 @@ class JacobianElement:
         """F(x), each g term's value minus its h term's: bitwise eval_F."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self.tops[0::2] - self.tops[1::2]
+
+
+def _levels(survived: list[int]) -> tuple[tuple[int, ...], ...]:
+    """One term's filtration from its rows' survival counts (the largest
+    is n): level l holds the positions of the rows that survive l columns.
+    A level changes only past a count, so each distinct one is built once."""
+    levels = []
+    for count in sorted(set(survived)):
+        levels += [tuple(k for k, s in enumerate(survived) if s >= count)] * (count + 1 - len(levels))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -152,45 +170,6 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
 
 
-def lexicographic_chain(grads, convention: str = "min", tol_tie: float = DEFAULT_TOL_TIE):
-    """Nested coordinatewise filtration of gradient indices.
-
-    Level 0 is all input indices; level l keeps the indices whose l-th
-    component is within tol_tie*(1+|extremum|) of the minimum ("min") or
-    maximum ("max") over the previous level.  Returns n+1 levels.  A lone
-    survivor with a finite row survives every later level, so the
-    filtration stops there.  Bands that overflow or are NaN compare as in
-    scalar arithmetic, without a warning; after a level with no survivor
-    the next column's extremum raises numpy's zero-size reduction error.
-    """
-    _check_convention(convention)
-    if not tol_tie >= 0:
-        raise ValueError("tol_tie must be nonnegative")
-    mat = np.asarray(grads, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("gradients must form a 2-D array (one row per gradient)")
-    if mat.shape[0] == 0:
-        raise ValueError("empty input list")
-    n = mat.shape[1]
-    keep = np.arange(mat.shape[0])
-    chain = [tuple(range(mat.shape[0]))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(n):
-            if keep.size == 1 and np.isfinite(mat[keep[0]]).all():
-                chain.extend([chain[-1]] * (n - l))
-                break
-            col = mat[keep, l]
-            if convention == "min":
-                ext = col.min()
-                mask = col <= ext + tol_tie * (1.0 + abs(ext))
-            else:
-                ext = col.max()
-                mask = col >= ext - tol_tie * (1.0 + abs(ext))
-            keep = keep[mask]
-            chain.append(tuple(keep.tolist()))
-    return chain
-
-
 def clarke_jacobian_element(
     F: DCMaxFn,
     x,
@@ -208,10 +187,9 @@ def clarke_jacobian_element(
     index is taken for determinism.
 
     Every max term's active pieces, value and gradients come from one
-    ``dcmax._active_step``, which also fixes the order of faults.  A term
-    with one active piece is its own filtration (its row is finite, or
-    the step would have refused it); every other term goes through
-    ``lexicographic_chain``.  No per-term record is built here.
+    ``dcmax._active_step``, which also fixes the order of faults, and
+    ``_filtered`` filters them all in one pass.  No per-term record is
+    built here.
     """
     _check_convention(convention)
     if not tol_tie >= 0:  # tol_act is checked by the step
@@ -221,40 +199,59 @@ def clarke_jacobian_element(
 
 def _filtered(rows, pieces, tops, bounds, convention, tol_act, tol_tie) -> JacobianElement:
     """The element of an active step (``dcmax._active_step``'s four arrays)
-    under ``convention``: each term's filtration and nothing else, so an
-    element of one point under the other convention needs no second
-    sweep (``newton.solve`` retries so)."""
-    chains = [((0,),) * (rows.shape[1] + 1)] * len(tops)
-    for t in np.flatnonzero(bounds[1:] - bounds[:-1] > 1).tolist():
-        chains[t] = tuple(lexicographic_chain(rows[bounds[t] : bounds[t + 1]], convention, tol_tie))
-    return JacobianElement(rows, pieces, tops, bounds, tuple(chains), convention, tol_act, tol_tie)
+    under ``convention``: the filtration of every term and nothing else,
+    so an element of one point under the other convention needs no second
+    sweep (``newton.solve`` retries so).  One pass over the columns takes
+    each term's extremum over the rows it keeps and keeps those within
+    tol_tie*(1+|extremum|) of it.  A term that keeps one row is done: that
+    row is finite (the step refuses any other), so inside every later band.
+    The pass stops when every term is done; with no tie, it reads no column."""
+    n = rows.shape[1]
+    survived = np.full(len(rows), n)
+    kept = np.ones(len(rows), dtype=bool)
+    # every term has an active row (its maximum): no segment of reduceat is empty
+    starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+    for l in range(n):
+        if kept.sum() == len(tops):  # a term keeps one row or more, so every term keeps one
+            break
+        col = rows[:, l]
+        with np.errstate(over="ignore"):  # a band that overflows is infinite
+            if convention == "min":
+                ext = np.minimum.reduceat(np.where(kept, col, np.inf), starts)
+                inside = col <= np.repeat(ext + tol_tie * (1.0 + np.abs(ext)), counts)
+            else:
+                ext = np.maximum.reduceat(np.where(kept, col, -np.inf), starts)
+                inside = col >= np.repeat(ext - tol_tie * (1.0 + np.abs(ext)), counts)
+        survived[kept & ~inside] = l
+        kept &= inside
+    return JacobianElement(rows, pieces, tops, bounds, survived, convention, tol_act, tol_tie)
 
 
 def selection_differences(elem: JacobianElement) -> DifferenceVectors:
     """All rejected-minus-selected gradient differences for an element,
-    taken from the active-gradient rows it stores, under its convention.
-    A term whose filtration keeps every active piece rejects nothing and
-    is skipped.
+    taken from the active-gradient rows it stores, under its convention:
+    one gather of each rejected row minus every selected row of its term,
+    term by term.  A term that keeps every active piece rejects nothing.
 
     A vector with no nonzero entry (``_leading_index`` gives -1), or equal
     to an earlier one (``oracle._distinct_rows``), is dropped.  Empty when
     every active gradient survived (e.g. smooth F).  OverflowError when a
     difference is not finite.
     """
-    blocks = [np.zeros((0, elem.rows.shape[1]))]
-    bounds = elem.bounds.tolist()
-    for t, (lo, hi, chain) in enumerate(zip(bounds, bounds[1:], elem.chains)):
-        survivors = list(chain[-1])
-        if len(survivors) == hi - lo:
-            continue  # the term rejects nothing
-        grads = elem.rows[lo:hi]
-        with np.errstate(over="ignore"):
-            alphas = np.delete(grads, survivors, axis=0)[:, None] - grads[survivors]
-        alphas = alphas.reshape(-1, grads.shape[1])
-        what = f"difference of active gradients of {'gh'[t % 2]} in component {t // 2}"
-        _refuse_non_finite(alphas, lambda _: what)
-        blocks.append(alphas)
-    alphas = np.concatenate(blocks)
+    rows, bounds = elem.rows, elem.bounds
+    selected = elem.survived == rows.shape[1]
+    if selected.all():  # no term rejects a row
+        return DifferenceVectors(vectors=np.zeros((0, rows.shape[1])), convention=elem.convention)
+    kept, rejected = np.flatnonzero(selected), np.flatnonzero(~selected)
+    edges = np.searchsorted(kept, bounds)  # term t's selected rows: kept[edges[t]:edges[t + 1]]
+    term = np.searchsorted(bounds, rejected, side="right") - 1
+    pairs = (edges[1:] - edges[:-1])[term]  # per rejected row, its term's selected rows
+    offsets = np.arange(pairs.sum()) + np.repeat(edges[term] - np.cumsum(pairs) + pairs, pairs)
+    with np.errstate(over="ignore"):
+        alphas = rows[np.repeat(rejected, pairs)] - rows[kept[offsets]]
+    term = np.repeat(term, pairs)
+    what = "difference of active gradients of {} in component {}"
+    _refuse_non_finite(alphas, lambda k: what.format("gh"[term[k] % 2], term[k] // 2))
     alphas = alphas[_leading_index(alphas) >= 0]
     return DifferenceVectors(vectors=alphas[_distinct_rows(alphas)], convention=elem.convention)
 

@@ -452,13 +452,15 @@ class TestVerify:
         assert exc.value.code == 2
         assert f"unrecognized arguments: --samples {samples}" in capsys.readouterr().err
 
-    def test_seed_does_not_change_verify_output(self, capsys, abs_problem):
-        outs = {
-            seed: run(capsys, ["verify", "-p", abs_problem, "-x", "0", "--seed", seed, "--json"])
-            for seed in ("0", "7")
-        }
-        assert outs["0"] == outs["7"]
-        assert outs["0"][0] == 0
+    def test_seed_is_no_option(self, capsys):
+        # the seed of --random is its spec's seed=, DEFAULT_SEED without one
+        argv = ["jac", "--random", "n=3,m=3,pieces=4", "-x", "0,0,0", "--json"]
+        seeded = ["jac", "--random", f"n=3,m=3,pieces=4,seed={DEFAULT_SEED}", "-x", "0,0,0", "--json"]
+        assert run(capsys, argv) == run(capsys, seeded)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc, options, name",
@@ -827,12 +829,6 @@ class TestBadNumericOptions:
             (["jac", *_SPEC3, "--tol-tie", "nan"], "tol_tie must be nonnegative"),
             (["newton", *_SPEC2, "--tol", "nan"], "tol must be positive"),
             (["newton", *_SPEC2, "--max-iters", "-1"], "max_iters must be nonnegative"),
-            (["newton", *_SPEC2, "--seed", "-1"], "--seed must be nonnegative"),
-            (["verify", *_SPEC3, "--seed", "-1"], "--seed must be nonnegative"),
-            (
-                ["jac", "--random", "n=3,m=3,pieces=4", "-x", "0,0,0", "--seed", "-1"],
-                "--seed must be nonnegative",
-            ),
             (
                 ["jac", "--random", "n=3,m=3,pieces=4,seed=-1", "-x", "0,0,0"],
                 "--random seed must be nonnegative",
@@ -1359,7 +1355,7 @@ class TestParserDefaults:
             return inspect.signature(fn).parameters[name].default
 
         assert not hasattr(verify, "samples")  # cone linearity is decided, not sampled
-        assert verify.seed == newton.seed == DEFAULT_SEED
+        assert not hasattr(verify, "seed")  # --random's seed= is the one seed
         assert DEFAULT_SEED == default(verify_cone_linearity, "seed")
         assert newton.tol == DEFAULT_TOL == default(solve, "tol")
         assert newton.max_iters == DEFAULT_MAX_ITERS == default(solve, "max_iters")

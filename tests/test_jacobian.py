@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dcjac.jacobian as jacobian
-from dcjac.dcmax import DCMaxFn, MaxFn, load_problem, load_problem_file
+from dcjac.dcmax import DCMaxFn, MaxFn, _active_step, load_problem, load_problem_file
 from dcjac.expr import DomainError, SmoothFn
 from dcjac.instances import random_affine_problem
 from dcjac.jacobian import (
@@ -16,7 +16,6 @@ from dcjac.jacobian import (
     check_witness,
     clarke_jacobian_element,
     decide_cone_linearity,
-    lexicographic_chain,
     selection_differences,
     verify_cone_linearity,
     verify_limit_inclusion,
@@ -25,6 +24,7 @@ from dcjac.jacobian import (
 from dcjac.newton import build_ncp, solve
 from dcjac.oracle import (
     _classical_jacobian,
+    _distinct_rows,
     _strict_profiles,
     brute_force_subdifferential,
     hull_membership,
@@ -65,45 +65,67 @@ SMOOTH_TIED_DOC = {
 }
 
 
+def _term_element(grads, convention="min", tol_tie=jacobian.DEFAULT_TOL_TIE):
+    """The element at the origin of one max term of affine pieces through
+    it, one per gradient row, so every piece is active."""
+    grads = np.asarray(grads, dtype=float)
+    n = grads.shape[1]
+    g = MaxFn(tuple(SmoothFn.from_affine(row, 0.0) for row in grads))
+    F = DCMaxFn(n, 1, (g,), (MaxFn((SmoothFn.from_affine(np.zeros(n), 0.0),)),))
+    return clarke_jacobian_element(F, np.zeros(F.n), tol_tie=tol_tie, convention=convention)
+
+
 class TestLexicographicSelect:
+    """The filtration of one max term, read from the element."""
+
     def test_single_coordinate(self):
         grads = [(1.0,), (-1.0,)]
-        assert list(lexicographic_chain(grads, "min")[-1]) == [1]
-        assert list(lexicographic_chain(grads, "max")[-1]) == [0]
+        assert list(_term_element(grads, "min").chains[0][-1]) == [1]
+        assert list(_term_element(grads, "max").chains[0][-1]) == [0]
 
     def test_two_step_filtration(self):
         grads = [(1.0, 2.0), (1.0, 3.0), (2.0, 0.0)]
-        chain = lexicographic_chain(grads, "min")
-        assert chain[1] == (0, 1)
-        assert chain[2] == (0,)
-        assert list(lexicographic_chain(grads, "min")[-1]) == [0]
+        elem = _term_element(grads, "min")
+        assert elem.chains[0][1] == (0, 1)
+        assert elem.chains[0][2] == (0,)
+        assert elem.survived[:3].tolist() == [2, 1, 0]
+        assert elem.chosen[0] == 0
 
     def test_tie_survives_with_coinciding_gradients(self):
         grads = np.array([(1.0, 0.0), (1.0, 0.0), (3.0, -9.0)])
-        kept = list(lexicographic_chain(grads, "min")[-1])
+        kept = list(_term_element(grads, "min").chains[0][-1])
         assert kept == [0, 1]
         spread = np.max(np.abs(grads[kept] - grads[kept[0]]))
         assert spread <= 1e-9 * (1.0 + np.max(np.abs(grads[kept])))
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="empty input"):
-            lexicographic_chain(np.zeros((0, 2)), "min")
+        with pytest.raises(ValueError, match="empty piece list"):
+            _term_element(np.zeros((0, 2)), "min")
 
     def test_bad_convention_rejected(self):
         with pytest.raises(ValueError, match="convention"):
-            lexicographic_chain([(1.0,)], "median")
+            _term_element([(1.0,)], "median")
 
     @pytest.mark.parametrize("tol_tie", [-1.0, float("nan")])
     def test_bad_tie_tolerance_rejected(self, tol_tie):
         with pytest.raises(ValueError, match="tol_tie must be nonnegative"):
-            lexicographic_chain([(1.0,), (2.0,)], "min", tol_tie)
+            _term_element([(1.0,), (2.0,)], "min", tol_tie)
+
+    @pytest.mark.parametrize("conv", ["min", "max"])
+    def test_zero_tie_tolerance_splits_near_ties(self, conv):
+        # 1 and 1 + 2e-16 lie within the default band of each other, not
+        # within the zero band
+        grads = [(1.0, 5.0), (1.0 + 2.0**-52, 0.0)]
+        assert _term_element(grads, conv).chains[0][1] == (0, 1)
+        picked = _term_element(grads, conv, tol_tie=0.0).chains[0]
+        assert picked[1] == picked[-1] == ((0,) if conv == "min" else (1,))
 
     def test_chain_is_nested_and_nonempty(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             grads = rng.integers(-5, 6, size=(int(rng.integers(1, 7)), 3)).astype(float)
             for conv in ("min", "max"):
-                chain = lexicographic_chain(grads, conv)
+                chain = _term_element(grads, conv).chains[0]
                 assert len(chain) == 4
                 for prev, cur in zip(chain, chain[1:]):
                     assert set(cur) <= set(prev)
@@ -113,27 +135,26 @@ class TestLexicographicSelect:
         rng = np.random.default_rng(29)
         for _ in range(50):
             grads = rng.integers(-5, 6, size=(int(rng.integers(1, 7)), 3)).astype(float)
-            assert lexicographic_chain(grads, "min")[-1] == lexicographic_chain(-grads, "max")[-1]
+            assert (
+                _term_element(grads, "min").chains[0][-1]
+                == _term_element(-grads, "max").chains[0][-1]
+            )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan/inf tolerance bands
     def test_early_stop_equals_full_filtration(self):
+        # the pass stops once the term keeps one row; the chain it reads
+        # from the survival counts still has every level of the full rule,
+        # also where -0.0 ties 0.0 and where a band overflows
         rng = np.random.default_rng(41)
-        specials = (np.nan, np.inf, -np.inf, -0.0)
+        specials = (-0.0, DBL_MAX, -DBL_MAX)
         for _ in range(300):
             grads = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), 4)).astype(float)
             if rng.random() < 0.5:
                 flat = grads.reshape(-1)
-                flat[rng.integers(0, flat.size)] = specials[int(rng.integers(0, 4))]
+                flat[rng.integers(0, flat.size)] = specials[int(rng.integers(0, 3))]
             for conv in ("min", "max"):
                 for tol in (0.0, 1e-9):
-                    try:
-                        expected = full_lexicographic_chain(grads, conv, tol)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError) as got:
-                            lexicographic_chain(grads, conv, tol)
-                        assert str(got.value) == str(exc)
-                        continue
-                    assert lexicographic_chain(grads, conv, tol) == expected
+                    expected = tuple(full_lexicographic_chain(grads, conv, tol))
+                    assert _term_element(grads, conv, tol).chains[0] == expected
 
 
 DBL_MAX = np.finfo(float).max
@@ -155,9 +176,8 @@ def _tied_terms(rng, widest: int, n: int, pool) -> list[np.ndarray]:
 
 
 class TestOneFiltration:
-    """The filtration runs per max term, in ``lexicographic_chain``, on the
-    terms with more than one active piece; a lone active piece is its own
-    chain.  Both equal the full term-by-term rule."""
+    """One pass over the columns filters every max term; a lone active
+    piece is its own chain.  Both equal the full term-by-term rule."""
 
     POOLS = {
         "small": [-1.0, 0.0, -0.0, 1.0, 2.0],
@@ -175,15 +195,16 @@ class TestOneFiltration:
     @pytest.mark.parametrize("tol_tie", [0.0, 1e-9, 0.6, math.inf])
     @pytest.mark.parametrize("conv", ["min", "max"])
     def test_padded_filtration_equals_full_chain_term_by_term(self, pool, tol_tie, conv):
+        # each term alone, as the one g term of an element whose h term is
+        # a lone zero piece; RuntimeWarnings are errors here: the pass
+        # raises none
         rng = np.random.default_rng(61)
         stopped_early = 0
         for _ in range(20):
             _, terms = self._terms(rng, self.POOLS[pool])
             for rows in terms:
-                # RuntimeWarnings are errors here: the filtration raises none
-                chain = lexicographic_chain(rows, conv, tol_tie)
-                with np.errstate(all="ignore"):  # the reference's bands overflow
-                    assert chain == full_lexicographic_chain(rows, conv, tol_tie)
+                chain = _term_element(rows, conv, tol_tie).chains[0]
+                assert chain == tuple(full_lexicographic_chain(rows, conv, tol_tie))
                 stopped_early += len(chain[0]) > 1 and len(chain[-2]) == 1
         # some term narrowed to a lone survivor partway through, except
         # where the band is infinite and keeps every row
@@ -194,8 +215,10 @@ class TestOneFiltration:
     @pytest.mark.parametrize("conv", ["min", "max"])
     def test_element_of_lone_and_tied_terms_equals_reference(self, pool, tol_tie, conv):
         # g_i and h_i are consecutive terms of widths 1..7 plus one of
-        # width 3, all affine through the origin, so every piece is active
+        # width 3, all affine through the origin, so every piece is active;
+        # RuntimeWarnings are errors here: the pass raises none
         rng = np.random.default_rng(67)
+        stopped_early = 0
         for _ in range(10):
             n, terms = self._terms(rng, self.POOLS[pool])
             g, h = (
@@ -204,38 +227,38 @@ class TestOneFiltration:
             )
             F = DCMaxFn(n, len(g), g, h)
             elem = clarke_jacobian_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
-            with np.errstate(all="ignore"):  # the references' bands overflow
-                assert_element_equal(
-                    elem, reference_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
-                )
-                for _, chain, _, grads in element_terms(elem):
-                    assert list(chain) == full_lexicographic_chain(grads, conv, tol_tie)
+            assert_element_equal(
+                elem, reference_element(F, np.zeros(n), tol_tie=tol_tie, convention=conv)
+            )
+            for _, chain, _, grads in element_terms(elem):
+                assert list(chain) == full_lexicographic_chain(grads, conv, tol_tie)
+                stopped_early += len(chain[0]) > 1 and len(chain[-2]) == 1
+        # some term narrowed to a lone survivor partway through, except
+        # where the band is infinite and keeps every row
+        assert stopped_early or tol_tie == math.inf
 
-    def test_lexicographic_chain_runs_on_tied_terms_only(self, monkeypatch):
-        calls = {"chains": 0, "elements": 0}
-        chain, element = jacobian.lexicographic_chain, jacobian.clarke_jacobian_element
+    def test_untied_step_reads_no_column(self):
+        class Columns(np.ndarray):
+            reads = 0
 
-        def count_chains(*args):
-            calls["chains"] += 1
-            return chain(*args)
+            def __getitem__(self, key):
+                Columns.reads += 1
+                return super().__getitem__(key)
 
-        def count_elements(*args, **kwargs):
-            calls["elements"] += 1
-            return element(*args, **kwargs)
+        def filtered(F, x):
+            rows, *step = _active_step(F, x, jacobian.DEFAULT_TOL_ACT)
+            return jacobian._filtered(rows.view(Columns), *step, "min", 0.0, 1e-9)
 
-        monkeypatch.setattr(jacobian, "lexicographic_chain", count_chains)
-        monkeypatch.setattr("dcjac.newton.clarke_jacobian_element", count_elements)
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((6, 6))
-        trace = solve(build_ncp(A @ A.T / 6 + np.eye(6), rng.standard_normal(6)), np.ones(6))
-        assert trace.status == "converged"
-        assert calls["elements"] >= len(trace.steps)
-        assert calls["chains"] == 0  # no iterate ties two pieces
+        for F, x in _ncp_iterates():
+            elem = filtered(F, x)
+            assert np.all(np.diff(elem.bounds) == 1)  # no iterate ties two pieces
+            assert (elem.survived == F.n).all()
+        assert Columns.reads == 0
         F = random_affine_problem(4, 3, 5, seed=11)
-        tied = sum(len(reference_active(f, np.zeros(4))[0]) > 1 for f in F.terms)
-        assert 0 < tied < len(F.terms)
-        clarke_jacobian_element(F, np.zeros(4))
-        assert calls["chains"] == tied
+        elem = filtered(F, np.zeros(4))
+        assert np.any(np.diff(elem.bounds) > 1)
+        assert 0 < Columns.reads <= F.n
+        assert np.any(elem.survived < F.n)
 
 
 class TestClarkeElement:
@@ -563,7 +586,7 @@ class TestSelectionRecord:
     def test_element_is_one_record_built_once(self):
         fields = [f.name for f in dataclasses.fields(jacobian.JacobianElement)]
         assert fields == [
-            "rows", "pieces", "tops", "bounds", "chains", "convention", "tol_act", "tol_tie"
+            "rows", "pieces", "tops", "bounds", "survived", "convention", "tol_act", "tol_tie"
         ]
         for F, x in _record_cases():
             elem = clarke_jacobian_element(F, x, tol_act=1e-8, tol_tie=1e-10, convention="max")
@@ -572,10 +595,7 @@ class TestSelectionRecord:
 
     def test_arrays_stay_out_of_repr(self):
         elem = clarke_jacobian_element(load_problem(ABS_DOC), [0.0])
-        assert repr(elem) == (
-            "JacobianElement(chains=(((0, 1), (1,)), ((0,), (0,))), "
-            "convention='min', tol_act=1e-09, tol_tie=1e-09)"
-        )
+        assert repr(elem) == "JacobianElement(convention='min', tol_act=1e-09, tol_tie=1e-09)"
 
     def test_differences_equal_reevaluated_reference(self):
         for F, x in _record_cases():
@@ -916,10 +936,13 @@ class TestDecidedConeLinearity:
         F = load_problem(doc)
         elem, w, decided = _decide(F, [0.0])
         assert decided.passed is True
-        chain = elem.chains[0]  # g_1's rows come first
-        rejected = next(k for k in chain[0] if k not in chain[-1])
-        swapped = dataclasses.replace(elem, chains=((*chain[:-1], (rejected,)), *elem.chains[1:]))
-        assert swapped.chosen[0] == rejected
+        survived = elem.survived.copy()
+        g = survived[: elem.bounds[1]]  # g_1's rows come first
+        rejected = int(np.argmin(g))
+        g[:] = 0
+        g[rejected] = F.n  # the only row to survive every column
+        swapped = dataclasses.replace(elem, survived=survived)
+        assert swapped.chosen[0] == rejected != elem.chosen[0]
         report = decide_cone_linearity(swapped, w)
         assert (report.solved, report.passed) == (1, False)
         assert verify_cone_linearity(swapped, w).passed is False
@@ -957,6 +980,143 @@ class TestDecidedConeLinearity:
             elem = clarke_jacobian_element(F, x)
             w = witness_direction(selection_differences(elem))
             assert decide_cone_linearity(elem, w).passed is True
+
+
+def _parity_cases(corpus):
+    """(F, x) pairs of one corpus of the one-pass parity check: those of
+    the cross-check, and every iterate of the ncp_newton generator's
+    solves."""
+    if not corpus.startswith("ncp_newton"):
+        yield from _cross_check_cases(corpus)
+        return
+    for inst in bench_workloads().ncp_newton(int(corpus.split("-")[1])):
+        F = build_ncp(inst.M, inst.q)
+        for step in solve(F, inst.x0).steps:
+            yield F, step.x
+
+
+def _term_by_term(elem):
+    """The filtration of ``elem``'s rows run term by term by
+    ``full_lexicographic_chain``, and what the element reads from it:
+    chains, chosen rows, xi (or its refusal) and the difference vectors
+    (or their refusal), each term's block of rejected-minus-selected rows
+    refused at its first row that is not finite."""
+    rows, n = elem.rows, elem.rows.shape[1]
+    bounds = elem.bounds.tolist()
+    chains, chosen, blocks = [], [], {}  # blocks: per tied term, its differences
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        chosen.append(lo)
+        if hi - lo == 1:  # a lone finite row is inside every band: nothing to filter
+            chains.append(((0,),) * (n + 1))
+            continue
+        chain = tuple(full_lexicographic_chain(rows[lo:hi], elem.convention, elem.tol_tie))
+        chains.append(chain)
+        chosen[-1] += chain[-1][0]
+        selected = list(chain[-1])
+        with np.errstate(over="ignore"):
+            block = np.delete(rows[lo:hi], selected, axis=0)[:, None] - rows[lo:hi][selected]
+        blocks[t] = block.reshape(-1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = rows[chosen[0::2]] - rows[chosen[1::2]]
+    finite = np.isfinite(xi).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        xi = f"row {i} of the Jacobian element is {xi[i].tolist()}"
+    for t, block in blocks.items():
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            return tuple(chains), chosen, xi, (
+                f"difference of active gradients of {'gh'[t % 2]} in component {t // 2} "
+                f"is {block[np.argmin(finite)].tolist()}"
+            )
+    alphas = np.concatenate([np.zeros((0, n)), *blocks.values()])
+    alphas = alphas[jacobian._leading_index(alphas) >= 0]
+    return tuple(chains), chosen, xi, DifferenceVectors(alphas[_distinct_rows(alphas)], elem.convention)
+
+
+def _witness_or_refusal(diffs):
+    try:
+        w = witness_direction(diffs)
+    except ValueError as exc:  # ConventionMismatchError among them
+        return type(exc), str(exc)
+    return w.y_bar, w.epsilon, w.m_bound, w.leading
+
+
+class TestOnePassParity:
+    """The one pass of ``_filtered`` against ``full_lexicographic_chain``
+    run term by term: the same chains and chosen rows, and bit for bit the
+    same xi, values, difference vectors and witness, or the same refusal,
+    with RuntimeWarnings as errors."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        ["acceptance", "golden"]
+        + [f"{w}-{s}" for w in ("oracle_corpus", "affine_highdim", "ncp_newton") for s in (1, 2, 3)],
+    )
+    def test_equals_the_term_by_term_filtration(self, corpus):
+        tied = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for F, x in _parity_cases(corpus):
+                step = _active_step(F, x, jacobian.DEFAULT_TOL_ACT)  # one sweep for all
+                for conv in ("min", "max"):
+                    for tol_tie in (0.0, 1e-9, 1e-3, math.inf):
+                        elem = jacobian._filtered(*step, conv, jacobian.DEFAULT_TOL_ACT, tol_tie)
+                        self._assert_parity(elem)
+                tied += int(np.sum(np.diff(elem.bounds) > 1))
+        assert tied or corpus.startswith("ncp_newton")  # no NCP iterate ties two pieces
+
+    @staticmethod
+    def _assert_parity(elem):
+        chains, chosen, xi, diffs = _term_by_term(elem)
+        assert elem.chains == chains
+        assert elem.chosen.tolist() == chosen
+        if isinstance(xi, str):
+            with pytest.raises(OverflowError) as got:
+                elem.xi
+            assert str(got.value) == xi
+        else:
+            assert (elem.xi.shape, elem.xi.tobytes()) == (xi.shape, xi.tobytes())
+        values = elem.tops[0::2] - elem.tops[1::2]
+        assert elem.values.tobytes() == values.tobytes()
+        if isinstance(diffs, str):
+            with pytest.raises(OverflowError) as got:
+                selection_differences(elem)
+            assert str(got.value) == diffs
+            return
+        got = selection_differences(elem)
+        assert (got.vectors.shape, got.vectors.tobytes()) == (diffs.vectors.shape, diffs.vectors.tobytes())
+        for a, b in zip(_witness_or_refusal(got), _witness_or_refusal(diffs)):
+            assert a == b if not isinstance(a, np.ndarray) else a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "convention, message",
+        [
+            ("min", "difference of active gradients of h in component 1 is [inf]"),
+            ("max", "difference of active gradients of h in component 1 is [-inf]"),
+        ],
+    )
+    def test_first_overflowing_difference_in_a_later_term(self, convention, message):
+        # g_1, h_1 and g_2 have finite differences; h_2 and g_3 overflow,
+        # and h_2 comes first
+        F = load_problem(
+            {
+                "n": 1,
+                "m": 3,
+                "components": [
+                    {"g": ["x1", "-x1", "0"], "h": ["2*x1", "0"]},
+                    {"g": ["x1", "0"], "h": ["1e308*x1", "-1e308*x1"]},
+                    {"g": ["1.5e308*x1", "-1.5e308*x1"]},
+                ],
+            }
+        )
+        elem = clarke_jacobian_element(F, [0.0], convention=convention)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_parity(elem)
+            with pytest.raises(OverflowError) as got:
+                selection_differences(elem)
+        assert str(got.value) == message
 
 
 class TestVerdicts:

@@ -552,10 +552,11 @@ def _selected(F, x, convention="min", **tols):
     return elem, witness_direction(selection_differences(elem)).y_bar
 
 
-def _tampered(elem, chains=None, **cached):
-    """``elem`` with its filtrations ``chains`` and cached fields (``xi``,
-    ``chosen``) replaced: what a faulty selection could return."""
-    claim = replace(elem, chains=elem.chains if chains is None else chains)
+def _tampered(elem, survived=None, **cached):
+    """``elem`` with its filtration ``survived`` (per row, the columns it
+    survives) and cached fields (``xi``, ``chosen``) replaced: what a
+    faulty selection could return."""
+    claim = replace(elem, survived=elem.survived if survived is None else np.array(survived))
     vars(claim).update(cached)
     return claim
 
@@ -623,8 +624,8 @@ class TestClaimedRegion:
         F = load_problem(ABS_DOC)
         elem, y_bar = _selected(F, [0.0], "max")
         assert (elem.chosen.tolist(), elem.xi.tolist()) == ([0, 2], [[1.0]])
-        g_chain = elem.chains[0][:-1] + ((1,),)
-        claim = _tampered(elem, chains=(g_chain, elem.chains[1]), xi=elem.xi)
+        assert elem.survived.tolist() == [1, 0, 1]
+        claim = _tampered(elem, survived=[0, 1, 1], xi=elem.xi)
         assert claim.chosen.tolist() == [1, 2]
         assert certify_claimed_region(claim, y_bar) is None
 
@@ -659,8 +660,8 @@ class TestClaimedRegion:
         # 2*x1 wins nowhere near 0: neither ybar nor the LP finds its cone
         F = load_problem({"n": 1, "m": 1, "components": [{"g": ["x1", "2*x1", "3*x1"]}]})
         elem, y_bar = _selected(F, [0.0])
-        g_chain = elem.chains[0][:-1] + ((1,),)
-        claim = _tampered(elem, chains=(g_chain, elem.chains[1]))
+        assert elem.survived.tolist() == [1, 0, 0, 1]
+        claim = _tampered(elem, survived=[0, 1, 0, 1])
         assert claim.xi.tolist() == [[2.0]]
         assert certify_claimed_region(claim, y_bar) is None
 

@@ -38,7 +38,6 @@ from dcjac.jacobian import (
     DifferenceVectors,
     LimitInclusionReport,
     LimitPoint,
-    lexicographic_chain,
 )
 from dcjac.oracle import _classical_jacobian, _cone_direction, _strict_profiles
 
@@ -223,21 +222,26 @@ def assert_bits_equal(a, b) -> None:
 
 
 def full_lexicographic_chain(grads, convention: str, tol_tie: float):
-    """The coordinatewise filtration run over every level, without early
-    stopping: the reference for ``lexicographic_chain``."""
+    """The coordinatewise filtration of one term's gradient rows, run over
+    every column without stopping early, in Python float arithmetic: the
+    n + 1 levels of positions that survive 0, 1, ..., n columns.  A band
+    that overflows is infinite, as Python floats overflow.  The reference
+    for ``jacobian._filtered``."""
     mat = np.asarray(grads, dtype=float)
-    keep = np.arange(mat.shape[0])
-    chain = [tuple(int(i) for i in keep)]
+    rows = mat.tolist()
+    keep = list(range(mat.shape[0]))
+    chain = [tuple(keep)]
     for l in range(mat.shape[1]):
-        col = mat[keep, l]
+        col = [rows[k][l] for k in keep]
         if convention == "min":
-            ext = col.min()
-            mask = col <= ext + tol_tie * (1.0 + abs(ext))
+            ext = min(col)
+            bound = ext + tol_tie * (1.0 + abs(ext))
+            keep = [k for k, v in zip(keep, col) if v <= bound]
         else:
-            ext = col.max()
-            mask = col >= ext - tol_tie * (1.0 + abs(ext))
-        keep = keep[mask]
-        chain.append(tuple(int(i) for i in keep))
+            ext = max(col)
+            bound = ext - tol_tie * (1.0 + abs(ext))
+            keep = [k for k, v in zip(keep, col) if v >= bound]
+        chain.append(tuple(keep))
     return chain
 
 
@@ -348,7 +352,7 @@ def reference_element(
 ) -> ReferenceElement:
     """The Huang-Ma step run term by term: ``reference_active`` on each max
     term, each active gradient by ``SmoothFn.grad`` (OverflowError for the
-    first one that is not finite) and the full ``lexicographic_chain``.
+    first one that is not finite) and ``full_lexicographic_chain``.
     The reference for ``clarke_jacobian_element``."""
     x = np.asarray(x, dtype=float)
 
@@ -360,7 +364,7 @@ def reference_element(
                 raise OverflowError(
                     f"gradient of active piece {j} of {name} in component {i} is {row.tolist()}"
                 )
-        chain = tuple(lexicographic_chain(grads, convention, tol_tie))
+        chain = tuple(full_lexicographic_chain(grads, convention, tol_tie))
         return ReferenceTerm(active, chain, max(values), grads)
 
     comps = tuple(
