@@ -86,8 +86,10 @@ class DCMaxFn:
 
     @functools.cached_property
     def stack(self) -> PieceStack:
-        """Every piece of every max term, term by term; built once
-        (``newton.build_ncp`` hands its own over, derived from (M, q))."""
+        """Every piece of every max term, term by term; built once, from
+        one coefficient group per bucket of term counts
+        (``newton.build_ncp`` hands its own over, with its two groups
+        made from (M, q))."""
         return PieceStack([p for fn in self.terms for p in fn.pieces], self.n)
 
     @functools.cached_property

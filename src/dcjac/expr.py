@@ -810,22 +810,49 @@ def _premade(
 _SWEEP_CHUNK = 1 << 20
 
 
-def _bucket(width: int) -> int:
-    """The block of ``PieceStack`` that sweeps a piece of ``width`` terms:
-    up to 8 terms share block 0, then widths double."""
-    return max(0, (int(width) - 1).bit_length() - 3)
+def _bucket(widths) -> np.ndarray:
+    """The block of ``PieceStack`` that sweeps a piece of each of
+    ``widths`` terms: up to 8 terms share block 0, then widths double.
+    ``frexp`` gives the bit length of w - 1 exactly."""
+    return np.maximum(np.frexp(np.asarray(widths) - 1)[1] - 3, 0)
 
 
-def _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips):
-    """The zero-sign state of ``PieceStack`` from the flags of ``Affine``.
-    The arrays after ``zero_neg`` hold one entry per term, ``owner`` its
-    piece and ``index`` its variable.  Clears ``zero_neg`` for each piece
-    with a term that adds +0 at every point (neither flag set), and
-    returns ``flip_row``, ``flip_var`` and ``flip_sign``: per term with
-    zero_flips, its piece, its variable, and the sign bit of that
-    variable under which it adds +0."""
-    zero_neg[owner[~zero_flips & ~zero_sign]] = False
-    return owner[zero_flips], index[zero_flips], ~zero_sign[zero_flips]
+def _affine_groups(pieces, dim: int) -> list[tuple]:
+    """The coefficient groups of the pieces with ``Affine`` data (see
+    ``PieceStack``): one per bucket of term counts (``_bucket``), with
+    each piece's terms in a row, padded to the widest by the neutral term
+    (coefficient -0.0 on the constant lane, zero_sign set)."""
+    rows = [k for k, p in enumerate(pieces) if p.affine is not None]
+    data = [pieces[k].affine for k in rows]
+    lengths = np.array([a.terms.shape[1] for a in data], dtype=np.intp)
+    terms = np.concatenate([np.empty((4, 0)), *(a.terms for a in data)], axis=1)
+    owner = np.repeat(np.arange(len(data)), lengths)  # each term's piece, as an index of data
+    col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows, negate = np.array(rows, dtype=np.intp), np.array([a.negate for a in data], dtype=bool)
+    bucket = _bucket(lengths)
+    groups = []
+    for b in np.unique(bucket):
+        member = bucket == b
+        mine, widths = member[owner], lengths[member]
+        width = int(widths.max())
+        group = np.empty((4, widths.size * width))
+        group[...] = np.array([[-0.0], [dim], [1.0], [0.0]])
+        # a term goes to its piece's row among the members, at its column
+        group[:, ((np.cumsum(member) - 1) * width)[owner[mine]] + col[mine]] = terms[:, mine]
+        coefs, index, zero_sign, zero_flips = group.reshape(4, -1, width)
+        index, zero_sign, zero_flips = index.astype(np.intp), zero_sign != 0.0, zero_flips != 0.0
+        groups.append((rows[member], coefs, index, zero_sign, zero_flips, negate[member]))
+    return groups
+
+
+def _shape_error(shape: tuple, dim: int, ndim: int) -> ValueError:
+    """The refusal of an array of ``shape`` given as a point (``ndim`` 1)
+    or as points, one per row (``ndim`` 2), of length ``dim``."""
+    if len(shape) == ndim:
+        return ValueError(f"point has length {shape[-1]}, expected {dim}")
+    if ndim == 1:
+        return ValueError(f"point has shape {shape}, expected ({dim},)")
+    return ValueError(f"points have shape {shape}, expected (k, {dim})")
 
 
 class PieceStack:
@@ -834,119 +861,71 @@ class PieceStack:
 
     The pieces with coefficient data are swept: their term products are
     summed left to right with ``np.add.accumulate`` (never ``@`` or
-    ``sum``, which reassociate), over blocks of pieces with similar term
-    counts (``_bucket``) padded to a common width.  A swept piece's
-    gradient is its row of ``table``, the nonzero coefficients, with every
-    other lane set to the signed zero that ``Affine`` derives
-    (``_zero_lanes``).  The other pieces go through ``SmoothFn.eval`` and
-    ``grad``, as every piece does at a point that is not finite.  Values
-    and gradients have the bits of those methods.
+    ``sum``, which reassociate), over blocks of rows of equal width
+    padded by the product -0.0*1.0 (column dim of a point reads 1.0),
+    which changes no sum, not even the sign of a zero.  A swept piece's
+    gradient is its row of ``table``, the nonzero coefficients negated
+    with it, with every other lane set to the signed zero that ``Affine``
+    derives.  The other pieces go through ``SmoothFn.eval`` and ``grad``,
+    as every piece does at a point that is not finite.  Values and
+    gradients have the bits of those methods.
 
-    ``PieceStack(pieces, dim)`` derives every array from the pieces'
-    ``Affine`` data.  ``newton.build_ncp`` holds that data as one matrix
-    and derives the arrays from it instead (``_of_ncp``).
+    One derivation (``_derive``) makes every array from coefficient
+    groups.  A group is a tuple (rows, coefs, index, zero_sign,
+    zero_flips, negate) of pieces given as rows of one width: their stack
+    positions, their terms' coefficients, variables and flags as in
+    ``Affine`` (index None for dense rows, whose lane j is x_j for j <
+    dim and the constant last), and their negation; each group is one
+    sweep block.  ``PieceStack(pieces, dim)`` makes a group of each
+    bucket of term counts (``_affine_groups``); ``newton.build_ncp``
+    hands over its own (``_of_groups``).
     """
 
     def __init__(self, pieces, dim: int):
         pieces = tuple(pieces)
-        data = [p.affine for p in pieces]
-        swept = np.array([a is not None for a in data], dtype=bool)
-        negate = np.array([a is not None and a.negate for a in data], dtype=bool)
-        lengths = np.array([0 if a is None else a.terms.shape[1] for a in data], dtype=np.intp)
-        coefs, index, zero_sign, zero_flips = np.concatenate(
-            [np.empty((4, 0)), *(a.terms for a in data if a is not None)], axis=1
-        )
-        index = index.astype(np.intp)
-        zero_sign, zero_flips = zero_sign != 0.0, zero_flips != 0.0
-        owner = np.repeat(np.arange(len(data)), lengths)  # piece of each term
-        col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-        # Values.  A pad is the product -0.0*1.0 (column dim of a point
-        # reads 1.0), and adding -0.0 changes no sum, not even the sign of
-        # a zero.
-        bucket = np.array([_bucket(n) if n else -1 for n in lengths])
-        blocks = []
-        for b in np.unique(bucket[swept]):
-            block = np.flatnonzero(bucket == b)
-            terms = bucket[owner] == b
-            at = (np.searchsorted(block, owner[terms]), col[terms])
-            shape = (block.size, int(lengths[block].max()))
-            block_coefs = np.full(shape, -0.0)
-            block_coefs[at] = coefs[terms]
-            block_index = np.full(shape, dim, dtype=np.intp)
-            block_index[at] = index[terms]
-            blocks.append((block, block_coefs, block_index))
-
-        # Gradients: each piece's nonzero coefficient lanes, negated with
-        # it, and +0 elsewhere; grads makes those lanes -0 where zero_neg !=
-        # negate.  Before the negation they are -0 when every term adds -0:
-        # always for a term without zero_flips whose zero_sign is set, and
-        # for one with zero_flips when signbit(x[var]) equals flip_sign.
-        lane = (index < dim) & (coefs != 0.0)  # the rule, not c, signs a zero lane
-        table = np.zeros((len(data), dim))
-        table[owner[lane], index[lane]] = np.where(negate[owner], -coefs, coefs)[lane]
-        zero_neg = np.ones(len(data), dtype=bool)
-        flips = _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips)
-        self._set(pieces, dim, swept, negate, blocks, table, zero_neg, flips)
+        self._derive(pieces, dim, _affine_groups(pieces, dim))
 
     @classmethod
-    def _of_ncp(cls, pieces, layout: np.ndarray) -> "PieceStack":
-        """The stack of ``newton.build_ncp``'s pieces (0, -x_i and
-        -(Mx+q)_i for each i), derived from ``layout = _affine_layout(M,
-        q)``, the data of the pieces -(Mx+q)_i: bit for bit the stack that
-        ``PieceStack(pieces, n)`` derives one piece at a time.
-
-        The rows of ``[M | q]`` (``layout[0]``) are a block as they stand,
-        indexed by a broadcast ``arange(n + 1)``, once they are wide enough
-        for a bucket of their own (n >= 8).  The gradient table holds -M
-        on its nonzero lanes, -1 on x_i's, and +0 elsewhere.  The flags
-        are ``layout[2:]``, read by ``_zero_lanes`` as ``__init__`` reads
-        the pieces' own.
-        """
-        n = layout.shape[1]
-        coefs = layout[0]
-        kind = np.arange(3 * n) % 3  # per piece: 0 for 0, 1 for -x_i, 2 for -(Mx+q)_i
-        rows = np.flatnonzero(kind == 2)
-        index = np.broadcast_to(np.arange(n + 1), coefs.shape)
-        # The one-term pieces 0 and -x_i (coefficient 0 of the constant, 1
-        # of x_i) form a block of width 1; while the rows of [M | q] are in
-        # their bucket (n <= 7) they join it, padded to width n + 1, in
-        # piece order.
-        merged = _bucket(1) == _bucket(n + 1)
-        kinds, width = (3, n + 1) if merged else (2, 1)
-        block_coefs = np.full((n, kinds, width), -0.0)
-        block_coefs[:, 0, 0] = 0.0
-        block_coefs[:, 1, 0] = 1.0
-        block_index = np.full((n, kinds, width), n, dtype=np.intp)
-        block_index[:, 1, 0] = np.arange(n)
-        if merged:
-            block_coefs[:, 2], block_index[:, 2] = coefs, index
-        block = np.flatnonzero(kind < kinds)
-        blocks = [(block, block_coefs.reshape(-1, width), block_index.reshape(-1, width))]
-        if not merged:
-            blocks.append((rows, coefs, index))
-        table = np.zeros((n, 3, n))
-        table[np.arange(n), 1, np.arange(n)] = -1.0
-        np.negative(coefs[:, :n], out=table[:, 2], where=coefs[:, :n] != 0.0)
-        zero_sign, zero_flips = layout[2:] != 0.0
-        zero_neg = kind == 2  # 0 and -x_i have one term each, which adds +0
-        owner = np.broadcast_to(rows[:, None], coefs.shape)
-        flips = _zero_lanes(zero_neg, owner, index, zero_sign, zero_flips)
+    def _of_groups(cls, pieces, dim: int, groups) -> "PieceStack":
+        """The stack of ``pieces`` derived from the caller's groups; a
+        piece in no group is walked."""
         stack = cls.__new__(cls)
-        swept = np.ones(3 * n, dtype=bool)
-        stack._set(pieces, n, swept, kind != 0, blocks, table.reshape(3 * n, n), zero_neg, flips)
+        stack._derive(tuple(pieces), dim, groups)
         return stack
 
-    def _set(self, pieces, dim, swept, negate, blocks, table, zero_neg, flips):
-        self.pieces = tuple(pieces)
-        self.dim = dim
-        self.swept = swept
-        self.walked = np.flatnonzero(~swept).tolist()
-        self.negate = negate
-        self.blocks = blocks
-        self.table = table
-        self.zero_neg = zero_neg
-        self.flip_row, self.flip_var, self.flip_sign = flips
+    def _derive(self, pieces: tuple, dim: int, groups) -> None:
+        swept, negate = np.zeros(len(pieces), dtype=bool), np.zeros(len(pieces), dtype=bool)
+        table, zero_neg = np.zeros((len(pieces), dim)), np.ones(len(pieces), dtype=bool)
+        blocks, flips = [], []
+        for rows, coefs, index, zero_sign, zero_flips, neg in groups:
+            swept[rows], negate[rows] = True, neg
+            owner = np.broadcast_to(rows[:, None], coefs.shape)
+            if index is None:
+                index = np.broadcast_to(np.arange(dim + 1), coefs.shape)
+                table[rows] = coefs[:, :dim]
+            else:
+                lane = index < dim
+                table[owner[lane], index[lane]] = coefs[lane]
+            blocks.append((rows, coefs, index))
+            # The zero lanes of a gradient are -0 before the negation when
+            # every term adds -0: always for a term without zero_flips whose
+            # zero_sign is set, never for one with neither flag, and for one
+            # with zero_flips when signbit(x[var]) equals flip_sign
+            zero_neg[rows[~(zero_sign | zero_flips).all(axis=1)]] = False
+            flips.append((owner[zero_flips], index[zero_flips], ~zero_sign[zero_flips]))
+        # a lane is negated with its piece, and +0 where the coefficient is
+        # zero (-0.0 + 0.0 is +0); grads makes it -0 where zero_neg != negate
+        np.negative(table, out=table, where=negate[:, None])
+        table += 0.0
+        self.pieces, self.dim = pieces, dim
+        self.swept, self.walked = swept, np.flatnonzero(~swept).tolist()
+        self.negate, self.blocks, self.table, self.zero_neg = negate, blocks, table, zero_neg
+        # one group's lanes as they are: at n = 1000 an NCP's are 8 MB
+        none = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, bool))
+        flips = [f for f in flips if f[0].size] or [none]
+        self.flip_row, self.flip_var, self.flip_sign = (
+            np.concatenate(f) if len(f) > 1 else f[0] for f in zip(*flips)
+        )
 
     def values(self, X) -> tuple[np.ndarray, tuple | None]:
         """Every piece's value at every row of X, shape (points, pieces).
@@ -956,8 +935,8 @@ class PieceStack:
         are skipped and their entries left NaN.
         """
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.dim:
-            raise ValueError(f"point has length {X.shape[1]}, expected {self.dim}")
+        if X.shape[1:] != (self.dim,):
+            raise _shape_error(X.shape, self.dim, 2)
         out = np.full((len(X), len(self.pieces)), np.nan)
         self._sweep(X, out)
         finite = np.isfinite(X).all(axis=1)
@@ -986,6 +965,8 @@ class PieceStack:
         row each.  Tree walks run in the order given; the first that
         raises propagates."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise _shape_error(x.shape, self.dim, 1)
         pieces = np.asarray(pieces, dtype=np.intp)
         out = self.table[pieces]
         if not np.isfinite(x).all():
@@ -1009,6 +990,8 @@ class PieceStack:
         bits that rule reads count; otherwise a tree walk reads the whole
         point."""
         X = np.asarray(X, dtype=float)
+        if X.shape[1:] != (self.dim,):
+            raise _shape_error(X.shape, self.dim, 2)
         pieces = np.asarray(pieces, dtype=np.intp)
         swept = self.swept[pieces].all(axis=1) & np.isfinite(X).all(axis=1)
         signs = np.signbit(X)[:, self.flip_var]

@@ -161,8 +161,11 @@ def build_ncp(M, q) -> DCMaxFn:
     the pieces -(Mx+q)_i is one array built from (M, q)
     (``expr._affine_layout``, whose rows ``SmoothFn.from_affine`` also
     makes); each piece's data is a view of it, and its tree is built only
-    when read.  The function's ``stack`` comes from the same array
-    (``PieceStack._of_ncp``), not from the pieces one by one.
+    when read.  The function's ``stack`` is derived from two coefficient
+    groups (``PieceStack._of_groups``), not from the pieces one by one:
+    the one-term pieces 0 and -x_i, and the rows of ``[M | q]``, which
+    are a sweep block as they stand.  Only this function knows the
+    stack's piece order: per i, 0, -x_i and -(Mx+q)_i.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -174,18 +177,27 @@ def build_ncp(M, q) -> DCMaxFn:
     if not (np.isfinite(M).all() and np.isfinite(q).all()):
         raise ValueError("M and q must be finite")
     layout = _affine_layout(M, q)
-    # 0 and -x_i get the one term _affine_data would find by a walk: coefficient, index, flags
-    zero = _premade(Const(0.0), n, np.array([[0.0], [n], [0.0], [0.0]]), False)
-    neg_x = np.stack([np.ones(n), np.arange(n), np.zeros(n), np.zeros(n)], axis=1)[:, :, None]
+    # per i, the one term of 0 and of -x_i that _affine_data would find by
+    # a walk: coefficient 0 of the constant and 1 of x_i, no flag set
+    single = np.zeros((4, n, 2))
+    single[0, :, 1], single[1, :, 0], single[1, :, 1] = 1.0, n, np.arange(n)
+    zero = _premade(Const(0.0), n, single[:, 0, :1], False)
     pieces, h = [], []
     for i in range(n):
-        neg = _premade(Unary("neg", Var(i)), n, neg_x[i], True)
+        neg = _premade(Unary("neg", Var(i)), n, single[:, i, 1:], True)
         row = _premade(None, n, layout[:, i], True)  # a view of the layout
         pieces += (zero, neg, row)
         h.append(MaxFn((neg, row)))
     g = (MaxFn((zero,)),) * n
     F = DCMaxFn(n=n, m=n, g=g, h=tuple(h))
-    F.__dict__["stack"] = PieceStack._of_ncp(pieces, layout)  # the cached DCMaxFn.stack
+    # the stack's groups, from the pieces' own data: 0 and -x_i as rows of
+    # one term, and the rows of [M | q], dense and all negated
+    position = np.arange(3 * n).reshape(n, 3)
+    coefs, index, zero_sign, zero_flips = single.reshape(4, 2 * n, 1)
+    one_term = (position[:, :2].ravel(), coefs, index.astype(np.intp), zero_sign != 0.0)
+    one_term += (zero_flips != 0.0, np.arange(2 * n) % 2 == 1)  # -x_i negated
+    dense = (position[:, 2], layout[0], None, layout[2] != 0.0, layout[3] != 0.0, True)
+    F.__dict__["stack"] = PieceStack._of_groups(pieces, n, [one_term, dense])  # DCMaxFn.stack
     return F
 
 

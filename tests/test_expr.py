@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcjac.dcmax import load_problem_file
+import dcjac.expr
+from dcjac.dcmax import load_problem, load_problem_file
 from dcjac.expr import (
     _NUMBER,
     Binary,
@@ -19,6 +20,7 @@ from dcjac.expr import (
     Var,
     _affine_data,
     _affine_rows,
+    _bucket,
     _eval_float,
     _eval_tangent,
     _postorder,
@@ -29,8 +31,10 @@ from dcjac.expr import (
     unparse,
 )
 from dcjac.instances import random_affine_problem
+from dcjac.newton import build_ncp
 from util import (
     assert_bits_equal,
+    assert_stack_equals_reference,
     bench_workloads,
     central_diff,
     dual_grad,
@@ -43,6 +47,7 @@ from util import (
     reference_random_affine_document,
     reference_structure,
     reference_unparse,
+    stack_parity_points,
 )
 
 
@@ -658,6 +663,106 @@ class TestGradsOfAnAllSweptStack:
             assert walks == walked
             monkeypatch.undo()
             assert_bits_equal(got, [fn.grad(x) for fn in pieces])
+
+
+def _stack_corpus(corpus):
+    """The functions of one corpus of the stack parity check."""
+    golden = Path(__file__).parent / "golden"
+    if corpus == "acceptance":
+        for seed in range(200):
+            yield random_affine_problem(seed % 4 + 1, seed % 3 + 1, 5, seed=seed)
+    elif corpus == "golden":
+        for path in sorted(golden.glob("*.json")):
+            yield load_problem_file(path)
+        for name in ("ncp", "ncp10-3"):
+            M = np.loadtxt(golden / f"{name}_M.csv", delimiter=",", ndmin=2)
+            q = np.loadtxt(golden / f"{name}_q.csv", delimiter=",", ndmin=1)
+            yield build_ncp(M, q)
+    elif corpus == "random shapes":  # the goldens' --random problems among them
+        shapes = ((1, 1, 1, 0), (4, 3, 5, 11), (5, 3, 5, 2), (8, 4, 8, 6), (16, 2, 17, 3))
+        for n, m, pieces, seed in shapes:
+            yield random_affine_problem(n, m, pieces, seed=seed)
+    else:  # a benchmark generator and its seed, as "oracle_corpus-1"
+        workload, seed = corpus.split("-")
+        for inst in getattr(bench_workloads(), workload)(int(seed)):
+            yield build_ncp(inst.M, inst.q) if inst.M is not None else load_problem(inst.document())
+
+
+class TestStackDerivation:
+    """Every stack, from ``_affine_groups`` or from ``build_ncp``'s groups,
+    equals the one derived piece by piece (``reference_piece_stack``)."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        ["acceptance", "golden", "random shapes"]
+        + [
+            f"{w}-{s}"
+            for w in ("oracle_corpus", "affine_highdim", "ncp_newton", "smooth_certify")
+            for s in (1, 2, 3)
+        ],
+    )
+    def test_equals_the_per_piece_reference(self, corpus):
+        rng = np.random.default_rng(7)
+        for k, F in enumerate(_stack_corpus(corpus)):  # a tenth also walk, at a non-finite point
+            assert_stack_equals_reference(F.stack, stack_parity_points(rng, F.n, k % 10 == 0))
+
+    @pytest.mark.parametrize("lengths", [[], [1], [1, 8, 9, 16, 17, 1, 9], [3, 2, 33, 4, 64, 65]])
+    def test_pieces_of_every_width_with_walked_ones_between(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        n = max([*lengths, 1])
+        pool = [0.0, -0.0, 1.5, -2.0, 1e-300, -5e-324]
+        pieces = []
+        for k, width in enumerate(lengths):
+            terms = [f"{pool[j % len(pool)]!r}*x{j + 1}" for j in rng.permutation(n)[: width - 1]]
+            text = " + ".join([*terms, repr(pool[k % len(pool)])])
+            pieces += [SmoothFn.from_text(f"-({text})" if k % 3 == 1 else text, n)]
+            pieces += [SmoothFn.from_text("x1*x1", n)] * (k % 2)
+        stack = PieceStack(pieces, n)
+        assert [p.affine is None for p in pieces] == (~stack.swept).tolist()
+        assert_stack_equals_reference(stack, stack_parity_points(rng, n))
+
+    def test_bucket_rule(self):
+        widths = np.arange(1, 4097)
+        want = [max(0, (w - 1).bit_length() - 3) for w in widths.tolist()]
+        assert _bucket(widths).tolist() == want
+        assert _bucket(np.array([], dtype=np.intp)).size == 0
+
+    def test_one_bucket_rule_per_build(self, monkeypatch):
+        calls = []
+
+        def count(widths):
+            calls.append(np.asarray(widths).size)
+            return bucket(widths)
+
+        bucket = dcjac.expr._bucket
+        monkeypatch.setattr(dcjac.expr, "_bucket", count)
+        widths = [1, 8, 9, 16, 17, 2, 9]
+        texts = [" + ".join(f"x{j}" for j in range(1, w + 1)) for w in widths]
+        pieces = [SmoothFn.from_text(text, 17) for text in texts]
+        stack = PieceStack(pieces + [SmoothFn.from_text("x1*x1", 17)], 17)
+        assert calls == [len(pieces)]
+        assert [block[0].tolist() for block in stack.blocks] == [[0, 1, 5], [2, 3, 6], [4]]
+
+    @pytest.mark.parametrize(
+        "method, point, message",
+        [
+            ("values", np.zeros(2), r"points have shape \(2,\), expected \(k, 2\)"),
+            ("values", np.zeros((1, 3)), "point has length 3, expected 2"),
+            ("values", np.zeros((1, 1, 2)), r"points have shape \(1, 1, 2\), expected \(k, 2\)"),
+            ("grads", np.zeros(3), "point has length 3, expected 2"),
+            ("grads", np.zeros(1), "point has length 1, expected 2"),
+            ("grads", np.zeros((1, 2)), r"point has shape \(1, 2\), expected \(2,\)"),
+            ("grads", np.zeros((2, 2)), r"point has shape \(2, 2\), expected \(2,\)"),
+            ("grads", 0.0, r"point has shape \(\), expected \(2,\)"),
+            ("grads_keys", np.zeros((1, 3)), "point has length 3, expected 2"),
+            ("grads_keys", np.zeros(2), r"points have shape \(2,\), expected \(k, 2\)"),
+        ],
+    )
+    def test_refuses_a_point_of_the_wrong_shape(self, method, point, message):
+        stack = PieceStack([SmoothFn.from_text("x1 - 2*x2", 2), SmoothFn.from_text("x1*x2", 2)], 2)
+        pieces = [[0, 1]] if method == "grads_keys" else [0, 1]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(stack, method)(point, *([] if method == "values" else [pieces]))
 
 
 def _scanned_as_parsed(text: str, dim: int) -> bool:

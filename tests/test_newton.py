@@ -1,4 +1,5 @@
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,14 @@ from dcjac.newton import build_ncp, ncp_residual, solve
 from util import (
     ABS_DOC,
     assert_bits_equal,
+    assert_stack_equals_reference,
     assert_element_equal,
     bench_workloads,
     reference_element,
     reference_eval_float,
     reference_eval_tangent,
     reference_newton_step,
+    stack_parity_points,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -428,21 +431,15 @@ class TestBuildNCP:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 33])
     def test_stack_equals_the_per_piece_stack(self, n):
-        F = build_ncp(*self._signed_data(np.random.default_rng(n), n))
-        got = F.stack
-        want = dcjac.expr.PieceStack([p for fn in F.terms for p in fn.pieces], n)
-        assert len(got.pieces) == len(want.pieces) == 3 * n
-        assert all(a is b for a, b in zip(got.pieces, want.pieces))
-        assert (got.dim, got.walked) == (want.dim, want.walked)
-        names = ("swept", "negate", "table", "zero_neg", "flip_row", "flip_var", "flip_sign")
-        arrays = [(name, getattr(got, name), getattr(want, name)) for name in names]
-        assert len(got.blocks) == len(want.blocks) == (1 if n <= 7 else 2)
-        for k, (a, b) in enumerate(zip(got.blocks, want.blocks)):
-            parts = ("pieces", "coefs", "index")
-            arrays += [(f"block {k} {part}", a[i], b[i]) for i, part in enumerate(parts)]
-        for name, a, b in arrays:
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == np.ascontiguousarray(b).tobytes(), name
+        rng = np.random.default_rng(n)
+        F = build_ncp(*self._signed_data(rng, n))
+        pieces = [p for fn in F.terms for p in fn.pieces]  # the order of DCMaxFn.stack
+        assert len(F.stack.pieces) == len(pieces) and all(map(operator.is_, F.stack.pieces, pieces))
+        assert_stack_equals_reference(F.stack, stack_parity_points(rng, n))
+        # the rows of [M | q] are a block as they stand: the pieces' own data
+        rows = F.stack.blocks[-1]
+        assert rows[0].tolist() == list(range(2, 3 * n, 3))
+        assert np.shares_memory(rows[1], F.h[0].pieces[1].affine.terms)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 17])
     def test_stack_values_and_grads_equal_the_tree_walkers_at_signed_zeros(self, n):
@@ -458,27 +455,28 @@ class TestBuildNCP:
                 assert_bits_equal(grad, reference_eval_tangent(piece.expr, x, np.zeros(n))[1])
 
     def test_build_runs_no_per_piece_stack_pass(self, monkeypatch):
-        # the stack comes from [M | q] whole: neither PieceStack's per-piece
-        # concatenation nor a bucket per piece runs
+        # the stack comes from build_ncp's two groups: neither PieceStack's
+        # per-piece groups nor a bucket per piece runs
         buckets = []
 
         def fail(*args):
             raise AssertionError("per-piece PieceStack built")
 
-        def count_buckets(width):
-            buckets.append(width)
-            return bucket(width)
+        def count_buckets(widths):
+            buckets.append(widths)
+            return bucket(widths)
 
         bucket = dcjac.expr._bucket
         monkeypatch.setattr(dcjac.expr.PieceStack, "__init__", fail)
+        monkeypatch.setattr(dcjac.expr, "_affine_groups", fail)
         monkeypatch.setattr(dcjac.expr, "_bucket", count_buckets)
         n = 20
         M, q = self._signed_data(np.random.default_rng(3), n)
         M += 4.0 * n * np.eye(n)
         F = build_ncp(M, q)
         # one layout: the row block is the pieces' own data, not a copy
-        assert np.shares_memory(F.stack.blocks[1][1], F.h[0].pieces[1].affine.terms)
-        assert len(buckets) <= 2
+        assert np.shares_memory(F.stack.blocks[-1][1], F.h[0].pieces[1].affine.terms)
+        assert len(buckets) <= 1
         assert solve(F, np.zeros(n)).status == "converged"
 
 

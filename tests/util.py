@@ -23,6 +23,7 @@ from dcjac.expr import (
     DomainError,
     Expr,
     ParseError,
+    PieceStack,
     SmoothFn,
     Unary,
     Var,
@@ -219,6 +220,114 @@ def assert_bits_equal(a, b) -> None:
     assert a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True), (a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b)), (a, b)
+
+
+def reference_piece_stack(pieces, dim: int) -> PieceStack:
+    """A ``PieceStack`` whose arrays are derived one piece at a time, as
+    the stack did before it took coefficient groups: every piece's
+    ``Affine.terms`` concatenated and scattered term by term into one
+    block per bucket of term counts (a scalar rule per piece), the
+    gradient table written lane by lane with the coefficient negated with
+    its piece, and the zero-sign state read from the flat flags."""
+    pieces = tuple(pieces)
+    data = [p.affine for p in pieces]
+    swept = np.array([a is not None for a in data], dtype=bool)
+    negate = np.array([a is not None and a.negate for a in data], dtype=bool)
+    lengths = np.array([0 if a is None else a.terms.shape[1] for a in data], dtype=np.intp)
+    coefs, index, zero_sign, zero_flips = np.concatenate(
+        [np.empty((4, 0)), *(a.terms for a in data if a is not None)], axis=1
+    )
+    index = index.astype(np.intp)
+    zero_sign, zero_flips = zero_sign != 0.0, zero_flips != 0.0
+    owner = np.repeat(np.arange(len(data)), lengths)  # piece of each term
+    col = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    bucket = np.array([max(0, (int(n) - 1).bit_length() - 3) if n else -1 for n in lengths])
+    blocks = []
+    for b in np.unique(bucket[swept]):
+        block = np.flatnonzero(bucket == b)
+        terms = bucket[owner] == b
+        at = (np.searchsorted(block, owner[terms]), col[terms])
+        shape = (block.size, int(lengths[block].max()))
+        block_coefs = np.full(shape, -0.0)
+        block_coefs[at] = coefs[terms]
+        block_index = np.full(shape, dim, dtype=np.intp)
+        block_index[at] = index[terms]
+        blocks.append((block, block_coefs, block_index))
+    lane = (index < dim) & (coefs != 0.0)
+    table = np.zeros((len(data), dim))
+    table[owner[lane], index[lane]] = np.where(negate[owner], -coefs, coefs)[lane]
+    zero_neg = np.ones(len(data), dtype=bool)
+    zero_neg[owner[~zero_flips & ~zero_sign]] = False
+    stack = PieceStack.__new__(PieceStack)
+    stack.__dict__.update(
+        pieces=pieces,
+        dim=dim,
+        swept=swept,
+        walked=np.flatnonzero(~swept).tolist(),
+        negate=negate,
+        blocks=blocks,
+        table=table,
+        zero_neg=zero_neg,
+        flip_row=owner[zero_flips],
+        flip_var=index[zero_flips],
+        flip_sign=~zero_sign[zero_flips],
+    )
+    return stack
+
+
+def _fault_of(fault):
+    return fault if fault is None else (*fault[:2], type(fault[2]), str(fault[2]))
+
+
+def _grads_or_fault(stack, x, pieces):
+    try:
+        return stack.grads(x, pieces)
+    except ArithmeticError as exc:  # a tree walk at a point that is not finite
+        return type(exc), str(exc)
+
+
+def assert_stack_equals_reference(stack, points) -> None:
+    """``stack`` against ``reference_piece_stack`` of its pieces: bit for
+    bit its ``swept``, ``negate``, ``table`` and ``zero_neg`` arrays and,
+    at each of ``points``, every piece's value and every swept piece's
+    gradient (every piece's at a point that is not finite), or the same
+    fault; the flip lanes as sets; and every swept piece in one block."""
+    want = reference_piece_stack(stack.pieces, stack.dim)
+    assert all(a is b for a, b in zip(stack.pieces, want.pieces))
+    assert (len(stack.pieces), stack.dim, stack.walked) == (len(want.pieces), want.dim, want.walked)
+    for name in ("swept", "negate", "table", "zero_neg", "flip_row", "flip_var", "flip_sign"):
+        a, b = getattr(stack, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if not name.startswith("flip"):
+            assert a.tobytes() == b.tobytes(), name
+    lanes = [sorted(zip(*(a.tolist() for a in (s.flip_row, s.flip_var, s.flip_sign)))) for s in (stack, want)]
+    assert lanes[0] == lanes[1]
+    blocks = sorted(int(r) for block in stack.blocks for r in block[0])
+    assert blocks == np.flatnonzero(stack.swept).tolist()
+    points = np.asarray(points, dtype=float)
+    (got, got_fault), (values, fault) = stack.values(points), want.values(points)
+    assert_bits_equal(got, values)
+    assert _fault_of(got_fault) == _fault_of(fault)
+    for x in points:
+        # at a finite point a walked piece's gradient is its own tree walk in
+        # both stacks, and ``walked`` is compared above
+        every = np.flatnonzero(stack.swept | ~np.isfinite(x).all())
+        a, b = _grads_or_fault(stack, x, every), _grads_or_fault(want, x, every)
+        if isinstance(b, tuple):
+            assert a == b
+        else:
+            assert_bits_equal(a, b)
+
+
+def stack_parity_points(rng, n: int, walk: bool = True) -> np.ndarray:
+    """Points of dimension n for ``assert_stack_equals_reference``: 0.0,
+    -0.0 and negative coordinates, two mixes of them, and when ``walk``
+    one point with an infinite coordinate, where every piece walks its
+    tree."""
+    mixed = rng.choice([0.0, -0.0, 1.0, -2.5, 1e-300, -3e-310], size=(2, n))
+    walked = np.zeros((int(walk), n))
+    walked[:, 0] = -math.inf
+    return np.vstack([np.zeros(n), np.full(n, -0.0), np.full(n, -1.5), mixed, walked])
 
 
 def full_lexicographic_chain(grads, convention: str, tol_tie: float):
